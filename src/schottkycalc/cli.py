@@ -31,17 +31,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contour import CircleContour, QuadratureError, contour_nodes
+from .contour import TWO_PI_I, CircleContour, QuadratureError, contour_nodes, fail_max, gated_sum
 from .eichler import PolyForm, canonical_cocycle, cocycle_eval, decompose_coboundary, poly_pullback
 from .gem import (
+    CanonicalGEM,
     SpanningTheta,
     canonical_gem,
     canonical_moment_residuals,
     expected_moment_identity,
-    gated_sum_precomputed,
-    moment_identity,
+    moment_identities,
     quasi_periods,
 )
+from .moebius import apply as mob_apply, deriv as mob_deriv
 from .poincare import (
     BersEvaluator,
     NuFamily,
@@ -56,14 +57,14 @@ from .schottky import (
     disc_center,
     disc_radius,
     expected_word_count,
+    generator,
     require_valid,
     surface_from_dict,
     surface_to_dict,
+    validate as surface_validate,
     word_map,
 )
-from .variation import nu_normalization_error, period_matrix, rauch_check
-
-TWO_PI_I = 2j * np.pi
+from .variation import PeriodMatrix, nu_normalization_error, period_matrix, rauch_check
 
 SUITES = (
     "cocycle",
@@ -160,6 +161,23 @@ class RunConfig:
             "J": list(self.J) if self.J is not None else None,
             "punctures": [[y.real, y.imag] for y in self.punctures],
         }
+
+
+class RunContext:
+    """One command's expensive artifacts, each built at most once."""
+
+    def __init__(self, rc: RunConfig):
+        self.rc = rc
+        self.period_matrix: PeriodMatrix | None = None  # the rauch suite's certified base
+        self._canonical: CanonicalGEM | None = None
+
+    def canonical(self) -> CanonicalGEM:
+        if self._canonical is None:
+            rc = self.rc
+            self._canonical = canonical_gem(
+                rc.surface, rc.N, config=rc.series(), n_nodes=rc.nodes, J=rc.J
+            )
+        return self._canonical
 
 
 def _parse_complex(v) -> complex:
@@ -271,7 +289,7 @@ def _clearance(p: SchottkyParams, z: complex) -> float:
 
 
 def _gated_circle_sum(kernel_vals: np.ndarray, dz: np.ndarray, gate: float = 1e-9) -> complex:
-    return gated_sum_precomputed(kernel_vals * dz, gate) / complex(TWO_PI_I)
+    return gated_sum(kernel_vals, dz, gate) / TWO_PI_I
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +321,7 @@ def _random_word_pair(rng: np.random.Generator, g: int):
             return w1, w2
 
 
-def _suite_cocycle(rc: RunConfig) -> dict:
+def _suite_cocycle(rc: RunConfig, ctx: RunContext) -> dict:
     """Composition law of the generator-seeded polynomial cocycles."""
     p = rc.surface
     rng = np.random.default_rng(rc.seed)
@@ -320,11 +338,11 @@ def _suite_cocycle(rc: RunConfig) -> dict:
             head = poly_pullback(head, X.letter_map(letter))
         rhs = head + cocycle_eval(X, w2)
         diff = (combined - rhs).norm() / max(1.0, combined.norm(), rhs.norm())
-        worst = max(worst, diff)
+        worst = fail_max(worst, diff)
     return {"composition": worst}
 
 
-def _suite_coboundary(rc: RunConfig) -> dict:
+def _suite_coboundary(rc: RunConfig, ctx: RunContext) -> dict:
     """Reconstruction of single-polynomial cocycles from their coefficients."""
     p = rc.surface
     m = 2 * rc.N - 1
@@ -345,11 +363,11 @@ def _suite_coboundary(rc: RunConfig) -> dict:
                         [cocycle_eval(X, (a,))(z) for z in zs]
                     )
             direct = np.array([delta(z) - P(z) for z in zs])
-            worst = max(worst, float(np.max(np.abs(rebuilt_vals - direct))))
+            worst = fail_max(worst, np.max(np.abs(rebuilt_vals - direct)))
     return {"reconstruction": worst}
 
 
-def _suite_residue(rc: RunConfig) -> dict:
+def _suite_residue(rc: RunConfig, ctx: RunContext) -> dict:
     """Unit residue of the weight-N kernel at coinciding points."""
     p = rc.surface
     psi = BersEvaluator(p, rc.N, config=rc.series())
@@ -361,36 +379,33 @@ def _suite_residue(rc: RunConfig) -> dict:
     return {"residue": abs(res - 1.0)}
 
 
-def _suite_quasiperiod(rc: RunConfig) -> dict:
+def _suite_quasiperiod(rc: RunConfig, ctx: RunContext) -> dict:
     """Polynomial jump structure of the kernel across every handle."""
     p = rc.surface
     psi = BersEvaluator(p, rc.N, config=rc.series())
-    theta = SpanningTheta(psi)
     xs = default_probe_points(p, 2)
     worst_fit = 0.0
     worst_jump = 0.0
     for x in xs:
         for a in range(1, p.genus + 1):
             qp = quasi_periods(psi, a, x)
-            worst_fit = max(worst_fit, qp.residual)
+            worst_fit = fail_max(worst_fit, qp.residual)
             # independent check at a fresh point on the probe circle
             w = disc_center(p, a)
             y = w + 1.31 * disc_radius(p, a) * np.exp(0.37j)
             gy = word_map(p, (a,))
-            from .moebius import apply as mob_apply, deriv as mob_deriv
-
             moved = psi.value(x, mob_apply(gy, y)) * mob_deriv(gy, y) ** (1 - rc.N)
             jump = moved - psi.value(x, y)
             poly = sum(c * (y - w) ** k for k, c in enumerate(qp.coeffs))
             scale = max(1.0, abs(jump))
-            worst_jump = max(worst_jump, abs(jump - poly) / scale)
+            worst_jump = fail_max(worst_jump, abs(jump - poly) / scale)
     return {"fit": worst_fit, "offgrid_jump": worst_jump}
 
 
-def _suite_canonical(rc: RunConfig) -> dict:
+def _suite_canonical(rc: RunConfig, ctx: RunContext) -> dict:
     """Duality, annihilated moments, and prescribed jumps of the canonical kernel."""
     p = rc.surface
-    can = canonical_gem(p, rc.N, config=rc.series(), n_nodes=rc.nodes, J=rc.J)
+    can = ctx.canonical()
     probe = default_probe_points(p, 5)
     moments = canonical_moment_residuals(can, probe, n_nodes=rc.nodes)
 
@@ -405,11 +420,10 @@ def _suite_canonical(rc: RunConfig) -> dict:
         a, l = flat // m + 1, flat % m
         if flat in J:
             pos = sorted(J).index(flat)
-            match = max(
-                match, float(np.max(np.abs(tab[a - 1, l] + dual_vals[pos]))) / scale
-            )
+            diff = tab[a - 1, l] + dual_vals[pos]
+            match = fail_max(match, float(np.max(np.abs(diff))) / scale)
         else:
-            match = max(match, float(np.max(np.abs(tab[a - 1, l]))) / scale)
+            match = fail_max(match, float(np.max(np.abs(tab[a - 1, l]))) / scale)
     return {
         "duality": can.selection.duality_error,
         "moments": moments,
@@ -417,30 +431,21 @@ def _suite_canonical(rc: RunConfig) -> dict:
     }
 
 
-def _suite_gemcont(rc: RunConfig) -> dict:
+def _suite_gemcont(rc: RunConfig, ctx: RunContext) -> dict:
     """Summed handle moments of the canonical kernel against basis cocycles."""
     p = rc.surface
-    can = canonical_gem(p, rc.N, config=rc.series(), n_nodes=rc.nodes, J=rc.J)
+    can = ctx.canonical()
     y0 = default_probe_points(p, 1)[0]
-    from .moebius import apply as mob_apply
-    from .schottky import generator
-
     ys = [y0, mob_apply(generator(p, 1), y0)]
     if p.genus > 1:
         ys.append(mob_apply(word_map(p, (-2, 1)), y0))
-    worst = 0.0
-    m = 2 * rc.N - 1
-    for flat in [int(j) for j in can.selection.J][: 2]:
-        a, k = flat // m + 1, flat % m
-        X = canonical_cocycle(p, rc.N, a, k)
-        for y in ys:
-            got = moment_identity(can, X, y, n_nodes=rc.nodes)
-            want = expected_moment_identity(can, X, y)
-            worst = max(worst, abs(got - want))
-    return {"fold": worst}
+    Xs = [canonical_cocycle(p, rc.N, *can.selection.label(j)) for j in can.selection.J[:2]]
+    got = moment_identities(can, Xs, ys, n_nodes=rc.nodes)
+    want = np.array([[expected_moment_identity(can, X, y) for y in ys] for X in Xs])
+    return {"fold": float(np.max(np.abs(got - want)))}
 
 
-def _suite_nu_norm(rc: RunConfig) -> dict:
+def _suite_nu_norm(rc: RunConfig, ctx: RunContext) -> dict:
     """Third-kind residues, delta-normalization and base-point independence."""
     p = rc.surface
     cfg = rc.series()
@@ -463,18 +468,19 @@ def _suite_nu_norm(rc: RunConfig) -> dict:
     return {
         "normalization": norm,
         "base_point": base_independence,
-        "residues": max(resids),
+        "residues": fail_max(*resids),
     }
 
 
-def _suite_rauch(rc: RunConfig) -> dict:
+def _suite_rauch(rc: RunConfig, ctx: RunContext) -> dict:
     """Finite-difference period variation against the product of 1-forms."""
     p = rc.surface
     if rc.N != 2:
         raise ConfigError("the rauch suite needs N = 2")
-    can = canonical_gem(p, 2, config=rc.series(), n_nodes=rc.nodes, J=rc.J)
     probes = default_probe_points(p, 4)
+    can = ctx.canonical()
     rep = rauch_check(p, probes[1:], h=rc.h, config=rc.series(), psi=can, y0=probes[0])
+    ctx.period_matrix = rep["period_matrix"]
     return {
         "rauch": rep["max_rel_error"],
         "symmetry": rep["symmetry_error"],
@@ -512,11 +518,14 @@ _RESIDUAL_TOL_KEY = {
 }
 
 
-def run_suite(rc: RunConfig, name: str) -> dict:
-    """Execute one named suite and assemble its report."""
+def run_suite(rc: RunConfig, name: str, ctx: RunContext | None = None) -> dict:
+    """Execute one named suite and assemble its report.
+
+    Suites run with the same ctx share its artifacts.
+    """
     t0 = time.perf_counter()
     try:
-        residuals = _SUITE_RUNNERS[name](rc)
+        residuals = _SUITE_RUNNERS[name](rc, ctx or RunContext(rc))
         error = None
     except Exception as exc:  # surfaced as diagnostics, not a crash
         residuals = {}
@@ -560,8 +569,6 @@ def _print_suite(report: dict) -> None:
 
 def cmd_validate(rc: RunConfig, args) -> int:
     p = rc.surface
-    from .schottky import validate as surface_validate
-
     violations = surface_validate(p)
     gaps = []
     letters = p.letters
@@ -639,7 +646,7 @@ def cmd_eval(rc: RunConfig, args) -> int:
             if args.what == "bers":
                 kernel = BersEvaluator(p, rc.N, config=rc.series())
             elif args.what == "gem":
-                kernel = canonical_gem(p, rc.N, config=rc.series(), n_nodes=rc.nodes, J=rc.J)
+                kernel = RunContext(rc).canonical()
             else:  # third-kind
                 kernel = ThirdKindEvaluator(p, config=rc.series())
             writer.writerow(["x_re", "x_im", "y_re", "y_im", "value_re", "value_im"])
@@ -655,9 +662,7 @@ def cmd_eval(rc: RunConfig, args) -> int:
 
 
 def cmd_basis(rc: RunConfig, args) -> int:
-    sel = canonical_gem(
-        rc.surface, rc.N, config=rc.series(), n_nodes=rc.nodes, J=rc.J
-    ).selection
+    sel = RunContext(rc).canonical().selection
     m = 2 * rc.N - 1
     svals = [float(s) for s in sel.singular_values]
     d = sel.dim
@@ -679,8 +684,9 @@ def cmd_basis(rc: RunConfig, args) -> int:
 def cmd_check(rc: RunConfig, args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = {}
+    ctx = RunContext(rc)
     for name in names:
-        rep = run_suite(rc, name)
+        rep = run_suite(rc, name, ctx)
         _print_suite(rep)
         reports[name] = rep
     if args.json:
@@ -722,7 +728,7 @@ def cmd_rauch(rc: RunConfig, args) -> int:
     except Exception as exc:
         print(f"rauch check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    pm = period_matrix(p, config=rc.series(), y0=probes[0])
+    pm = rep["period_matrix"]
     payload = {
         "omega": pm.omega,
         "symmetry_error": pm.symmetry_error,
@@ -741,13 +747,17 @@ def cmd_report(rc: RunConfig, args) -> int:
     p = rc.surface
     suites = {}
     names = list(SUITES) if args.all else ["cocycle", "residue", "quasiperiod"]
+    ctx = RunContext(rc)
     for name in names:
-        suites[name] = run_suite(rc, name)
+        suites[name] = run_suite(rc, name, ctx)
         _print_suite(suites[name])
 
     payload: dict = {"config": rc.echo(), "suites": suites}
     try:
-        pm = period_matrix(p, config=rc.series(), y0=default_probe_points(p, 1)[0])
+        # the rauch suite's base matrix has the same surface, series and y0
+        pm = ctx.period_matrix or period_matrix(
+            p, config=rc.series(), y0=default_probe_points(p, 1)[0]
+        )
         payload["period_matrix"] = {
             "omega": pm.omega,
             "symmetry_error": pm.symmetry_error,

@@ -20,6 +20,7 @@ __all__ = [
     "circle_integral",
     "circle_integral_checked",
     "contour_nodes",
+    "fail_max",
     "gated_sum",
     "handle_contour",
     "pairing",
@@ -30,6 +31,11 @@ TWO_PI_I = 2j * np.pi
 
 class QuadratureError(ArithmeticError):
     """Doubling the node count moved the integral by more than the gate."""
+
+
+def fail_max(*values: float) -> float:
+    """Largest of the values, NaN if any is NaN (builtin max can drop a NaN)."""
+    return float(np.max(np.asarray(values, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ def gated_sum(values_2n: np.ndarray, dz_2n: np.ndarray, tol: float) -> complex:
     full = complex(np.sum(values_2n * dz_2n))
     half = complex(np.sum(values_2n[::2] * dz_2n[::2]) * 2.0)
     err = abs(full - half)
-    if err > tol * max(1.0, abs(full)):
+    if not (err <= tol * max(1.0, abs(full))):
         raise QuadratureError(
             f"node-doubling moved the integral by {err:.3e} "
             f"(gate {tol:.1e}); integrand may have a pole near the contour"

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .contour import CircleContour, QuadratureError, contour_nodes
-from .eichler import Cocycle, PolyForm
+from .contour import TWO_PI_I, CircleContour, contour_nodes, fail_max, gated_sum
+from .eichler import Cocycle, cocycle_eval
 from .moebius import apply as mob_apply, deriv as mob_deriv
 from .poincare import BersEvaluator, SeriesConfig
 from .schottky import (
@@ -30,6 +30,7 @@ from .schottky import (
     disc_radius,
     generator,
     in_domain,
+    invert_word,
     reduce_to_fundamental,
 )
 
@@ -46,12 +47,11 @@ __all__ = [
     "canonical_correction",
     "canonical_gem",
     "canonical_moment_residuals",
+    "moment_identities",
     "moment_identity",
     "quasi_periods",
     "select_basis",
 ]
-
-TWO_PI_I = 2j * np.pi
 
 
 class GeometryError(ValueError):
@@ -147,10 +147,15 @@ class SpanningTheta:
             for a in range(1, self.params.genus + 1)
         ]
         self.last_residual = 0.0
+        self._circles: list[tuple[np.ndarray, np.ndarray, float]] = []  # nodes, table, residual
 
     def table(self, xs) -> np.ndarray:
         """Coefficient table, shape (g, 2N-1, len(xs))."""
         xs = np.asarray(xs, dtype=np.complex128)
+        for nodes, tab, resid in self._circles:
+            if np.array_equal(xs, nodes):
+                self.last_residual = resid
+                return tab.copy()
         g = self.params.genus
         m = 2 * self.N - 1
         targets = []
@@ -175,15 +180,26 @@ class SpanningTheta:
             fitted = offs @ coeffs  # (2, mx)
             scale = np.maximum(1.0, np.max(np.abs(delta), axis=0))
             resid = np.max(np.abs(fitted - delta[m:]) / scale)
-            worst = max(worst, float(resid))
+            worst = fail_max(worst, resid)
             out[ai] = coeffs
         self.last_residual = worst
-        if worst > self.residual_tol:
+        if not (worst <= self.residual_tol):
             raise FitResidualError(
                 f"jump-coefficient fit residual {worst:.3e} exceeds "
                 f"{self.residual_tol:.1e}; the jump is not polynomial to tolerance"
             )
         return out
+
+    def circle_tables(self, node_sets: Sequence[np.ndarray]) -> np.ndarray:
+        """One table() pass over all node sets; later table() calls on exactly
+        one of these sets are served from it without another kernel pass."""
+        tab = self.table(np.concatenate(node_sets))
+        ends = np.cumsum([len(z) for z in node_sets])
+        self._circles = [
+            (z, tab[:, :, end - len(z) : end], self.last_residual)
+            for z, end in zip(node_sets, ends)
+        ]
+        return tab
 
 
 def quasi_periods(psi, a: int, x: complex) -> QuasiPeriod:
@@ -233,9 +249,6 @@ class BasisSelection:
         m = 2 * self.N - 1
         return (flat // m + 1, flat % m)
 
-    def labels(self, flats: Sequence[int]) -> list[tuple[int, int]]:
-        return [self.label(i) for i in flats]
-
 
 def _moment_integrals(
     theta_tab: np.ndarray,
@@ -250,22 +263,10 @@ def _moment_integrals(
     out = np.empty((g, m, powers), dtype=np.complex128)
     for k in range(powers):
         wk = (nodes - center) ** k * dz
-        vals = theta_tab * wk[None, None, :]
         for b in range(g):
             for l in range(m):
-                out[b, l, k] = gated_sum_precomputed(vals[b, l], tol)
+                out[b, l, k] = gated_sum(theta_tab[b, l], wk, tol)
     return out / TWO_PI_I
-
-
-def gated_sum_precomputed(weighted: np.ndarray, tol: float) -> complex:
-    full = complex(np.sum(weighted))
-    half = complex(np.sum(weighted[::2]) * 2.0)
-    err = abs(full - half)
-    if err > tol * max(1.0, abs(full)):
-        raise QuadratureError(
-            f"moment integral unstable under node doubling (moved {err:.3e})"
-        )
-    return full
 
 
 def select_basis(
@@ -288,8 +289,8 @@ def select_basis(
         for a in range(1, g + 1)
     ]
     node_sets = [contour_nodes(c, doubled=True) for c in contours]
-    all_nodes = np.concatenate([z for z, _ in node_sets])
-    tab = theta.table(all_nodes)  # one heavy kernel pass for every circle
+    # one heavy kernel pass for every circle; the dual basis reuses it
+    tab = theta.circle_tables([z for z, _ in node_sets])
 
     M = np.empty((n_tot, n_tot), dtype=np.complex128)
     M_shift = np.empty_like(M)
@@ -340,7 +341,7 @@ def select_basis(
 
     block = M[np.ix_(rows, J)]
     cond = np.linalg.cond(block)
-    if cond > cond_max:
+    if not (cond <= cond_max):
         raise ConditioningError(f"pivot block condition number {cond:.3e} > {cond_max:.1e}")
     A = np.linalg.inv(block)
     duality_error = float(
@@ -424,13 +425,13 @@ def canonical_correction(
         for pos, l in entries:
             wk = (z - c.center) ** l * dz
             pvals = np.array(
-                [gated_sum_precomputed(vals[t] * wk, stability_tol) for t in range(m + 2)]
+                [gated_sum(vals[t], wk, stability_tol) for t in range(m + 2)]
             ) / TWO_PI_I
             coeffs = np.fft.fft(pvals[:m]) / m / R0 ** np.arange(m)
             fitted = np.polynomial.polynomial.polyval(y_val, coeffs)
             scale = max(1.0, float(np.max(np.abs(pvals))))
             resid = float(np.max(np.abs(fitted - pvals[m:])))
-            if resid > residual_tol * scale:
+            if not (resid <= residual_tol * scale):
                 raise FitResidualError(
                     f"moment polynomial ({b},{l}) residual {resid:.3e} "
                     f"exceeds {residual_tol * scale:.3e}"
@@ -462,9 +463,6 @@ class CanonicalGEM:
         self.corrections = corrections
         self.params = base.params
         self.N = base.N
-
-    def correction_polys(self) -> list[PolyForm]:
-        return [PolyForm(self.N, tuple(row)) for row in self.corrections]
 
     def value(self, x: complex, y: complex) -> complex:
         return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])
@@ -506,14 +504,24 @@ def moment_identity(psi, X: Cocycle, y: complex, n_nodes: int = 256) -> complex:
     Equals the cocycle evaluated on the word that folds y into the
     fundamental domain (zero when y is already there).
     """
+    return complex(moment_identities(psi, [X], [y], n_nodes=n_nodes)[0, 0])
+
+
+def moment_identities(psi, Xs: Sequence[Cocycle], ys, n_nodes: int = 256) -> np.ndarray:
+    """moment_identity for every (X, y) pair from one kernel pass per circle."""
     p = psi.params
-    total = 0j
+    ys = np.asarray(ys, dtype=np.complex128)
+    total = [[0j] * len(ys) for _ in Xs]
     for a in range(1, p.genus + 1):
         c = CircleContour(disc_center(p, a), disc_radius(p, a), n_nodes=n_nodes)
         z, dz = contour_nodes(c, doubled=True)
-        vals = psi.value_grid(z, np.array([y]))[0]
-        total += gated_sum_precomputed(vals * X.values[a - 1](z) * dz, 1e-9)
-    return total / complex(TWO_PI_I)
+        vals = psi.value_grid(z, ys)  # (t, 2n)
+        for i, X in enumerate(Xs):
+            poly = X.values[a - 1](z)
+            for t in range(len(ys)):
+                total[i][t] += gated_sum(vals[t] * poly, dz, 1e-9)
+    # scalar complex division: numpy's array division rounds differently
+    return np.array([[s / TWO_PI_I for s in row] for row in total])
 
 
 def expected_moment_identity(psi, X: Cocycle, y: complex) -> complex:
@@ -522,9 +530,6 @@ def expected_moment_identity(psi, X: Cocycle, y: complex) -> complex:
     The word sending y into the fundamental domain is the inverse of the one
     reduce_to_fundamental reports (which maps the reduced point back to y).
     """
-    from .eichler import cocycle_eval
-    from .schottky import invert_word
-
     word, _ = reduce_to_fundamental(psi.params, y)
     return complex(cocycle_eval(X, invert_word(word))(y))
 
@@ -545,6 +550,6 @@ def canonical_moment_residuals(can: CanonicalGEM, ys, n_nodes: int = 256) -> flo
         for l in powers:
             wk = (z - c.center) ** l * dz
             for t in range(len(ys)):
-                mom = gated_sum_precomputed(vals[t] * wk, 1e-9) / TWO_PI_I
-                worst = max(worst, abs(mom))
+                mom = gated_sum(vals[t], wk, 1e-9) / TWO_PI_I
+                worst = fail_max(worst, abs(mom))
     return worst

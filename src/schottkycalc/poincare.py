@@ -150,8 +150,12 @@ def _sum_shells(
                 and shell_mags[-2] < stop_tol
             ):
                 break
+    except BaseException:
+        if pool is not None:  # leave no chunk running: drop queued ones, wait for the rest
+            pool.shutdown(wait=True, cancel_futures=True)
+        raise
     finally:
-        if pool is not None:
+        if pool is not None:  # idle workers exit by themselves; joining each call costs time
             pool.shutdown(wait=False)
     return totals, shell_mags
 

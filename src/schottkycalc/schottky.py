@@ -14,7 +14,6 @@ while recording the group element that undoes the moves.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -42,7 +41,6 @@ __all__ = [
     "in_domain",
     "invert_word",
     "letter_order",
-    "load_surface",
     "reduce_to_fundamental",
     "reduce_word",
     "require_valid",
@@ -209,14 +207,6 @@ def reduce_word(word: Sequence[int]) -> tuple[int, ...]:
 
 def invert_word(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(-letter for letter in reversed(word))
-
-
-def _letter_rank(letter: int) -> tuple[int, int]:
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
-def word_sort_key(word: Sequence[int]) -> tuple:
-    return (len(word), tuple(_letter_rank(c) for c in word))
 
 
 def word_map(p: SchottkyParams, word: Sequence[int]) -> MoebiusMap:
@@ -488,8 +478,3 @@ def surface_to_dict(p: SchottkyParams) -> dict:
             for h in p.handles
         ],
     }
-
-
-def load_surface(path) -> SchottkyParams:
-    with open(path) as fh:
-        return surface_from_dict(json.load(fh))

@@ -13,9 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .contour import CircleContour, contour_nodes
+from .contour import TWO_PI_I, CircleContour, QuadratureError, contour_nodes, fail_max, gated_sum
 from .eichler import PolyForm, decompose_coboundary
-from .gem import SpanningTheta, gated_sum_precomputed
+from .gem import SpanningTheta, canonical_gem
 from .moebius import apply as mob_apply
 from .poincare import NuFamily, SeriesConfig
 from .schottky import (
@@ -29,6 +29,7 @@ from .schottky import (
     in_domain,
     require_valid,
     to_classical,
+    word_map,
 )
 
 __all__ = [
@@ -48,12 +49,9 @@ __all__ = [
     "perturbed_params",
     "rauch_check",
     "sl2_apply",
-    "theta2",
     "theta2_table",
     "word_image",
 ]
-
-TWO_PI_I = 2j * np.pi
 
 # per handle: d/dw_plus, rho * d/drho, rho * d/dw_minus
 DIRECTIONS_PER_HANDLE = 3
@@ -106,8 +104,6 @@ def direction_diff(p: SchottkyParams, a: int, l: int, f: Callable, h: float):
 
 def word_image(p: SchottkyParams, word: Sequence[int], z: complex) -> complex:
     """The moduli-dependent orbit point: the word's map applied to z."""
-    from .schottky import word_map
-
     return mob_apply(word_map(p, tuple(word)), z)
 
 
@@ -124,10 +120,6 @@ def theta2_table(psi, xs) -> np.ndarray:
     if psi.N != 2:
         raise ValueError(f"variation machinery needs a weight-2 kernel, got N={psi.N}")
     return -SpanningTheta(psi).table(xs)
-
-
-def theta2(psi, a: int, l: int, x: complex) -> complex:
-    return complex(theta2_table(psi, np.array([x]))[a - 1, l, 0])
 
 
 def nabla_apply(psi, f: Callable, x: complex, h: float = 1e-5):
@@ -391,9 +383,7 @@ def _path_integral(nu: NuFamily, legs: tuple[tuple, ...], n_leg: int, gate: floa
         total1 += (vals[:, :n_leg] * (w1 * dz_1)).sum(axis=1)
         total2 += (vals[:, n_leg:] * (w2 * dz_2)).sum(axis=1)
     err = float(np.max(np.abs(total1 - total2) / np.maximum(1.0, np.abs(total2))))
-    if err > gate:
-        from .contour import QuadratureError
-
+    if not (err <= gate):
         raise QuadratureError(
             f"period quadrature unstable under node doubling (moved {err:.3e})"
         )
@@ -407,9 +397,9 @@ def nu_normalization_error(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256) 
         z, dz = contour_nodes(c, doubled=True)
         vals = nu.values(z)  # (g, 2n)
         for b in range(p.genus):
-            mom = gated_sum_precomputed(vals[b] * dz, 1e-8) / TWO_PI_I
+            mom = gated_sum(vals[b], dz, 1e-8) / TWO_PI_I
             target = 1.0 if b == a - 1 else 0.0
-            worst = max(worst, abs(mom - target))
+            worst = fail_max(worst, abs(mom - target))
     return worst
 
 
@@ -432,7 +422,7 @@ def period_matrix(
     if nu is None:
         nu = NuFamily(p, config=config, y0=y0)
     norm_err = nu_normalization_error(p, nu) if certify else float("nan")
-    if certify and norm_err > 1e-8:
+    if certify and not (norm_err <= 1e-8):
         raise NormalizationError(
             f"handle differentials fail delta normalization by {norm_err:.3e}"
         )
@@ -445,7 +435,7 @@ def period_matrix(
         # legs run anchor -> image; the period traverses them image -> anchor
         omega[:, b - 1] = -_path_integral(nu, legs, n_leg, gate) / TWO_PI_I
     sym_err = float(np.max(np.abs(omega - omega.T)))
-    if certify and sym_err > symmetry_tol:
+    if certify and not (sym_err <= symmetry_tol):
         raise PeriodSymmetryError(f"period matrix asymmetric by {sym_err:.3e}")
     return PeriodMatrix(
         omega=omega,
@@ -524,16 +514,15 @@ def rauch_check(
     1-form family and must stay off the orbits of the sample points.
     gradient, if given, must come from period_gradient(p, h, ...) and skips
     recomputing the finite differences. Returns a report with the max
-    relative error over all (a, b) entries and sample points, plus the
-    contracted per-sample fields ("lhs", "rhs" with shape (nx, g, g)).
+    relative error over all (a, b) entries and sample points, the
+    contracted per-sample fields ("lhs", "rhs" with shape (nx, g, g)), and
+    the certified base "period_matrix" at y0.
     """
     xs = np.asarray(xs, dtype=np.complex128)
     if psi is None:
-        from .gem import canonical_gem
-
         psi = canonical_gem(p, 2, config=config)
-    base = period_matrix(p, config=config, n_leg=n_leg, certify=True, y0=y0)
     nu = NuFamily(p, config=config, y0=y0)
+    base = period_matrix(p, config=config, n_leg=n_leg, certify=True, y0=y0, nu=nu)
     nu_vals = nu.values(xs)  # (g, nx)
     tab = theta2_table(psi, xs)  # (g, 3, nx)
 
@@ -556,7 +545,7 @@ def rauch_check(
         rhs_all[i] = rhs
         rel = np.max(np.abs(lhs - rhs) / np.abs(rhs))
         per_sample.append(float(rel))
-        worst = max(worst, float(rel))
+        worst = fail_max(worst, rel)
     return {
         "h": h,
         "max_len": config.max_len,
@@ -566,4 +555,5 @@ def rauch_check(
         "rhs": rhs_all,
         "symmetry_error": base.symmetry_error,
         "normalization_error": base.normalization_error,
+        "period_matrix": base,
     }

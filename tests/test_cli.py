@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from schottkycalc import cli, variation
 from schottkycalc.cli import (
     ConfigError,
     RunConfig,
@@ -261,6 +262,66 @@ def test_report_deterministic_across_workers(tmp_path):
     norm = [s.replace('"workers": 3', '"workers": 1') for s in payloads]
     assert norm[0] == norm[1] == norm[2]
     assert payloads[0] == payloads[2]  # bit-identical rerun
+
+
+def _counting(monkeypatch, module, name, record):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        record.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
+    kernels, matrices = [], []
+    _counting(monkeypatch, cli, "canonical_gem", kernels)
+    for module in (cli, variation):
+        _counting(monkeypatch, module, "period_matrix", matrices)
+    cfg = write_config(tmp_path, max_len=5)
+    out_path = tmp_path / "report.json"
+    assert main(["report", "--config", cfg, "--all", "--json", str(out_path)]) == 0
+    assert len(kernels) == 1
+    # 12 for the finite-difference gradient, 1 certified base shared by
+    # the rauch suite and the report's period_matrix entry
+    assert len(matrices) == 13
+    omega = json.loads(out_path.read_text())["period_matrix"]["omega"]
+    assert omega == cli._encode(matrices[0][1].omega)
+
+
+def test_commands_do_not_share_a_kernel(tmp_path, monkeypatch, capsys):
+    kernels = []
+    _counting(monkeypatch, cli, "canonical_gem", kernels)
+    other = {"handles": [dict(h, rho=0.08) for h in STAR_SURFACE["handles"]]}
+    for name, surface in (("a.json", STAR_SURFACE), ("b.json", other)):
+        cfg = write_config(tmp_path, name=name, surface=surface, max_len=5, shell_tol=1e-4)
+        assert main(["basis", "--config", cfg]) == 0
+    capsys.readouterr()
+    (_, can_a), (_, can_b) = kernels
+    assert can_a is not can_b
+    assert [h.rho for h in can_a.params.handles] == [0.09, 0.09]
+    assert [h.rho for h in can_b.params.handles] == [0.08, 0.08]
+
+
+def test_nan_residual_fails_the_suite(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    calls = []
+    exact = cli.decompose_coboundary
+
+    def decompose(p, P):
+        calls.append(P)
+        coeffs = exact(p, P)
+        if len(calls) == 2:  # after a passing first term, which max() would keep
+            coeffs[:] = np.nan
+        return coeffs
+
+    monkeypatch.setattr(cli, "decompose_coboundary", decompose)
+    rep = run_suite(load_config(cfg), "coboundary")
+    assert np.isnan(rep["checks"]["reconstruction"]["residual"])
+    assert rep["passed"] is False
 
 
 def test_suite_seed_is_echoed(tmp_path):

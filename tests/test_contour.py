@@ -7,6 +7,8 @@ from schottkycalc.contour import (
     circle_integral,
     circle_integral_checked,
     contour_nodes,
+    fail_max,
+    gated_sum,
     handle_contour,
     pairing,
 )
@@ -51,6 +53,21 @@ def test_gate_trips_on_near_pole():
     c = CircleContour(center=0.0, radius=1.0, n_nodes=8)
     with pytest.raises(QuadratureError):
         circle_integral_checked(lambda z: 1.0 / (z - 1.001), c, tol=1e-12)
+
+
+def test_nan_integrand_fails_the_gate():
+    c = CircleContour(center=0.0, radius=1.0, n_nodes=16)
+    with pytest.raises(QuadratureError):
+        circle_integral_checked(lambda z: np.where(z.real > 0.99, np.nan, z), c)
+    z, dz = contour_nodes(c, doubled=True)
+    with pytest.raises(QuadratureError):
+        gated_sum(np.full(len(z), np.nan + 0j), dz, 1e-10)
+
+
+def test_fail_max_keeps_nan():
+    assert max(0.0, float("nan")) == 0.0  # the builtin drops it
+    assert np.isnan(fail_max(0.0, float("nan"), 1.0))
+    assert fail_max(0.0, 3.0, 2.0) == 3.0
 
 
 def test_doubled_nodes_are_superset():

@@ -196,6 +196,32 @@ def test_contour_identity_recovers_folding_word(canonical, selection):
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
+def test_circle_nodes_served_from_the_selection_pass(base, theta, selection, canonical, monkeypatch):
+    ys = np.array([0.4 - 0.6j, -0.3 + 0.8j])
+    c = CircleContour(disc_center(STAR, 2), disc_radius(STAR, 2), n_nodes=128)
+    z, _ = contour_nodes(c, doubled=True)
+    fresh_dual = DualBasis(SpanningTheta(base), selection).values(z)
+    want = base.value_grid(z, ys) - np.einsum(
+        "dt,dm->tm",
+        np.array([np.polynomial.polynomial.polyval(ys, r) for r in canonical.corrections]),
+        fresh_dual,
+    )
+
+    passes = []
+    raw = base.value_grid
+
+    def counted(xs, ys):
+        passes.append(len(ys))
+        return raw(xs, ys)
+
+    monkeypatch.setattr(base, "value_grid", counted)
+    got = canonical.value_grid(z, ys)
+    assert passes == [2]  # the raw kernel only; the dual basis comes from the table
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    theta.table(z[:-1])  # any other node set is a fresh, gated pass
+    assert passes == [2, 20]
+
+
 def test_full_pipeline_constructor():
     can = canonical_gem(STAR, 2, config=CFG, n_nodes=128)
     assert can.N == 2

@@ -1,3 +1,7 @@
+import itertools
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from schottkycalc import moebius
 from schottkycalc.contour import CircleContour, circle_integral
 from schottkycalc.poincare import (
     BersEvaluator,
+    EvaluationError,
     NuFamily,
     PoleProximityError,
     SeriesConfig,
@@ -12,11 +17,13 @@ from schottkycalc.poincare import (
     TruncationWarning,
     default_probe_points,
     limit_points,
+    _sum_shells,
     shell_report,
 )
 from schottkycalc.schottky import (
     HandleParams,
     SchottkyParams,
+    build_shells,
     disc_center,
     disc_radius,
     generator,
@@ -135,6 +142,24 @@ def test_bers_deterministic_across_workers(star):
     v1 = BersEvaluator(star, 2, config=SeriesConfig(max_len=5, workers=1)).value_grid(xs, ys)
     v4 = BersEvaluator(star, 2, config=SeriesConfig(max_len=5, workers=4)).value_grid(xs, ys)
     assert np.array_equal(v1, v4)
+
+
+def test_failing_chunk_leaves_no_worker_threads(star):
+    shells = build_shells(star, 6)
+    xs = np.zeros(4096, dtype=np.complex128)  # 64-word chunks: 16 in the last shell
+    calls = itertools.count()
+    before = set(threading.enumerate())
+
+    def chunk_fn(a, b, c, d, x):
+        if next(calls) == 14:  # inside the last shell, with chunks still queued
+            raise EvaluationError("chunk failed")
+        time.sleep(0.05)
+        return np.zeros((1, len(x)), dtype=np.complex128)
+
+    with pytest.raises(EvaluationError):
+        _sum_shells(shells, xs, chunk_fn, 1, workers=2)
+    assert set(threading.enumerate()) <= before  # the pool's workers were joined
+    assert next(calls) < 28  # the queued chunks were cancelled, not run
 
 
 def test_truncation_warning_on_shallow_cutoff():
