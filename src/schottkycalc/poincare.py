@@ -6,6 +6,15 @@ boundaries, in-order Kahan combination, so results are bit-identical at any
 worker count), and a truncation warning when the last shell is still above
 the configured tolerance.
 
+The chunk boundaries depend only on the number of evaluation points, since
+they fix the order in which word terms are added. Each chunk's points are
+split into column tiles of about _TILE_ELEMENTS words x points, so a kernel's
+work arrays stay cache-sized; a tile's column sums are that chunk's sums, so
+tiling never changes a bit, except that numpy sums a 1-column block in a
+different order, which is why a trailing 1-column tile is folded into its
+neighbour. The work arrays live in per-thread scratch owned by one evaluator
+call, so no numpy op allocates one.
+
 Kernels:
   * the weight-N two-point series with 2N-1 limit-point correction factors,
   * third-kind differentials (pole pair y, 0),
@@ -13,6 +22,7 @@ Kernels:
 """
 from __future__ import annotations
 
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +56,8 @@ __all__ = [
     "shell_report",
 ]
 
-_CHUNK_ELEMENTS = 1 << 18  # per-chunk work-array budget (words x eval points)
+_CHUNK_ELEMENTS = 1 << 18  # word-chunk size budget (words x eval points)
+_TILE_ELEMENTS = 1 << 14  # column-tile work-array budget (words x eval points)
 
 
 class TruncationWarning(UserWarning):
@@ -88,9 +99,21 @@ class SeriesConfig:
 
 
 def _chunk_size(m: int) -> int:
-    # keep the (chunk x m) scratch blocks cache-friendly; depends only on the
-    # evaluation-point count so results never depend on the worker count
+    # depends only on the evaluation-point count, so the chunk boundaries, and
+    # with them the order in which word terms are added, never depend on the
+    # worker count or the tile size
     return max(64, _CHUNK_ELEMENTS // max(1, m))
+
+
+def _column_tiles(rows: int, m: int) -> list[tuple[int, int]]:
+    """Column ranges splitting m points so each (rows x width) block stays
+    near _TILE_ELEMENTS. A trailing 1-column tile is folded into its
+    neighbour: numpy reduces a (rows, 1) block pairwise rather than row by
+    row, which would change the bits of those sums."""
+    cuts = list(range(0, m, max(2, _TILE_ELEMENTS // rows))) + [m]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _sum_shells(
@@ -103,11 +126,18 @@ def _sum_shells(
 ):
     """Accumulate chunk_fn over word shells in a fixed order.
 
-    chunk_fn(a, b, c, d, xs) -> (t, m) partial sums for those words. Chunk
-    partials are combined sequentially (Kahan) in shell/chunk order; threads
-    only compute partials, never reduce, so any worker count gives identical
-    bits. With stop_tol set, the loop exits once two consecutive shells each
-    contribute less than stop_tol (also a worker-independent decision).
+    chunk_fn(a, b, c, d, x) -> (t, len(x)) partial sums for those words at
+    the points x. Each shell is cut into word chunks of _chunk_size(m) rows;
+    the chunk boundaries fix the order of the row sums, and so the bits. Each
+    chunk's points are cut into column tiles (_column_tiles), and every
+    (chunk, tile) pair is one task: a tile's sums are exactly that chunk's
+    sums at those columns, so the tile size changes speed and memory, never
+    values. Tasks are submitted and collected in a fixed order and each
+    column adds its chunk partials in chunk order, then shells combine
+    sequentially (Kahan); threads only compute partials, never reduce, so any
+    worker count gives identical bits. With stop_tol set, the loop exits once
+    two consecutive shells each contribute less than stop_tol (also a
+    worker-independent decision).
     """
     m = len(xs)
     totals = np.zeros((t, m), dtype=np.complex128)
@@ -121,18 +151,23 @@ def _sum_shells(
             a, b = shells.a[length], shells.b[length]
             c, d = shells.c[length], shells.d[length]
             n = len(a)
-            bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+            tasks = [
+                (i, min(i + chunk, n), lo, hi)
+                for i in range(0, n, chunk)
+                for lo, hi in _column_tiles(min(chunk, n - i), m)
+            ]
+            args = [(a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi]) for i, j, lo, hi in tasks]
             if pool is None:
-                parts = [chunk_fn(a[i:j], b[i:j], c[i:j], d[i:j], xs) for i, j in bounds]
+                parts = (chunk_fn(*arg) for arg in args)
             else:
-                futs = [
-                    pool.submit(chunk_fn, a[i:j], b[i:j], c[i:j], d[i:j], xs)
-                    for i, j in bounds
-                ]
-                parts = [f.result() for f in futs]
-            shell_total = parts[0].copy()
-            for part in parts[1:]:
-                shell_total += part
+                futs = [pool.submit(chunk_fn, *arg) for arg in args]
+                parts = (f.result() for f in futs)
+            shell_total = np.empty((t, m), dtype=np.complex128)
+            for (i, _, lo, hi), part in zip(tasks, parts):
+                if i == 0:  # each column adds its chunks' partials in chunk order
+                    shell_total[:, lo:hi] = part
+                else:
+                    shell_total[:, lo:hi] += part
             if not np.all(np.isfinite(shell_total)):
                 raise EvaluationError(
                     "non-finite series terms (evaluation point at a pole of a group element?)"
@@ -150,14 +185,41 @@ def _sum_shells(
                 and shell_mags[-2] < stop_tol
             ):
                 break
-    except BaseException:
-        if pool is not None:  # leave no chunk running: drop queued ones, wait for the rest
-            pool.shutdown(wait=True, cancel_futures=True)
-        raise
     finally:
-        if pool is not None:  # idle workers exit by themselves; joining each call costs time
-            pool.shutdown(wait=False)
+        if pool is not None:  # leave no task running: drop queued ones, join the workers
+            pool.shutdown(wait=True, cancel_futures=True)
     return totals, shell_mags
+
+
+class _Workspace(threading.local):
+    """Per-thread scratch for the chunk kernels, grown on demand.
+
+    One instance belongs to one evaluator call: its buffers are freed with
+    the call, and each pool thread sees its own, so no buffer is shared.
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, int], dtype=np.complex128) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _moebius_block(ws: _Workspace, a, b, c, d, x):
+    """den = c x + d and gx = (a x + b) / den for every (word, point) pair."""
+    shape = (len(a), len(x))
+    den = ws.take("den", shape)
+    np.multiply(c[:, None], x[None, :], out=den)
+    den += d[:, None]
+    gx = ws.take("gx", shape)
+    np.multiply(a[:, None], x[None, :], out=gx)
+    gx += b[:, None]
+    gx /= den
+    return den, gx
 
 
 def _warn_if_unconverged(shell_mags: Sequence[float], tol: float, label: str):
@@ -244,21 +306,22 @@ class BersEvaluator:
         ys = np.asarray(ys, dtype=np.complex128)
         N, A = self.N, self.points
         y_weights = np.array([np.prod(yv - A) for yv in ys])  # product of (y - A_j)
+        ws = _Workspace()
 
         def chunk_fn(a, b, c, d, x):
-            den = c[:, None] * x[None, :]
-            den += d[:, None]
-            gx = a[:, None] * x[None, :]
-            gx += b[:, None]
-            gx /= den
-            base = den * den
+            den, gx = _moebius_block(ws, a, b, c, d, x)
+            shape = den.shape
+            base = np.multiply(den, den, out=ws.take("base", shape))
             base **= -N  # (g'x)^N for det-1 matrices
+            q = ws.take("q", shape)
+            absq = ws.take("absq", shape, np.float64)
+            collapsed = ws.take("collapsed", shape, np.bool_)
             for A_j in A:
-                q = gx - A_j
+                np.subtract(gx, A_j, out=q)
                 # deep words collapse onto the limit points below float
                 # resolution; those terms are O(|g'x|^{N-1}) ~ truncation
                 # tail, so zero them instead of dividing by noise
-                collapsed = np.abs(q) < 1e-16 * max(1.0, abs(A_j))
+                np.less(np.abs(q, out=absq), 1e-16 * max(1.0, abs(A_j)), out=collapsed)
                 if collapsed.any():
                     q[collapsed] = 1.0
                     base[collapsed] = 0.0
@@ -269,12 +332,15 @@ class BersEvaluator:
                     # y sits exactly on a planted zero: every term vanishes
                     out[i] = 0.0
                     continue
-                q = gx - yv
-                if np.min(np.abs(q)) < 1e-12:
+                np.subtract(gx, yv, out=q)
+                if np.abs(q, out=absq).min() < 1e-12:
                     raise PoleProximityError(
                         f"y = {yv!r} is within 1e-12 of the orbit of an x point"
                     )
-                out[i] = np.sum(base / q, axis=0)
+                np.divide(base, q, out=q)
+                np.sum(q, axis=0, out=out[i])
+            # not `out *=`: numpy's in-place complex multiply of a 1-element
+            # array rounds differently from the out-of-place one
             return out * y_weights[:, None]
 
         totals, mags = _sum_shells(
@@ -325,25 +391,34 @@ class ThirdKindEvaluator:
 
 
 def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
-    """Chunk worker summing g'(x) * (1/(gx - u) - 1/(gx - v)) per pole pair."""
+    """Chunk worker summing g'(x) * (1/(gx - u) - 1/(gx - v)) per pole pair.
+
+    The product is always formed out of place as (1/(gx - u) - 1/(gx - v)) *
+    g'(x): numpy's complex multiply is neither bit-commutative nor, on
+    1-element arrays, bit-identical in place and out of place, so one fixed
+    form keeps the bits independent of the block size.
+    """
+    ws = _Workspace()
 
     def chunk_fn(a, b, c, d, x):
-        den = c[:, None] * x[None, :]
-        den += d[:, None]
-        gx = a[:, None] * x[None, :]
-        gx += b[:, None]
-        gx /= den
-        dg = den * den
+        den, gx = _moebius_block(ws, a, b, c, d, x)
+        shape = den.shape
+        dg = np.multiply(den, den, out=ws.take("dg", shape))
         np.reciprocal(dg, out=dg)
+        qu = ws.take("q", shape)
+        qv = ws.take("qv", shape)
+        absq = ws.take("absq", shape, np.float64)
         out = np.empty((len(pole_pairs), len(x)), dtype=np.complex128)
         for i, (u, v) in enumerate(pole_pairs):
-            qu = gx - u
-            qv = gx - v
-            if min(np.min(np.abs(qu)), np.min(np.abs(qv))) < 1e-12:
+            np.subtract(gx, u, out=qu)
+            np.subtract(gx, v, out=qv)
+            if min(np.abs(qu, out=absq).min(), np.abs(qv, out=absq).min()) < 1e-12:
                 raise PoleProximityError(
                     f"pole pair ({u!r}, {v!r}) within 1e-12 of the orbit of an x point"
                 )
-            out[i] = np.sum(dg * (1.0 / qu - 1.0 / qv), axis=0)
+            np.divide(1.0, qu, out=qu)
+            qu -= np.divide(1.0, qv, out=qv)
+            np.sum(np.multiply(qu, dg, out=qv), axis=0, out=out[i])
         return out
 
     return chunk_fn

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from schottkycalc import cli, variation
+from schottkycalc import cli, gem, variation
 from schottkycalc.cli import (
     ConfigError,
     RunConfig,
@@ -304,6 +304,40 @@ def test_commands_do_not_share_a_kernel(tmp_path, monkeypatch, capsys):
     assert can_a is not can_b
     assert [h.rho for h in can_a.params.handles] == [0.09, 0.09]
     assert [h.rho for h in can_b.params.handles] == [0.08, 0.08]
+
+
+def test_quasiperiod_suite_builds_one_table_per_point(tmp_path, monkeypatch):
+    tables = []
+    _counting(monkeypatch, gem.SpanningTheta, "table", tables)
+    rep = run_suite(load_config(write_config(tmp_path)), "quasiperiod")
+    assert rep["passed"], rep
+    assert len(tables) == 2  # one all-handle table at each of the 2 probe points
+
+
+class _KernelBuilt(Exception):
+    pass
+
+
+def test_rauch_command_uses_the_configured_kernel(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _KernelBuilt  # what it was asked to build is all this test needs
+
+    monkeypatch.setattr(cli, "canonical_gem", recorder)
+    cfg = write_config(tmp_path, nodes=96, J=[[1, 0], [1, 1], [2, 0]])
+    assert main(["rauch", "--config", cfg]) == 1
+    assert "_KernelBuilt" in capsys.readouterr().err
+    [(args, kwargs)] = calls
+    assert args[1] == 2
+    assert kwargs["n_nodes"] == 96
+    assert kwargs["J"] == (0, 1, 3)
+
+    cfg3 = write_config(tmp_path, name="n3.json", N=3)
+    assert main(["rauch", "--config", cfg3]) == 2  # same ConfigError as the suite
+    assert "needs N = 2" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 def test_nan_residual_fails_the_suite(tmp_path, monkeypatch):

@@ -2,10 +2,11 @@ import itertools
 import threading
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from schottkycalc import moebius
+from schottkycalc import moebius, poincare
 from schottkycalc.contour import CircleContour, circle_integral
 from schottkycalc.poincare import (
     BersEvaluator,
@@ -136,30 +137,90 @@ def test_bers_rejects_wrong_point_count(star):
         BersEvaluator(star, 2, points=[0.1, 0.2], config=CFG)
 
 
-def test_bers_deterministic_across_workers(star):
-    xs = np.array([0.11 + 0.05j, -0.4, 1.0j])
+def _all_evaluators(p, config):
+    """Value functions of the three evaluators, each at two or three targets."""
+    bers = BersEvaluator(p, 2, config=config)
+    third = ThirdKindEvaluator(p, config=config)
+    nu = NuFamily(p, config=config)
     ys = np.array([0.9, -1.0 + 0.2j])
-    v1 = BersEvaluator(star, 2, config=SeriesConfig(max_len=5, workers=1)).value_grid(xs, ys)
-    v4 = BersEvaluator(star, 2, config=SeriesConfig(max_len=5, workers=4)).value_grid(xs, ys)
-    assert np.array_equal(v1, v4)
+    return {
+        "bers": lambda xs: bers.value_grid(xs, ys),
+        "third_kind": lambda xs: third.value_grid(xs, ys),
+        "nu": nu.values,
+    }
+
+
+def _probe_xs(m):
+    # deterministic points in the fundamental domain, clear of 0, 0.9, -1+0.2i
+    k = np.arange(m)
+    return 1.3 * np.exp(2j * np.pi * (k + 0.25) / max(m, 1)) * (0.6 + 0.3 * (k % 3) / 2)
+
+
+# 1 and 2 columns, an odd count, several tiles and a folded 1-column tail tile
+TILE_CASE_POINTS = (1, 2, 3, 65, 513)
+
+
+def test_bers_deterministic_across_workers(star):
+    # all three evaluators, not only the weight-N series
+    one = _all_evaluators(star, SeriesConfig(max_len=5, workers=1))
+    four = _all_evaluators(star, SeriesConfig(max_len=5, workers=4))
+    for m in TILE_CASE_POINTS:
+        xs = _probe_xs(m)
+        for name in one:
+            assert np.array_equal(one[name](xs), four[name](xs)), (name, m)
+
+
+@pytest.mark.parametrize("m", TILE_CASE_POINTS)
+def test_column_tiles_do_not_change_bits(star, monkeypatch, m):
+    xs = _probe_xs(m)
+    evals = _all_evaluators(star, SeriesConfig(max_len=5, workers=2))
+    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1 << 40)  # one tile per chunk
+    whole = {name: f(xs) for name, f in evals.items()}
+    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1)  # 2- and 3-column tiles
+    for name, f in evals.items():
+        assert np.array_equal(f(xs), whole[name]), name
+
+
+def test_column_tiles_cover_points_and_fold_the_tail():
+    assert poincare._column_tiles(1, 1) == [(0, 1)]
+    assert poincare._column_tiles(64, 3) == [(0, 3)]
+    tiles = poincare._column_tiles(poincare._TILE_ELEMENTS // 4, 9)
+    assert tiles == [(0, 4), (4, 9)]  # the 1-column tail joined its neighbour
+    for rows, m in ((12, 4096), (64, 4096), (3000, 513), (1, 2)):
+        tiles = poincare._column_tiles(rows, m)
+        assert tiles[0][0] == 0 and tiles[-1][1] == m
+        assert all(e0 == s1 for (_, e0), (s1, _) in zip(tiles, tiles[1:]))
+        assert all(e - s >= 2 for s, e in tiles) or m == 1
 
 
 def test_failing_chunk_leaves_no_worker_threads(star):
     shells = build_shells(star, 6)
-    xs = np.zeros(4096, dtype=np.complex128)  # 64-word chunks: 16 in the last shell
+    xs = np.zeros(4096, dtype=np.complex128)  # 64-word chunks, 16 tiles each
+    in_last = []
+
+    def dry_run(a, b, c, d, x):
+        in_last.append(np.shares_memory(a, shells.a[shells.max_len]))
+        return np.zeros((1, len(x)), dtype=np.complex128)
+
+    _sum_shells(shells, xs, dry_run, 1, workers=1)
+    tasks = len(in_last)
+    fail_at = in_last.index(True) + 2  # inside the last shell, tasks still queued
+    assert tasks - fail_at > 100
     calls = itertools.count()
     before = set(threading.enumerate())
 
     def chunk_fn(a, b, c, d, x):
-        if next(calls) == 14:  # inside the last shell, with chunks still queued
+        k = next(calls)
+        if k == fail_at:
             raise EvaluationError("chunk failed")
-        time.sleep(0.05)
+        if k > fail_at - 2:
+            time.sleep(0.05)  # keep the last shell's tasks queued
         return np.zeros((1, len(x)), dtype=np.complex128)
 
     with pytest.raises(EvaluationError):
         _sum_shells(shells, xs, chunk_fn, 1, workers=2)
     assert set(threading.enumerate()) <= before  # the pool's workers were joined
-    assert next(calls) < 28  # the queued chunks were cancelled, not run
+    assert next(calls) < tasks  # the queued tasks were cancelled, not run
 
 
 def test_truncation_warning_on_shallow_cutoff():
@@ -236,6 +297,64 @@ def test_nu_holomorphic_in_domain(star, nus):
 def test_nu_rejects_bad_base_point(star):
     with pytest.raises(ValueError):
         NuFamily(star, config=CFG, y0=-6.0 + 0.1j)  # inside C_1
+
+
+def test_series_match_30_digit_sums(star):
+    """The float sums of the truncated nu and weight-2 series against the same
+    truncated sums in 30-digit arithmetic, from the same binary inputs (word
+    matrices, pole pairs, limit points), so only float rounding can differ.
+
+    A term with a pole p has condition number about |gx| / |gx - p| in the
+    rounded image gx, and the g_a term of nu always sits close to its pole
+    g_a y0, so the error is measured against the rounding scale
+    sum over words and poles of |part| * (1 + |gx| / |gx - p|)."""
+    cfg = SeriesConfig(max_len=3, shell_tol=1.0)
+    xs = np.array(default_probe_points(star, 4)[1:])  # the first one is y0 = 0
+    ys = np.array([0.9 - 0.3j, -1.1 + 0.4j])
+    nu = NuFamily(star, config=cfg)
+    bers = BersEvaluator(star, 2, config=cfg)
+    shells = nu.shells
+    words = [
+        tuple(mp.mpc(complex(v)) for v in abcd)
+        for k in range(shells.max_len + 1)
+        for abcd in zip(shells.a[k], shells.b[k], shells.c[k], shells.d[k])
+    ]
+
+    def exact(x, parts):
+        """(sum of terms, rounding scale); parts(gx, den) -> [(value, poles)]."""
+        x = mp.mpc(complex(x))
+        total = scale = mp.mpf(0)
+        for a, b, c, d in words:
+            den = c * x + d
+            gx = (a * x + b) / den
+            for value, poles in parts(gx, den):
+                total += value
+                scale += abs(value) * (1 + sum(abs(gx) / abs(gx - p) for p in poles))
+        return complex(total), float(scale)
+
+    u = mp.mpc(nu.y0)
+    A = [mp.mpc(complex(v)) for v in bers.points]
+
+    def nu_parts(v):
+        return lambda gx, den: [(1 / ((gx - u) * den**2), [u]), (-1 / ((gx - v) * den**2), [v])]
+
+    def bers_parts(y):
+        w = mp.fprod(y - A_j for A_j in A)
+        return lambda gx, den: [
+            (w / (den**4 * (gx - y) * mp.fprod(gx - A_j for A_j in A)), [y, *A])
+        ]
+
+    with mp.workdps(30):
+        checks = [
+            (nu.values(xs), [[exact(x, nu_parts(mp.mpc(v))) for x in xs] for v in nu.images]),
+            (
+                bers.value_grid(xs, ys),
+                [[exact(x, bers_parts(mp.mpc(complex(y)))) for x in xs] for y in ys],
+            ),
+        ]
+    for got, want in checks:
+        want, scale = np.moveaxis(np.array(want), -1, 0)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale.real)
 
 
 # ---------------------------------------------------------------------------
