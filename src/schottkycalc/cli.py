@@ -50,7 +50,8 @@ from .poincare import (
     default_probe_points,
 )
 from .schottky import (
-    InvalidSurfaceError,
+    CapacityError,
+    ReductionError,
     SchottkyParams,
     build_shells,
     disc_center,
@@ -63,7 +64,13 @@ from .schottky import (
     validate as surface_validate,
     word_map,
 )
-from .variation import PeriodMatrix, nu_normalization_error, period_matrix, rauch_check
+from .variation import (
+    PathBlockedError,
+    PeriodMatrix,
+    nu_normalization_error,
+    period_matrix,
+    rauch_check,
+)
 
 SUITES = (
     "cocycle",
@@ -850,10 +857,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](rc, args)
-    except ConfigError as exc:
+    except (ConfigError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, QuadratureError, InvalidSurfaceError, OSError) as exc:
+    except (ValueError, ArithmeticError, PathBlockedError, ReductionError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -41,15 +41,14 @@ __all__ = [
     "DualBasis",
     "FitResidualError",
     "GeometryError",
-    "QuasiPeriod",
     "RankGapError",
     "SpanningTheta",
     "canonical_correction",
     "canonical_gem",
     "canonical_moment_residuals",
+    "expected_moment_identity",
     "moment_identities",
     "moment_identity",
-    "quasi_periods",
     "select_basis",
 ]
 
@@ -68,16 +67,6 @@ class RankGapError(ArithmeticError):
 
 class ConditioningError(ArithmeticError):
     """Selected pivot block is too ill-conditioned to invert."""
-
-
-@dataclass(frozen=True)
-class QuasiPeriod:
-    """Jump coefficients c_{a,k}(x), k = 0..2N-2, with held-out residual."""
-
-    handle: int
-    x: complex
-    coeffs: tuple[complex, ...]
-    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +189,6 @@ class SpanningTheta:
             for z, end in zip(node_sets, ends)
         ]
         return tab
-
-
-def quasi_periods(psi, a: int, x: complex) -> QuasiPeriod:
-    """Jump coefficients across handle a at a single x."""
-    theta = SpanningTheta(psi)
-    tab = theta.table(np.array([x]))
-    return QuasiPeriod(
-        handle=a,
-        x=complex(x),
-        coeffs=tuple(tab[a - 1, :, 0]),
-        residual=theta.last_residual,
-    )
 
 
 # ---------------------------------------------------------------------------

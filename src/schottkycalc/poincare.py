@@ -15,7 +15,7 @@ different order, which is why a trailing 1-column tile is folded into its
 neighbour. The work arrays live in per-thread scratch owned by one evaluator
 call, so no numpy op allocates one.
 
-Kernels:
+One engine sums three terms:
   * the weight-N two-point series with 2N-1 limit-point correction factors,
   * third-kind differentials (pole pair y, 0),
   * the normalized differentials nu_a attached to the handles.
@@ -31,14 +31,13 @@ from typing import Sequence
 import numpy as np
 
 from . import moebius
-from .moebius import INF, Infinity
+from .moebius import Infinity, MoebiusMap
 from .schottky import (
     SchottkyParams,
     WordShells,
     build_shells,
     disc_center,
     disc_radius,
-    enumerate_group,
     generator,
     in_domain,
 )
@@ -94,6 +93,10 @@ class SeriesConfig:
             raise ValueError("max_len must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not (self.shell_tol > 0):  # NaN would silently disable TruncationWarning
+            raise ValueError(f"shell_tol must be positive, got {self.shell_tol}")
+        if self.cap < 1:
+            raise ValueError(f"cap must be >= 1, got {self.cap}")
         if self.stop_tol is not None and not (self.stop_tol > 0):
             raise ValueError("stop_tol must be positive when set")
 
@@ -222,14 +225,27 @@ def _moebius_block(ws: _Workspace, a, b, c, d, x):
     return den, gx
 
 
-def _warn_if_unconverged(shell_mags: Sequence[float], tol: float, label: str):
-    if len(shell_mags) >= 2 and shell_mags[-1] > tol:
-        warnings.warn(
-            f"{label}: last shell still contributes {shell_mags[-1]:.3e} "
-            f"(> shell_tol {tol:.1e}); deepen max_len",
-            TruncationWarning,
-            stacklevel=3,
-        )
+def _bers_factor(ws: _Workspace, den, gx, A: np.ndarray, N: int) -> np.ndarray:
+    """The y-independent part of a weight-N term, (g'x)^N / prod_j (gx - A_j),
+    for every (word, point) pair; shared by the series and shell_report so
+    the collapse guard lives in one place."""
+    shape = den.shape
+    base = np.multiply(den, den, out=ws.take("base", shape))
+    base **= -N  # (g'x)^N for det-1 matrices
+    q = ws.take("q", shape)
+    absq = ws.take("absq", shape, np.float64)
+    collapsed = ws.take("collapsed", shape, np.bool_)
+    for A_j in A:
+        np.subtract(gx, A_j, out=q)
+        # deep words collapse onto the limit points below float resolution;
+        # those terms are O(|g'x|^{N-1}) ~ truncation tail, so zero them
+        # instead of dividing by noise
+        np.less(np.abs(q, out=absq), 1e-16 * max(1.0, abs(A_j)), out=collapsed)
+        if collapsed.any():
+            q[collapsed] = 1.0
+            base[collapsed] = 0.0
+        base /= q
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +262,22 @@ def limit_points(p: SchottkyParams, n: int, dedup_tol: float = 1e-6) -> np.ndarr
     if n < 1:
         raise ValueError("need n >= 1")
     found: list[complex] = []
-    max_len = 1
-    while max_len <= 8:
-        found.clear()
-        for elem in enumerate_group(p, max_len, cap=10_000_000):
-            if not elem.word or elem.word[0] < 0:
-                continue
-            z_attr, _, _ = moebius.fixed_points(elem.map)
+    for length in range(1, 9):
+        shells = build_shells(p, length, cap=10_000_000)
+        idx = np.arange(shells.shell_size(length))
+        for back in range(length, 1, -1):  # follow the parents back to each leading letter
+            idx = shells.parent[back][idx]
+        a, b = shells.a[length], shells.b[length]
+        c, d = shells.c[length], shells.d[length]
+        for i in np.flatnonzero(shells.last_letter[1][idx] > 0):
+            g = MoebiusMap(complex(a[i]), complex(b[i]), complex(c[i]), complex(d[i]))
+            z_attr, _, _ = moebius.fixed_points(g)
             if isinstance(z_attr, Infinity):
                 continue
             if all(abs(z_attr - f) > dedup_tol for f in found):
                 found.append(z_attr)
             if len(found) >= n:
                 return np.array(found[:n], dtype=np.complex128)
-        max_len += 1
     raise ValueError(f"could not find {n} distinct limit points (got {len(found)})")
 
 
@@ -267,7 +285,43 @@ def limit_points(p: SchottkyParams, n: int, dedup_tol: float = 1e-6) -> np.ndarr
 # series evaluators
 
 
-class BersEvaluator:
+class _ShellSeries:
+    """State and summation step shared by the series evaluators.
+
+    Each evaluator is one term summed over the same word shells; a subclass
+    supplies the term as a chunk function and passes it to _sum.
+    """
+
+    def __init__(self, p: SchottkyParams, config: SeriesConfig = SeriesConfig()):
+        self.params = p
+        self.config = config
+        self.shells = build_shells(p, config.max_len, cap=config.cap)
+        self._last_shell_mags: list[float] = []
+
+    def _sum(self, xs: np.ndarray, chunk_fn, t: int, label: str) -> np.ndarray:
+        """Sum chunk_fn over the shells, keep the shell magnitudes, and warn
+        (at the caller of the public method) if the last shell is above
+        shell_tol."""
+        totals, mags = _sum_shells(
+            self.shells, xs, chunk_fn, t, self.config.workers, stop_tol=self.config.stop_tol
+        )
+        self._last_shell_mags = mags
+        tol = self.config.shell_tol
+        if len(mags) >= 2 and mags[-1] > tol:
+            warnings.warn(
+                f"{label}: last shell still contributes {mags[-1]:.3e} "
+                f"(> shell_tol {tol:.1e}); deepen max_len",
+                TruncationWarning,
+                stacklevel=3,
+            )
+        return totals
+
+    @property
+    def last_shell_magnitudes(self) -> list[float]:
+        return list(self._last_shell_mags)
+
+
+class BersEvaluator(_ShellSeries):
     """Weight-N two-point series with limit-point convergence factors.
 
     Values are coefficients: the x-slot transforms with weight N, the y-slot
@@ -284,16 +338,13 @@ class BersEvaluator:
     ):
         if N < 2:
             raise ValueError("weight parameter N must be >= 2")
-        self.params = p
         self.N = N
-        self.config = config
         if points is None:
             points = limit_points(p, 2 * N - 1)
         self.points = np.asarray(points, dtype=np.complex128)
         if len(self.points) != 2 * N - 1:
             raise ValueError(f"need exactly {2 * N - 1} limit points, got {len(self.points)}")
-        self.shells = build_shells(p, config.max_len, cap=config.cap)
-        self._last_shell_mags: list[float] = []
+        super().__init__(p, config)
 
     def value(self, x: complex, y: complex) -> complex:
         return complex(
@@ -310,22 +361,9 @@ class BersEvaluator:
 
         def chunk_fn(a, b, c, d, x):
             den, gx = _moebius_block(ws, a, b, c, d, x)
-            shape = den.shape
-            base = np.multiply(den, den, out=ws.take("base", shape))
-            base **= -N  # (g'x)^N for det-1 matrices
-            q = ws.take("q", shape)
-            absq = ws.take("absq", shape, np.float64)
-            collapsed = ws.take("collapsed", shape, np.bool_)
-            for A_j in A:
-                np.subtract(gx, A_j, out=q)
-                # deep words collapse onto the limit points below float
-                # resolution; those terms are O(|g'x|^{N-1}) ~ truncation
-                # tail, so zero them instead of dividing by noise
-                np.less(np.abs(q, out=absq), 1e-16 * max(1.0, abs(A_j)), out=collapsed)
-                if collapsed.any():
-                    q[collapsed] = 1.0
-                    base[collapsed] = 0.0
-                base /= q
+            base = _bers_factor(ws, den, gx, A, N)
+            q = ws.take("q", den.shape)
+            absq = ws.take("absq", den.shape, np.float64)
             out = np.empty((len(ys), len(x)), dtype=np.complex128)
             for i, yv in enumerate(ys):
                 if y_weights[i] == 0:
@@ -343,31 +381,11 @@ class BersEvaluator:
             # array rounds differently from the out-of-place one
             return out * y_weights[:, None]
 
-        totals, mags = _sum_shells(
-            self.shells,
-            xs,
-            chunk_fn,
-            len(ys),
-            self.config.workers,
-            stop_tol=self.config.stop_tol,
-        )
-        self._last_shell_mags = mags
-        _warn_if_unconverged(mags, self.config.shell_tol, f"weight-{N} series")
-        return totals
-
-    @property
-    def last_shell_magnitudes(self) -> list[float]:
-        return list(self._last_shell_mags)
+        return self._sum(xs, chunk_fn, len(ys), f"weight-{N} series")
 
 
-class ThirdKindEvaluator:
+class ThirdKindEvaluator(_ShellSeries):
     """Differential with simple poles at y (residue +1) and 0 (residue -1)."""
-
-    def __init__(self, p: SchottkyParams, config: SeriesConfig = SeriesConfig()):
-        self.params = p
-        self.config = config
-        self.shells = build_shells(p, config.max_len, cap=config.cap)
-        self._last_shell_mags: list[float] = []
 
     def value(self, x: complex, y: complex) -> complex:
         return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])
@@ -377,17 +395,7 @@ class ThirdKindEvaluator:
         xs = np.asarray(xs, dtype=np.complex128)
         ys = np.asarray(ys, dtype=np.complex128)
         pole_pairs = [(yv, 0j) for yv in ys]
-        totals, mags = _sum_shells(
-            self.shells,
-            xs,
-            _pole_pair_chunk_fn(pole_pairs),
-            len(ys),
-            self.config.workers,
-            stop_tol=self.config.stop_tol,
-        )
-        self._last_shell_mags = mags
-        _warn_if_unconverged(mags, self.config.shell_tol, "third-kind series")
-        return totals
+        return self._sum(xs, _pole_pair_chunk_fn(pole_pairs), len(ys), "third-kind series")
 
 
 def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
@@ -424,7 +432,7 @@ def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
     return chunk_fn
 
 
-class NuFamily:
+class NuFamily(_ShellSeries):
     """The g normalized handle differentials nu_a.
 
     nu_a is the third-kind difference with pole pair (y0, g_a y0); its
@@ -441,16 +449,13 @@ class NuFamily:
     ):
         if not in_domain(p, y0):
             raise ValueError(f"base point {y0!r} must lie in the fundamental domain")
-        self.params = p
-        self.config = config
+        super().__init__(p, config)
         self.y0 = complex(y0)
-        self.shells = build_shells(p, config.max_len, cap=config.cap)
         self.images = [
             moebius.apply(generator(p, a), self.y0) for a in range(1, p.genus + 1)
         ]
         if any(isinstance(t, Infinity) for t in self.images):
             raise ValueError("base point maps to infinity under a generator")
-        self._last_shell_mags: list[float] = []
 
     def value(self, a: int, x: complex) -> complex:
         return complex(self.values(np.array([x]))[a - 1, 0])
@@ -459,17 +464,7 @@ class NuFamily:
         """All nu_a at once, shape (g, len(xs)); one orbit pass."""
         xs = np.asarray(xs, dtype=np.complex128)
         pole_pairs = [(self.y0, complex(t)) for t in self.images]
-        totals, mags = _sum_shells(
-            self.shells,
-            xs,
-            _pole_pair_chunk_fn(pole_pairs),
-            len(pole_pairs),
-            self.config.workers,
-            stop_tol=self.config.stop_tol,
-        )
-        self._last_shell_mags = mags
-        _warn_if_unconverged(mags, self.config.shell_tol, "nu series")
-        return totals
+        return self._sum(xs, _pole_pair_chunk_fn(pole_pairs), len(pole_pairs), "nu series")
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +485,13 @@ def shell_report(
     A = np.asarray(points, dtype=np.complex128)
     shells = build_shells(p, config.max_len, cap=config.cap)
     y_weight = complex(np.prod(y - A))
+    ws = _Workspace()
     rows = []
     for length in range(shells.max_len + 1):
         a, b = shells.a[length], shells.b[length]
         c, d = shells.c[length], shells.d[length]
-        den = c * x + d
-        gx = (a * x + b) / den
-        term = den ** (-2 * N) / (gx - y)
-        for A_j in A:
-            q = gx - A_j
-            # same collapse guard as the evaluator: deep words land on the
-            # limit points below float resolution and contribute nothing
-            collapsed = np.abs(q) < 1e-16 * max(1.0, abs(A_j))
-            if collapsed.any():
-                q = np.where(collapsed, 1.0, q)
-                term = np.where(collapsed, 0.0, term)
-            term = term / q
-        term = term * y_weight
+        den, gx = _moebius_block(ws, a, b, c, d, np.array([x], dtype=np.complex128))
+        term = _bers_factor(ws, den, gx, A, N) / (gx - y) * y_weight
         rows.append(
             {
                 "length": length,

@@ -7,8 +7,8 @@ C_{-a} around w_minus. Generator letters are the nonzero integers
 +-1..+-g; a negative letter is the inverse of the corresponding positive one.
 
 The common exterior of all 2g discs is the fundamental domain; `validate`
-reports every violated disc-separation constraint, `enumerate_group` walks
-reduced words in length-lex order with vectorized matrix shells, and
+reports every violated disc-separation constraint, `build_shells` enumerates
+reduced words in length-lex order as vectorized matrix shells, and
 `reduce_to_fundamental` moves an arbitrary point into the fundamental domain
 while recording the group element that undoes the moves.
 """
@@ -21,13 +21,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import moebius
-from .moebius import INF, Infinity, MoebiusMap, fixed_points
+from .moebius import Infinity, MoebiusMap, fixed_points
 
 __all__ = [
     "BoundaryAmbiguityError",
     "CapacityError",
     "ClassicalHandle",
-    "GroupElement",
     "HandleParams",
     "InvalidSurfaceError",
     "ReductionError",
@@ -35,7 +34,8 @@ __all__ = [
     "WordShells",
     "build_shells",
     "disc_center",
-    "enumerate_group",
+    "disc_radius",
+    "expected_word_count",
     "from_classical",
     "generator",
     "in_domain",
@@ -216,12 +216,6 @@ def word_map(p: SchottkyParams, word: Sequence[int]) -> MoebiusMap:
     return m
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    word: tuple[int, ...]
-    map: MoebiusMap
-
-
 @dataclass
 class WordShells:
     """Per-length arrays of reduced-word matrices, in length-lex order.
@@ -329,25 +323,6 @@ def build_shells(p: SchottkyParams, max_len: int, cap: int = 2_000_000) -> WordS
         shells.last_letter.append(np.broadcast_to(letter_row, (n, k))[mask])
         shells.parent.append(np.broadcast_to(np.arange(n)[:, None], (n, k))[mask])
     return shells
-
-
-def enumerate_group(
-    p: SchottkyParams, max_len: int, cap: int = 2_000_000
-) -> list[GroupElement]:
-    """All reduced words of length <= max_len, in length-lex order."""
-    shells = build_shells(p, max_len, cap=cap)
-    out: list[GroupElement] = []
-    for length in range(max_len + 1):
-        a, b = shells.a[length], shells.b[length]
-        c, d = shells.c[length], shells.d[length]
-        for i in range(len(a)):
-            out.append(
-                GroupElement(
-                    word=shells.word(length, i),
-                    map=MoebiusMap(complex(a[i]), complex(b[i]), complex(c[i]), complex(d[i])),
-                )
-            )
-    return out
 
 
 def reduce_to_fundamental(

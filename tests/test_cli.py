@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from schottkycalc.cli import (
     main,
     run_suite,
 )
-from schottkycalc.schottky import HandleParams, to_classical
+from schottkycalc.schottky import HandleParams, ReductionError, to_classical
 
 STAR_SURFACE = {
     "handles": [
@@ -129,6 +130,23 @@ def test_main_exit_codes(tmp_path, capsys):
     # too-shallow truncation: the canonical pipeline reports a failure
     assert main(["check", "--config", cfg, "--suite", "rauch", "--max-len", "1"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_word_cap_is_a_config_error(capsys):
+    # 9.6M words at max_len 14 is over the 2M cap: exit 2, no traceback
+    cfg = str(Path(__file__).parents[1] / "configs" / "surface_star.json")
+    assert main(["enumerate", "--config", cfg, "--max-len", "14"]) == 2
+    assert capsys.readouterr().err.startswith("config error: enumeration would produce")
+
+
+@pytest.mark.parametrize("exc", [variation.PathBlockedError, ReductionError])
+def test_runtime_failures_exit_one(tmp_path, monkeypatch, capsys, exc):
+    def blocked(*args, **kwargs):
+        raise exc("no path")
+
+    monkeypatch.setattr(cli, "period_matrix", blocked)
+    assert main(["period-matrix", "--config", write_config(tmp_path)]) == 1
+    assert f"error: {exc.__name__}: no path" in capsys.readouterr().err
 
 
 def test_check_cocycle_passes(tmp_path, capsys):

@@ -232,6 +232,40 @@ def test_truncation_warning_on_shallow_cutoff():
         ev.value(0.0, 2.5)
 
 
+@pytest.mark.parametrize("kind", ["bers", "third_kind", "nu"])
+def test_truncation_warning_names_the_caller(kind):
+    # the shared summation step is one frame below each public method; the
+    # warning must still point at the code that called that method
+    tight = SchottkyParams(
+        [HandleParams(-1.5, -0.5, 0.04), HandleParams(0.5, 1.5, 0.04)]
+    )
+    cfg = SeriesConfig(max_len=2)
+    xs = np.array([2.5, 2.5j])
+    ys = np.array([0.3j])
+    if kind == "bers":
+        ev = BersEvaluator(tight, 2, config=cfg)
+    elif kind == "third_kind":
+        ev = ThirdKindEvaluator(tight, config=cfg)
+    else:
+        ev = NuFamily(tight, config=cfg)
+    with pytest.warns(TruncationWarning) as record:
+        if kind == "nu":
+            ev.values(xs)
+        else:
+            ev.value_grid(xs, ys)
+    assert [w.filename for w in record if w.category is TruncationWarning] == [__file__]
+    assert len(ev.last_shell_magnitudes) == cfg.max_len + 1  # one per summed shell
+
+
+@pytest.mark.parametrize(
+    "bad", [{"shell_tol": float("nan")}, {"shell_tol": 0.0}, {"shell_tol": -1.0}, {"cap": 0}]
+)
+def test_series_config_rejects_bad_values(bad):
+    # a NaN shell_tol would make `mag > shell_tol` always False and so never warn
+    with pytest.raises(ValueError):
+        SeriesConfig(**bad)
+
+
 # ---------------------------------------------------------------------------
 # third kind and nu
 

@@ -16,7 +16,6 @@ from schottkycalc.schottky import (
     build_shells,
     disc_center,
     disc_radius,
-    enumerate_group,
     expected_word_count,
     from_classical,
     generator,
@@ -95,9 +94,17 @@ def test_expected_word_count():
     assert expected_word_count(2, 10) == 118097
 
 
+def _entries(shells):
+    """(word, matrix entries) of every word of the shells, in storage order."""
+    return [
+        (shells.word(length, i), {k: getattr(shells, k)[length][i] for k in "abcd"})
+        for length in range(shells.max_len + 1)
+        for i in range(shells.shell_size(length))
+    ]
+
+
 def test_enumeration_order_and_counts(star):
-    elems = enumerate_group(star, 2)
-    words = [e.word for e in elems]
+    words = [word for word, _ in _entries(build_shells(star, 2))]
     assert len(words) == 17
     assert words[0] == ()
     assert words[1:5] == [(1,), (-1,), (2,), (-2,)]
@@ -108,15 +115,14 @@ def test_enumeration_order_and_counts(star):
 
 
 def test_enumeration_matrices_match_word_maps(star):
-    elems = enumerate_group(star, 3)
-    for e in elems[::7]:
-        m = word_map(star, e.word)
+    for word, entries in _entries(build_shells(star, 3))[::7]:
+        m = word_map(star, word)
         scale = max(1.0, *(abs(getattr(m, attr)) for attr in "abcd"))
         # matrices may differ by a global sign, and word_map's stepwise
         # renormalization adds ~1e-9 relative noise on deep words
         tol = 1e-7 * scale
         for attr in "abcd":
-            got = getattr(e.map, attr)
+            got = entries[attr]
             want = getattr(m, attr)
             if abs(got - want) > tol:
                 want = -want
@@ -131,7 +137,7 @@ def test_capacity_error(star):
 def test_enumeration_requires_valid_surface():
     p = SchottkyParams([HandleParams(0.0, 1.0, 0.09), HandleParams(0.5, 5.0, 0.09)])
     with pytest.raises(InvalidSurfaceError):
-        enumerate_group(p, 2)
+        build_shells(p, 2)
 
 
 def test_in_domain(star):
