@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contour import TWO_PI_I, CircleContour, QuadratureError, contour_nodes, fail_max, gated_sum
+from .contour import TWO_PI_I, CircleContour, QuadratureError, circle_integral_checked, fail_max
 from .eichler import PolyForm, canonical_cocycle, cocycle_eval, decompose_coboundary, poly_pullback
 from .gem import (
     CanonicalGEM,
@@ -294,10 +294,6 @@ def _clearance(p: SchottkyParams, z: complex) -> float:
     return min(abs(z - disc_center(p, l)) - disc_radius(p, l) for l in p.letters)
 
 
-def _gated_circle_sum(kernel_vals: np.ndarray, dz: np.ndarray, gate: float = 1e-9) -> complex:
-    return gated_sum(kernel_vals, dz, gate) / TWO_PI_I
-
-
 # ---------------------------------------------------------------------------
 # invariant suites
 
@@ -378,11 +374,9 @@ def _suite_residue(rc: RunConfig, ctx: RunContext) -> dict:
     p = rc.surface
     psi = BersEvaluator(p, rc.N, config=rc.series())
     y = default_probe_points(p, 1)[0]
-    r = 0.3 * _clearance(p, y)
-    z, dz = contour_nodes(CircleContour(y, r, n_nodes=rc.nodes), doubled=True)
-    vals = psi.value_grid(z, np.array([y]))[0]
-    res = _gated_circle_sum(vals, dz)
-    return {"residue": abs(res - 1.0)}
+    c = CircleContour(y, 0.3 * _clearance(p, y), n_nodes=rc.nodes)
+    res = circle_integral_checked(lambda z: psi.value_grid(z, np.array([y]))[0], c, 1e-9)
+    return {"residue": abs(res / TWO_PI_I - 1.0)}
 
 
 def _suite_quasiperiod(rc: RunConfig, ctx: RunContext) -> dict:
@@ -469,10 +463,9 @@ def _suite_nu_norm(rc: RunConfig, ctx: RunContext) -> dict:
     y = probes[1]
     resids = []
     for pole, want in ((y, 1.0), (0j, -1.0)):
-        r = 0.3 * min(_clearance(p, pole), abs(y - 0j) / 2)
-        z, dz = contour_nodes(CircleContour(pole, r, n_nodes=rc.nodes), doubled=True)
-        vals = tk.value_grid(z, np.array([y]))[0]
-        resids.append(abs(_gated_circle_sum(vals, dz) - want))
+        c = CircleContour(pole, 0.3 * min(_clearance(p, pole), abs(y - 0j) / 2), n_nodes=rc.nodes)
+        res = circle_integral_checked(lambda z: tk.value_grid(z, np.array([y]))[0], c, 1e-9)
+        resids.append(abs(res / TWO_PI_I - want))
     return {
         "normalization": norm,
         "base_point": base_independence,
@@ -708,7 +701,7 @@ def cmd_period_matrix(rc: RunConfig, args) -> int:
         pm = period_matrix(
             p,
             config=rc.series(),
-            gate=rc.tol("normalization"),
+            normalization_tol=rc.tol("normalization"),
             symmetry_tol=rc.tol("symmetry"),
             y0=default_probe_points(p, 1)[0],
         )

@@ -4,6 +4,14 @@ Periodic trapezoid sums on circles converge geometrically for integrands
 analytic near the contour; every consumer gates results by comparing the
 n-node rule against the 2n-node rule on the same grid (the n-node sum reuses
 the even-index subset, so doubling costs one evaluation set).
+
+The handle-circle moments (1/2 pi i) * integral over C_a of f(z) (z - w_a)^k dz,
+on which the basis selection, the canonical correction, the moment identities
+and the normalization of the handle differentials rest, are computed here
+once: `handle_nodes` lays out the doubled grid on C_a and `handle_moments`
+takes the gated moments. `pairing` is a separate route to the same numbers
+(isometric circles of the generator maps, cocycle polynomials) and serves as
+the independent reference in tests.
 """
 from __future__ import annotations
 
@@ -13,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .eichler import Cocycle
+from .schottky import SchottkyParams, disc_center, disc_radius
 
 __all__ = [
     "CircleContour",
@@ -23,6 +32,8 @@ __all__ = [
     "fail_max",
     "gated_sum",
     "handle_contour",
+    "handle_moments",
+    "handle_nodes",
     "pairing",
 ]
 
@@ -100,11 +111,40 @@ def circle_integral_checked(f: Callable, c: CircleContour, tol: float = 1e-10) -
     return gated_sum(np.asarray(f(z)), dz, tol)
 
 
-def handle_contour(m, n_nodes: int = 256, scale: float = 1.0) -> CircleContour:
+def handle_contour(m, n_nodes: int = 256) -> CircleContour:
     """Isometric circle |cz + d| = 1 of a normalized map as a contour."""
     if abs(m.c) < 1e-300:
         raise ValueError("affine maps have no isometric circle")
-    return CircleContour(center=-m.d / m.c, radius=1.0 / abs(m.c), n_nodes=n_nodes, scale=scale)
+    return CircleContour(center=-m.d / m.c, radius=1.0 / abs(m.c), n_nodes=n_nodes)
+
+
+def handle_nodes(p: SchottkyParams, a: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray, complex]:
+    """Doubled trapezoid nodes z, weights dz and the centre w_a of the circle C_a."""
+    c = CircleContour(disc_center(p, a), disc_radius(p, a), n_nodes=n_nodes)
+    z, dz = contour_nodes(c, doubled=True)
+    return z, dz, c.center
+
+
+def handle_moments(
+    vals: np.ndarray,
+    z: np.ndarray,
+    dz: np.ndarray,
+    center: complex,
+    powers: Sequence[int],
+    tol: float,
+) -> np.ndarray:
+    """(1/2 pi i) * gated moment of each row of vals against (z - center)^k.
+
+    vals has shape (rows, 2n) on the doubled nodes z with weights dz; the
+    result has shape (rows, len(powers)). Each moment passes the
+    node-doubling gate of `gated_sum`.
+    """
+    out = np.empty((len(vals), len(powers)), dtype=np.complex128)
+    for j, k in enumerate(powers):
+        wk = (z - center) ** k * dz
+        for r, row in enumerate(vals):
+            out[r, j] = gated_sum(row, wk, tol)
+    return out / TWO_PI_I
 
 
 def pairing(

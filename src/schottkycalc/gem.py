@@ -11,6 +11,12 @@ contour moments produces a square matrix of rank d_N whose pivot structure
 selects a basis (column set J, row set R), a dual family, and the correction
 that cancels every J-indexed moment of the kernel, yielding its canonical
 form.
+
+The handle-circle moments come from `contour.handle_moments`. Both
+polynomial fits, the jumps in y (`SpanningTheta.table`) and the moment
+polynomials (`canonical_correction`), go through one `_fit_polynomial` on
+`_fit_nodes`: an exact inverse DFT on 2N-1 nodes of a circle, gated by two
+held-out nodes.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .contour import TWO_PI_I, CircleContour, contour_nodes, fail_max, gated_sum
+from .contour import TWO_PI_I, fail_max, handle_moments, handle_nodes
 from .eichler import Cocycle, cocycle_eval
 from .moebius import apply as mob_apply, deriv as mob_deriv
 from .poincare import BersEvaluator, SeriesConfig
@@ -69,6 +75,18 @@ class ConditioningError(ArithmeticError):
     """Selected pivot block is too ill-conditioned to invert."""
 
 
+# node-doubling gate of the moments behind the basis and the correction
+_STABILITY_TOL = 1e-10
+# held-out-node gate of every polynomial fit
+_FIT_TOL = 1e-8
+# least singular-value gap at the expected rank of the moment matrix
+_GAP_MIN = 1e6
+# largest condition number of the selected pivot block
+_COND_MAX = 1e10
+# node-doubling gate of the moments that check the canonical kernel
+_CHECK_TOL = 1e-9
+
+
 # ---------------------------------------------------------------------------
 # probe geometry
 
@@ -94,16 +112,45 @@ def _probe_radius(p: SchottkyParams, a: int) -> float:
     return R
 
 
-def _probe_targets(p: SchottkyParams, a: int, N: int):
-    """Main + validation probe nodes around w_a and their generator images."""
+def _fit_nodes(center: complex, R: float, N: int) -> np.ndarray:
+    """2N-1 equispaced fit nodes on |z - center| = R, then two held-out
+    nodes at the half-step rotations."""
     m = 2 * N - 1
+    angles = np.concatenate(
+        [2.0 * np.pi * np.arange(m) / m, 2.0 * np.pi * (np.arange(2) + 0.5) / m]
+    )
+    return center + R * np.exp(1j * angles)
+
+
+def _fit_polynomial(
+    values: np.ndarray, nodes: np.ndarray, center: complex, R: float, what: str
+) -> tuple[np.ndarray, float]:
+    """Polynomial in (z - center) through each column of values on _fit_nodes.
+
+    The first 2N-1 rows give the coefficients, shape (2N-1, columns), by an
+    exact inverse DFT; the two held-out rows must match the fit to _FIT_TOL
+    relative to max(1, |column|). Returns the coefficients and that residual.
+    """
+    m = len(nodes) - 2
+    coeffs = np.fft.fft(values[:m], axis=0) / m
+    coeffs /= R ** np.arange(m)[:, None]
+    offs = (nodes[m:] - center)[:, None] ** np.arange(m)[None, :]  # (2, m)
+    fitted = offs @ coeffs
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=0))
+    resid = float(np.max(np.abs(fitted - values[m:]) / scale))
+    if not (resid <= _FIT_TOL):
+        raise FitResidualError(
+            f"{what} fit residual {resid:.3e} exceeds {_FIT_TOL:.1e}; "
+            "the function is not polynomial to tolerance"
+        )
+    return coeffs, resid
+
+
+def _probe_targets(p: SchottkyParams, a: int, N: int):
+    """Fit and held-out probe nodes around w_a and their generator images."""
     w = disc_center(p, a)
     R = _probe_radius(p, a)
-    angles = 2.0 * np.pi * np.arange(m) / m
-    val_angles = 2.0 * np.pi * (np.arange(2) + 0.5) / m
-    nodes = w + R * np.exp(1j * angles)
-    val_nodes = w + R * np.exp(1j * val_angles)
-    all_nodes = np.concatenate([nodes, val_nodes])
+    all_nodes = _fit_nodes(w, R, N)
     for z in all_nodes:
         if not in_domain(p, complex(z)):
             raise GeometryError(f"probe node {z!r} left the fundamental domain")
@@ -122,15 +169,13 @@ class SpanningTheta:
 
     Fixed probe nodes per handle; for a batch of x the kernel is evaluated at
     every (probe, image) target in a single orbit sweep, then each handle's
-    coefficients come from an exact inverse DFT on its probe circle with two
-    held-out nodes as a residual gate.
+    coefficients come from `_fit_polynomial` on its probe circle.
     """
 
-    def __init__(self, psi, residual_tol: float = 1e-8):
+    def __init__(self, psi):
         self.psi = psi
         self.params: SchottkyParams = psi.params
         self.N: int = psi.N
-        self.residual_tol = residual_tol
         self._probes = [
             _probe_targets(self.params, a, self.N)
             for a in range(1, self.params.genus + 1)
@@ -161,22 +206,9 @@ class SpanningTheta:
             plain = values[base : base + per_handle]
             moved = values[base + per_handle : base + 2 * per_handle]
             delta = moved * weights[:, None] - plain  # (m+2, mx)
-            coeffs = np.fft.fft(delta[:m], axis=0) / m
-            coeffs /= R ** np.arange(m)[:, None]
-            # held-out nodes: evaluate the fitted polynomial at the two
-            # half-step rotations and compare
-            offs = (nodes[m:] - w)[:, None] ** np.arange(m)[None, :]  # (2, m)
-            fitted = offs @ coeffs  # (2, mx)
-            scale = np.maximum(1.0, np.max(np.abs(delta), axis=0))
-            resid = np.max(np.abs(fitted - delta[m:]) / scale)
+            out[ai], resid = _fit_polynomial(delta, nodes, w, R, f"handle-{ai + 1} jump")
             worst = fail_max(worst, resid)
-            out[ai] = coeffs
         self.last_residual = worst
-        if not (worst <= self.residual_tol):
-            raise FitResidualError(
-                f"jump-coefficient fit residual {worst:.3e} exceeds "
-                f"{self.residual_tol:.1e}; the jump is not polynomial to tolerance"
-            )
         return out
 
     def circle_tables(self, node_sets: Sequence[np.ndarray]) -> np.ndarray:
@@ -227,31 +259,9 @@ class BasisSelection:
         return (flat // m + 1, flat % m)
 
 
-def _moment_integrals(
-    theta_tab: np.ndarray,
-    nodes: np.ndarray,
-    dz: np.ndarray,
-    center: complex,
-    powers: int,
-    tol: float,
-) -> np.ndarray:
-    """Gated contour moments of every (b, l) against (z-center)^k, k < powers."""
-    g, m, _ = theta_tab.shape
-    out = np.empty((g, m, powers), dtype=np.complex128)
-    for k in range(powers):
-        wk = (nodes - center) ** k * dz
-        for b in range(g):
-            for l in range(m):
-                out[b, l, k] = gated_sum(theta_tab[b, l], wk, tol)
-    return out / TWO_PI_I
-
-
 def select_basis(
     theta: SpanningTheta,
     n_nodes: int = 256,
-    stability_tol: float = 1e-10,
-    gap_min: float = 1e6,
-    cond_max: float = 1e10,
     J: Sequence[int] | None = None,
 ) -> BasisSelection:
     """Rank-revealing pivot selection on the moment pairing matrix."""
@@ -261,35 +271,24 @@ def select_basis(
     m = 2 * N - 1
     n_tot = g * m
 
-    contours = [
-        CircleContour(disc_center(p, a), disc_radius(p, a), n_nodes=n_nodes)
-        for a in range(1, g + 1)
-    ]
-    node_sets = [contour_nodes(c, doubled=True) for c in contours]
+    node_sets = [handle_nodes(p, a, n_nodes) for a in range(1, g + 1)]
     # one heavy kernel pass for every circle; the dual basis reuses it
-    tab = theta.circle_tables([z for z, _ in node_sets])
+    tab = theta.circle_tables([z for z, _, _ in node_sets])
 
     M = np.empty((n_tot, n_tot), dtype=np.complex128)
     M_shift = np.empty_like(M)
     offset = 0
-    for ai, (z, dz) in enumerate(node_sets):
-        n2 = len(z)
-        sl = slice(offset, offset + n2)
-        offset += n2
-        w_a = contours[ai].center
-        moments = _moment_integrals(tab[:, :, sl], z, dz, w_a, m, stability_tol)
+    for ai, (z, dz, w_a) in enumerate(node_sets):
+        rows = tab[:, :, offset : offset + len(z)].reshape(n_tot, len(z))  # row b*m + l
+        offset += len(z)
+        cols = slice(ai * m, (ai + 1) * m)
+        M[:, cols] = handle_moments(rows, z, dz, w_a, range(m), _STABILITY_TOL)
         # odd-index subset = n-node trapezoid on a rotated grid: an
         # independent quadrature used for the duality cross-check
         for k in range(m):
             wk = (z - w_a) ** k * dz
-            col = ai * m + k
-            for b in range(g):
-                for l in range(m):
-                    row = b * m + l
-                    M[row, col] = moments[b, l, k]
-                    M_shift[row, col] = complex(
-                        np.sum(tab[b, l, sl][1::2] * wk[1::2]) * 2.0
-                    ) / complex(TWO_PI_I)
+            for r, row in enumerate(rows):
+                M_shift[r, ai * m + k] = complex(np.sum(row[1::2] * wk[1::2]) * 2.0) / TWO_PI_I
 
     svals = scipy.linalg.svdvals(M)
     d = (g - 1) * m
@@ -298,9 +297,9 @@ def select_basis(
     if svals[d - 1] <= 0:
         raise RankGapError(f"rank below {d}: singular values {svals}")
     gap = svals[d - 1] / svals[d] if svals[d] > 0 else np.inf
-    if gap < gap_min:
+    if gap < _GAP_MIN:
         raise RankGapError(
-            f"singular-value gap {gap:.3e} at index {d} below {gap_min:.1e}: "
+            f"singular-value gap {gap:.3e} at index {d} below {_GAP_MIN:.1e}: "
             f"{[f'{s:.3e}' for s in svals]}"
         )
 
@@ -318,8 +317,8 @@ def select_basis(
 
     block = M[np.ix_(rows, J)]
     cond = np.linalg.cond(block)
-    if not (cond <= cond_max):
-        raise ConditioningError(f"pivot block condition number {cond:.3e} > {cond_max:.1e}")
+    if not (cond <= _COND_MAX):
+        raise ConditioningError(f"pivot block condition number {cond:.3e} > {_COND_MAX:.1e}")
     A = np.linalg.inv(block)
     duality_error = float(
         np.max(np.abs(A @ M_shift[np.ix_(rows, J)] - np.eye(d)))
@@ -366,54 +365,30 @@ def _fit_radius(p: SchottkyParams) -> float:
     return R0
 
 
-def canonical_correction(
-    psi,
-    selection: BasisSelection,
-    n_nodes: int = 256,
-    stability_tol: float = 1e-10,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
+def canonical_correction(psi, selection: BasisSelection, n_nodes: int = 256) -> np.ndarray:
     """Moment polynomials P_{bl}(y), one row per J entry, shape (dim, 2N-1).
 
     P_{bl}(y) = (1/2 pi i) * contour moment over C_b of psi(., y) against
     (x - w_b)^l. Each is exactly a polynomial of degree <= 2N-2 in y, fitted
-    by inverse DFT on a circle around the origin with two held-out nodes.
+    by `_fit_polynomial` on a circle around the origin.
     """
     p = psi.params
-    N = psi.N
-    m = 2 * N - 1
     R0 = _fit_radius(p)
-    angles = 2.0 * np.pi * np.arange(m) / m
-    val_angles = 2.0 * np.pi * (np.arange(2) + 0.5) / m
-    y_fit = R0 * np.exp(1j * angles)
-    y_val = R0 * np.exp(1j * val_angles)
-    ys = np.concatenate([y_fit, y_val])
+    ys = _fit_nodes(0j, R0, psi.N)
 
     by_handle: dict[int, list[tuple[int, int]]] = {}
     for pos, flat in enumerate(selection.J):
         b, l = selection.label(flat)
         by_handle.setdefault(b, []).append((pos, l))
 
-    out = np.zeros((selection.dim, m), dtype=np.complex128)
+    out = np.zeros((selection.dim, 2 * psi.N - 1), dtype=np.complex128)
     for b, entries in sorted(by_handle.items()):
-        c = CircleContour(disc_center(p, b), disc_radius(p, b), n_nodes=n_nodes)
-        z, dz = contour_nodes(c, doubled=True)
+        z, dz, w_b = handle_nodes(p, b, n_nodes)
         vals = psi.value_grid(z, ys)  # (m+2, 2n)
-        for pos, l in entries:
-            wk = (z - c.center) ** l * dz
-            pvals = np.array(
-                [gated_sum(vals[t], wk, stability_tol) for t in range(m + 2)]
-            ) / TWO_PI_I
-            coeffs = np.fft.fft(pvals[:m]) / m / R0 ** np.arange(m)
-            fitted = np.polynomial.polynomial.polyval(y_val, coeffs)
-            scale = max(1.0, float(np.max(np.abs(pvals))))
-            resid = float(np.max(np.abs(fitted - pvals[m:])))
-            if not (resid <= residual_tol * scale):
-                raise FitResidualError(
-                    f"moment polynomial ({b},{l}) residual {resid:.3e} "
-                    f"exceeds {residual_tol * scale:.3e}"
-                )
-            out[pos] = coeffs
+        powers = [l for _, l in entries]
+        pvals = handle_moments(vals, z, dz, w_b, powers, _STABILITY_TOL)  # (m+2, len(entries))
+        coeffs, _ = _fit_polynomial(pvals, ys, 0j, R0, f"handle-{b} moment polynomial")
+        out[[pos for pos, _ in entries]] = coeffs.T
     return out
 
 
@@ -488,17 +463,13 @@ def moment_identities(psi, Xs: Sequence[Cocycle], ys, n_nodes: int = 256) -> np.
     """moment_identity for every (X, y) pair from one kernel pass per circle."""
     p = psi.params
     ys = np.asarray(ys, dtype=np.complex128)
-    total = [[0j] * len(ys) for _ in Xs]
+    total = np.zeros((len(Xs), len(ys)), dtype=np.complex128)
     for a in range(1, p.genus + 1):
-        c = CircleContour(disc_center(p, a), disc_radius(p, a), n_nodes=n_nodes)
-        z, dz = contour_nodes(c, doubled=True)
+        z, dz, w_a = handle_nodes(p, a, n_nodes)
         vals = psi.value_grid(z, ys)  # (t, 2n)
         for i, X in enumerate(Xs):
-            poly = X.values[a - 1](z)
-            for t in range(len(ys)):
-                total[i][t] += gated_sum(vals[t] * poly, dz, 1e-9)
-    # scalar complex division: numpy's array division rounds differently
-    return np.array([[s / TWO_PI_I for s in row] for row in total])
+            total[i] += handle_moments(vals * X.values[a - 1](z), z, dz, w_a, [0], _CHECK_TOL)[:, 0]
+    return total
 
 
 def expected_moment_identity(psi, X: Cocycle, y: complex) -> complex:
@@ -513,7 +484,6 @@ def expected_moment_identity(psi, X: Cocycle, y: complex) -> complex:
 
 def canonical_moment_residuals(can: CanonicalGEM, ys, n_nodes: int = 256) -> float:
     """Max |J-indexed moment| of the canonical kernel over probe y values."""
-    p = can.params
     ys = np.asarray(ys, dtype=np.complex128)
     worst = 0.0
     by_handle: dict[int, list[int]] = {}
@@ -521,12 +491,7 @@ def canonical_moment_residuals(can: CanonicalGEM, ys, n_nodes: int = 256) -> flo
         b, l = can.selection.label(flat)
         by_handle.setdefault(b, []).append(l)
     for b, powers in sorted(by_handle.items()):
-        c = CircleContour(disc_center(p, b), disc_radius(p, b), n_nodes=n_nodes)
-        z, dz = contour_nodes(c, doubled=True)
-        vals = can.value_grid(z, ys)  # (t, 2n)
-        for l in powers:
-            wk = (z - c.center) ** l * dz
-            for t in range(len(ys)):
-                mom = gated_sum(vals[t], wk, 1e-9) / TWO_PI_I
-                worst = fail_max(worst, abs(mom))
+        z, dz, w_b = handle_nodes(can.params, b, n_nodes)
+        moments = handle_moments(can.value_grid(z, ys), z, dz, w_b, powers, _CHECK_TOL)
+        worst = fail_max(worst, np.max(np.abs(moments)))
     return worst

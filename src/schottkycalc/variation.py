@@ -5,6 +5,14 @@ field built from a two-point kernel's jump coefficients, sl2 actions along
 coboundary directions, beta-period matrices of the normalized handle
 differentials, and the finite-difference verification of the variational
 formula 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x).
+
+The delta-normalization of the handle differentials is checked with the
+handle-circle moments of `contour.handle_moments`; the jump coefficients
+come from `gem.SpanningTheta`, which owns the polynomial fit. Another kernel
+choice psi - phi_j(x) P(y), with phi_j a dual-basis differential, is a
+`gem.CanonicalGEM` whose correction row j is shifted by P's coefficients;
+its variation field differs by an sl2 (coboundary) direction only, so
+Moebius-invariant functions of the surface feel no difference.
 """
 from __future__ import annotations
 
@@ -13,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .contour import TWO_PI_I, CircleContour, QuadratureError, contour_nodes, fail_max, gated_sum
+from .contour import TWO_PI_I, QuadratureError, fail_max, handle_moments, handle_nodes
 from .eichler import PolyForm, decompose_coboundary
 from .gem import SpanningTheta, canonical_gem
 from .moebius import apply as mob_apply
@@ -38,7 +46,6 @@ __all__ = [
     "PathBlockedError",
     "PeriodMatrix",
     "PeriodSymmetryError",
-    "ShiftedGEM",
     "beta_path",
     "direction_diff",
     "nabla_apply",
@@ -55,6 +62,11 @@ __all__ = [
 
 # per handle: d/dw_plus, rho * d/drho, rho * d/dw_minus
 DIRECTIONS_PER_HANDLE = 3
+
+# Gauss-Legendre nodes per beta-path leg (doubled for the gate)
+_N_LEG = 64
+# node-doubling gate of the path quadrature
+_PATH_GATE = 1e-8
 
 
 class PathBlockedError(RuntimeError):
@@ -369,9 +381,10 @@ def _leg_nodes(leg: tuple, t: np.ndarray):
     return z, 1j * radius * (th1 - th0) * np.exp(1j * theta)
 
 
-def _path_integral(nu: NuFamily, legs: tuple[tuple, ...], n_leg: int, gate: float):
+def _path_integral(nu: NuFamily, legs: tuple[tuple, ...]):
     """Integral of every nu_a along the legs, with a node-doubling gate."""
     g = nu.params.genus
+    n_leg = _N_LEG
     t1, w1 = _gl_rule(n_leg)
     t2, w2 = _gl_rule(2 * n_leg)
     total1 = np.zeros(g, dtype=np.complex128)
@@ -383,7 +396,7 @@ def _path_integral(nu: NuFamily, legs: tuple[tuple, ...], n_leg: int, gate: floa
         total1 += (vals[:, :n_leg] * (w1 * dz_1)).sum(axis=1)
         total2 += (vals[:, n_leg:] * (w2 * dz_2)).sum(axis=1)
     err = float(np.max(np.abs(total1 - total2) / np.maximum(1.0, np.abs(total2))))
-    if not (err <= gate):
+    if not (err <= _PATH_GATE):
         raise QuadratureError(
             f"period quadrature unstable under node doubling (moved {err:.3e})"
         )
@@ -391,23 +404,20 @@ def _path_integral(nu: NuFamily, legs: tuple[tuple, ...], n_leg: int, gate: floa
 
 
 def nu_normalization_error(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256) -> float:
+    """Max |(1/2 pi i) * integral over C_a of nu_b - delta_ab| over a, b."""
     worst = 0.0
     for a in range(1, p.genus + 1):
-        c = CircleContour(disc_center(p, a), disc_radius(p, a), n_nodes=n_nodes)
-        z, dz = contour_nodes(c, doubled=True)
-        vals = nu.values(z)  # (g, 2n)
-        for b in range(p.genus):
-            mom = gated_sum(vals[b], dz, 1e-8) / TWO_PI_I
-            target = 1.0 if b == a - 1 else 0.0
-            worst = fail_max(worst, abs(mom - target))
+        z, dz, w_a = handle_nodes(p, a, n_nodes)
+        moments = handle_moments(nu.values(z), z, dz, w_a, [0], 1e-8)[:, 0]
+        moments[a - 1] -= 1.0
+        worst = fail_max(worst, np.max(np.abs(moments)))
     return worst
 
 
 def period_matrix(
     p: SchottkyParams,
     config: SeriesConfig = SeriesConfig(),
-    n_leg: int = 64,
-    gate: float = 1e-8,
+    normalization_tol: float = 1e-8,
     symmetry_tol: float = 1e-7,
     certify: bool = True,
     y0: complex = 0j,
@@ -416,13 +426,14 @@ def period_matrix(
     """Omega_ab = (1/2 pi i) * integral of nu_a along the handle-b path.
 
     With certify=True the differentials must pass the delta-normalization
-    gate at 1e-8 and the matrix must be symmetric to symmetry_tol.
+    gate at normalization_tol and the matrix must be symmetric to
+    symmetry_tol.
     """
     require_valid(p)
     if nu is None:
         nu = NuFamily(p, config=config, y0=y0)
     norm_err = nu_normalization_error(p, nu) if certify else float("nan")
-    if certify and not (norm_err <= 1e-8):
+    if certify and not (norm_err <= normalization_tol):
         raise NormalizationError(
             f"handle differentials fail delta normalization by {norm_err:.3e}"
         )
@@ -433,7 +444,7 @@ def period_matrix(
         legs = beta_path(p, b)
         paths.append(legs)
         # legs run anchor -> image; the period traverses them image -> anchor
-        omega[:, b - 1] = -_path_integral(nu, legs, n_leg, gate) / TWO_PI_I
+        omega[:, b - 1] = -_path_integral(nu, legs) / TWO_PI_I
     sym_err = float(np.max(np.abs(omega - omega.T)))
     if certify and not (sym_err <= symmetry_tol):
         raise PeriodSymmetryError(f"period matrix asymmetric by {sym_err:.3e}")
@@ -449,37 +460,10 @@ def period_matrix(
 # Rauch verification
 
 
-class ShiftedGEM:
-    """A kernel shifted by a separable differential-times-polynomial term.
-
-    Realizes alternative kernel choices psi - phi(x) P(y); the induced
-    variation field differs by an sl2/coboundary direction only, so
-    Moebius-invariant functions of the surface feel no difference.
-    """
-
-    def __init__(self, base, phi: Callable[[np.ndarray], np.ndarray], poly: PolyForm):
-        self.base = base
-        self.phi = phi
-        self.poly = poly
-        self.params = base.params
-        self.N = base.N
-
-    def value(self, x: complex, y: complex) -> complex:
-        return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])
-
-    def value_grid(self, xs, ys) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.complex128)
-        ys = np.asarray(ys, dtype=np.complex128)
-        raw = self.base.value_grid(xs, ys)
-        pv = np.array([self.poly(y) for y in ys])
-        return raw - np.outer(pv, self.phi(xs))
-
-
 def period_gradient(
     p: SchottkyParams,
     h: float = 1e-5,
     config: SeriesConfig = SeriesConfig(),
-    n_leg: int = 64,
 ) -> dict:
     """Central-difference derivative of the period matrix per coordinate.
 
@@ -489,7 +473,7 @@ def period_gradient(
     """
 
     def omega_of(q: SchottkyParams) -> np.ndarray:
-        return period_matrix(q, config=config, n_leg=n_leg, certify=False).omega
+        return period_matrix(q, config=config, certify=False).omega
 
     return {
         (a, l): direction_diff(p, a, l, omega_of, h)
@@ -504,7 +488,6 @@ def rauch_check(
     h: float = 1e-5,
     config: SeriesConfig = SeriesConfig(),
     psi=None,
-    n_leg: int = 64,
     y0: complex = 0j,
     gradient: dict | None = None,
 ) -> dict:
@@ -513,22 +496,22 @@ def rauch_check(
     psi defaults to the canonical weight-2 kernel for p. y0 anchors the
     1-form family and must stay off the orbits of the sample points.
     gradient, if given, must come from period_gradient(p, h, ...) and skips
-    recomputing the finite differences. Returns a report with the max
-    relative error over all (a, b) entries and sample points, the
-    contracted per-sample fields ("lhs", "rhs" with shape (nx, g, g)), and
-    the certified base "period_matrix" at y0.
+    recomputing the finite differences. Returns a report with each sample's
+    error max|lhs - rhs| / max|rhs| over the (a, b) entries ("per_sample";
+    judged against the largest entry, it stays finite where some nu_a(x)
+    vanishes) and their max ("max_rel_error"), the contracted per-sample
+    fields ("lhs", "rhs" with shape (nx, g, g)), and the certified base
+    "period_matrix" at y0.
     """
     xs = np.asarray(xs, dtype=np.complex128)
     if psi is None:
         psi = canonical_gem(p, 2, config=config)
     nu = NuFamily(p, config=config, y0=y0)
-    base = period_matrix(p, config=config, n_leg=n_leg, certify=True, y0=y0, nu=nu)
+    base = period_matrix(p, config=config, certify=True, y0=y0, nu=nu)
     nu_vals = nu.values(xs)  # (g, nx)
     tab = theta2_table(psi, xs)  # (g, 3, nx)
 
-    diffs = gradient if gradient is not None else period_gradient(
-        p, h=h, config=config, n_leg=n_leg
-    )
+    diffs = gradient if gradient is not None else period_gradient(p, h=h, config=config)
 
     g = p.genus
     per_sample = []
@@ -543,8 +526,8 @@ def rauch_check(
         rhs = np.outer(nu_vals[:, i], nu_vals[:, i])
         lhs_all[i] = lhs
         rhs_all[i] = rhs
-        rel = np.max(np.abs(lhs - rhs) / np.abs(rhs))
-        per_sample.append(float(rel))
+        rel = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
+        per_sample.append(rel)
         worst = fail_max(worst, rel)
     return {
         "h": h,

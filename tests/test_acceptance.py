@@ -25,6 +25,7 @@ from schottkycalc.eichler import (
     poly_pullback,
 )
 from schottkycalc.gem import (
+    CanonicalGEM,
     SpanningTheta,
     canonical_gem,
     canonical_moment_residuals,
@@ -382,10 +383,12 @@ def test_09_rauch_variational_identity(can10):
     )
     _check(failures, "identity at h=1e-5 over 3 samples", rep["max_rel_error"], 1e-4)
 
-    shifted = va.ShiftedGEM(
-        can10,
-        phi=lambda zs: can10.dual.values(np.asarray(zs, dtype=np.complex128))[0],
-        poly=PolyForm(2, (0.3, -0.2, 0.1)),
+    # psi - phi_0(x) P(y) with phi_0 the first dual differential: the
+    # canonical kernel with correction row 0 shifted by P's coefficients
+    shift = np.zeros_like(can10.corrections)
+    shift[0] = (0.3, -0.2, 0.1)
+    shifted = CanonicalGEM(
+        can10.base, can10.theta, can10.selection, can10.dual, can10.corrections + shift
     )
     scale = float(np.min(np.abs(rep["rhs"])))
     for label, kernel in (("shifted kernel", shifted), ("uncorrected kernel", can10.base)):

@@ -3,6 +3,8 @@ codes, report shape, determinism, and the invariant suites."""
 
 import csv
 import json
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +149,38 @@ def test_runtime_failures_exit_one(tmp_path, monkeypatch, capsys, exc):
     monkeypatch.setattr(cli, "period_matrix", blocked)
     assert main(["period-matrix", "--config", write_config(tmp_path)]) == 1
     assert f"error: {exc.__name__}: no path" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_normalization_tolerance_gates_the_normalization(tmp_path, capsys):
+    # the "normalization" tolerance judges the delta-normalization of the
+    # handle differentials, not the path quadrature
+    cfg = write_config(tmp_path, tolerances={"normalization": 1e-20})
+    assert main(["period-matrix", "--config", cfg, "--max-len", "5"]) == 1
+    assert "NormalizationError" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The `schottkycalc ...` lines of the README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line")[1].split("```sh")[1].split("```")[0]
+    return [
+        shlex.split(cmd)[1:]
+        for cmd in block.replace("\\\n", " ").splitlines()
+        if cmd.startswith("schottkycalc ")
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_readme_commands_run(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 8
+    shutil.copytree(Path(__file__).parents[1] / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if "--max-len" not in argv:
+            argv = argv + ["--max-len", "5"]
+        assert main(argv) == 0, argv
 
 
 def test_check_cocycle_passes(tmp_path, capsys):

@@ -10,10 +10,12 @@ from schottkycalc.contour import (
     fail_max,
     gated_sum,
     handle_contour,
+    handle_moments,
+    handle_nodes,
     pairing,
 )
 from schottkycalc.eichler import canonical_cocycle
-from schottkycalc.schottky import HandleParams, SchottkyParams, generator
+from schottkycalc.schottky import HandleParams, SchottkyParams, disc_radius, generator
 
 
 @pytest.fixture
@@ -82,6 +84,23 @@ def test_handle_contour_recovers_circle(star):
     c = handle_contour(m)
     assert abs(c.center - (-6.0)) < 1e-12
     assert abs(c.radius - 0.3) < 1e-12
+
+
+def test_handle_moments_pick_out_the_matching_power(star):
+    # (1/2 pi i) * integral over C_a of (z - w_a)^(k - j - 1) dz = delta_jk
+    z, dz, w = handle_nodes(star, 2, 64)
+    assert np.allclose(np.abs(z - w), disc_radius(star, 2), rtol=0, atol=1e-15)
+    vals = np.array([1.0 / (z - w) ** (j + 1) for j in range(3)])
+    got = handle_moments(vals, z, dz, w, range(3), 1e-10)
+    assert got.shape == (3, 3)
+    assert np.max(np.abs(got - np.eye(3))) < 1e-14
+
+
+def test_handle_moments_gate_trips_near_a_pole(star):
+    z, dz, w = handle_nodes(star, 1, 64)
+    pole = w + 1.01 * disc_radius(star, 1)
+    with pytest.raises(QuadratureError):
+        handle_moments(np.array([1.0 / (z - pole)]), z, dz, w, [0], 1e-10)
 
 
 def test_pairing_extracts_moments(star):

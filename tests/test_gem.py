@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from schottkycalc import gem
 from schottkycalc.contour import CircleContour, contour_nodes, pairing
 from schottkycalc.eichler import canonical_cocycle, cocycle_eval
 from schottkycalc.gem import (
@@ -79,11 +80,11 @@ def test_spanning_table_matches_single_point(base, theta):
     assert np.allclose(tab[1, :, 1], single[1, :, 0], rtol=0, atol=1e-12)
 
 
-def test_residual_gate_trips():
+def test_residual_gate_trips(monkeypatch):
+    monkeypatch.setattr(gem, "_FIT_TOL", 1e-20)
     ev = BersEvaluator(STAR, 2, config=CFG)
-    strict = SpanningTheta(ev, residual_tol=1e-20)
     with pytest.raises(FitResidualError):
-        strict.table(np.array([0.5 + 0.3j]))
+        SpanningTheta(ev).table(np.array([0.5 + 0.3j]))
 
 
 def test_probe_geometry_rejects_cramped_surface():
@@ -153,6 +154,18 @@ def test_correction_polys_match_direct_moments(base, selection, canonical):
         direct = np.sum(vals * (z - disc_center(STAR, b)) ** l * dz) / (2j * np.pi)
         fitted = np.polynomial.polynomial.polyval(y, canonical.corrections[pos])
         assert abs(direct - fitted) < 1e-8 * max(1.0, abs(direct))
+
+
+def test_correction_rows_match_the_cocycle_pairing(base, selection, canonical):
+    # P_bl(y) off the fit circle against the independent pairing route
+    # (isometric circles, cocycle polynomials)
+    y = 0.3 - 0.9j
+    for pos, flat in enumerate(selection.J):
+        b, l = selection.label(flat)
+        X = canonical_cocycle(STAR, 2, b, l)
+        want = pairing(lambda z: base.value_grid(z, np.array([y]))[0], X, n_nodes=128)
+        got = np.polynomial.polynomial.polyval(y, canonical.corrections[pos])
+        assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_canonical_jumps_equal_negated_dual_on_J(canonical, dual, selection):

@@ -6,9 +6,9 @@ import pytest
 
 from schottkycalc import variation as va
 from schottkycalc.eichler import PolyForm, canonical_cocycle, cocycle_eval
-from schottkycalc.gem import SpanningTheta, canonical_gem
+from schottkycalc.gem import CanonicalGEM, SpanningTheta, canonical_gem
 from schottkycalc.moebius import deriv, moebius
-from schottkycalc.poincare import BersEvaluator, SeriesConfig
+from schottkycalc.poincare import BersEvaluator, NuFamily, SeriesConfig, default_probe_points
 from schottkycalc.schottky import (
     HandleParams,
     InvalidSurfaceError,
@@ -255,14 +255,34 @@ def test_rauch_residual_decays_quadratically(canonical):
     assert 3.4 < ratio < 4.6
 
 
+def test_rauch_error_is_finite_at_a_zero_of_nu(canonical):
+    # at a zero of nu_1 the rhs entries nu_1 nu_b vanish; the error is
+    # judged against the largest rhs entry, so it stays at the h^2 level
+    cfg = SeriesConfig(max_len=6, shell_tol=1e-6, stop_tol=1e-11)
+    y0 = default_probe_points(STAR, 1)[0]
+    nu = NuFamily(STAR, config=cfg, y0=y0)
+    x, d = 6.53153 + 0j, 1e-6
+    for _ in range(3):  # Newton, central-difference derivative
+        v = nu.values(np.array([x - d, x, x + d]))[0]
+        x -= v[1] / ((v[2] - v[0]) / (2 * d))
+    vals = nu.values(np.array([x]))[:, 0]
+    assert abs(vals[0]) < 1e-10 < abs(vals[1])
+    rep = va.rauch_check(STAR, [x], config=cfg, psi=canonical, y0=y0)
+    assert rep["max_rel_error"] < 1e-4
+
+
+def _shifted(can, j, coeffs):
+    """psi - phi_j(x) P(y), phi_j the j-th dual differential: the canonical
+    kernel with correction row j shifted by P's coefficients."""
+    corrections = can.corrections.copy()
+    corrections[j] += coeffs
+    return CanonicalGEM(can.base, can.theta, can.selection, can.dual, corrections)
+
+
 def test_variation_field_independent_of_kernel_choice():
     cfg = SeriesConfig(max_len=5, shell_tol=1e-5)
     can = canonical_gem(STAR, 2, config=cfg, n_nodes=128)
-    shifted = va.ShiftedGEM(
-        can,
-        phi=lambda xs: can.dual.values(np.asarray(xs, dtype=np.complex128))[0],
-        poly=PolyForm(2, (0.3, -0.2, 0.1)),
-    )
+    shifted = _shifted(can, 0, (0.3, -0.2, 0.1))
     raw = BersEvaluator(STAR, 2, config=cfg)
     omega_fn = lambda q: va.period_matrix(q, config=cfg, certify=False).omega
     x = 0.5 + 0.3j
@@ -273,15 +293,16 @@ def test_variation_field_independent_of_kernel_choice():
 
 
 def test_shifted_gem_value_grid(canonical):
-    phi = lambda xs: canonical.dual.values(np.asarray(xs, dtype=np.complex128))[1]
-    poly = PolyForm(2, (0.1, 0.2, -0.3))
-    sh = va.ShiftedGEM(canonical, phi=phi, poly=poly)
+    P = (0.1, 0.2, -0.3)
+    sh = _shifted(canonical, 1, P)
     xs = np.array([0.5 + 0.3j, 1.1 + 0.1j])
     ys = np.array([0.3 - 0.9j])
     want = canonical.value_grid(xs, ys) - np.outer(
-        [poly(complex(y)) for y in ys], phi(xs)
+        np.polynomial.polynomial.polyval(ys, P), canonical.dual.values(xs)[1]
     )
-    assert np.max(np.abs(sh.value_grid(xs, ys) - want)) == 0.0
+    got = sh.value_grid(xs, ys)
+    # the same kernel by another formula: equal up to rounding
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert sh.N == 2 and sh.params is STAR
 
 
