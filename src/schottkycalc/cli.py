@@ -9,12 +9,16 @@ or a full run configuration
 
     {"surface": {...}, "N": 2, "max_len": 10, "shell_tol": 1e-8,
      "stop_tol": null, "nodes": 256, "h": 1e-5,
-     "tolerances": {"rauch": 1e-4},
-     "J": [[1, 0], [1, 1], [2, 0]], "punctures": [[0.4, -0.6]]}
+     "tolerances": {"rauch": 1e-4, "symmetry": 1e-7},
+     "J": [[1, 0], [1, 1], [2, 0]]}
 
-Complex values are written as a number or an [re, im] pair. Reports are
-JSON with sorted keys; every residual is paired with the tolerance it was
-judged against, and wall_time fields are the only run-to-run variation.
+Complex values are written as a number, an [re, im] pair or a string like
+"1+2j"; a missing or null key keeps its default, an unknown key is an
+error. One base point y0 anchors the nu family, and period-matrix, rauch and
+report certify one period matrix at the config's "normalization" and
+"symmetry" tolerances. Reports are JSON with sorted keys; every residual is
+paired with the tolerance it was judged against, and wall_time fields are
+the only run-to-run variation.
 Exit codes: 0 all requested work passed, 1 a suite or computation failed,
 2 the configuration was unusable.
 """
@@ -26,12 +30,12 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contour import TWO_PI_I, CircleContour, QuadratureError, circle_integral_checked, fail_max
+from .contour import TWO_PI_I, CircleContour, circle_integral_checked, fail_max
 from .eichler import PolyForm, canonical_cocycle, cocycle_eval, decompose_coboundary, poly_pullback
 from .gem import (
     CanonicalGEM,
@@ -50,6 +54,7 @@ from .poincare import (
     default_probe_points,
 )
 from .schottky import (
+    _c_from_json,
     CapacityError,
     ReductionError,
     SchottkyParams,
@@ -70,17 +75,6 @@ from .variation import (
     nu_normalization_error,
     period_matrix,
     rauch_check,
-)
-
-SUITES = (
-    "cocycle",
-    "residue",
-    "quasiperiod",
-    "coboundary",
-    "canonical",
-    "gemcont",
-    "nu-norm",
-    "rauch",
 )
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -118,23 +112,17 @@ class RunConfig:
     h: float = 1e-5
     tolerances: Mapping[str, float] = field(default_factory=dict)
     J: tuple[int, ...] | None = None
-    punctures: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ConfigError(f"N must be >= 2, got {self.N}")
-        if self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-        if self.nodes < 8:
-            raise ConfigError(f"nodes must be >= 8, got {self.nodes}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for name, least in (("N", 2), ("max_len", 1), ("nodes", 8)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (self.h > 0):
             raise ConfigError(f"h must be positive, got {self.h}")
-        if not (self.shell_tol > 0):
-            raise ConfigError(f"shell_tol must be positive, got {self.shell_tol}")
-        if self.stop_tol is not None and not (self.stop_tol > 0):
-            raise ConfigError(f"stop_tol must be positive when set, got {self.stop_tol}")
+        try:
+            self.series()  # SeriesConfig checks shell_tol, stop_tol and workers
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance override {name!r}")
@@ -154,49 +142,68 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {
+            **{key: getattr(self, key) for key in _CONFIG_KEYS},
             "surface": surface_to_dict(self.surface),
-            "N": self.N,
-            "max_len": self.max_len,
-            "shell_tol": self.shell_tol,
-            "stop_tol": self.stop_tol,
-            "nodes": self.nodes,
-            "workers": self.workers,
-            "seed": self.seed,
-            "h": self.h,
             "tolerances": {k: self.tol(k) for k in sorted(DEFAULT_TOLERANCES)},
             "J": list(self.J) if self.J is not None else None,
-            "punctures": [[y.real, y.imag] for y in self.punctures],
         }
 
 
 class RunContext:
-    """One command's expensive artifacts, each built at most once."""
+    """One command's artifacts, each built at most once, on first use.
+
+    The nu family and the period matrix share the base point y0, the first
+    default probe point; the period matrix is certified at the config's
+    "normalization" and "symmetry" tolerances. A failed build is not
+    retried: asking again re-raises its error.
+    """
 
     def __init__(self, rc: RunConfig):
         self.rc = rc
-        self.period_matrix: PeriodMatrix | None = None  # the rauch suite's certified base
-        self._canonical: CanonicalGEM | None = None
+        self.y0 = default_probe_points(rc.surface, 1)[0]
+        self._built: dict[str, object] = {}
+
+    def _once(self, name: str, build, *args, **kwargs):
+        if name not in self._built:
+            try:
+                self._built[name] = build(*args, **kwargs)
+            except Exception as exc:
+                self._built[name] = exc
+        if isinstance(self._built[name], Exception):
+            raise self._built[name]
+        return self._built[name]
+
+    def bers(self) -> BersEvaluator:
+        rc = self.rc
+        return self._once("bers", BersEvaluator, rc.surface, rc.N, config=rc.series())
+
+    def nu(self) -> NuFamily:
+        return self._once("nu", NuFamily, self.rc.surface, config=self.rc.series(), y0=self.y0)
 
     def canonical(self) -> CanonicalGEM:
-        if self._canonical is None:
-            rc = self.rc
-            self._canonical = canonical_gem(
-                rc.surface, rc.N, config=rc.series(), n_nodes=rc.nodes, J=rc.J
-            )
-        return self._canonical
+        rc = self.rc
+        return self._once(
+            "canonical",
+            canonical_gem,
+            rc.surface,
+            rc.N,
+            config=rc.series(),
+            n_nodes=rc.nodes,
+            J=rc.J,
+        )
 
-
-def _parse_complex(v) -> complex:
-    if isinstance(v, str):
-        try:
-            return complex(v.replace(" ", ""))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse complex value {v!r}") from exc
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"cannot parse complex value {v!r}")
+    def period_matrix(self) -> PeriodMatrix:
+        rc = self.rc
+        return self._once(
+            "period_matrix",
+            period_matrix,
+            rc.surface,
+            config=rc.series(),
+            normalization_tol=rc.tol("normalization"),
+            symmetry_tol=rc.tol("symmetry"),
+            y0=self.y0,
+            nu=self.nu(),
+        )
 
 
 def _parse_J(raw, N: int, genus: int) -> tuple[int, ...]:
@@ -215,6 +222,26 @@ def _parse_J(raw, N: int, genus: int) -> tuple[int, ...]:
     return tuple(sorted(flats))
 
 
+def _tolerances(raw) -> dict[str, float]:
+    return {str(name): float(tol) for name, tol in dict(raw).items()}
+
+
+# how load_config reads each key besides "surface" and "J"; the defaults
+# are RunConfig's
+_CONFIG_KEYS = {
+    **dict.fromkeys(("N", "max_len", "nodes", "workers", "seed"), int),
+    **dict.fromkeys(("shell_tol", "stop_tol", "h"), float),
+    "tolerances": _tolerances,
+}
+
+
+def _read(key: str, read, value):
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read {key} = {value!r}: {exc}") from exc
+
+
 def load_config(
     path: str,
     max_len: int | None = None,
@@ -231,6 +258,9 @@ def load_config(
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = set(raw) - {"surface", "handles", "genus", "J", *_CONFIG_KEYS}
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
     surface_raw = raw.get("surface", raw if "handles" in raw else None)
     if surface_raw is None:
@@ -238,25 +268,19 @@ def load_config(
     try:
         surface = surface_from_dict(surface_raw)
         require_valid(surface)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad surface: {exc}") from exc
 
-    N = int(raw.get("N", 2))
-    rc = RunConfig(
-        surface=surface,
-        N=N,
-        max_len=int(max_len if max_len is not None else raw.get("max_len", raw.get("L", 10))),
-        shell_tol=float(raw.get("shell_tol", 1e-8)),
-        stop_tol=float(raw["stop_tol"]) if raw.get("stop_tol") is not None else None,
-        nodes=int(raw.get("nodes", 256)),
-        workers=int(workers if workers is not None else raw.get("workers", 1)),
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
-        h=float(raw.get("h", 1e-5)),
-        tolerances=dict(raw.get("tolerances", {})),
-        J=_parse_J(raw["J"], N, surface.genus) if raw.get("J") is not None else None,
-        punctures=tuple(_parse_complex(v) for v in raw.get("punctures", [])),
-    )
-    return rc
+    overrides = {"max_len": max_len, "workers": workers, "seed": seed}
+    fields = {}
+    for key, read in _CONFIG_KEYS.items():
+        value = raw.get(key) if overrides.get(key) is None else overrides[key]
+        if value is not None:
+            fields[key] = _read(key, read, value)
+    rc = RunConfig(surface=surface, **fields)
+    if raw.get("J") is None:
+        return rc
+    return replace(rc, J=_read("J", lambda v: _parse_J(v, rc.N, surface.genus), raw["J"]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +395,8 @@ def _suite_coboundary(rc: RunConfig, ctx: RunContext) -> dict:
 
 def _suite_residue(rc: RunConfig, ctx: RunContext) -> dict:
     """Unit residue of the weight-N kernel at coinciding points."""
-    p = rc.surface
-    psi = BersEvaluator(p, rc.N, config=rc.series())
-    y = default_probe_points(p, 1)[0]
-    c = CircleContour(y, 0.3 * _clearance(p, y), n_nodes=rc.nodes)
+    psi, y = ctx.bers(), ctx.y0
+    c = CircleContour(y, 0.3 * _clearance(rc.surface, y), n_nodes=rc.nodes)
     res = circle_integral_checked(lambda z: psi.value_grid(z, np.array([y]))[0], c, 1e-9)
     return {"residue": abs(res / TWO_PI_I - 1.0)}
 
@@ -382,7 +404,7 @@ def _suite_residue(rc: RunConfig, ctx: RunContext) -> dict:
 def _suite_quasiperiod(rc: RunConfig, ctx: RunContext) -> dict:
     """Polynomial jump structure of the kernel across every handle."""
     p = rc.surface
-    psi = BersEvaluator(p, rc.N, config=rc.series())
+    psi = ctx.bers()
     theta = SpanningTheta(psi)
     xs = default_probe_points(p, 2)
     worst_fit = 0.0
@@ -412,24 +434,16 @@ def _suite_canonical(rc: RunConfig, ctx: RunContext) -> dict:
     moments = canonical_moment_residuals(can, probe, n_nodes=rc.nodes)
 
     xs = np.array(default_probe_points(p, 3), dtype=np.complex128)
-    tab = SpanningTheta(can).table(xs)
+    # jump rows in the flat order the selection indexes, as DualBasis reads
+    # them: row J[i] must be minus dual differential i, every other row zero
+    resid = SpanningTheta(can).table(xs).reshape(-1, len(xs))
     dual_vals = can.dual.values(xs)
+    resid[list(can.selection.J)] += dual_vals
     scale = max(1.0, float(np.max(np.abs(dual_vals))))
-    m = 2 * rc.N - 1
-    match = 0.0
-    J = set(int(j) for j in can.selection.J)
-    for flat in range(p.genus * m):
-        a, l = flat // m + 1, flat % m
-        if flat in J:
-            pos = sorted(J).index(flat)
-            diff = tab[a - 1, l] + dual_vals[pos]
-            match = fail_max(match, float(np.max(np.abs(diff))) / scale)
-        else:
-            match = fail_max(match, float(np.max(np.abs(tab[a - 1, l]))) / scale)
     return {
         "duality": can.selection.duality_error,
         "moments": moments,
-        "quasiperiod_match": match,
+        "quasiperiod_match": float(np.max(np.abs(resid))) / scale,
     }
 
 
@@ -437,7 +451,7 @@ def _suite_gemcont(rc: RunConfig, ctx: RunContext) -> dict:
     """Summed handle moments of the canonical kernel against basis cocycles."""
     p = rc.surface
     can = ctx.canonical()
-    y0 = default_probe_points(p, 1)[0]
+    y0 = ctx.y0
     ys = [y0, mob_apply(generator(p, 1), y0)]
     if p.genus > 1:
         ys.append(mob_apply(word_map(p, (-2, 1)), y0))
@@ -451,8 +465,8 @@ def _suite_nu_norm(rc: RunConfig, ctx: RunContext) -> dict:
     """Third-kind residues, delta-normalization and base-point independence."""
     p = rc.surface
     cfg = rc.series()
-    probes = default_probe_points(p, 5)
-    nu = NuFamily(p, config=cfg, y0=probes[0])
+    probes = default_probe_points(p, 5)  # probes[0] is ctx.y0
+    nu = ctx.nu()
     norm = nu_normalization_error(p, nu, n_nodes=rc.nodes)
 
     nu2 = NuFamily(p, config=cfg, y0=probes[1])
@@ -473,15 +487,18 @@ def _suite_nu_norm(rc: RunConfig, ctx: RunContext) -> dict:
     }
 
 
-def _suite_rauch(rc: RunConfig, ctx: RunContext) -> dict:
-    """Finite-difference period variation against the product of 1-forms."""
-    p = rc.surface
+def _rauch(ctx: RunContext, xs) -> dict:
+    """rauch_check at xs with the context's kernel, y0 and certified base."""
+    rc = ctx.rc
     if rc.N != 2:
         raise ConfigError("the rauch suite needs N = 2")
-    probes = default_probe_points(p, 4)
-    can = ctx.canonical()
-    rep = rauch_check(p, probes[1:], h=rc.h, config=rc.series(), psi=can, y0=probes[0])
-    ctx.period_matrix = rep["period_matrix"]
+    psi, base = ctx.canonical(), ctx.period_matrix()
+    return rauch_check(rc.surface, xs, h=rc.h, config=rc.series(), psi=psi, y0=ctx.y0, base=base)
+
+
+def _suite_rauch(rc: RunConfig, ctx: RunContext) -> dict:
+    """Finite-difference period variation against the product of 1-forms."""
+    rep = _rauch(ctx, default_probe_points(rc.surface, 4)[1:])
     return {
         "rauch": rep["max_rel_error"],
         "symmetry": rep["symmetry_error"],
@@ -551,6 +568,15 @@ def run_suite(rc: RunConfig, name: str, ctx: RunContext | None = None) -> dict:
     return report
 
 
+def _run_suites(ctx: RunContext, names: Sequence[str]) -> dict:
+    """Run the named suites on one context, printing each verdict."""
+    reports = {}
+    for name in names:
+        reports[name] = run_suite(ctx.rc, name, ctx)
+        _print_suite(reports[name])
+    return reports
+
+
 def _print_suite(report: dict) -> None:
     for rname in sorted(report["checks"]):
         c = report["checks"][rname]
@@ -593,7 +619,7 @@ def cmd_validate(rc: RunConfig, args) -> int:
 
 def cmd_enumerate(rc: RunConfig, args) -> int:
     p = rc.surface
-    L = args.max_len if args.max_len is not None else rc.max_len
+    L = rc.max_len
     shells = build_shells(p, L)
     counts = [
         {"length": length, "count": int(len(shells.a[length]))}
@@ -628,11 +654,12 @@ def _parse_grid(text: str):
 def cmd_eval(rc: RunConfig, args) -> int:
     p = rc.surface
     xs, ys = _parse_grid(args.grid)
+    ctx = RunContext(rc)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     try:
         if args.what == "nu":
-            nu = NuFamily(p, config=rc.series(), y0=default_probe_points(p, 1)[0])
+            nu = ctx.nu()
             header = ["x_re", "x_im"]
             for a in range(1, p.genus + 1):
                 header += [f"nu{a}_re", f"nu{a}_im"]
@@ -645,9 +672,9 @@ def cmd_eval(rc: RunConfig, args) -> int:
                 writer.writerow(row)
         else:
             if args.what == "bers":
-                kernel = BersEvaluator(p, rc.N, config=rc.series())
+                kernel = ctx.bers()
             elif args.what == "gem":
-                kernel = RunContext(rc).canonical()
+                kernel = ctx.canonical()
             else:  # third-kind
                 kernel = ThirdKindEvaluator(p, config=rc.series())
             writer.writerow(["x_re", "x_im", "y_re", "y_im", "value_re", "value_im"])
@@ -664,7 +691,6 @@ def cmd_eval(rc: RunConfig, args) -> int:
 
 def cmd_basis(rc: RunConfig, args) -> int:
     sel = RunContext(rc).canonical().selection
-    m = 2 * rc.N - 1
     svals = [float(s) for s in sel.singular_values]
     d = sel.dim
     payload = {
@@ -674,8 +700,8 @@ def cmd_basis(rc: RunConfig, args) -> int:
         "family_dimension": sel.family_dimension,
         "singular_values": svals,
         "gap": svals[d - 1] / svals[d] if d < len(svals) and svals[d] > 0 else None,
-        "J": [[f // m + 1, f % m] for f in sel.J],
-        "rows": [[f // m + 1, f % m] for f in sel.rows],
+        "J": [sel.label(f) for f in sel.J],
+        "rows": [sel.label(f) for f in sel.rows],
         "duality_error": sel.duality_error,
     }
     emit(payload, args.json)
@@ -683,36 +709,26 @@ def cmd_basis(rc: RunConfig, args) -> int:
 
 
 def cmd_check(rc: RunConfig, args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = {}
-    ctx = RunContext(rc)
-    for name in names:
-        rep = run_suite(rc, name, ctx)
-        _print_suite(rep)
-        reports[name] = rep
+    names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+    reports = _run_suites(RunContext(rc), names)
     if args.json:
         emit({"config": rc.echo(), "suites": reports}, args.json, quiet=True)
     return 0 if all(r["passed"] for r in reports.values()) else 1
 
 
-def cmd_period_matrix(rc: RunConfig, args) -> int:
-    p = rc.surface
-    try:
-        pm = period_matrix(
-            p,
-            config=rc.series(),
-            normalization_tol=rc.tol("normalization"),
-            symmetry_tol=rc.tol("symmetry"),
-            y0=default_probe_points(p, 1)[0],
-        )
-    except (ArithmeticError, QuadratureError) as exc:
-        print(f"period matrix failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    payload = {
-        "genus": pm.genus,
+def _period_payload(pm: PeriodMatrix) -> dict:
+    return {
         "omega": pm.omega,
         "symmetry_error": pm.symmetry_error,
         "normalization_error": pm.normalization_error,
+    }
+
+
+def cmd_period_matrix(rc: RunConfig, args) -> int:
+    pm = RunContext(rc).period_matrix()
+    payload = {
+        **_period_payload(pm),
+        "genus": pm.genus,
         "max_len": rc.max_len,
         "paths": [[leg[0] for leg in legs] for legs in pm.paths],
     }
@@ -721,25 +737,15 @@ def cmd_period_matrix(rc: RunConfig, args) -> int:
 
 
 def cmd_rauch(rc: RunConfig, args) -> int:
-    p = rc.surface
-    probes = default_probe_points(p, 4)
-    xs = [_parse_complex(s) for s in args.x] if args.x else probes[1:]
-    if rc.N != 2:
-        raise ConfigError("the rauch suite needs N = 2")
-    try:
-        # the same kernel (nodes, J) that `check --suite rauch` judges
-        psi = RunContext(rc).canonical()
-        rep = rauch_check(p, xs, h=rc.h, config=rc.series(), psi=psi, y0=probes[0])
-    except Exception as exc:
-        print(f"rauch check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    pm = rep["period_matrix"]
+    ctx = RunContext(rc)
+    xs = args.x or default_probe_points(rc.surface, 4)[1:]
+    rep = _rauch(ctx, xs)
     payload = {
-        "omega": pm.omega,
-        "symmetry_error": pm.symmetry_error,
+        "omega": ctx.period_matrix().omega,
+        "symmetry_error": rep["symmetry_error"],
         "rauch_max_rel_error": rep["max_rel_error"],
         "per_sample": rep["per_sample"],
-        "samples": list(xs),
+        "samples": xs,
         "h": rc.h,
         "max_len": rc.max_len,
     }
@@ -749,31 +755,17 @@ def cmd_rauch(rc: RunConfig, args) -> int:
 
 def cmd_report(rc: RunConfig, args) -> int:
     t0 = time.perf_counter()
-    p = rc.surface
-    suites = {}
-    names = list(SUITES) if args.all else ["cocycle", "residue", "quasiperiod"]
     ctx = RunContext(rc)
-    for name in names:
-        suites[name] = run_suite(rc, name, ctx)
-        _print_suite(suites[name])
-
+    names = list(_SUITE_RUNNERS) if args.all else ["cocycle", "residue", "quasiperiod"]
+    suites = _run_suites(ctx, names)
     payload: dict = {"config": rc.echo(), "suites": suites}
     try:
-        # the rauch suite's base matrix has the same surface, series and y0
-        pm = ctx.period_matrix or period_matrix(
-            p, config=rc.series(), y0=default_probe_points(p, 1)[0]
-        )
-        payload["period_matrix"] = {
-            "omega": pm.omega,
-            "symmetry_error": pm.symmetry_error,
-            "normalization_error": pm.normalization_error,
-        }
-    except (ArithmeticError, QuadratureError, ValueError) as exc:
+        payload["period_matrix"] = _period_payload(ctx.period_matrix())
+    except _FAILURES as exc:
         payload["period_matrix"] = {"error": f"{type(exc).__name__}: {exc}"}
-
     payload["wall_time"] = time.perf_counter() - t0
     emit(payload, args.json, quiet=True)
-    ok = all(r["passed"] for r in suites.values())
+    ok = all(r["passed"] for r in suites.values()) and "error" not in payload["period_matrix"]
     print(f"report: {'PASS' if ok else 'FAIL'} ({len(suites)} suites)")
     return 0 if ok else 1
 
@@ -811,13 +803,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run one invariant suite (or all)")
     common(sp)
-    sp.add_argument("--suite", required=True, choices=list(SUITES) + ["all"])
+    sp.add_argument("--suite", required=True, choices=list(_SUITE_RUNNERS) + ["all"])
 
     common(sub.add_parser("period-matrix", help="certified beta-period matrix"))
 
     sp = sub.add_parser("rauch", help="finite-difference period variation check")
     common(sp)
-    sp.add_argument("--x", action="append", default=None, help="sample point (repeatable)")
+    sp.add_argument(
+        "--x", action="append", type=_c_from_json, default=None, help="sample point (repeatable)"
+    )
 
     sp = sub.add_parser("report", help="aggregate machine-readable report")
     common(sp)
@@ -838,22 +832,21 @@ _COMMANDS = {
 }
 
 
+# runtime failures: exit 1, or an "error" entry where a report records them
+_FAILURES = (ValueError, ArithmeticError, PathBlockedError, ReductionError, OSError)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         rc = load_config(
             args.config, max_len=args.max_len, workers=args.workers, seed=args.seed
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](rc, args)
     except (ConfigError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, PathBlockedError, ReductionError, OSError) as exc:
+    except _FAILURES as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -20,17 +20,12 @@ from .schottky import SchottkyParams, generator
 __all__ = [
     "Cocycle",
     "PolyForm",
-    "PullbackResidualError",
     "canonical_cocycle",
     "coboundary",
     "cocycle_eval",
     "decompose_coboundary",
     "poly_pullback",
 ]
-
-
-class PullbackResidualError(ArithmeticError):
-    """Interpolated pullback failed its held-out node check."""
 
 
 @dataclass(frozen=True)

@@ -414,10 +414,16 @@ def transport(p: SchottkyParams, m: MoebiusMap) -> SchottkyParams:
 
 
 def _c_from_json(v) -> complex:
+    """A complex value from a number, an [re, im] pair or a string like "1+2j"."""
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
+    if isinstance(v, str):
+        try:
+            return complex(v.replace(" ", ""))
+        except ValueError:
+            pass
     raise ValueError(f"cannot parse complex value from {v!r}")
 
 

@@ -256,26 +256,24 @@ def _leg_clear(
     anchor_a: int | None,
     anchor_b: int | None,
     margin: float = 1.1,
-    shrink: float = 0.05,
 ) -> bool:
     """Clearance test for one straight leg.
 
-    A circle an endpoint is anchored on is tested against the leg shrunk
-    away from that endpoint (radial departure is legal; passing through the
-    disc is not), at unit margin. Every other disc must clear at `margin`
-    times its radius.
+    A leg from an endpoint anchored on its circle (centre w) meets the
+    closed disc only at the anchor iff it leaves on or outside the tangent
+    there, Re((z_far - z_anchor) * conj(z_anchor - w)) >= 0; that exact test
+    judges the anchor discs. Every other disc must clear at `margin` times
+    its radius.
     """
-    d = zb - za
     for letter in p.letters:
         w = disc_center(p, letter)
-        r = disc_radius(p, letter)
         if letter == anchor_a:
-            if _segment_clearance(za + shrink * d, zb, w) < r:
+            if not (((zb - za) * (za - w).conjugate()).real >= 0):
                 return False
         elif letter == anchor_b:
-            if _segment_clearance(za, zb - shrink * d, w) < r:
+            if not (((za - zb) * (zb - w).conjugate()).real >= 0):
                 return False
-        elif _segment_clearance(za, zb, w) < margin * r:
+        elif _segment_clearance(za, zb, w) < margin * disc_radius(p, letter):
             return False
     return True
 
@@ -490,24 +488,28 @@ def rauch_check(
     psi=None,
     y0: complex = 0j,
     gradient: dict | None = None,
+    base: PeriodMatrix | None = None,
 ) -> dict:
     """Finite-difference check of 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x).
 
     psi defaults to the canonical weight-2 kernel for p. y0 anchors the
     1-form family and must stay off the orbits of the sample points.
     gradient, if given, must come from period_gradient(p, h, ...) and skips
-    recomputing the finite differences. Returns a report with each sample's
-    error max|lhs - rhs| / max|rhs| over the (a, b) entries ("per_sample";
-    judged against the largest entry, it stays finite where some nu_a(x)
-    vanishes) and their max ("max_rel_error"), the contracted per-sample
-    fields ("lhs", "rhs" with shape (nx, g, g)), and the certified base
-    "period_matrix" at y0.
+    recomputing the finite differences. base, if given, must be a certified
+    period_matrix(p, config, y0=y0, ...) and skips rebuilding it; without it
+    the base is certified at period_matrix's default tolerances. Returns a
+    report with each sample's error max|lhs - rhs| / max|rhs| over the
+    (a, b) entries ("per_sample"; judged against the largest entry, it stays
+    finite where some nu_a(x) vanishes) and their max ("max_rel_error"), the
+    contracted per-sample fields ("lhs", "rhs" with shape (nx, g, g)), and
+    the base's "symmetry_error" and "normalization_error".
     """
     xs = np.asarray(xs, dtype=np.complex128)
     if psi is None:
         psi = canonical_gem(p, 2, config=config)
     nu = NuFamily(p, config=config, y0=y0)
-    base = period_matrix(p, config=config, certify=True, y0=y0, nu=nu)
+    if base is None:
+        base = period_matrix(p, config=config, y0=y0, nu=nu)
     nu_vals = nu.values(xs)  # (g, nx)
     tab = theta2_table(psi, xs)  # (g, 3, nx)
 
@@ -538,5 +540,4 @@ def rauch_check(
         "rhs": rhs_all,
         "symmetry_error": base.symmetry_error,
         "normalization_error": base.normalization_error,
-        "period_matrix": base,
     }

@@ -51,7 +51,6 @@ def test_load_config_full(tmp_path):
         h=2e-5,
         tolerances={"rauch": 5e-4},
         J=[[1, 0], [1, 2], [2, 1]],
-        punctures=[[0.4, -0.6]],
     )
     rc = load_config(path)
     assert rc.surface.genus == 2
@@ -60,7 +59,6 @@ def test_load_config_full(tmp_path):
     assert rc.tol("rauch") == 5e-4
     assert rc.tol("cocycle") == 1e-10  # default untouched
     assert rc.J == (0, 2, 4)  # [handle, power] pairs flattened
-    assert rc.punctures == (0.4 - 0.6j,)
 
 
 def test_load_config_bare_surface(tmp_path):
@@ -70,10 +68,31 @@ def test_load_config_bare_surface(tmp_path):
     assert rc.surface.genus == 2 and rc.N == 2 and rc.max_len == 10
 
 
+def test_load_config_null_keeps_the_default(tmp_path):
+    path = write_config(tmp_path, N=None, max_len=None, h=None, tolerances=None, J=None)
+    rc = load_config(path)
+    assert (rc.N, rc.max_len, rc.h, rc.J) == (2, 10, 1e-5, None)
+    assert rc.tol("rauch") == 1e-4
+
+
+def test_surface_complex_values_may_be_strings(tmp_path):
+    written = {
+        "handles": [
+            {"w_plus": "-6", "w_minus": "-2+0j", "rho": "0.09"},
+            {"w_plus": " 2 + 0j ", "w_minus": 6.0, "rho": [0.09, 0.0]},
+        ]
+    }
+    got = load_config(write_config(tmp_path, surface=written)).surface
+    assert got == load_config(write_config(tmp_path, name="num.json")).surface
+
+
 def test_load_config_overrides_win(tmp_path):
     path = write_config(tmp_path, max_len=7, seed=1)
     rc = load_config(path, max_len=3, seed=9, workers=2)
     assert rc.max_len == 3 and rc.seed == 9 and rc.workers == 2
+
+
+WRONG_TYPES = [{"max_len": "ten"}, {"nodes": [1]}, {"tolerances": [1]}, {"h": "small"}]
 
 
 @pytest.mark.parametrize(
@@ -88,12 +107,21 @@ def test_load_config_overrides_win(tmp_path):
         {"tolerances": {"rauch": -1.0}},
         {"tolerances": {"no_such": 1.0}},
         {"J": [[1, 9]]},
+        {"L": 6},  # neither a former alias nor a typo is dropped silently
+        {"punctures": [[0.4, -0.6]]},
+        *WRONG_TYPES,
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, bad):
     path = write_config(tmp_path, **bad)
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("bad", WRONG_TYPES)
+def test_wrongly_typed_value_is_a_config_error(tmp_path, capsys, bad):
+    assert main(["validate", "--config", write_config(tmp_path, **bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_load_config_rejects_bad_surface(tmp_path):
@@ -103,6 +131,14 @@ def test_load_config_rejects_bad_surface(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda p: p.name
+)
+def test_every_shipped_config_loads_and_validates(path):
+    load_config(str(path))
+    assert main(["validate", "--config", str(path)]) == 0
 
 
 def test_load_config_rejects_garbage(tmp_path):
@@ -158,6 +194,39 @@ def test_normalization_tolerance_gates_the_normalization(tmp_path, capsys):
     cfg = write_config(tmp_path, tolerances={"normalization": 1e-20})
     assert main(["period-matrix", "--config", cfg, "--max-len", "5"]) == 1
     assert "NormalizationError" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_report_records_a_failed_period_matrix(tmp_path, capsys):
+    cfg = write_config(tmp_path, tolerances={"normalization": 1e-20})
+    out_path = tmp_path / "report.json"
+    assert main(["report", "--config", cfg, "--max-len", "5", "--json", str(out_path)]) == 1
+    payload = json.loads(out_path.read_text())
+    assert all(s["passed"] for s in payload["suites"].values())
+    assert payload["period_matrix"]["error"].startswith("NormalizationError")
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_a_failed_build_is_not_retried(tmp_path, monkeypatch):
+    calls = []
+    build = cli.period_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "period_matrix", counted)
+    ctx = cli.RunContext(load_config(write_config(tmp_path, tolerances={"normalization": 1e-20})))
+    for _ in range(2):
+        with pytest.raises(variation.NormalizationError):
+            ctx.period_matrix()
+    assert len(calls) == 1
+
+
+def test_rauch_rejects_a_malformed_sample_point(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["rauch", "--config", write_config(tmp_path), "--x", "1+"])
+    assert exc.value.code == 2
 
 
 def _readme_commands():
@@ -366,7 +435,7 @@ def test_quasiperiod_suite_builds_one_table_per_point(tmp_path, monkeypatch):
     assert len(tables) == 2  # one all-handle table at each of the 2 probe points
 
 
-class _KernelBuilt(Exception):
+class _KernelBuilt(ArithmeticError):
     pass
 
 

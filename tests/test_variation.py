@@ -220,6 +220,31 @@ def test_beta_path_blocked_raises(monkeypatch):
         va.beta_path(p, 1)
 
 
+WIDE = SchottkyParams(
+    handles=(
+        HandleParams(-12.0, -8.0, 0.04),
+        HandleParams(-4.0, 4.0, 0.04),
+        HandleParams(8.0, 12.0, 0.04),
+    )
+)
+ASYMMETRIC = SchottkyParams(handles=(HandleParams(-6.0, -2.0, 0.01), HandleParams(2.0, 6.0, 0.36)))
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize(
+    "p, b, max_len, y0",
+    [(WIDE, 2, 4, 0j), (WIDE, 2, 4, 2j), (ASYMMETRIC, 1, 6, 0j)],
+    ids=["wide-y0=0", "wide-y0=2i", "asymmetric"],
+)
+def test_chord_through_a_small_anchor_disc_takes_the_detour(p, b, max_len, y0):
+    # handle b's straight chord crosses the whole companion disc to reach
+    # the image on its far side; that disc's radius is 2.5 % of the chord,
+    # so a test on the chord shortened by 5 % at the anchor would miss it
+    assert [leg[0] for leg in va.beta_path(p, b)] == ["seg", "arc", "seg"]
+    pm = va.period_matrix(p, config=SeriesConfig(max_len=max_len, stop_tol=1e-11), y0=y0)
+    assert pm.symmetry_error < 1e-7 and pm.normalization_error < 1e-8
+
+
 def test_period_matrix_certified(base_pm):
     assert base_pm.genus == 2
     assert base_pm.symmetry_error < 1e-7
@@ -247,10 +272,10 @@ def test_rauch_identity(canonical):
     assert len(rep["per_sample"]) == len(xs)
 
 
-def test_rauch_residual_decays_quadratically(canonical):
+def test_rauch_residual_decays_quadratically(canonical, base_pm):
     xs = [0.5 + 0.3j]
-    e_coarse = va.rauch_check(STAR, xs, h=4e-2, config=CFG, psi=canonical)
-    e_fine = va.rauch_check(STAR, xs, h=2e-2, config=CFG, psi=canonical)
+    e_coarse = va.rauch_check(STAR, xs, h=4e-2, config=CFG, psi=canonical, base=base_pm)
+    e_fine = va.rauch_check(STAR, xs, h=2e-2, config=CFG, psi=canonical, base=base_pm)
     ratio = e_coarse["max_rel_error"] / e_fine["max_rel_error"]
     assert 3.4 < ratio < 4.6
 
