@@ -73,6 +73,7 @@ from .variation import (
     PathBlockedError,
     PeriodMatrix,
     nu_normalization_error,
+    period_gradient,
     period_matrix,
     rauch_check,
 )
@@ -219,6 +220,9 @@ def _parse_J(raw, N: int, genus: int) -> tuple[int, ...]:
             flats.append((a - 1) * m + k)
         else:
             flats.append(int(item))
+    d, n_tot = (genus - 1) * m, genus * m
+    if len(flats) != d or len(set(flats)) != d or not all(0 <= f < n_tot for f in flats):
+        raise ConfigError(f"J must pick {d} distinct flat indices in [0, {n_tot}), got {flats}")
     return tuple(sorted(flats))
 
 
@@ -488,12 +492,13 @@ def _suite_nu_norm(rc: RunConfig, ctx: RunContext) -> dict:
 
 
 def _rauch(ctx: RunContext, xs) -> dict:
-    """rauch_check at xs with the context's kernel, y0 and certified base."""
+    """rauch_check at xs with the context's kernel and certified base; the
+    base is built before the gradient, so it is the run's first period matrix."""
     rc = ctx.rc
     if rc.N != 2:
         raise ConfigError("the rauch suite needs N = 2")
     psi, base = ctx.canonical(), ctx.period_matrix()
-    return rauch_check(rc.surface, xs, h=rc.h, config=rc.series(), psi=psi, y0=ctx.y0, base=base)
+    return rauch_check(psi, xs, period_gradient(rc.surface, h=rc.h, config=rc.series()), base)
 
 
 def _suite_rauch(rc: RunConfig, ctx: RunContext) -> dict:
@@ -655,34 +660,34 @@ def cmd_eval(rc: RunConfig, args) -> int:
     p = rc.surface
     xs, ys = _parse_grid(args.grid)
     ctx = RunContext(rc)
+    # compute every row first, so a failed evaluation leaves no --out file
+    if args.what == "nu":
+        header = ["x_re", "x_im"]
+        header += [f"nu{a}_{c}" for a in range(1, p.genus + 1) for c in ("re", "im")]
+        vals = ctx.nu().values(xs)  # (g, nx)
+        rows = [
+            [x.real, x.imag, *(c for v in vals[:, i] for c in (v.real, v.imag))]
+            for i, x in enumerate(xs)
+        ]
+    else:
+        if args.what == "bers":
+            kernel = ctx.bers()
+        elif args.what == "gem":
+            kernel = ctx.canonical()
+        else:  # third-kind
+            kernel = ThirdKindEvaluator(p, config=rc.series())
+        header = ["x_re", "x_im", "y_re", "y_im", "value_re", "value_im"]
+        grid = kernel.value_grid(xs, ys)  # (ny, nx)
+        rows = [
+            [x.real, x.imag, y.real, y.imag, grid[j, i].real, grid[j, i].imag]
+            for j, y in enumerate(ys)
+            for i, x in enumerate(xs)
+        ]
     out = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(out)
     try:
-        if args.what == "nu":
-            nu = ctx.nu()
-            header = ["x_re", "x_im"]
-            for a in range(1, p.genus + 1):
-                header += [f"nu{a}_re", f"nu{a}_im"]
-            writer.writerow(header)
-            vals = nu.values(xs)
-            for i, x in enumerate(xs):
-                row = [x.real, x.imag]
-                for a in range(p.genus):
-                    row += [vals[a, i].real, vals[a, i].imag]
-                writer.writerow(row)
-        else:
-            if args.what == "bers":
-                kernel = ctx.bers()
-            elif args.what == "gem":
-                kernel = ctx.canonical()
-            else:  # third-kind
-                kernel = ThirdKindEvaluator(p, config=rc.series())
-            writer.writerow(["x_re", "x_im", "y_re", "y_im", "value_re", "value_im"])
-            grid = kernel.value_grid(xs, ys)  # (ny, nx)
-            for j, y in enumerate(ys):
-                for i, x in enumerate(xs):
-                    v = grid[j, i]
-                    writer.writerow([x.real, x.imag, y.real, y.imag, v.real, v.imag])
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
         if args.out:
             out.close()

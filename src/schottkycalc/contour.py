@@ -51,20 +51,17 @@ def fail_max(*values: float) -> float:
 
 @dataclass(frozen=True)
 class CircleContour:
-    """Counterclockwise circle |z - center| = radius*scale."""
+    """Counterclockwise circle |z - center| = radius."""
 
     center: complex
     radius: float
     n_nodes: int = 256
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.n_nodes < 4:
             raise ValueError("need at least 4 nodes")
-        if not 0.5 <= self.scale <= 2.0:
-            raise ValueError("scale adjustments should stay near 1")
 
 
 def contour_nodes(c: CircleContour, doubled: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +72,7 @@ def contour_nodes(c: CircleContour, doubled: bool = False) -> tuple[np.ndarray, 
     """
     n = 2 * c.n_nodes if doubled else c.n_nodes
     theta = 2.0 * np.pi * np.arange(n) / n
-    offs = c.radius * c.scale * np.exp(1j * theta)
+    offs = c.radius * np.exp(1j * theta)
     z = c.center + offs
     dz = 1j * offs * (2.0 * np.pi / n)
     return z, dz
@@ -176,5 +173,5 @@ def _avoid_points(c: CircleContour, avoid: Sequence[complex]) -> CircleContour:
     for scale in (1.0, 1.02, 0.98, 1.04, 0.96):
         r = c.radius * scale
         if all(abs(abs(p - c.center) - r) > 1e-3 for p in avoid):
-            return CircleContour(c.center, c.radius, c.n_nodes, scale)
+            return CircleContour(c.center, r, c.n_nodes)
     raise QuadratureError("could not move the contour away from the supplied poles")

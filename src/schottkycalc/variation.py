@@ -6,6 +6,14 @@ coboundary directions, beta-period matrices of the normalized handle
 differentials, and the finite-difference verification of the variational
 formula 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x).
 
+Every moduli derivative goes through one engine: `_central` is the one
+central difference, `_gradient` stacks it along every tangent direction
+(a, l) into an array of shape (g, 3, ...), and `_contract` sums that array
+against a (g, 3) coefficient table. `nabla_apply`, `sl2_apply` and
+`rauch_check` are each one contraction; `period_gradient` is the gradient
+of the period matrix, the one place an exact derivative would replace the
+finite differences.
+
 The delta-normalization of the handle differentials is checked with the
 handle-circle moments of `contour.handle_moments`; the jump coefficients
 come from `gem.SpanningTheta`, which owns the polynomial fit. Another kernel
@@ -16,18 +24,17 @@ Moebius-invariant functions of the surface feel no difference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .contour import TWO_PI_I, QuadratureError, fail_max, handle_moments, handle_nodes
 from .eichler import PolyForm, decompose_coboundary
-from .gem import SpanningTheta, canonical_gem
+from .gem import SpanningTheta
 from .moebius import apply as mob_apply
 from .poincare import NuFamily, SeriesConfig
 from .schottky import (
-    ClassicalHandle,
     HandleParams,
     SchottkyParams,
     disc_center,
@@ -107,11 +114,39 @@ def perturbed_params(p: SchottkyParams, a: int, l: int, step: complex) -> Schott
     return out
 
 
+def _central(f: Callable, moved: Callable, h: float):
+    """The one central difference: (f(moved(+h)) - f(moved(-h))) / 2h."""
+    return (f(moved(+h)) - f(moved(-h))) / (2.0 * h)
+
+
 def direction_diff(p: SchottkyParams, a: int, l: int, f: Callable, h: float):
     """Central difference of f along tangent direction (a, l), step h."""
-    plus = f(perturbed_params(p, a, l, +h))
-    minus = f(perturbed_params(p, a, l, -h))
-    return (plus - minus) / (2.0 * h)
+    return _central(f, lambda step: perturbed_params(p, a, l, step), h)
+
+
+def _gradient(p: SchottkyParams, f: Callable, h: float) -> np.ndarray:
+    """direction_diff of f along every (a, l), shape (g, 3, *f's shape)."""
+    return np.array(
+        [
+            [direction_diff(p, a, l, f, h) for l in range(DIRECTIONS_PER_HANDLE)]
+            for a in range(1, p.genus + 1)
+        ]
+    )
+
+
+def _contract(coeffs: np.ndarray, grad: np.ndarray):
+    """Sum over (a, l) of coeffs[a, l] times grad[a, l], shape
+    (*coeffs' trailing shape, *grad's trailing shape).
+
+    The terms are added one at a time in (a, l) order, so the result has the
+    same bits as the hand-written accumulation it replaces.
+    """
+    cs = np.reshape(coeffs, (-1, *np.shape(coeffs)[2:]))
+    ds = np.reshape(grad, (-1, *np.shape(grad)[2:]))
+    total = np.multiply.outer(cs[0], ds[0])
+    for c, d in zip(cs[1:], ds[1:]):
+        total = total + np.multiply.outer(c, d)
+    return total
 
 
 def word_image(p: SchottkyParams, word: Sequence[int], z: complex) -> complex:
@@ -141,14 +176,8 @@ def nabla_apply(psi, f: Callable, x: complex, h: float = 1e-5):
     central differences along each tangent direction, weighted by the
     kernel's coefficient table at x.
     """
-    p = psi.params
     tab = theta2_table(psi, np.array([x]))[:, :, 0]  # (g, 3)
-    total = None
-    for a in range(1, p.genus + 1):
-        for l in range(DIRECTIONS_PER_HANDLE):
-            term = tab[a - 1, l] * direction_diff(p, a, l, f, h)
-            total = term if total is None else total + term
-    return total
+    return _contract(tab, _gradient(psi.params, f, h))
 
 
 def sl2_apply(
@@ -168,37 +197,27 @@ def sl2_apply(
     if P.N != 2:
         raise ValueError("sl2 fields are attached to weight-2 polynomials")
     if form == "tangent":
-        coeffs = decompose_coboundary(p, P)  # (g, 3)
-        total = None
-        for a in range(1, p.genus + 1):
-            for l in range(DIRECTIONS_PER_HANDLE):
-                term = -coeffs[a - 1, l] * direction_diff(p, a, l, f, h)
-                total = term if total is None else total + term
-        return total
+        return _contract(-decompose_coboundary(p, P), _gradient(p, f, h))
     if form == "fixed_point":
         classical = [to_classical(hp) for hp in p.handles]
+        names = ("W_plus", "W_minus")
 
-        def rebuilt(idx: int, field: str, step: complex) -> SchottkyParams:
-            hs = list(p.handles)
+        def moved(idx: int, name: str, step: complex) -> SchottkyParams:
             c = classical[idx]
-            moved = ClassicalHandle(
-                W_plus=c.W_plus + (step if field == "W_plus" else 0),
-                W_minus=c.W_minus + (step if field == "W_minus" else 0),
-                q=c.q,
-            )
-            hs[idx] = from_classical(moved)
+            hs = list(p.handles)
+            hs[idx] = from_classical(replace(c, **{name: getattr(c, name) + step}))
             out = SchottkyParams(handles=tuple(hs))
             require_valid(out)
             return out
 
-        total = None
-        for idx, c in enumerate(classical):
-            for field in ("W_plus", "W_minus"):
-                W = getattr(c, field)
-                d = (f(rebuilt(idx, field, +h)) - f(rebuilt(idx, field, -h))) / (2.0 * h)
-                term = P(W) * d
-                total = term if total is None else total + term
-        return total
+        rates = np.array([[P(getattr(c, name)) for name in names] for c in classical])
+        grad = np.array(
+            [
+                [_central(f, lambda step: moved(idx, name, step), h) for name in names]
+                for idx in range(p.genus)
+            ]
+        )
+        return _contract(rates, grad)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -225,13 +244,10 @@ def nabla_punctured_apply(
 
     total = nabla_apply(psi, lambda q: f(q, ys), x, h=h)
     for k, y in enumerate(ys):
-        def moved(step: complex, k=k):
-            shifted = ys[:k] + (ys[k] + step,) + ys[k + 1 :]
-            return f(p, shifted)
+        def moved(step: complex, k=k) -> tuple:
+            return ys[:k] + (ys[k] + step,) + ys[k + 1 :]
 
-        d = (moved(+h) - moved(-h)) / (2.0 * h)
-        term = psi.value(x, y) * d
-        total = term if total is None else total + term
+        total = total + psi.value(x, y) * _central(lambda q: f(p, q), moved, h)
     return total
 
 
@@ -357,6 +373,7 @@ class PeriodMatrix:
     symmetry_error: float
     normalization_error: float
     paths: tuple[tuple[complex, ...], ...]
+    nu: NuFamily  # the family whose periods omega holds
 
     @property
     def genus(self) -> int:
@@ -451,6 +468,7 @@ def period_matrix(
         symmetry_error=sym_err,
         normalization_error=norm_err,
         paths=tuple(paths),
+        nu=nu,
     )
 
 
@@ -462,82 +480,51 @@ def period_gradient(
     p: SchottkyParams,
     h: float = 1e-5,
     config: SeriesConfig = SeriesConfig(),
-) -> dict:
+) -> np.ndarray:
     """Central-difference derivative of the period matrix per coordinate.
 
-    Returns {(a, l): dOmega/d(a,l)} over every handle a and its three
-    real-coordinate directions. Expensive (two period matrices per entry);
-    compute once and feed to rauch_check when comparing kernels or steps.
+    Returns dOmega/d(a,l) stacked at [a - 1, l], shape (g, 3, g, g), over
+    every handle a and its three real-coordinate directions. Expensive (two
+    period matrices per entry); compute once and feed to rauch_check when
+    comparing kernels.
     """
 
     def omega_of(q: SchottkyParams) -> np.ndarray:
         return period_matrix(q, config=config, certify=False).omega
 
-    return {
-        (a, l): direction_diff(p, a, l, omega_of, h)
-        for a in range(1, p.genus + 1)
-        for l in range(DIRECTIONS_PER_HANDLE)
-    }
+    return _gradient(p, omega_of, h)
 
 
-def rauch_check(
-    p: SchottkyParams,
-    xs,
-    h: float = 1e-5,
-    config: SeriesConfig = SeriesConfig(),
-    psi=None,
-    y0: complex = 0j,
-    gradient: dict | None = None,
-    base: PeriodMatrix | None = None,
-) -> dict:
-    """Finite-difference check of 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x).
+def rauch_check(psi, xs, gradient: np.ndarray, base: PeriodMatrix) -> dict:
+    """Check 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x) at the samples xs.
 
-    psi defaults to the canonical weight-2 kernel for p. y0 anchors the
-    1-form family and must stay off the orbits of the sample points.
-    gradient, if given, must come from period_gradient(p, h, ...) and skips
-    recomputing the finite differences. base, if given, must be a certified
-    period_matrix(p, config, y0=y0, ...) and skips rebuilding it; without it
-    the base is certified at period_matrix's default tolerances. Returns a
+    The identity is checked on the surface psi.params, for the weight-2
+    kernel psi, with `gradient` from period_gradient (its step sets the
+    finite-difference error) and the certified period matrix `base`, whose
+    nu family gives the right-hand side; that family's base point must stay
+    off the orbits of the samples. Raises ValueError when base belongs to
+    another surface or gradient's shape does not fit its genus. Returns a
     report with each sample's error max|lhs - rhs| / max|rhs| over the
     (a, b) entries ("per_sample"; judged against the largest entry, it stays
-    finite where some nu_a(x) vanishes) and their max ("max_rel_error"), the
-    contracted per-sample fields ("lhs", "rhs" with shape (nx, g, g)), and
-    the base's "symmetry_error" and "normalization_error".
+    finite where some nu_a(x) vanishes) and their max ("max_rel_error"),
+    both sides with shape (nx, g, g) ("lhs", "rhs"), and the base's
+    "symmetry_error" and "normalization_error".
     """
+    p = psi.params
+    if base.nu.params != p:
+        raise ValueError("the base period matrix belongs to another surface")
+    if np.shape(gradient) != (p.genus, DIRECTIONS_PER_HANDLE, p.genus, p.genus):
+        raise ValueError(f"gradient of shape {np.shape(gradient)} does not fit genus {p.genus}")
     xs = np.asarray(xs, dtype=np.complex128)
-    if psi is None:
-        psi = canonical_gem(p, 2, config=config)
-    nu = NuFamily(p, config=config, y0=y0)
-    if base is None:
-        base = period_matrix(p, config=config, y0=y0, nu=nu)
-    nu_vals = nu.values(xs)  # (g, nx)
-    tab = theta2_table(psi, xs)  # (g, 3, nx)
-
-    diffs = gradient if gradient is not None else period_gradient(p, h=h, config=config)
-
-    g = p.genus
-    per_sample = []
-    lhs_all = np.empty((len(xs), g, g), dtype=np.complex128)
-    rhs_all = np.empty_like(lhs_all)
-    worst = 0.0
-    for i in range(len(xs)):
-        grad = np.zeros((g, g), dtype=np.complex128)
-        for (a, l), dm in diffs.items():
-            grad += tab[a - 1, l, i] * dm
-        lhs = TWO_PI_I * grad
-        rhs = np.outer(nu_vals[:, i], nu_vals[:, i])
-        lhs_all[i] = lhs
-        rhs_all[i] = rhs
-        rel = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
-        per_sample.append(rel)
-        worst = fail_max(worst, rel)
+    nu_vals = base.nu.values(xs).T  # (nx, g)
+    lhs = TWO_PI_I * _contract(theta2_table(psi, xs), gradient)  # (nx, g, g)
+    rhs = nu_vals[:, :, None] * nu_vals[:, None, :]
+    per_sample = np.max(np.abs(lhs - rhs), axis=(1, 2)) / np.max(np.abs(rhs), axis=(1, 2))
     return {
-        "h": h,
-        "max_len": config.max_len,
-        "max_rel_error": worst,
-        "per_sample": per_sample,
-        "lhs": lhs_all,
-        "rhs": rhs_all,
+        "max_rel_error": fail_max(0.0, *per_sample),
+        "per_sample": [float(r) for r in per_sample],
+        "lhs": lhs,
+        "rhs": rhs,
         "symmetry_error": base.symmetry_error,
         "normalization_error": base.normalization_error,
     }

@@ -379,9 +379,7 @@ def test_09_rauch_variational_identity(can10):
 
     grad = va.period_gradient(STAR, h=1e-5, config=FAST10)
     base = va.period_matrix(STAR, config=FAST10, y0=y0)  # certified once, shared below
-    rep = va.rauch_check(
-        STAR, xs, h=1e-5, config=FAST10, psi=can10, y0=y0, gradient=grad, base=base
-    )
+    rep = va.rauch_check(can10, xs, grad, base)
     _check(failures, "identity at h=1e-5 over 3 samples", rep["max_rel_error"], 1e-4)
 
     # psi - phi_0(x) P(y) with phi_0 the first dual differential: the
@@ -393,9 +391,7 @@ def test_09_rauch_variational_identity(can10):
     )
     scale = float(np.min(np.abs(rep["rhs"])))
     for label, kernel in (("shifted kernel", shifted), ("uncorrected kernel", can10.base)):
-        other = va.rauch_check(
-            STAR, xs, h=1e-5, config=FAST10, psi=kernel, y0=y0, gradient=grad, base=base
-        )
+        other = va.rauch_check(kernel, xs, grad, base)
         _check(
             failures,
             f"kernel-choice invariance ({label})",
@@ -406,9 +402,7 @@ def test_09_rauch_variational_identity(can10):
     errs = {}
     for h in (4e-2, 2e-2):
         g_h = va.period_gradient(STAR, h=h, config=FAST10)
-        errs[h] = va.rauch_check(
-            STAR, xs[:1], h=h, config=FAST10, psi=can10, y0=y0, gradient=g_h, base=base
-        )["max_rel_error"]
+        errs[h] = va.rauch_check(can10, xs[:1], g_h, base)["max_rel_error"]
     ratio = errs[4e-2] / errs[2e-2]
     if not (3.4 < ratio < 4.6):
         failures.append(

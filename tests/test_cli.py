@@ -107,6 +107,8 @@ WRONG_TYPES = [{"max_len": "ten"}, {"nodes": [1]}, {"tolerances": [1]}, {"h": "s
         {"tolerances": {"rauch": -1.0}},
         {"tolerances": {"no_such": 1.0}},
         {"J": [[1, 9]]},
+        {"J": [0, 1, 99]},  # flat indices are range-checked too
+        {"J": [0, 0, 1]},
         {"L": 6},  # neither a former alias nor a typo is dropped silently
         {"punctures": [[0.4, -0.6]]},
         *WRONG_TYPES,
@@ -121,6 +123,11 @@ def test_load_config_rejects_bad_values(tmp_path, bad):
 @pytest.mark.parametrize("bad", WRONG_TYPES)
 def test_wrongly_typed_value_is_a_config_error(tmp_path, capsys, bad):
     assert main(["validate", "--config", write_config(tmp_path, **bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_out_of_range_J_is_a_config_error(tmp_path, capsys):
+    assert main(["basis", "--config", write_config(tmp_path, J=[0, 1, 99])]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -308,6 +315,18 @@ def test_eval_csv_grid(tmp_path, capsys):
     xs = sorted({float(r["x_re"]) for r in rows})
     assert xs == [0.0, 0.5, 1.0]
     assert all(np.isfinite(float(r["value_re"])) for r in rows)
+
+
+def test_failed_eval_writes_no_file(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise _KernelBuilt
+
+    monkeypatch.setattr(cli, "canonical_gem", broken)
+    out_path = tmp_path / "e.csv"
+    argv = ["eval", "--config", write_config(tmp_path), "--what", "gem"]
+    assert main(argv + ["--grid", "0.4j,1+0.4j,3,0.3-0.9j,0.5-0.9j,2", "--out", str(out_path)]) == 1
+    assert "_KernelBuilt" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_eval_rejects_bad_grid(tmp_path):

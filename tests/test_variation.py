@@ -263,19 +263,65 @@ def test_period_matrix_transport_invariant(base_pm):
 # period-matrix variation
 
 
-def test_rauch_identity(canonical):
+@pytest.fixture(scope="module")
+def grad():
+    return va.period_gradient(STAR, h=1e-5, config=CFG)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_period_gradient_stacks_every_direction():
+    cfg = SeriesConfig(max_len=3)
+
+    def omega_of(q):
+        return va.period_matrix(q, config=cfg, certify=False).omega
+
+    grad = va.period_gradient(STAR, h=1e-5, config=cfg)
+    assert grad.shape == (2, 3, 2, 2)
+    for a in (1, 2):
+        for l in range(3):
+            assert np.array_equal(grad[a - 1, l], va.direction_diff(STAR, a, l, omega_of, 1e-5))
+
+
+def test_rauch_identity(canonical, grad, base_pm):
     xs = [0.5 + 0.3j, -0.2 - 0.8j, 1.1 + 0.1j]
-    rep = va.rauch_check(STAR, xs, h=1e-5, config=CFG, psi=canonical)
+    rep = va.rauch_check(canonical, xs, grad, base_pm)
     assert rep["max_rel_error"] < 1e-5
     assert rep["symmetry_error"] < 1e-7
     assert rep["normalization_error"] < 1e-8
     assert len(rep["per_sample"]) == len(xs)
 
 
+def test_rauch_check_reads_nu_from_its_base(canonical, grad, base_pm, monkeypatch):
+    built = []
+    original = va.NuFamily
+
+    def counting(*args, **kwargs):
+        out = original(*args, **kwargs)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(va, "NuFamily", counting)
+    x = 0.5 + 0.3j
+    rep = va.rauch_check(canonical, [x], grad, base_pm)
+    assert built == []
+    nu = base_pm.nu.values(np.array([x]))[:, 0]
+    assert np.array_equal(rep["rhs"][0], np.outer(nu, nu))
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_rauch_check_rejects_a_base_from_another_surface(canonical, grad, base_pm):
+    other = SchottkyParams(handles=(HandleParams(-6.0, -2.0, 0.08), STAR.handles[1]))
+    pm = va.period_matrix(other, config=SeriesConfig(max_len=3), certify=False)
+    with pytest.raises(ValueError, match="another surface"):
+        va.rauch_check(canonical, [0.5 + 0.3j], grad, pm)
+    with pytest.raises(ValueError, match="does not fit genus 2"):
+        va.rauch_check(canonical, [0.5 + 0.3j], grad[:1], base_pm)
+
+
 def test_rauch_residual_decays_quadratically(canonical, base_pm):
     xs = [0.5 + 0.3j]
-    e_coarse = va.rauch_check(STAR, xs, h=4e-2, config=CFG, psi=canonical, base=base_pm)
-    e_fine = va.rauch_check(STAR, xs, h=2e-2, config=CFG, psi=canonical, base=base_pm)
+    e_coarse = va.rauch_check(canonical, xs, va.period_gradient(STAR, h=4e-2, config=CFG), base_pm)
+    e_fine = va.rauch_check(canonical, xs, va.period_gradient(STAR, h=2e-2, config=CFG), base_pm)
     ratio = e_coarse["max_rel_error"] / e_fine["max_rel_error"]
     assert 3.4 < ratio < 4.6
 
@@ -292,7 +338,8 @@ def test_rauch_error_is_finite_at_a_zero_of_nu(canonical):
         x -= v[1] / ((v[2] - v[0]) / (2 * d))
     vals = nu.values(np.array([x]))[:, 0]
     assert abs(vals[0]) < 1e-10 < abs(vals[1])
-    rep = va.rauch_check(STAR, [x], config=cfg, psi=canonical, y0=y0)
+    base = va.period_matrix(STAR, config=cfg, y0=y0, nu=nu)
+    rep = va.rauch_check(canonical, [x], va.period_gradient(STAR, config=cfg), base)
     assert rep["max_rel_error"] < 1e-4
 
 
