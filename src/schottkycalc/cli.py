@@ -8,15 +8,17 @@ Config files are JSON. Either a bare surface
 or a full run configuration
 
     {"surface": {...}, "N": 2, "max_len": 10, "shell_tol": 1e-8,
-     "stop_tol": null, "nodes": 256, "h": 1e-5,
+     "stop_tol": null, "nodes": 256,
      "tolerances": {"rauch": 1e-4, "symmetry": 1e-7},
      "J": [[1, 0], [1, 1], [2, 0]]}
 
 Complex values are written as a number, an [re, im] pair or a string like
 "1+2j"; a missing or null key keeps its default, an unknown key is an
-error. One base point y0 anchors the nu family, and period-matrix, rauch and
-report certify one period matrix at the config's "normalization" and
-"symmetry" tolerances. Reports are JSON with sorted keys; every residual is
+error. No command reads "h" any more (the rauch check takes the exact
+period gradient); it stays a valid key so existing configs still load. One
+base point y0 anchors the nu family, and period-matrix, rauch and report
+certify one period matrix at the config's "normalization" and "symmetry"
+tolerances. Reports are JSON with sorted keys; every residual is
 paired with the tolerance it was judged against, and wall_time fields are
 the only run-to-run variation.
 Exit codes: 0 all requested work passed, 1 a suite or computation failed,
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -72,8 +75,8 @@ from .schottky import (
 from .variation import (
     PathBlockedError,
     PeriodMatrix,
+    exact_period_gradient,
     nu_normalization_error,
-    period_gradient,
     period_matrix,
     rauch_check,
 )
@@ -110,7 +113,7 @@ class RunConfig:
     nodes: int = 256
     workers: int = 1
     seed: int = 0
-    h: float = 1e-5
+    h: float = 1e-5  # read by no command; kept so configs that set it load
     tolerances: Mapping[str, float] = field(default_factory=dict)
     J: tuple[int, ...] | None = None
 
@@ -492,17 +495,16 @@ def _suite_nu_norm(rc: RunConfig, ctx: RunContext) -> dict:
 
 
 def _rauch(ctx: RunContext, xs) -> dict:
-    """rauch_check at xs with the context's kernel and certified base; the
-    base is built before the gradient, so it is the run's first period matrix."""
-    rc = ctx.rc
-    if rc.N != 2:
+    """rauch_check at xs with the context's kernel, its certified base and
+    that base's exact gradient, so the run builds no other period matrix."""
+    if ctx.rc.N != 2:
         raise ConfigError("the rauch suite needs N = 2")
     psi, base = ctx.canonical(), ctx.period_matrix()
-    return rauch_check(psi, xs, period_gradient(rc.surface, h=rc.h, config=rc.series()), base)
+    return rauch_check(psi, xs, exact_period_gradient(base), base)
 
 
 def _suite_rauch(rc: RunConfig, ctx: RunContext) -> dict:
-    """Finite-difference period variation against the product of 1-forms."""
+    """Exact period variation against the product of 1-forms."""
     rep = _rauch(ctx, default_probe_points(rc.surface, 4)[1:])
     return {
         "rauch": rep["max_rel_error"],
@@ -751,7 +753,6 @@ def cmd_rauch(rc: RunConfig, args) -> int:
         "rauch_max_rel_error": rep["max_rel_error"],
         "per_sample": rep["per_sample"],
         "samples": xs,
-        "h": rc.h,
         "max_len": rc.max_len,
     }
     emit(payload, args.json)
@@ -812,10 +813,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("period-matrix", help="certified beta-period matrix"))
 
-    sp = sub.add_parser("rauch", help="finite-difference period variation check")
+    sp = sub.add_parser("rauch", help="exact period variation check")
     common(sp)
     sp.add_argument(
-        "--x", action="append", type=_c_from_json, default=None, help="sample point (repeatable)"
+        "--x",
+        action="append",
+        type=_c_from_json,
+        default=None,
+        help="sample point such as 0.5+0.3j or -0.2-0.8j (repeatable)",
     )
 
     sp = sub.add_parser("report", help="aggregate machine-readable report")
@@ -841,8 +846,26 @@ _COMMANDS = {
 _FAILURES = (ValueError, ArithmeticError, PathBlockedError, ReductionError, OSError)
 
 
+# options whose value may be a complex literal that starts with "-"
+_COMPLEX_VALUED = ("--x", "--grid")
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Write "--x -0.2-0.8j" as "--x=-0.2-0.8j" (likewise --grid): argparse
+    takes a value that starts with "-" and is not a plain real number for an
+    option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _COMPLEX_VALUED and re.match(r"-\.?\d", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         rc = load_config(
             args.config, max_len=args.max_len, workers=args.workers, seed=args.seed

@@ -12,16 +12,22 @@ split into column tiles of about _TILE_ELEMENTS words x points, so a kernel's
 work arrays stay cache-sized; a tile's column sums are that chunk's sums, so
 tiling never changes a bit, except that numpy sums a 1-column block in a
 different order, which is why a trailing 1-column tile is folded into its
-neighbour. The work arrays live in per-thread scratch owned by one evaluator
+neighbour. (The nu-derivative term sums its words by matrix products, whose
+bits may depend on the tile width; the tiles, like the chunks, depend only
+on the point count.) The work arrays live in per-thread scratch owned by one evaluator
 call, so no numpy op allocates one.
 
-One engine sums three terms:
+One engine sums four terms:
   * the weight-N two-point series with 2N-1 limit-point correction factors,
   * third-kind differentials (pole pair y, 0),
-  * the normalized differentials nu_a attached to the handles.
+  * the normalized differentials nu_a attached to the handles,
+  * the moduli derivatives of the nu_a, from each word's exact matrix
+    tangent (schottky.shell_tangents), which _sum_shells hands to the term
+    word by word.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +45,9 @@ from .schottky import (
     disc_center,
     disc_radius,
     generator,
+    image_tangent,
     in_domain,
+    shell_tangents,
 )
 
 __all__ = [
@@ -126,16 +134,20 @@ def _sum_shells(
     t: int,
     workers: int,
     stop_tol: float | None = None,
+    columns=None,
 ):
     """Accumulate chunk_fn over word shells in a fixed order.
 
     chunk_fn(a, b, c, d, x) -> (t, len(x)) partial sums for those words at
-    the points x. Each shell is cut into word chunks of _chunk_size(m) rows;
-    the chunk boundaries fix the order of the row sums, and so the bits. Each
-    chunk's points are cut into column tiles (_column_tiles), and every
-    (chunk, tile) pair is one task: a tile's sums are exactly that chunk's
-    sums at those columns, so the tile size changes speed and memory, never
-    values. Tasks are submitted and collected in a fixed order and each
+    the points x. columns, when given, yields one array per shell whose last
+    axis runs over that shell's words, and chunk_fn then gets its words'
+    slice of it as a sixth argument. Each shell is cut into word chunks of
+    _chunk_size(m) rows; the chunk boundaries fix the order of the row sums,
+    and so the bits. Each chunk's points are cut into column tiles
+    (_column_tiles), and every (chunk, tile) pair is one task: a tile's sums
+    are exactly that chunk's sums at those columns, so the tile size changes
+    speed and memory, never values (the nu-derivative term aside, see the
+    module docstring). Tasks are submitted and collected in a fixed order and each
     column adds its chunk partials in chunk order, then shells combine
     sequentially (Kahan); threads only compute partials, never reduce, so any
     worker count gives identical bits. With stop_tol set, the loop exits once
@@ -150,7 +162,7 @@ def _sum_shells(
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for length in range(shells.max_len + 1):
+        for length, cols in zip(range(shells.max_len + 1), columns or itertools.repeat(None)):
             a, b = shells.a[length], shells.b[length]
             c, d = shells.c[length], shells.d[length]
             n = len(a)
@@ -159,7 +171,11 @@ def _sum_shells(
                 for i in range(0, n, chunk)
                 for lo, hi in _column_tiles(min(chunk, n - i), m)
             ]
-            args = [(a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi]) for i, j, lo, hi in tasks]
+            args = [
+                (a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi])
+                + (() if cols is None else (cols[..., i:j],))
+                for i, j, lo, hi in tasks
+            ]
             if pool is None:
                 parts = (chunk_fn(*arg) for arg in args)
             else:
@@ -298,12 +314,18 @@ class _ShellSeries:
         self.shells = build_shells(p, config.max_len, cap=config.cap)
         self._last_shell_mags: list[float] = []
 
-    def _sum(self, xs: np.ndarray, chunk_fn, t: int, label: str) -> np.ndarray:
-        """Sum chunk_fn over the shells, keep the shell magnitudes, and warn
-        (at the caller of the public method) if the last shell is above
-        shell_tol."""
+    def _sum(self, xs: np.ndarray, chunk_fn, t: int, label: str, columns=None) -> np.ndarray:
+        """Sum chunk_fn over the shells (with per-word columns, as
+        _sum_shells), keep the shell magnitudes, and warn (at the caller of
+        the public method) if the last shell is above shell_tol."""
         totals, mags = _sum_shells(
-            self.shells, xs, chunk_fn, t, self.config.workers, stop_tol=self.config.stop_tol
+            self.shells,
+            xs,
+            chunk_fn,
+            t,
+            self.config.workers,
+            stop_tol=self.config.stop_tol,
+            columns=columns,
         )
         self._last_shell_mags = mags
         tol = self.config.shell_tol
@@ -465,6 +487,76 @@ class NuFamily(_ShellSeries):
         xs = np.asarray(xs, dtype=np.complex128)
         pole_pairs = [(self.y0, complex(t)) for t in self.images]
         return self._sum(xs, _pole_pair_chunk_fn(pole_pairs), len(pole_pairs), "nu series")
+
+    def moduli_derivatives(self, xs) -> np.ndarray:
+        """Every nu_a differentiated along every moduli direction, with the
+        base point y0 held fixed: shape (g, 3g, len(xs)), row a - 1, column
+        as schottky.generator_tangent's; one orbit pass."""
+        xs = np.asarray(xs, dtype=np.complex128)
+        p = self.params
+        image_moves = [image_tangent(p, a, self.y0) for a in range(1, p.genus + 1)]
+        chunk_fn = _nu_tangent_chunk_fn(self.y0, self.images, image_moves)
+        columns = shell_tangents(p, self.shells)
+        rows = self._sum(xs, chunk_fn, p.genus * len(image_moves[0]), "nu derivative series", columns)
+        return rows.reshape(p.genus, -1, len(xs))
+
+
+def _nu_tangent_chunk_fn(y0: complex, images: Sequence[complex], image_moves):
+    """Chunk worker for NuFamily.moduli_derivatives, fed each word's tangent
+    dm = (da, db, dc, dd), shape (4, 3g, words).
+
+    A word's nu_a term is g'(x) (r0 - r_a), with den = cx + d, g'(x) =
+    den^-2, r0 = 1/(gx - y0) and r_a = 1/(gx - g_a y0). With
+    G = g'(x) (r_a^2 - r0^2) / den and H = -2 g'(x) (r0 - r_a) / den its
+    derivative is G (da x + db) + (H - G gx)(dc x + dd) - g'(x) r_a^2 d(g_a y0),
+    so each a's sum over the words is two (3g x 2 words) @ (2 words x points)
+    matrix products with G stacked on F = H - G gx. A matrix product's bits
+    may depend on the width of its tile, which depends only on the point
+    count, never on the worker count. The pole guard is the nu series' own.
+    """
+    ws = _Workspace()
+
+    def chunk_fn(a, b, c, d, x, dm):
+        den, gx = _moebius_block(ws, a, b, c, d, x)
+        shape = den.shape
+        dg = np.multiply(den, den, out=ws.take("dg", shape))
+        np.reciprocal(dg, out=dg)
+        cube = np.divide(dg, den, out=ws.take("cube", shape))  # den^-3
+        r0 = ws.take("r0", shape)
+        ra = ws.take("q", shape)
+        absq = ws.take("absq", shape, np.float64)
+        np.subtract(gx, y0, out=r0)
+        if np.abs(r0, out=absq).min() < 1e-12:
+            raise PoleProximityError(f"base point {y0!r} within 1e-12 of the orbit of an x point")
+        np.reciprocal(r0, out=r0)
+        tmp = ws.take("qv", shape)
+        GF = ws.take("GF", (2 * shape[0], shape[1]))
+        G, F = GF[: shape[0]], GF[shape[0] :]
+        d_ac = np.concatenate((dm[0], dm[2]), axis=1)  # pairs with (G; F)
+        d_bd = np.concatenate((dm[1], dm[3]), axis=1)
+        out = np.empty((len(images), dm.shape[1], len(x)), dtype=np.complex128)
+        for i, (u, du) in enumerate(zip(images, image_moves)):
+            np.subtract(gx, u, out=ra)
+            if np.abs(ra, out=absq).min() < 1e-12:
+                raise PoleProximityError(f"pole {u!r} within 1e-12 of the orbit of an x point")
+            np.reciprocal(ra, out=ra)
+            # G = den^-3 (r_a^2 - r0^2) = den^-3 (r_a - r0)(r_a + r0)
+            np.subtract(ra, r0, out=F)
+            np.add(ra, r0, out=G)
+            G *= F
+            G *= cube
+            # F = H - G gx = 2 den^-3 (r_a - r0) - G gx
+            F *= cube
+            F *= 2.0
+            F -= np.multiply(G, gx, out=tmp)
+            np.multiply(ra, ra, out=tmp)
+            tmp *= dg
+            moved = np.sum(tmp, axis=0)  # sum of g'(x) r_a^2
+            out[i] = x * (d_ac @ GF) + d_bd @ GF
+            out[i] -= np.multiply.outer(du, moved)
+        return out.reshape(-1, len(x))
+
+    return chunk_fn
 
 
 # ---------------------------------------------------------------------------

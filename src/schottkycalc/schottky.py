@@ -11,12 +11,18 @@ reports every violated disc-separation constraint, `build_shells` enumerates
 reduced words in length-lex order as vectorized matrix shells, and
 `reduce_to_fundamental` moves an arbitrary point into the fundamental domain
 while recording the group element that undoes the moves.
+
+Moduli tangents are exact: `generator_tangent` differentiates each
+normalized generator matrix along the DIRECTIONS_PER_HANDLE directions of
+every handle, `image_tangent` moves a point's generator image, and
+`shell_tangents` carries the tangents through the word shells by the
+product rule.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +33,7 @@ __all__ = [
     "BoundaryAmbiguityError",
     "CapacityError",
     "ClassicalHandle",
+    "DIRECTIONS_PER_HANDLE",
     "HandleParams",
     "InvalidSurfaceError",
     "ReductionError",
@@ -38,12 +45,15 @@ __all__ = [
     "expected_word_count",
     "from_classical",
     "generator",
+    "generator_tangent",
+    "image_tangent",
     "in_domain",
     "invert_word",
     "letter_order",
     "reduce_to_fundamental",
     "reduce_word",
     "require_valid",
+    "shell_tangents",
     "surface_from_dict",
     "surface_to_dict",
     "to_classical",
@@ -323,6 +333,88 @@ def build_shells(p: SchottkyParams, max_len: int, cap: int = 2_000_000) -> WordS
         shells.last_letter.append(np.broadcast_to(letter_row, (n, k))[mask])
         shells.parent.append(np.broadcast_to(np.arange(n)[:, None], (n, k))[mask])
     return shells
+
+
+# ---------------------------------------------------------------------------
+# moduli tangents
+
+# per handle, in this order: d/dw_plus, rho * d/drho, rho * d/dw_minus
+DIRECTIONS_PER_HANDLE = 3
+
+
+def generator_tangent(p: SchottkyParams, letter: int) -> np.ndarray:
+    """Derivative of a letter's normalized generator matrix, shape (4, 3g).
+
+    Row i is matrix entry (a, b, c, d)[i]; column 3 * (h - 1) + l is
+    direction l of handle h, so only handle |letter|'s three columns are
+    nonzero. The forward matrix is s * (w_minus, rho - w_plus w_minus;
+    1, -w_plus) with s = (-rho)^(-1/2), so rho d/drho of it is minus half of
+    it plus s rho in the b entry. An inverse letter's matrix is the adjugate
+    of the forward one, and so is its tangent.
+    """
+    a = abs(letter)
+    h = p.handles[a - 1]
+    m = h.map()
+    s, wp, wm, rho = m.c, h.w_plus, h.w_minus, h.rho
+    columns = [
+        (0.0, -s * wm, 0.0, -s),  # d/dw_plus
+        (-m.a / 2, -m.b / 2 + s * rho, -m.c / 2, -m.d / 2),  # rho d/drho
+        (s * rho, -s * rho * wp, 0.0, 0.0),  # rho d/dw_minus
+    ]
+    out = np.zeros((4, DIRECTIONS_PER_HANDLE * p.genus), dtype=np.complex128)
+    out[:, DIRECTIONS_PER_HANDLE * (a - 1) : DIRECTIONS_PER_HANDLE * a] = np.array(columns).T
+    if letter < 0:
+        out = np.stack([out[3], -out[1], -out[2], out[0]])
+    return out
+
+
+def image_tangent(p: SchottkyParams, letter: int, z: complex) -> np.ndarray:
+    """Derivative of generator(p, letter)(z) with z held fixed, shape (3g,),
+    in generator_tangent's columns."""
+    m = generator(p, letter)
+    da, db, dc, dd = generator_tangent(p, letter)
+    den = m.c * z + m.d
+    return ((da * z + db) - (m.a * z + m.b) / den * (dc * z + dd)) / den
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Entries of the 2x2 products x y, each a stack of (a, b, c, d)."""
+    return np.stack(
+        [
+            x[0] * y[0] + x[1] * y[2],
+            x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2],
+            x[2] * y[1] + x[3] * y[3],
+        ]
+    )
+
+
+def shell_tangents(p: SchottkyParams, shells: WordShells) -> Iterator[np.ndarray]:
+    """The word matrices' tangents, one shell at a time.
+
+    Yields, for each length L of shells (built from p), an array of shape
+    (4, 3g, shell_size(L)): entry i of every length-L word, differentiated
+    in generator_tangent's columns. A word is its parent times the generator
+    of its last letter, so d(word) = d(parent) gen + parent d(gen); only the
+    previous shell's tangents are kept.
+    """
+    g = p.genus
+    # lookup tables indexed by letter + g
+    gens = np.zeros((4, 2 * g + 1), dtype=np.complex128)
+    dgens = np.zeros((4, DIRECTIONS_PER_HANDLE * g, 2 * g + 1), dtype=np.complex128)
+    for letter in p.letters:
+        m = generator(p, letter)
+        gens[:, letter + g] = (m.a, m.b, m.c, m.d)
+        dgens[:, :, letter + g] = generator_tangent(p, letter)
+    prev = np.zeros((4, DIRECTIONS_PER_HANDLE * g, 1), dtype=np.complex128)
+    yield prev
+    for length in range(1, shells.max_len + 1):
+        parent, slot = shells.parent[length], shells.last_letter[length] + g
+        parents = np.stack([e[length - 1][parent] for e in (shells.a, shells.b, shells.c, shells.d)])
+        prev = _product(prev[:, :, parent], gens[:, None, slot]) + _product(
+            parents[:, None, :], dgens[:, :, slot]
+        )
+        yield prev
 
 
 def reduce_to_fundamental(

@@ -3,16 +3,18 @@
 Tangent directions on the space of handle parameters, the variation vector
 field built from a two-point kernel's jump coefficients, sl2 actions along
 coboundary directions, beta-period matrices of the normalized handle
-differentials, and the finite-difference verification of the variational
-formula 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x).
+differentials, their exact moduli gradient, and the verification of the
+variational formula 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x).
 
-Every moduli derivative goes through one engine: `_central` is the one
-central difference, `_gradient` stacks it along every tangent direction
-(a, l) into an array of shape (g, 3, ...), and `_contract` sums that array
-against a (g, 3) coefficient table. `nabla_apply`, `sl2_apply` and
-`rauch_check` are each one contraction; `period_gradient` is the gradient
-of the period matrix, the one place an exact derivative would replace the
-finite differences.
+Every finite-difference moduli derivative goes through one engine:
+`_central` is the one central difference, `_gradient` stacks it along every
+tangent direction (a, l) into an array of shape (g, 3, ...), and `_contract`
+sums that array against a (g, 3) coefficient table. `nabla_apply`,
+`sl2_apply` and `rauch_check` are each one contraction. The gradient of the
+period matrix has two sources with the same shape: `exact_period_gradient`
+differentiates the series in forward mode on a certified matrix's own paths
+and nu family, and `period_gradient` takes central differences of whole
+period matrices, kept as the independent cross-check.
 
 The delta-normalization of the handle differentials is checked with the
 handle-circle moments of `contour.handle_moments`; the jump coefficients
@@ -24,6 +26,7 @@ Moebius-invariant functions of the surface feel no difference.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -35,12 +38,14 @@ from .gem import SpanningTheta
 from .moebius import apply as mob_apply
 from .poincare import NuFamily, SeriesConfig
 from .schottky import (
+    DIRECTIONS_PER_HANDLE,
     HandleParams,
     SchottkyParams,
     disc_center,
     disc_radius,
     from_classical,
     generator,
+    image_tangent,
     in_domain,
     require_valid,
     to_classical,
@@ -55,6 +60,7 @@ __all__ = [
     "PeriodSymmetryError",
     "beta_path",
     "direction_diff",
+    "exact_period_gradient",
     "nabla_apply",
     "nabla_punctured_apply",
     "nu_normalization_error",
@@ -66,9 +72,6 @@ __all__ = [
     "theta2_table",
     "word_image",
 ]
-
-# per handle: d/dw_plus, rho * d/drho, rho * d/dw_minus
-DIRECTIONS_PER_HANDLE = 3
 
 # Gauss-Legendre nodes per beta-path leg (doubled for the gate)
 _N_LEG = 64
@@ -97,7 +100,8 @@ def perturbed_params(p: SchottkyParams, a: int, l: int, step: complex) -> Schott
 
     l = 0 moves w_plus by step; l = 1 scales rho by (1 + step); l = 2 moves
     w_minus by step * rho. Dividing differences by 2h then realizes the
-    rho-weighted basis fields exactly.
+    rho-weighted basis fields exactly; they are the directions of
+    schottky.generator_tangent.
     """
     hs = list(p.handles)
     h = hs[a - 1]
@@ -305,6 +309,13 @@ def _arc_clear(p: SchottkyParams, center: complex, radius: float, skip: int) -> 
     return True
 
 
+def _anchor(p: SchottkyParams, b: int) -> complex:
+    """Start of the handle-b period path: the point of C_b facing C_{-b}."""
+    w = disc_center(p, b)
+    wm = disc_center(p, -b)
+    return w + disc_radius(p, b) * (wm - w) / abs(wm - w)
+
+
 _ARC_SCALES = (1.6, 1.4, 1.9, 2.2)
 _WAYPOINT_SCALES = (0.35, -0.35, 0.6, -0.6)
 
@@ -322,11 +333,9 @@ def beta_path(p: SchottkyParams, b: int) -> tuple[tuple, ...]:
     (shorter way, clockwise on a tie), which also fixes the homotopy class
     and hence the integer lattice of the resulting periods.
     """
-    w = disc_center(p, b)
-    r = disc_radius(p, b)
     wm = disc_center(p, -b)
     rm = disc_radius(p, -b)
-    z0 = w + r * (wm - w) / abs(wm - w)
+    z0 = _anchor(p, b)
     z1 = mob_apply(generator(p, b), z0)
     if not isinstance(z1, complex):
         raise PathBlockedError(f"anchor of handle {b} maps to infinity")
@@ -380,9 +389,14 @@ class PeriodMatrix:
         return self.omega.shape[0]
 
 
+@functools.cache
 def _gl_rule(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per n and
+    returned read-only."""
     t, wts = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * wts
+    nodes, weights = 0.5 * (t + 1.0), 0.5 * wts
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _leg_nodes(leg: tuple, t: np.ndarray):
@@ -396,20 +410,19 @@ def _leg_nodes(leg: tuple, t: np.ndarray):
     return z, 1j * radius * (th1 - th0) * np.exp(1j * theta)
 
 
-def _path_integral(nu: NuFamily, legs: tuple[tuple, ...]):
-    """Integral of every nu_a along the legs, with a node-doubling gate."""
-    g = nu.params.genus
+def _path_integral(values: Callable, legs: tuple[tuple, ...]) -> np.ndarray:
+    """Integral along the legs of values(z), an array whose last axis runs
+    over the points z, with a node-doubling gate over every entry."""
     n_leg = _N_LEG
     t1, w1 = _gl_rule(n_leg)
     t2, w2 = _gl_rule(2 * n_leg)
-    total1 = np.zeros(g, dtype=np.complex128)
-    total2 = np.zeros(g, dtype=np.complex128)
+    total1 = total2 = 0.0
     for leg in legs:
         z_1, dz_1 = _leg_nodes(leg, t1)
         z_2, dz_2 = _leg_nodes(leg, t2)
-        vals = nu.values(np.concatenate([z_1, z_2]))  # (g, 3*n_leg)
-        total1 += (vals[:, :n_leg] * (w1 * dz_1)).sum(axis=1)
-        total2 += (vals[:, n_leg:] * (w2 * dz_2)).sum(axis=1)
+        vals = values(np.concatenate([z_1, z_2]))  # (..., 3*n_leg)
+        total1 = total1 + (vals[..., :n_leg] * (w1 * dz_1)).sum(axis=-1)
+        total2 = total2 + (vals[..., n_leg:] * (w2 * dz_2)).sum(axis=-1)
     err = float(np.max(np.abs(total1 - total2) / np.maximum(1.0, np.abs(total2))))
     if not (err <= _PATH_GATE):
         raise QuadratureError(
@@ -459,7 +472,7 @@ def period_matrix(
         legs = beta_path(p, b)
         paths.append(legs)
         # legs run anchor -> image; the period traverses them image -> anchor
-        omega[:, b - 1] = -_path_integral(nu, legs) / TWO_PI_I
+        omega[:, b - 1] = -_path_integral(nu.values, legs) / TWO_PI_I
     sym_err = float(np.max(np.abs(omega - omega.T)))
     if certify and not (sym_err <= symmetry_tol):
         raise PeriodSymmetryError(f"period matrix asymmetric by {sym_err:.3e}")
@@ -476,6 +489,35 @@ def period_matrix(
 # Rauch verification
 
 
+def exact_period_gradient(base: PeriodMatrix) -> np.ndarray:
+    """Exact derivative of the period matrix base.omega per coordinate.
+
+    Returns dOmega/d(a,l) stacked at [a - 1, l], shape (g, 3, g, g), the
+    array period_gradient approximates. Forward mode on base's own paths and
+    nu family, so nothing is rebuilt: with the anchor z0 of the handle-b path
+    held fixed,
+
+        dOmega_ab = -(1/2 pi i) [integral from z0 to g_b z0 of d nu_a
+                                 + nu_a(g_b z0) (d g_b)(z0)],
+
+    the integral taken with period_matrix's quadrature and node-doubling
+    gate. The anchor's own motion would add (nu_a(g_b z0) g_b'(z0) -
+    nu_a(z0)) dz0, which vanishes because nu_a is g_b-invariant.
+    """
+    nu = base.nu
+    p = nu.params
+    g = p.genus
+    anchors = [_anchor(p, b) for b in range(1, g + 1)]
+    images = [mob_apply(generator(p, b), z0) for b, z0 in enumerate(anchors, start=1)]
+    ends = nu.values(np.array(images))  # nu_a(g_b z0) at [a - 1, b - 1]
+    grad = np.empty((g, DIRECTIONS_PER_HANDLE, g, g), dtype=np.complex128)
+    for b, (legs, z0) in enumerate(zip(base.paths, anchors), start=1):
+        moved = np.multiply.outer(ends[:, b - 1], image_tangent(p, b, z0))  # (g, 3g)
+        d_omega = -(_path_integral(nu.moduli_derivatives, legs) + moved) / TWO_PI_I
+        grad[..., b - 1] = d_omega.reshape(g, g, DIRECTIONS_PER_HANDLE).transpose(1, 2, 0)
+    return grad
+
+
 def period_gradient(
     p: SchottkyParams,
     h: float = 1e-5,
@@ -485,8 +527,8 @@ def period_gradient(
 
     Returns dOmega/d(a,l) stacked at [a - 1, l], shape (g, 3, g, g), over
     every handle a and its three real-coordinate directions. Expensive (two
-    period matrices per entry); compute once and feed to rauch_check when
-    comparing kernels.
+    period matrices per entry); exact_period_gradient gives the same array
+    exactly, and this one stays as its independent cross-check.
     """
 
     def omega_of(q: SchottkyParams) -> np.ndarray:
@@ -499,10 +541,10 @@ def rauch_check(psi, xs, gradient: np.ndarray, base: PeriodMatrix) -> dict:
     """Check 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x) at the samples xs.
 
     The identity is checked on the surface psi.params, for the weight-2
-    kernel psi, with `gradient` from period_gradient (its step sets the
-    finite-difference error) and the certified period matrix `base`, whose
-    nu family gives the right-hand side; that family's base point must stay
-    off the orbits of the samples. Raises ValueError when base belongs to
+    kernel psi, with `gradient` from exact_period_gradient or
+    period_gradient (whose step sets the finite-difference error) and the
+    certified period matrix `base`, whose nu family gives the right-hand
+    side; that family's base point must stay off the orbits of the samples. Raises ValueError when base belongs to
     another surface or gradient's shape does not fit its genus. Returns a
     report with each sample's error max|lhs - rhs| / max|rhs| over the
     (a, b) entries ("per_sample"; judged against the largest entry, it stays

@@ -382,6 +382,18 @@ def test_09_rauch_variational_identity(can10):
     rep = va.rauch_check(can10, xs, grad, base)
     _check(failures, "identity at h=1e-5 over 3 samples", rep["max_rel_error"], 1e-4)
 
+    # the exact gradient agrees with the differences to their own error and
+    # leaves only the quadrature and truncation floor in the identity
+    exact = va.exact_period_gradient(base)
+    _check(
+        failures,
+        "exact gradient against h=1e-5 differences",
+        float(np.max(np.abs(exact - grad)) / np.max(np.abs(exact))),
+        1e-7,
+    )
+    exact_rep = va.rauch_check(can10, xs, exact, base)
+    _check(failures, "identity with the exact gradient", exact_rep["max_rel_error"], 1e-11)
+
     # psi - phi_0(x) P(y) with phi_0 the first dual differential: the
     # canonical kernel with correction row 0 shifted by P's coefficients
     shift = np.zeros_like(can10.corrections)

@@ -3,6 +3,7 @@ codes, report shape, determinism, and the invariant suites."""
 
 import csv
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -236,6 +237,31 @@ def test_rauch_rejects_a_malformed_sample_point(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_rauch_takes_a_sample_that_starts_with_a_minus(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["rauch", "--config", cfg, "--x", "-0.2-0.8j", "--x", "0.5+0.3j"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["samples"] == [[-0.2, -0.8], [0.5, 0.3]]
+    assert "h" not in out  # the check takes the exact gradient, no step
+
+
+def test_eval_takes_a_grid_that_starts_with_a_minus(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["eval", "--config", cfg, "--what", "nu", "--grid", "-0.4j,0.4j,2,0,0,1"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [float(r[1]) for r in rows[1:]] == [-0.4, 0.4]
+
+
+def test_importing_the_cli_leaves_scipy_linalg_out():
+    # scipy.linalg costs about 0.14 s of start-up; only select_basis needs it
+    code = "import sys, schottkycalc.cli; print('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _readme_commands():
     """The `schottkycalc ...` lines of the README's "Command line" block."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
@@ -257,6 +283,15 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         if "--max-len" not in argv:
             argv = argv + ["--max-len", "5"]
         assert main(argv) == 0, argv
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_readme_quick_start_runs(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library quick start")[1].split("```python")[1].split("```")[0]
+    assert "max_len=10" in block and "exact_period_gradient(pm)" in block
+    exec(compile(block.replace("max_len=10", "max_len=5"), "README.md", "exec"), {})
+    assert capsys.readouterr().out  # it printed Omega and the identity's error
 
 
 def test_check_cocycle_passes(tmp_path, capsys):
@@ -425,9 +460,9 @@ def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
     out_path = tmp_path / "report.json"
     assert main(["report", "--config", cfg, "--all", "--json", str(out_path)]) == 0
     assert len(kernels) == 1
-    # 12 for the finite-difference gradient, 1 certified base shared by
-    # the rauch suite and the report's period_matrix entry
-    assert len(matrices) == 13
+    # one certified base, shared by the rauch suite (which differentiates
+    # it exactly) and the report's period_matrix entry
+    assert len(matrices) == 1
     omega = json.loads(out_path.read_text())["period_matrix"]["omega"]
     assert omega == cli._encode(matrices[0][1].omega)
 

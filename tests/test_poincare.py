@@ -31,6 +31,7 @@ from schottkycalc.schottky import (
     in_domain,
     word_map,
 )
+from schottkycalc.variation import perturbed_params
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +332,62 @@ def test_nu_holomorphic_in_domain(star, nus):
 def test_nu_rejects_bad_base_point(star):
     with pytest.raises(ValueError):
         NuFamily(star, config=CFG, y0=-6.0 + 0.1j)  # inside C_1
+
+
+def test_nu_and_third_kind_pole_guards(star):
+    # the identity word puts x on the pole itself
+    y0 = 0.3 + 0.2j
+    nu = NuFamily(star, config=CFG, y0=y0)
+    with pytest.raises(PoleProximityError):
+        nu.values([y0])
+    with pytest.raises(PoleProximityError):
+        nu.moduli_derivatives([y0])
+    y = 1.1 - 0.4j
+    with pytest.raises(PoleProximityError):
+        ThirdKindEvaluator(star, config=CFG).value_grid([y], [y])
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_nu_moduli_derivatives_match_central_differences(star):
+    config = SeriesConfig(max_len=6)
+    y0 = 0.2 + 0.1j
+    xs = np.array([0.5 + 0.3j, -0.2 - 0.8j, 3.0 + 1.0j])
+    got = NuFamily(star, config=config, y0=y0).moduli_derivatives(xs)
+    assert got.shape == (2, 6, 3)
+    # at h = 1e-4 the h^2 error (~4e-9) is above rounding, which grows like 1/h
+    h = 1e-4
+    for a in (1, 2):
+        for l in range(3):
+            plus, minus = (
+                NuFamily(perturbed_params(star, a, l, s), config=config, y0=y0).values(xs)
+                for s in (h, -h)
+            )
+            want = (plus - minus) / (2 * h)
+            assert np.max(np.abs(got[:, 3 * (a - 1) + l] - want)) < 5e-8 * np.max(np.abs(got))
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_nu_moduli_derivatives_deterministic_across_workers(star):
+    one = NuFamily(star, config=SeriesConfig(max_len=5, workers=1))
+    two = NuFamily(star, config=SeriesConfig(max_len=5, workers=2))
+    for m in TILE_CASE_POINTS:
+        xs = _probe_xs(m)
+        assert np.array_equal(one.moduli_derivatives(xs), two.moduli_derivatives(xs)), m
+
+
+def test_sum_shells_hands_each_task_its_words_columns(star):
+    shells = build_shells(star, 4)
+    xs = np.zeros(4096, dtype=np.complex128)  # 64-word chunks, 16 tiles each
+    handed = []
+
+    def chunk_fn(a, b, c, d, x, cols):
+        handed.append(len(a))
+        assert np.array_equal(cols[0], a) and np.array_equal(cols[1], d)
+        return np.zeros((1, len(x)), dtype=np.complex128)
+
+    columns = (np.stack([shells.a[L], shells.d[L]]) for L in range(5))
+    _sum_shells(shells, xs, chunk_fn, 1, 2, columns=columns)
+    assert max(handed) == 64  # the 108-word shell came in two chunks
 
 
 def test_series_match_30_digit_sums(star):

@@ -19,11 +19,14 @@ from schottkycalc.schottky import (
     expected_word_count,
     from_classical,
     generator,
+    generator_tangent,
+    image_tangent,
     in_domain,
     invert_word,
     letter_order,
     reduce_to_fundamental,
     reduce_word,
+    shell_tangents,
     surface_from_dict,
     surface_to_dict,
     to_classical,
@@ -31,6 +34,7 @@ from schottkycalc.schottky import (
     validate,
     word_map,
 )
+from schottkycalc.variation import perturbed_params
 
 
 @pytest.fixture
@@ -235,3 +239,63 @@ def test_json_genus_mismatch(star):
     d["genus"] = 3
     with pytest.raises(ValueError):
         surface_from_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# moduli tangents
+
+
+# handle 2's rho off the real axis, so the square-root branch is exercised
+TILTED = SchottkyParams([HandleParams(-6.0, -2.0, 0.09), HandleParams(2.0, 6.0, 0.09 + 0.02j)])
+
+
+def _central(f, a, l, h=1e-6):
+    """Central difference of f along direction (a, l) of the variation module."""
+    return (f(perturbed_params(TILTED, a, l, h)) - f(perturbed_params(TILTED, a, l, -h))) / (2 * h)
+
+
+def test_generator_tangent_matches_central_differences():
+    for letter in TILTED.letters:
+        tan = generator_tangent(TILTED, letter)
+        assert tan.shape == (4, 6)
+        for a in (1, 2):
+            for l in range(3):
+
+                def entries(q):
+                    m = generator(q, letter)
+                    return np.array([m.a, m.b, m.c, m.d])
+
+                fd = _central(entries, a, l)
+                assert np.max(np.abs(tan[:, 3 * (a - 1) + l] - fd)) < 1e-8
+                if a != abs(letter):
+                    assert np.all(tan[:, 3 * (a - 1) + l] == 0)
+
+
+def test_image_tangent_matches_central_differences():
+    z = 0.3 + 0.7j
+    for letter in TILTED.letters:
+        got = image_tangent(TILTED, letter, z)
+        want = [
+            _central(lambda q: moebius.apply(generator(q, letter), z), a, l)
+            for a in (1, 2)
+            for l in range(3)
+        ]
+        assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_shell_tangents_follow_build_shells():
+    shells = build_shells(TILTED, 3)
+    tangents = list(shell_tangents(TILTED, shells))
+    assert [t.shape for t in tangents] == [(4, 6, shells.shell_size(L)) for L in range(4)]
+    assert np.all(tangents[0] == 0)  # the identity does not move
+    for a in (1, 2):
+        for l in range(3):
+            for L in range(1, 4):
+
+                def entries(q):
+                    s = build_shells(q, 3)
+                    return np.array([s.a[L], s.b[L], s.c[L], s.d[L]])
+
+                fd = _central(entries, a, l)
+                err = np.max(np.abs(tangents[L][:, 3 * (a - 1) + l] - fd))
+                assert err < 1e-7 * max(1.0, np.max(np.abs(fd)))

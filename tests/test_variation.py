@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from schottkycalc import variation as va
-from schottkycalc.eichler import PolyForm, canonical_cocycle, cocycle_eval
+from schottkycalc.contour import QuadratureError
+from schottkycalc.eichler import PolyForm, canonical_cocycle, cocycle_eval, decompose_coboundary
 from schottkycalc.gem import CanonicalGEM, SpanningTheta, canonical_gem
 from schottkycalc.moebius import deriv, moebius
 from schottkycalc.poincare import BersEvaluator, NuFamily, SeriesConfig, default_probe_points
@@ -280,6 +281,64 @@ def test_period_gradient_stacks_every_direction():
     for a in (1, 2):
         for l in range(3):
             assert np.array_equal(grad[a - 1, l], va.direction_diff(STAR, a, l, omega_of, 1e-5))
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize(
+    "p, cfg, tol",
+    [(STAR, CFG, 1e-7), (ASYMMETRIC, SeriesConfig(max_len=6, stop_tol=1e-11), 5e-7)],
+    ids=["star", "asymmetric"],
+)
+def test_exact_period_gradient_matches_finite_differences(p, cfg, tol):
+    # tol is about 4x the error of the differences at h = 1e-5 (1.3e-8 and
+    # 1.1e-7); on genus3-wide they are noisier still, so it is checked
+    # through the sl2 directions below
+    exact = va.exact_period_gradient(va.period_matrix(p, config=cfg))
+    fd = va.period_gradient(p, h=1e-5, config=cfg)
+    assert exact.shape == fd.shape == (2, 3, 2, 2)
+    assert np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) < tol
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize(
+    "p, cfg",
+    [
+        (STAR, CFG),
+        (ASYMMETRIC, SeriesConfig(max_len=6, stop_tol=1e-11)),
+        # at max_len 4 the last shell still carries 5e-6 and the truncated
+        # periods are invariant only to 2e-7; one shell deeper, to 3e-9
+        (WIDE, SeriesConfig(max_len=5, stop_tol=1e-11)),
+    ],
+    ids=["star", "asymmetric", "genus3-wide"],
+)
+def test_exact_period_gradient_annihilates_sl2_directions(p, cfg):
+    # conjugating the whole group leaves Omega fixed: the period gradient
+    # contracted with any coboundary direction vanishes
+    exact = va.exact_period_gradient(va.period_matrix(p, config=cfg))
+    for c in [(1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)]:
+        moved = va._contract(-decompose_coboundary(p, PolyForm(2, c)), exact)
+        assert np.max(np.abs(moved)) < 1e-7, c
+
+
+def test_exact_period_gradient_is_worker_independent(base_pm):
+    cfg2 = SeriesConfig(max_len=CFG.max_len, shell_tol=CFG.shell_tol, workers=2)
+    base2 = va.period_matrix(STAR, config=cfg2)
+    assert np.array_equal(base2.omega, base_pm.omega)
+    assert np.array_equal(va.exact_period_gradient(base2), va.exact_period_gradient(base_pm))
+
+
+def test_exact_period_gradient_gate_fails_closed(base_pm, monkeypatch):
+    monkeypatch.setattr(va, "_PATH_GATE", 0.0)
+    with pytest.raises(QuadratureError, match="node doubling"):
+        va.exact_period_gradient(base_pm)
+
+
+def test_gauss_legendre_rules_are_computed_once():
+    nodes, weights = va._gl_rule(64)
+    assert va._gl_rule(64)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    t, w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(nodes, 0.5 * (t + 1.0)) and np.array_equal(weights, 0.5 * w)
 
 
 def test_rauch_identity(canonical, grad, base_pm):
