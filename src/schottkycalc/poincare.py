@@ -24,6 +24,19 @@ One engine sums four terms:
   * the moduli derivatives of the nu_a, from each word's exact matrix
     tangent (schottky.shell_tangents), which _sum_shells hands to the term
     word by word.
+
+Direct and far shells. The pole-pair series (third kind and nu) sum shells
+0..3 word by word as above, and every deeper shell as grouped dipole
+expansions (_FarField), in the calling thread. For a det-1 word (a b; c d)
+and a pole w, g'(x) / (gx - w) = 1/(x - p_w) - 1/(x - g^-1 inf) with
+p_w = g^-1 w, so a pole pair's term is the dipole
+delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)). A deep
+shell's words are grouped by their last three letters, whose nested disc
+holds the group's pulled-back poles; a group far from x (radius below half
+the distance) adds a truncated Laurent expansion in 1/(x - c) whose dropped
+tail is bounded a priori (_DipoleGroups), and a near group is summed dipole
+by dipole behind the series' pole guard. The Bers and nu-derivative terms
+stay direct at every depth.
 """
 from __future__ import annotations
 
@@ -135,6 +148,7 @@ def _sum_shells(
     workers: int,
     stop_tol: float | None = None,
     columns=None,
+    far=None,
 ):
     """Accumulate chunk_fn over word shells in a fixed order.
 
@@ -152,7 +166,9 @@ def _sum_shells(
     sequentially (Kahan); threads only compute partials, never reduce, so any
     worker count gives identical bits. With stop_tol set, the loop exits once
     two consecutive shells each contribute less than stop_tol (also a
-    worker-independent decision).
+    worker-independent decision). far, when given (a _FarField of the same
+    term), supplies the totals of the shells from _DIRECT_SHELLS on instead
+    of chunk_fn; it runs in the calling thread.
     """
     m = len(xs)
     totals = np.zeros((t, m), dtype=np.complex128)
@@ -163,30 +179,12 @@ def _sum_shells(
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for length, cols in zip(range(shells.max_len + 1), columns or itertools.repeat(None)):
-            a, b = shells.a[length], shells.b[length]
-            c, d = shells.c[length], shells.d[length]
-            n = len(a)
-            tasks = [
-                (i, min(i + chunk, n), lo, hi)
-                for i in range(0, n, chunk)
-                for lo, hi in _column_tiles(min(chunk, n - i), m)
-            ]
-            args = [
-                (a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi])
-                + (() if cols is None else (cols[..., i:j],))
-                for i, j, lo, hi in tasks
-            ]
-            if pool is None:
-                parts = (chunk_fn(*arg) for arg in args)
+            if far is not None and length >= _DIRECT_SHELLS:
+                shell_total = far.shell_total(length, xs)
             else:
-                futs = [pool.submit(chunk_fn, *arg) for arg in args]
-                parts = (f.result() for f in futs)
-            shell_total = np.empty((t, m), dtype=np.complex128)
-            for (i, _, lo, hi), part in zip(tasks, parts):
-                if i == 0:  # each column adds its chunks' partials in chunk order
-                    shell_total[:, lo:hi] = part
-                else:
-                    shell_total[:, lo:hi] += part
+                shell_total = _direct_shell(
+                    shells, length, xs, chunk_fn, t, chunk, pool, cols
+                )
             if not np.all(np.isfinite(shell_total)):
                 raise EvaluationError(
                     "non-finite series terms (evaluation point at a pole of a group element?)"
@@ -208,6 +206,36 @@ def _sum_shells(
         if pool is not None:  # leave no task running: drop queued ones, join the workers
             pool.shutdown(wait=True, cancel_futures=True)
     return totals, shell_mags
+
+
+def _direct_shell(shells, length, xs, chunk_fn, t, chunk, pool, cols):
+    """One shell's (t, len(xs)) total from chunk_fn, as _sum_shells describes."""
+    m = len(xs)
+    a, b = shells.a[length], shells.b[length]
+    c, d = shells.c[length], shells.d[length]
+    n = len(a)
+    tasks = [
+        (i, min(i + chunk, n), lo, hi)
+        for i in range(0, n, chunk)
+        for lo, hi in _column_tiles(min(chunk, n - i), m)
+    ]
+    args = [
+        (a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi])
+        + (() if cols is None else (cols[..., i:j],))
+        for i, j, lo, hi in tasks
+    ]
+    if pool is None:
+        parts = (chunk_fn(*arg) for arg in args)
+    else:
+        futs = [pool.submit(chunk_fn, *arg) for arg in args]
+        parts = (f.result() for f in futs)
+    shell_total = np.empty((t, m), dtype=np.complex128)
+    for (i, _, lo, hi), part in zip(tasks, parts):
+        if i == 0:  # each column adds its chunks' partials in chunk order
+            shell_total[:, lo:hi] = part
+        else:
+            shell_total[:, lo:hi] += part
+    return shell_total
 
 
 class _Workspace(threading.local):
@@ -314,10 +342,13 @@ class _ShellSeries:
         self.shells = build_shells(p, config.max_len, cap=config.cap)
         self._last_shell_mags: list[float] = []
 
-    def _sum(self, xs: np.ndarray, chunk_fn, t: int, label: str, columns=None) -> np.ndarray:
-        """Sum chunk_fn over the shells (with per-word columns, as
-        _sum_shells), keep the shell magnitudes, and warn (at the caller of
-        the public method) if the last shell is above shell_tol."""
+    def _sum(
+        self, xs: np.ndarray, chunk_fn, t: int, label: str, columns=None, far=None
+    ) -> np.ndarray:
+        """Sum chunk_fn over the shells (with per-word columns and the deep
+        shells' far field, as _sum_shells), keep the shell magnitudes, and
+        warn (at the caller of the public method) if the last shell is above
+        shell_tol."""
         totals, mags = _sum_shells(
             self.shells,
             xs,
@@ -326,6 +357,7 @@ class _ShellSeries:
             self.config.workers,
             stop_tol=self.config.stop_tol,
             columns=columns,
+            far=far,
         )
         self._last_shell_mags = mags
         tol = self.config.shell_tol
@@ -417,7 +449,13 @@ class ThirdKindEvaluator(_ShellSeries):
         xs = np.asarray(xs, dtype=np.complex128)
         ys = np.asarray(ys, dtype=np.complex128)
         pole_pairs = [(yv, 0j) for yv in ys]
-        return self._sum(xs, _pole_pair_chunk_fn(pole_pairs), len(ys), "third-kind series")
+        return self._sum(
+            xs,
+            _pole_pair_chunk_fn(pole_pairs),
+            len(ys),
+            "third-kind series",
+            far=_FarField(self.shells, pole_pairs),
+        )
 
 
 def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
@@ -454,6 +492,196 @@ def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
     return chunk_fn
 
 
+# ---------------------------------------------------------------------------
+# deep shells as grouped dipole expansions
+
+_DIRECT_SHELLS = 4  # shells 0..3 are summed word by word by the chunk kernels
+_FAR_RATIO = 0.5  # a group is far from x when its radius is below _FAR_RATIO |x - c|
+_TAIL_TOL = 1e-17  # dropped expansion tail, relative to sum |delta| / |x - c|^2
+
+
+def _expansion_order(rho: float) -> int:
+    """The first K >= 1 with (K + 1) rho^K / (1 - rho)^2 <= _TAIL_TOL."""
+    K = 1
+    while (K + 1) * rho**K > _TAIL_TOL * (1.0 - rho) ** 2:
+        K += 1
+    return K
+
+
+def _group_keys(shells: WordShells, length: int) -> np.ndarray:
+    """Each length-`length` word's last three letters as one integer."""
+    letters = 2 * shells.genus
+    idx = np.arange(shells.shell_size(length))
+    key = np.zeros(len(idx), dtype=np.int64)
+    for back in range(length, length - 3, -1):
+        letter = shells.last_letter[back][idx]
+        key = key * letters + 2 * (np.abs(letter) - 1) + (letter < 0)
+        idx = shells.parent[back][idx]
+    return key
+
+
+class _FarField:
+    """The shells of a pole-pair series from _DIRECT_SHELLS on, each summed
+    as grouped dipole expansions (_DipoleGroups), built on first use and
+    kept for later calls."""
+
+    def __init__(self, shells: WordShells, pole_pairs: Sequence[tuple[complex, complex]]):
+        self.shells = shells
+        pairs = np.array(pole_pairs, dtype=np.complex128).reshape(-1, 2)
+        self.u, self.v = pairs[:, :1], pairs[:, 1:]  # (t, 1) columns
+        self._groups: dict[int, _DipoleGroups] = {}
+
+    def shell_total(self, length: int, xs: np.ndarray) -> np.ndarray:
+        groups = self._groups.get(length)
+        if groups is None:
+            groups = self._groups[length] = _DipoleGroups(self.shells, length, self.u, self.v)
+        return groups.total(xs)
+
+
+class _DipoleGroups:
+    """One deep shell of a pole-pair series, its words grouped by their last
+    three letters.
+
+    For a det-1 word (a b; c d) and a pole w, g'(x) / (gx - w) =
+    1/(x - p_w) - 1/(x - g^-1 inf) with p_w = g^-1 w = (dw - b)/(a - cw), so
+    the word's term g'(x) [1/(gx - u) - 1/(gx - v)] is the dipole
+    delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)). delta
+    is formed by that formula; p_u - p_v would cancel.
+
+    The pulled-back poles of a group lie in the nested disc of its last
+    three letters (v = g_a y0 pulls back like y0 under a word one letter
+    longer or shorter, which keeps those letters from length 4 on). Each
+    group's centre c and radius r, per pole pair, come from its actual
+    poles, both sets. A group is far from x when r < _FAR_RATIO |x - c|,
+    and there it adds sum_{k>=1} mu_k (x - c)^-(k+1) with the moments
+    mu_k = sum_w delta_w h_{k-1}(p_u - c, p_v - c), h_0 = 1,
+    h_j = q_u h_{j-1} + q_v^j. Since |h_j| <= (j + 1) r^j, stopping at
+    K = _expansion_order(rho), rho the worst far r / |x - c| of the call,
+    drops a tail of at most _TAIL_TOL sum |delta| / |x - c|^2. Near groups
+    are summed dipole by dipole.
+
+    Bits: the expansion is elementwise over (pole pair, group, point), the
+    groups add in a fixed order and each near point's dipoles sum as one
+    contiguous row, so a point's value depends on the other points only
+    through K, and never on tiles or workers.
+    """
+
+    def __init__(self, shells: WordShells, length: int, u: np.ndarray, v: np.ndarray):
+        key = _group_keys(shells, length)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        self.starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self.stops = np.r_[self.starts[1:], len(key)]
+        a, b, c, d = (m[length][order] for m in (shells.a, shells.b, shells.c, shells.d))
+        self._words = (shells, length, order)
+        self.u, self.v = u, v
+        au, av = a - c * u, a - c * v  # (t, words)
+        self.p_u = (d * u - b) / au
+        self.p_v = (d * v - b) / av
+        self.delta = (u - v) / (au * av)
+        sizes = self.stops - self.starts
+        self._group_of_word = np.repeat(np.arange(len(sizes)), sizes)
+        # each group's mean pole and the largest distance of a pole from it
+        self.centre = np.add.reduceat(self.p_u + self.p_v, self.starts, axis=1) / (2 * sizes)
+        cw = self.centre[:, self._group_of_word]
+        spread = np.maximum(np.abs(self.p_u - cw), np.abs(self.p_v - cw))
+        self.radius = np.maximum.reduceat(spread, self.starts, axis=1)
+        self._mu = np.empty((0,) + self.centre.shape, dtype=np.complex128)
+
+    def _moments(self, K: int) -> np.ndarray:
+        """mu_1 .. mu_K, shape (K, t, groups). A call needing more orders
+        recomputes them all, to the same bits."""
+        if len(self._mu) < K:
+            cw = self.centre[:, self._group_of_word]
+            qu = self.p_u - cw
+            qv = np.subtract(self.p_v, cw, out=cw)
+            h = np.ones_like(qu)
+            qv_j = np.ones_like(qv)
+            term = np.empty_like(qu)
+            mu = np.empty((K,) + self.centre.shape, dtype=np.complex128)
+            for j in range(K):
+                if j:
+                    qv_j *= qv
+                    h *= qu
+                    h += qv_j
+                mu[j] = np.add.reduceat(np.multiply(self.delta, h, out=term), self.starts, axis=1)
+            self._mu = mu
+        return self._mu[:K]
+
+    def total(self, xs: np.ndarray) -> np.ndarray:
+        """The shell's (t, len(xs)) sum, in the calling thread."""
+        t, groups = self.centre.shape
+        m = len(xs)
+        width = max(1, _TILE_ELEMENTS // (t * groups))
+        tiles = [(lo, min(lo + width, m)) for lo in range(0, m, width)]
+        radius = self.radius[..., None]
+        near = np.empty((t, groups, m), dtype=np.bool_)
+        rho = 0.0
+        for lo, hi in tiles:
+            dist = np.abs(xs[lo:hi] - self.centre[..., None])
+            # a far point lies more than r from every pole of its group
+            # (|x - c| > 2r), so the expansion needs no pole guard
+            far = radius < _FAR_RATIO * dist
+            near[..., lo:hi] = ~far
+            ratio = np.divide(radius, dist, out=np.zeros_like(dist), where=far)
+            rho = max(rho, float(ratio.max()))
+        out = np.zeros((t, m), dtype=np.complex128)
+        if not near.all():
+            mu = self._moments(_expansion_order(rho))
+            for lo, hi in tiles:
+                out[:, lo:hi] = self._far_sum(mu, xs[lo:hi], near[..., lo:hi])
+        for i, j in zip(*np.nonzero(near.any(axis=2))):
+            cols = np.flatnonzero(near[i, j])
+            out[i, cols] += self._near_sum(i, j, xs[cols])
+        return out
+
+    def _far_sum(self, mu: np.ndarray, x: np.ndarray, near: np.ndarray) -> np.ndarray:
+        """Sum over the far groups of their expansions at x, by Horner in
+        1/(x - c) with one (t, groups, len(x)) operation per order; near
+        entries get 1/(x - c) = 0 and so add exactly 0."""
+        z = x - self.centre[..., None]
+        inv = np.divide(1.0, z, out=np.zeros_like(z), where=~near)
+        acc = np.empty_like(z)
+        acc[...] = mu[-1][..., None]
+        tmp = np.empty_like(z)
+        # out= never aliases an input: numpy's in-place complex multiply of a
+        # 1-element block rounds differently
+        for mu_k in mu[-2::-1]:
+            np.multiply(acc, inv, out=tmp)
+            np.add(tmp, mu_k[..., None], out=acc)
+        np.multiply(acc, inv, out=tmp)
+        np.multiply(tmp, inv, out=acc)
+        total = acc[:, 0].copy()
+        for j in range(1, acc.shape[1]):  # groups add in a fixed order
+            total += acc[:, j]
+        return total
+
+    def _near_sum(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
+        """Pole pair i's dipoles of group j summed directly at the points x,
+        behind the series' pole guard."""
+        sl = slice(self.starts[j], self.stops[j])
+        u, v = self.u[i, 0], self.v[i, 0]
+        shells, length, order = self._words
+        a, c, d = (m[length][order[sl]] for m in (shells.a, shells.c, shells.d))
+        p_u, p_v, delta = self.p_u[i, sl], self.p_v[i, sl], self.delta[i, sl]
+        out = np.empty(len(x), dtype=np.complex128)
+        step = max(1, _TILE_ELEMENTS // len(a))
+        for lo in range(0, len(x), step):
+            xk = x[lo : lo + step, None]
+            xu, xv = xk - p_u, xk - p_v  # (points, words)
+            # |gx - w| = |x - p_w| |a - cw| / |cx + d|
+            den = 1e-12 * np.abs(c * xk + d)
+            if np.any(np.abs(xu) * np.abs(a - c * u) < den) or np.any(
+                np.abs(xv) * np.abs(a - c * v) < den
+            ):
+                raise PoleProximityError(
+                    f"pole pair ({u!r}, {v!r}) within 1e-12 of the orbit of an x point"
+                )
+            # one contiguous row per point: its bits do not depend on the others
+            out[lo : lo + step] = np.sum(delta / (xu * xv), axis=1)
+        return out
+
+
 class NuFamily(_ShellSeries):
     """The g normalized handle differentials nu_a.
 
@@ -478,6 +706,8 @@ class NuFamily(_ShellSeries):
         ]
         if any(isinstance(t, Infinity) for t in self.images):
             raise ValueError("base point maps to infinity under a generator")
+        self._pole_pairs = [(self.y0, complex(t)) for t in self.images]
+        self._far = _FarField(self.shells, self._pole_pairs)
 
     def value(self, a: int, x: complex) -> complex:
         return complex(self.values(np.array([x]))[a - 1, 0])
@@ -485,8 +715,8 @@ class NuFamily(_ShellSeries):
     def values(self, xs) -> np.ndarray:
         """All nu_a at once, shape (g, len(xs)); one orbit pass."""
         xs = np.asarray(xs, dtype=np.complex128)
-        pole_pairs = [(self.y0, complex(t)) for t in self.images]
-        return self._sum(xs, _pole_pair_chunk_fn(pole_pairs), len(pole_pairs), "nu series")
+        pairs = self._pole_pairs
+        return self._sum(xs, _pole_pair_chunk_fn(pairs), len(pairs), "nu series", far=self._far)
 
     def moduli_derivatives(self, xs) -> np.ndarray:
         """Every nu_a differentiated along every moduli direction, with the

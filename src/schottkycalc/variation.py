@@ -410,19 +410,29 @@ def _leg_nodes(leg: tuple, t: np.ndarray):
     return z, 1j * radius * (th1 - th0) * np.exp(1j * theta)
 
 
-def _path_integral(values: Callable, legs: tuple[tuple, ...]) -> np.ndarray:
-    """Integral along the legs of values(z), an array whose last axis runs
-    over the points z, with a node-doubling gate over every entry."""
-    n_leg = _N_LEG
-    t1, w1 = _gl_rule(n_leg)
-    t2, w2 = _gl_rule(2 * n_leg)
-    total1 = total2 = 0.0
+def _path_rule(legs: tuple[tuple, ...]) -> tuple[list[np.ndarray], list[tuple]]:
+    """Per leg, its nodes under both Gauss-Legendre rules (n_leg, then
+    2 n_leg) and their weights times dz."""
+    t1, w1 = _gl_rule(_N_LEG)
+    t2, w2 = _gl_rule(2 * _N_LEG)
+    nodes, weights = [], []
     for leg in legs:
         z_1, dz_1 = _leg_nodes(leg, t1)
         z_2, dz_2 = _leg_nodes(leg, t2)
-        vals = values(np.concatenate([z_1, z_2]))  # (..., 3*n_leg)
-        total1 = total1 + (vals[..., :n_leg] * (w1 * dz_1)).sum(axis=-1)
-        total2 = total2 + (vals[..., n_leg:] * (w2 * dz_2)).sum(axis=-1)
+        nodes.append(np.concatenate([z_1, z_2]))
+        weights.append((w1 * dz_1, w2 * dz_2))
+    return nodes, weights
+
+
+def _path_integral(leg_values: list[np.ndarray], weights: list[tuple]) -> np.ndarray:
+    """Integral along the legs from their values at _path_rule's nodes, one
+    array per leg whose last axis runs over the nodes, with a node-doubling
+    gate over every entry."""
+    n_leg = _N_LEG
+    total1 = total2 = 0.0
+    for vals, (wdz_1, wdz_2) in zip(leg_values, weights):
+        total1 = total1 + (vals[..., :n_leg] * wdz_1).sum(axis=-1)
+        total2 = total2 + (vals[..., n_leg:] * wdz_2).sum(axis=-1)
     err = float(np.max(np.abs(total1 - total2) / np.maximum(1.0, np.abs(total2))))
     if not (err <= _PATH_GATE):
         raise QuadratureError(
@@ -472,7 +482,8 @@ def period_matrix(
         legs = beta_path(p, b)
         paths.append(legs)
         # legs run anchor -> image; the period traverses them image -> anchor
-        omega[:, b - 1] = -_path_integral(nu.values, legs) / TWO_PI_I
+        nodes, weights = _path_rule(legs)
+        omega[:, b - 1] = -_path_integral([nu.values(z) for z in nodes], weights) / TWO_PI_I
     sym_err = float(np.max(np.abs(omega - omega.T)))
     if certify and not (sym_err <= symmetry_tol):
         raise PeriodSymmetryError(f"period matrix asymmetric by {sym_err:.3e}")
@@ -510,10 +521,17 @@ def exact_period_gradient(base: PeriodMatrix) -> np.ndarray:
     anchors = [_anchor(p, b) for b in range(1, g + 1)]
     images = [mob_apply(generator(p, b), z0) for b, z0 in enumerate(anchors, start=1)]
     ends = nu.values(np.array(images))  # nu_a(g_b z0) at [a - 1, b - 1]
+    rules = [_path_rule(legs) for legs in base.paths]
+    leg_nodes = [z for nodes, _ in rules for z in nodes]
+    # one derivative pass over every leg's nodes (the word tangents are
+    # built once), then each leg integrates its own slice
+    derivs = nu.moduli_derivatives(np.concatenate(leg_nodes))
+    leg_derivs = iter(np.split(derivs, np.cumsum([len(z) for z in leg_nodes])[:-1], axis=-1))
     grad = np.empty((g, DIRECTIONS_PER_HANDLE, g, g), dtype=np.complex128)
-    for b, (legs, z0) in enumerate(zip(base.paths, anchors), start=1):
+    for b, ((nodes, weights), z0) in enumerate(zip(rules, anchors), start=1):
         moved = np.multiply.outer(ends[:, b - 1], image_tangent(p, b, z0))  # (g, 3g)
-        d_omega = -(_path_integral(nu.moduli_derivatives, legs) + moved) / TWO_PI_I
+        integral = _path_integral([next(leg_derivs) for _ in nodes], weights)
+        d_omega = -(integral + moved) / TWO_PI_I
         grad[..., b - 1] = d_omega.reshape(g, g, DIRECTIONS_PER_HANDLE).transpose(1, 2, 0)
     return grad
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schottkycalc import moebius, poincare
-from schottkycalc.contour import CircleContour, circle_integral
+from schottkycalc.contour import CircleContour, circle_integral, handle_nodes
 from schottkycalc.poincare import (
     BersEvaluator,
     EvaluationError,
@@ -18,6 +18,7 @@ from schottkycalc.poincare import (
     TruncationWarning,
     default_probe_points,
     limit_points,
+    _pole_pair_chunk_fn,
     _sum_shells,
     shell_report,
 )
@@ -390,6 +391,92 @@ def test_sum_shells_hands_each_task_its_words_columns(star):
     assert max(handed) == 64  # the 108-word shell came in two chunks
 
 
+# ---------------------------------------------------------------------------
+# deep shells: grouped dipole expansions
+
+
+ASYMMETRIC = SchottkyParams([HandleParams(-6.0, -2.0, 0.01), HandleParams(2.0, 6.0, 0.36)])
+WIDE = SchottkyParams(
+    [HandleParams(-12.0, -8.0, 0.04), HandleParams(-4.0, 4.0, 0.04), HandleParams(8.0, 12.0, 0.04)]
+)
+FAR_CASES = [("star", 7), ("asymmetric", 7), ("genus3-wide", 5)]
+THIRD_KIND_YS = np.array([0.9 - 0.3j, -1.1 + 0.4j])
+
+
+def _surface(name, star):
+    return {"star": star, "asymmetric": ASYMMETRIC, "genus3-wide": WIDE}[name]
+
+
+def _far_case_points(p):
+    """Points in F, on every handle circle and inside every disc."""
+    pts = list(default_probe_points(p, 4)[1:])  # the first one is y0 = 0
+    for a in range(1, p.genus + 1):
+        pts.extend(handle_nodes(p, a, 8)[0][::3])
+    for letter in p.letters:
+        pts.append(moebius.apply(generator(p, letter), pts[0]))
+    return np.array(pts)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("name, max_len", FAR_CASES)
+def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
+    p = _surface(name, star)
+    cfg = SeriesConfig(max_len=max_len)
+    xs = _far_case_points(p)
+    evaluate = {
+        "nu": lambda: NuFamily(p, config=cfg).values(xs),
+        "third_kind": lambda: ThirdKindEvaluator(p, config=cfg).value_grid(xs, THIRD_KIND_YS),
+    }
+    far = {kind: f() for kind, f in evaluate.items()}
+    monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)  # every group is near every point
+    for kind, f in evaluate.items():
+        near = f()
+        assert np.all(np.abs(far[kind] - near) <= 1e-14 * np.abs(near)), kind
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_direct_dipole_sums_do_not_depend_on_tiles(star, monkeypatch):
+    xs = _far_case_points(star)
+    nu = NuFamily(star, config=SeriesConfig(max_len=6))
+    monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)
+    whole = nu.values(xs)
+    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1)  # one point per batch
+    assert np.array_equal(nu.values(xs), whole)
+
+
+@pytest.mark.parametrize("length", [1, 5])
+def test_nu_pole_guard_at_pulled_back_base_point(star, length):
+    nu = NuFamily(star, config=SeriesConfig(max_len=6))
+    shells = nu.shells
+    y0 = nu.y0
+    # g^-1 y0, formed as the far field forms its poles
+    poles = (shells.d[length] * y0 - shells.b[length]) / (shells.a[length] - shells.c[length] * y0)
+    with pytest.raises(PoleProximityError):
+        nu.values([poles[len(poles) // 3]])
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("max_len", [0, 3])
+def test_shallow_series_are_the_chunk_kernel_sums(star, max_len):
+    cfg = SeriesConfig(max_len=max_len, shell_tol=1.0)
+    xs = _far_case_points(star)
+    nu = NuFamily(star, config=cfg)
+    pairs = [(nu.y0, complex(v)) for v in nu.images]
+    want, _ = _sum_shells(nu.shells, xs, _pole_pair_chunk_fn(pairs), len(pairs), 1)
+    assert np.array_equal(nu.values(xs), want)
+    pairs = [(y, 0j) for y in THIRD_KIND_YS]
+    want, _ = _sum_shells(nu.shells, xs, _pole_pair_chunk_fn(pairs), len(pairs), 1)
+    assert np.array_equal(ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS), want)
+
+
+def test_expansion_order_bounds_the_tail():
+    assert poincare._expansion_order(0.0) == 1
+    for rho in (1e-6, 1e-3, 0.1, 0.3, poincare._FAR_RATIO * (1 - 1e-12)):
+        K = poincare._expansion_order(rho)
+        assert (K + 1) * rho**K / (1 - rho) ** 2 <= poincare._TAIL_TOL
+        assert K * rho ** (K - 1) / (1 - rho) ** 2 > poincare._TAIL_TOL or K == 1
+
+
 def test_series_match_30_digit_sums(star):
     """The float sums of the truncated nu and weight-2 series against the same
     truncated sums in 30-digit arithmetic, from the same binary inputs (word
@@ -398,20 +485,26 @@ def test_series_match_30_digit_sums(star):
     A term with a pole p has condition number about |gx| / |gx - p| in the
     rounded image gx, and the g_a term of nu always sits close to its pole
     g_a y0, so the error is measured against the rounding scale
-    sum over words and poles of |part| * (1 + |gx| / |gx - p|)."""
+    sum over words and poles of |part| * (1 + |gx| / |gx - p|). nu is also
+    checked at max_len 5, whose shells 4 and 5 are summed as grouped dipole
+    expansions."""
     cfg = SeriesConfig(max_len=3, shell_tol=1.0)
     xs = np.array(default_probe_points(star, 4)[1:])  # the first one is y0 = 0
     ys = np.array([0.9 - 0.3j, -1.1 + 0.4j])
     nu = NuFamily(star, config=cfg)
     bers = BersEvaluator(star, 2, config=cfg)
-    shells = nu.shells
-    words = [
-        tuple(mp.mpc(complex(v)) for v in abcd)
-        for k in range(shells.max_len + 1)
-        for abcd in zip(shells.a[k], shells.b[k], shells.c[k], shells.d[k])
-    ]
+    deep_nu = NuFamily(star, config=SeriesConfig(max_len=5, shell_tol=1.0))
 
-    def exact(x, parts):
+    def words_of(shells):
+        return [
+            tuple(mp.mpc(complex(v)) for v in abcd)
+            for k in range(shells.max_len + 1)
+            for abcd in zip(shells.a[k], shells.b[k], shells.c[k], shells.d[k])
+        ]
+
+    words, deep_words = words_of(nu.shells), words_of(deep_nu.shells)
+
+    def exact(x, parts, words=words):
         """(sum of terms, rounding scale); parts(gx, den) -> [(value, poles)]."""
         x = mp.mpc(complex(x))
         total = scale = mp.mpf(0)
@@ -441,6 +534,10 @@ def test_series_match_30_digit_sums(star):
             (
                 bers.value_grid(xs, ys),
                 [[exact(x, bers_parts(mp.mpc(complex(y)))) for x in xs] for y in ys],
+            ),
+            (
+                deep_nu.values(xs),
+                [[exact(x, nu_parts(mp.mpc(v)), deep_words) for x in xs] for v in deep_nu.images],
             ),
         ]
     for got, want in checks:
