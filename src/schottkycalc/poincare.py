@@ -25,22 +25,30 @@ One engine sums four terms:
     tangent (schottky.shell_tangents), which _sum_shells hands to the term
     word by word.
 
-Direct and far shells. The pole-pair series (third kind and nu) sum shells
-0..3 word by word as above, and every deeper shell as grouped dipole
+Direct and far shells. The third-kind, nu and weight-N series sum shells
+0..3 word by word as above, and every deeper shell as grouped multipole
 expansions (_FarField), in the calling thread. For a det-1 word (a b; c d)
-and a pole w, g'(x) / (gx - w) = 1/(x - p_w) - 1/(x - g^-1 inf) with
-p_w = g^-1 w, so a pole pair's term is the dipole
-delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)). A deep
-shell's words are grouped by their last three letters, whose nested disc
-holds the group's pulled-back poles; a group far from x (radius below half
-the distance) adds a truncated Laurent expansion in 1/(x - c) whose dropped
-tail is bounded a priori (_DipoleGroups), and a near group is summed dipole
-by dipole behind the series' pole guard. The Bers and nu-derivative terms
-stay direct at every depth.
+and a point w, gx - w = (a - cw)(x - p_w)/(cx + d) with p_w = g^-1 w, so a
+word's term is weight / prod_k (x - p_k) over its m pulled-back poles: the
+dipole delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)), of
+a pole pair, and the 2N-pole coef / ((x - p_y) prod_j (x - p_{A_j})),
+coef = prod_j (y - A_j) / ((a - cy) prod_j (a - cA_j)), of the weight-N
+term, whose (cx + d) powers cancel. A deep shell's words are grouped by
+their last three letters (pole pairs) or two (weight N), whose nested disc
+holds the group's poles; a group far from x (radius below half the
+distance) adds a truncated Laurent expansion in 1/(x - c) whose dropped
+tail is bounded a priori for any m (_PoleGroups), and a near group is
+summed term by term, pulled back, behind the series' pole guard. A
+weight-N word that starts with a power of a limit point's own word, so
+that a - cA_j cancels or the pole of A_j leaves its group's disc, stays
+with the chunk kernel and its collapse guard. The nu-derivative term
+stays direct at every depth.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -180,7 +188,7 @@ def _sum_shells(
     try:
         for length, cols in zip(range(shells.max_len + 1), columns or itertools.repeat(None)):
             if far is not None and length >= _DIRECT_SHELLS:
-                shell_total = far.shell_total(length, xs)
+                shell_total = far.shell_total(length, xs, chunk_fn)
             else:
                 shell_total = _direct_shell(
                     shells, length, xs, chunk_fn, t, chunk, pool, cols
@@ -194,7 +202,7 @@ def _sum_shells(
             s = totals + y
             comp = (s - totals) - y
             totals = s
-            shell_mags.append(float(np.max(np.abs(shell_total))))
+            shell_mags.append(float(np.max(np.abs(shell_total), initial=0.0)))
             if (
                 stop_tol is not None
                 and length >= 2
@@ -248,8 +256,8 @@ class _Workspace(threading.local):
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, int], dtype=np.complex128) -> np.ndarray:
-        size = shape[0] * shape[1]
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+        size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
             buf = self._bufs[name] = np.empty(size, dtype=dtype)
@@ -435,7 +443,8 @@ class BersEvaluator(_ShellSeries):
             # array rounds differently from the out-of-place one
             return out * y_weights[:, None]
 
-        return self._sum(xs, chunk_fn, len(ys), f"weight-{N} series")
+        far = _FarField(self.params, self.shells, 2, ys[None, :, None], y_weights[:, None], fixed=A)
+        return self._sum(xs, chunk_fn, len(ys), f"weight-{N} series", far=far)
 
 
 class ThirdKindEvaluator(_ShellSeries):
@@ -454,7 +463,7 @@ class ThirdKindEvaluator(_ShellSeries):
             _pole_pair_chunk_fn(pole_pairs),
             len(ys),
             "third-kind series",
-            far=_FarField(self.shells, pole_pairs),
+            far=_pole_pair_far(self.params, self.shells, pole_pairs),
         )
 
 
@@ -493,126 +502,229 @@ def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
 
 
 # ---------------------------------------------------------------------------
-# deep shells as grouped dipole expansions
+# deep shells as grouped multipole expansions
 
 _DIRECT_SHELLS = 4  # shells 0..3 are summed word by word by the chunk kernels
 _FAR_RATIO = 0.5  # a group is far from x when its radius is below _FAR_RATIO |x - c|
-_TAIL_TOL = 1e-17  # dropped expansion tail, relative to sum |delta| / |x - c|^2
+_TAIL_TOL = 1e-17  # dropped expansion tail, relative to sum |weight| / |x - c|^m
 
 
-def _expansion_order(rho: float) -> int:
-    """The first K >= 1 with (K + 1) rho^K / (1 - rho)^2 <= _TAIL_TOL."""
+def _expansion_order(rho: float, m: int) -> int:
+    """The first K >= 1 with C(K + m - 1, m - 1) rho^K / (1 - rho)^m <= _TAIL_TOL."""
     K = 1
-    while (K + 1) * rho**K > _TAIL_TOL * (1.0 - rho) ** 2:
+    while math.comb(K + m - 1, m - 1) * rho**K > _TAIL_TOL * (1.0 - rho) ** m:
         K += 1
     return K
 
 
-def _group_keys(shells: WordShells, length: int) -> np.ndarray:
-    """Each length-`length` word's last three letters as one integer."""
+def _suffixes(shells: WordShells, length: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each length-`length` word's last `depth` letters as one integer, and
+    the index of its ancestor of length `length - depth + 1`, the word that
+    ends in the first of those letters."""
     letters = 2 * shells.genus
     idx = np.arange(shells.shell_size(length))
     key = np.zeros(len(idx), dtype=np.int64)
-    for back in range(length, length - 3, -1):
+    for back in range(length, length - depth, -1):
+        ancestor = idx
         letter = shells.last_letter[back][idx]
         key = key * letters + 2 * (np.abs(letter) - 1) + (letter < 0)
         idx = shells.parent[back][idx]
-    return key
+    return key, ancestor
+
+
+def _add_chunk_sums(out: np.ndarray, chunk_fn, a, b, c, d, x: np.ndarray) -> None:
+    """Add chunk_fn's sums over the words (a, b, c, d) at the points x to
+    out, in column tiles; a lone point is passed twice, so its column sums
+    row by row, as in any wider tile, and its bits do not depend on the
+    other points."""
+    if len(x) == 1:
+        out += chunk_fn(a, b, c, d, np.repeat(x, 2))[:, :1]
+        return
+    for lo, hi in _column_tiles(len(a), len(x)):
+        out[:, lo:hi] += chunk_fn(a, b, c, d, x[lo:hi])
 
 
 class _FarField:
-    """The shells of a pole-pair series from _DIRECT_SHELLS on, each summed
-    as grouped dipole expansions (_DipoleGroups), built on first use and
-    kept for later calls."""
+    """The shells of a series from _DIRECT_SHELLS on, each summed as grouped
+    multipole expansions (_PoleGroups), built on first use and kept for
+    later calls, as are the expansions' work arrays (per thread)."""
 
-    def __init__(self, shells: WordShells, pole_pairs: Sequence[tuple[complex, complex]]):
+    def __init__(self, p: SchottkyParams, shells: WordShells, depth: int, targets, numerator,
+                 fixed=()):
         self.shells = shells
-        pairs = np.array(pole_pairs, dtype=np.complex128).reshape(-1, 2)
-        self.u, self.v = pairs[:, :1], pairs[:, 1:]  # (t, 1) columns
-        self._groups: dict[int, _DipoleGroups] = {}
+        # row 0 the disc centres, row 1 the radii, by letter code 2(|l| - 1) + (l < 0)
+        discs = np.array([(disc_center(p, l), disc_radius(p, l)) for l in p.letters]).T
+        self.args = (depth, targets, numerator, np.asarray(fixed, dtype=np.complex128), discs)
+        self._groups: dict[int, _PoleGroups] = {}
+        self._ws = _Workspace()
 
-    def shell_total(self, length: int, xs: np.ndarray) -> np.ndarray:
+    def shell_total(self, length: int, xs: np.ndarray, chunk_fn) -> np.ndarray:
         groups = self._groups.get(length)
         if groups is None:
-            groups = self._groups[length] = _DipoleGroups(self.shells, length, self.u, self.v)
-        return groups.total(xs)
+            groups = self._groups[length] = _PoleGroups(self.shells, length, *self.args)
+        return groups.total(xs, chunk_fn, self._ws)
 
 
-class _DipoleGroups:
-    """One deep shell of a pole-pair series, its words grouped by their last
-    three letters.
+def _pole_pair_far(p: SchottkyParams, shells: WordShells, pole_pairs) -> _FarField:
+    """The far field of a pole-pair series: targets (u, v), numerator u - v,
+    words grouped by their last three letters."""
+    uv = np.array(pole_pairs, dtype=np.complex128).reshape(-1, 2).T[..., None]
+    return _FarField(p, shells, 3, uv, uv[0] - uv[1])
 
-    For a det-1 word (a b; c d) and a pole w, g'(x) / (gx - w) =
-    1/(x - p_w) - 1/(x - g^-1 inf) with p_w = g^-1 w = (dw - b)/(a - cw), so
-    the word's term g'(x) [1/(gx - u) - 1/(gx - v)] is the dipole
-    delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)). delta
-    is formed by that formula; p_u - p_v would cancel.
 
-    The pulled-back poles of a group lie in the nested disc of its last
-    three letters (v = g_a y0 pulls back like y0 under a word one letter
-    longer or shorter, which keeps those letters from length 4 on). Each
-    group's centre c and radius r, per pole pair, come from its actual
-    poles, both sets. A group is far from x when r < _FAR_RATIO |x - c|,
-    and there it adds sum_{k>=1} mu_k (x - c)^-(k+1) with the moments
-    mu_k = sum_w delta_w h_{k-1}(p_u - c, p_v - c), h_0 = 1,
-    h_j = q_u h_{j-1} + q_v^j. Since |h_j| <= (j + 1) r^j, stopping at
-    K = _expansion_order(rho), rho the worst far r / |x - c| of the call,
-    drops a tail of at most _TAIL_TOL sum |delta| / |x - c|^2. Near groups
-    are summed dipole by dipole.
+class _PoleGroups:
+    """One deep shell of a series whose word terms are m-pole products,
+    its words grouped by their last `depth` letters.
 
-    Bits: the expansion is elementwise over (pole pair, group, point), the
-    groups add in a fixed order and each near point's dipoles sum as one
-    contiguous row, so a point's value depends on the other points only
-    through K, and never on tiles or workers.
+    For a det-1 word (a b; c d) and a point w, gx - w =
+    (a - cw)(x - p_w)/(cx + d) with the pulled-back pole p_w = g^-1 w =
+    (dw - b)/(a - cw), and g'(x) = (cx + d)^-2. So a word's term is
+    weight / prod_k (x - p_k) over m points u_k: the row targets
+    (`targets`, shape (r, t, 1), one value per output row) and then the
+    `fixed` points shared by every row, with
+    weight = numerator / prod_k (a - c u_k):
+      * a pole pair (u, v), g'(x) [1/(gx - u) - 1/(gx - v)], is m = 2 with
+        numerator u - v: the dipole delta / ((x - p_u)(x - p_v));
+      * the weight-N term (g'x)^N prod_j (y - A_j) / ((gx - y) prod_j (gx - A_j))
+        is m = 2N, target y, fixed A_1 .. A_{2N-1}, numerator
+        prod_j (y - A_j): the (cx + d) powers cancel exactly.
+    Neither form subtracts two poles.
+
+    A word's poles lie in the nested disc of its last `depth` letters, the
+    image of the last disc of its length-(length - depth + 1) ancestor,
+    unless a point sits in the wrong disc. A fixed point does for the words
+    that start with a power of its own word, and such a word stays direct
+    (chunk_fn sums it at every point, with its collapse guard) when that
+    pole lies outside the disc (its pole under the ancestor outside the
+    ancestor's last disc) or when a - cu cancels below 1e-8 of |a| + |cu|:
+    then g maps infinity within rounding of u, and the pole is rounding
+    noise (on STAR, u = A_j under (g_1 g_2)^3 at length 8 gives
+    a - cu = 2e-6 from terms of 1e10). The row targets are points of F or
+    their images (y, y0, g_a y0); one elsewhere only widens its groups.
+
+    A group's centre c is its words' mean pole, over the fixed points when
+    there are any (then c is shared by the rows), else per row; its radius
+    r, per row, is the largest distance of a pole from c. A group is far
+    from x when r < _FAR_RATIO |x - c|, and there it adds sum_{n>=0} mu_n (x - c)^-(m+n)
+    with the moments mu_n = sum_w weight_w h_n(p_w - c), h_n the complete
+    homogeneous polynomial of degree n in the m poles. Since
+    |h_n| <= C(n + m - 1, m - 1) r^n, stopping at K = _expansion_order(rho, m),
+    rho the worst far r / |x - c| of the call, drops a tail of at most
+    _TAIL_TOL sum |weight| / |x - c|^m. Near (group, point) pairs are summed
+    term by term, pulled back, with the series' pole guard on the row
+    targets (a limit point is never an orbit point of x).
+
+    Bits: the expansion is elementwise over (row, group, point), the groups
+    add in a fixed order and each near point's terms sum as one contiguous
+    row, so a point's value depends on the other points only through K, and
+    never on tiles or workers.
     """
 
-    def __init__(self, shells: WordShells, length: int, u: np.ndarray, v: np.ndarray):
-        key = _group_keys(shells, length)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        self.starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        self.stops = np.r_[self.starts[1:], len(key)]
-        a, b, c, d = (m[length][order] for m in (shells.a, shells.b, shells.c, shells.d))
-        self._words = (shells, length, order)
-        self.u, self.v = u, v
-        au, av = a - c * u, a - c * v  # (t, words)
-        self.p_u = (d * u - b) / au
-        self.p_v = (d * v - b) / av
-        self.delta = (u - v) / (au * av)
-        sizes = self.stops - self.starts
+    def __init__(self, shells: WordShells, length: int, depth: int, targets: np.ndarray,
+                 numerator: np.ndarray, fixed: np.ndarray, discs: np.ndarray):
+        mats = (shells.a, shells.b, shells.c, shells.d)
+        key, ancestor = _suffixes(shells, length, depth)
+        self.targets, self.fixed, self.numerator = targets, fixed, numerator
+        self.m = len(targets) + len(fixed)
+        # words per (t, words) work array: a quarter tile
+        self._batch = max(1, _TILE_ELEMENTS // (4 * max(1, len(numerator))))
+        keep = np.ones(len(key), dtype=np.bool_)
+        if len(fixed):
+            back = length - depth + 1
+            letter = shells.last_letter[back][ancestor]
+            code = 2 * (np.abs(letter) - 1) + (letter < 0)
+            disc_c, disc_r = discs[0, code], discs[1, code].real
+            aa, ba, ca, da = (m[back][ancestor] for m in mats)
+            a, c = shells.a[length], shells.c[length]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for u in fixed:
+                    keep &= np.abs((da * u - ba) / (aa - ca * u) - disc_c) <= disc_r
+                    keep &= np.abs(a - c * u) > 1e-8 * (np.abs(a) + np.abs(c * u))
+        self.direct = np.flatnonzero(~keep)
+        kept = np.flatnonzero(keep)
+        order = kept[np.argsort(key[kept], kind="stable")]
+        _, self.starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+        self.stops = self.starts + sizes
         self._group_of_word = np.repeat(np.arange(len(sizes)), sizes)
-        # each group's mean pole and the largest distance of a pole from it
-        self.centre = np.add.reduceat(self.p_u + self.p_v, self.starts, axis=1) / (2 * sizes)
-        cw = self.centre[:, self._group_of_word]
-        spread = np.maximum(np.abs(self.p_u - cw), np.abs(self.p_v - cw))
-        self.radius = np.maximum.reduceat(spread, self.starts, axis=1)
-        self._mu = np.empty((0,) + self.centre.shape, dtype=np.complex128)
+        self._abcd = tuple(m[length][order] for m in mats)  # the kept words, in group order
+        self._direct_abcd = tuple(m[length][self.direct] for m in mats)
+        centres, radii = [], []
+        for g0, g1, sl in self._group_batches():
+            # each group's mean pole and the largest distance of a pole from it
+            _, poles, _ = self._terms(sl)
+            starts = self.starts[g0:g1] - sl.start
+            centred = poles[len(targets) :] or poles
+            mean = np.add.reduceat(functools.reduce(np.add, centred), starts, axis=1)
+            centres.append(mean / (len(centred) * sizes[g0:g1]))
+            cw = centres[-1][:, self._group_of_word[sl] - g0]
+            spread = functools.reduce(np.maximum, [np.abs(p - cw) for p in poles])
+            radii.append(np.maximum.reduceat(spread, starts, axis=1))
+        self.centre = np.concatenate(centres, axis=1) if centres else np.zeros((1, 0))
+        self.radius = np.concatenate(radii, axis=1) if radii else np.zeros((len(numerator), 0))
+        self._mu = np.empty((0,) + self.radius.shape, dtype=np.complex128)
+
+    def _group_batches(self):
+        """Runs [g0, g1) of whole groups holding at most self._batch words
+        (or one group), with their words' slice of the group order."""
+        g0 = 0
+        for g1 in range(1, len(self.starts) + 1):
+            if g1 == len(self.starts) or self.stops[g1] - self.starts[g0] > self._batch:
+                yield g0, g1, slice(self.starts[g0], self.stops[g1 - 1])
+                g0 = g1
+
+    def _points(self, row: int | None = None) -> list[np.ndarray]:
+        """The m points as (t or 1, 1) arrays, or as (1, 1) arrays of one row."""
+        rows = slice(None) if row is None else slice(row, row + 1)
+        return [u[rows] for u in self.targets] + [np.full((1, 1), f) for f in self.fixed]
+
+    def _terms(self, sl: slice, row: int | None = None):
+        """(points, poles, weights) of a slice of the kept words, or of one
+        row of them: the poles one (t or 1, words) array per point, the
+        weights (t, words). Recomputed when needed, to the same bits, rather
+        than kept."""
+        a, b, c, d = (m[sl] for m in self._abcd)
+        points = self._points(row)
+        au = [a - c * u for u in points]
+        poles = [(d * u - b) / au_k for u, au_k in zip(points, au)]
+        numerator = self.numerator if row is None else self.numerator[row : row + 1]
+        return points, poles, numerator / functools.reduce(np.multiply, au)
 
     def _moments(self, K: int) -> np.ndarray:
-        """mu_1 .. mu_K, shape (K, t, groups). A call needing more orders
-        recomputes them all, to the same bits."""
+        """mu_0 .. mu_{K-1}, shape (K, t, groups), by the recurrence
+        H_{m-1} = q_{m-1}^n, H_k <- q_k H_k + H_{k+1}, h_n = H_0 (so the
+        fixed points' H_k are shared by the rows). A call needing more
+        orders recomputes them all, to the same bits."""
         if len(self._mu) < K:
-            cw = self.centre[:, self._group_of_word]
-            qu = self.p_u - cw
-            qv = np.subtract(self.p_v, cw, out=cw)
-            h = np.ones_like(qu)
-            qv_j = np.ones_like(qv)
-            term = np.empty_like(qu)
-            mu = np.empty((K,) + self.centre.shape, dtype=np.complex128)
-            for j in range(K):
-                if j:
-                    qv_j *= qv
-                    h *= qu
-                    h += qv_j
-                mu[j] = np.add.reduceat(np.multiply(self.delta, h, out=term), self.starts, axis=1)
+            mu = np.empty((K,) + self.radius.shape, dtype=np.complex128)
+            for g0, g1, sl in self._group_batches():
+                _, poles, weight = self._terms(sl)
+                starts = self.starts[g0:g1] - sl.start
+                cw = self.centre[:, self._group_of_word[sl]]
+                q = [p - cw for p in poles]
+                del poles
+                H = [np.ones_like(q_k) for q_k in q]
+                term = np.empty_like(weight)
+                for n in range(K):
+                    if n:
+                        H[-1] *= q[-1]
+                        for k in range(len(q) - 2, -1, -1):
+                            H[k] *= q[k]
+                            H[k] += H[k + 1]
+                    mu[n, :, g0:g1] = np.add.reduceat(
+                        np.multiply(weight, H[0], out=term), starts, axis=1
+                    )
             self._mu = mu
         return self._mu[:K]
 
-    def total(self, xs: np.ndarray) -> np.ndarray:
-        """The shell's (t, len(xs)) sum, in the calling thread."""
-        t, groups = self.centre.shape
+    def total(self, xs: np.ndarray, chunk_fn, ws: _Workspace) -> np.ndarray:
+        """The shell's (t, len(xs)) sum, in the calling thread, with the
+        expansions' work arrays in ws."""
+        t, groups = self.radius.shape
         m = len(xs)
-        width = max(1, _TILE_ELEMENTS // (t * groups))
+        out = np.zeros((t, m), dtype=np.complex128)
+        if not out.size:
+            return out
+        width = max(1, _TILE_ELEMENTS // max(1, t * groups))
         tiles = [(lo, min(lo + width, m)) for lo in range(0, m, width)]
         radius = self.radius[..., None]
         near = np.empty((t, groups, m), dtype=np.bool_)
@@ -623,62 +735,68 @@ class _DipoleGroups:
             # (|x - c| > 2r), so the expansion needs no pole guard
             far = radius < _FAR_RATIO * dist
             near[..., lo:hi] = ~far
-            ratio = np.divide(radius, dist, out=np.zeros_like(dist), where=far)
-            rho = max(rho, float(ratio.max()))
-        out = np.zeros((t, m), dtype=np.complex128)
+            ratio = np.divide(radius, dist, out=np.zeros(far.shape), where=far)
+            rho = max(rho, float(ratio.max(initial=0.0)))
         if not near.all():
-            mu = self._moments(_expansion_order(rho))
+            mu = self._moments(_expansion_order(rho, self.m))
             for lo, hi in tiles:
-                out[:, lo:hi] = self._far_sum(mu, xs[lo:hi], near[..., lo:hi])
+                out[:, lo:hi] = self._far_sum(ws, mu, xs[lo:hi], near[..., lo:hi])
         for i, j in zip(*np.nonzero(near.any(axis=2))):
             cols = np.flatnonzero(near[i, j])
             out[i, cols] += self._near_sum(i, j, xs[cols])
+        del near
+        if len(self.direct):
+            _add_chunk_sums(out, chunk_fn, *self._direct_abcd, xs)
         return out
 
-    def _far_sum(self, mu: np.ndarray, x: np.ndarray, near: np.ndarray) -> np.ndarray:
+    def _far_sum(self, ws: _Workspace, mu: np.ndarray, x: np.ndarray, near: np.ndarray):
         """Sum over the far groups of their expansions at x, by Horner in
-        1/(x - c) with one (t, groups, len(x)) operation per order; near
-        entries get 1/(x - c) = 0 and so add exactly 0."""
-        z = x - self.centre[..., None]
-        inv = np.divide(1.0, z, out=np.zeros_like(z), where=~near)
-        acc = np.empty_like(z)
+        1/(x - c) with one (t, groups, len(x)) operation per order (1/(x - c)
+        is shared by the rows when c is); near entries, which may overflow,
+        are set to exactly 0 before the groups add."""
+        acc = ws.take("acc", near.shape)
         acc[...] = mu[-1][..., None]
-        tmp = np.empty_like(z)
-        # out= never aliases an input: numpy's in-place complex multiply of a
-        # 1-element block rounds differently
-        for mu_k in mu[-2::-1]:
-            np.multiply(acc, inv, out=tmp)
-            np.add(tmp, mu_k[..., None], out=acc)
-        np.multiply(acc, inv, out=tmp)
-        np.multiply(tmp, inv, out=acc)
+        tmp = ws.take("tmp", near.shape)
+        inv = ws.take("inv", self.centre.shape + x.shape)
+        np.subtract(x, self.centre[..., None], out=inv)
+        with np.errstate(all="ignore"):
+            np.divide(1.0, inv, out=inv)
+            # a multiply never writes over an input: numpy's in-place complex
+            # multiply of a 1-element block rounds differently
+            for mu_k in mu[-2::-1]:
+                np.multiply(acc, inv, out=tmp)
+                np.add(tmp, mu_k[..., None], out=acc)
+            for _ in range(self.m):
+                np.multiply(acc, inv, out=tmp)
+                acc, tmp = tmp, acc
+        acc[near] = 0.0
         total = acc[:, 0].copy()
         for j in range(1, acc.shape[1]):  # groups add in a fixed order
             total += acc[:, j]
         return total
 
     def _near_sum(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        """Pole pair i's dipoles of group j summed directly at the points x,
-        behind the series' pole guard."""
+        """Row i's terms of group j summed pulled back at the points x,
+        behind the series' pole guard on the row targets."""
         sl = slice(self.starts[j], self.stops[j])
-        u, v = self.u[i, 0], self.v[i, 0]
-        shells, length, order = self._words
-        a, c, d = (m[length][order[sl]] for m in (shells.a, shells.c, shells.d))
-        p_u, p_v, delta = self.p_u[i, sl], self.p_v[i, sl], self.delta[i, sl]
+        a, _, c, d = (m[sl] for m in self._abcd)
+        points, poles, weight = self._terms(sl, i)
         out = np.empty(len(x), dtype=np.complex128)
         step = max(1, _TILE_ELEMENTS // len(a))
         for lo in range(0, len(x), step):
             xk = x[lo : lo + step, None]
-            xu, xv = xk - p_u, xk - p_v  # (points, words)
             # |gx - w| = |x - p_w| |a - cw| / |cx + d|
             den = 1e-12 * np.abs(c * xk + d)
-            if np.any(np.abs(xu) * np.abs(a - c * u) < den) or np.any(
-                np.abs(xv) * np.abs(a - c * v) < den
-            ):
-                raise PoleProximityError(
-                    f"pole pair ({u!r}, {v!r}) within 1e-12 of the orbit of an x point"
-                )
+            prod = None
+            for k, (u, p) in enumerate(zip(points, poles)):
+                xp = xk - p  # (points, words)
+                if k < len(self.targets) and np.any(np.abs(xp) * np.abs(a - c * u) < den):
+                    raise PoleProximityError(
+                        f"pole {u[0, 0]!r} within 1e-12 of the orbit of an x point"
+                    )
+                prod = xp if prod is None else prod * xp
             # one contiguous row per point: its bits do not depend on the others
-            out[lo : lo + step] = np.sum(delta / (xu * xv), axis=1)
+            out[lo : lo + step] = np.sum(weight / prod, axis=1)
         return out
 
 
@@ -707,7 +825,7 @@ class NuFamily(_ShellSeries):
         if any(isinstance(t, Infinity) for t in self.images):
             raise ValueError("base point maps to infinity under a generator")
         self._pole_pairs = [(self.y0, complex(t)) for t in self.images]
-        self._far = _FarField(self.shells, self._pole_pairs)
+        self._far = _pole_pair_far(p, self.shells, self._pole_pairs)
 
     def value(self, a: int, x: complex) -> complex:
         return complex(self.values(np.array([x]))[a - 1, 0])
@@ -728,7 +846,7 @@ class NuFamily(_ShellSeries):
         chunk_fn = _nu_tangent_chunk_fn(self.y0, self.images, image_moves)
         columns = shell_tangents(p, self.shells)
         rows = self._sum(xs, chunk_fn, p.genus * len(image_moves[0]), "nu derivative series", columns)
-        return rows.reshape(p.genus, -1, len(xs))
+        return rows.reshape(p.genus, len(image_moves[0]), len(xs))
 
 
 def _nu_tangent_chunk_fn(y0: complex, images: Sequence[complex], image_moves):

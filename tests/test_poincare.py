@@ -1,4 +1,5 @@
 import itertools
+import math
 import threading
 import time
 
@@ -403,6 +404,13 @@ FAR_CASES = [("star", 7), ("asymmetric", 7), ("genus3-wide", 5)]
 THIRD_KIND_YS = np.array([0.9 - 0.3j, -1.1 + 0.4j])
 
 
+def _bers_targets(p):
+    """THIRD_KIND_YS and, inside two discs, the image of each under a generator."""
+    letters = (1, -p.genus)
+    inside = [moebius.apply(generator(p, l), complex(y)) for l, y in zip(letters, THIRD_KIND_YS)]
+    return np.concatenate([THIRD_KIND_YS, inside])
+
+
 def _surface(name, star):
     return {"star": star, "asymmetric": ASYMMETRIC, "genus3-wide": WIDE}[name]
 
@@ -423,9 +431,12 @@ def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
     p = _surface(name, star)
     cfg = SeriesConfig(max_len=max_len)
     xs = _far_case_points(p)
+    ys = _bers_targets(p)
     evaluate = {
         "nu": lambda: NuFamily(p, config=cfg).values(xs),
         "third_kind": lambda: ThirdKindEvaluator(p, config=cfg).value_grid(xs, THIRD_KIND_YS),
+        "bers2": lambda: BersEvaluator(p, 2, config=cfg).value_grid(xs, ys),
+        "bers3": lambda: BersEvaluator(p, 3, config=cfg).value_grid(xs, ys),
     }
     far = {kind: f() for kind, f in evaluate.items()}
     monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)  # every group is near every point
@@ -470,11 +481,73 @@ def test_shallow_series_are_the_chunk_kernel_sums(star, max_len):
 
 
 def test_expansion_order_bounds_the_tail():
-    assert poincare._expansion_order(0.0) == 1
-    for rho in (1e-6, 1e-3, 0.1, 0.3, poincare._FAR_RATIO * (1 - 1e-12)):
-        K = poincare._expansion_order(rho)
-        assert (K + 1) * rho**K / (1 - rho) ** 2 <= poincare._TAIL_TOL
-        assert K * rho ** (K - 1) / (1 - rho) ** 2 > poincare._TAIL_TOL or K == 1
+    for m in (2, 4, 6):  # pole pairs, and weight-N terms at N = 2, 3
+        assert poincare._expansion_order(0.0, m) == 1
+        for rho in (1e-6, 1e-3, 0.1, 0.3, poincare._FAR_RATIO * (1 - 1e-12)):
+            K = poincare._expansion_order(rho, m)
+            bound = math.comb(K + m - 1, m - 1) * rho**K / (1 - rho) ** m
+            assert bound <= poincare._TAIL_TOL
+            earlier = math.comb(K + m - 2, m - 1) * rho ** (K - 1) / (1 - rho) ** m
+            assert K == 1 or earlier > poincare._TAIL_TOL
+
+
+@pytest.mark.parametrize("length", [4, 5])
+def test_bers_pole_guard_at_pulled_back_target(star, length):
+    bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=6))
+    shells = bers.shells
+    y = 0.9 - 0.3j
+    # g^-1 y, formed as the far field forms its poles
+    poles = (shells.d[length] * y - shells.b[length]) / (shells.a[length] - shells.c[length] * y)
+    with pytest.raises(PoleProximityError):
+        bers.value_grid([poles[len(poles) // 3]], [y])
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("max_len", [6, 8])
+def test_bers_limit_point_outliers_stay_direct(star, monkeypatch, max_len):
+    """A word that starts with a power of a limit point's own word maps
+    infinity close to that point. When a - c A_j cancels, the pulled-back
+    pole is noise: on STAR, a - c A_j = 0 at max_len 6, and at max_len 8
+    (g_1 g_2)^3 g_2 g_1 gives a noise pole at exactly 0. Otherwise the pole
+    may still lie outside the group's nested disc (shell 4). The far field
+    leaves such words to the chunk kernel and its collapse guard, at every
+    point, x = 0 included, and keeps every group as small as its disc."""
+    bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=max_len))
+    shells, A = bers.shells, bers.points
+    ys = _bers_targets(star)
+    targets = ys[None, :, None]
+    weights = np.array([np.prod(y - A) for y in ys])[:, None]
+    far_field = poincare._FarField(star, shells, 2, targets, weights, fixed=A)
+    for length in range(poincare._DIRECT_SHELLS, max_len + 1):
+        a, c = shells.a[length][None], shells.c[length][None]
+        cancelled = np.any(
+            np.abs(a - c * A[:, None]) <= 1e-15 * (np.abs(a) + np.abs(c * A[:, None])), axis=0
+        )
+        groups = poincare._PoleGroups(shells, length, *far_field.args)
+        assert set(np.flatnonzero(cancelled)) <= set(groups.direct)
+        assert np.isfinite(groups.radius).all() and groups.radius.max() < 1e-3, length
+    assert cancelled.any()
+    xs = np.r_[0j, _far_case_points(star)]
+    far = bers.value_grid(xs, ys)
+    monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)
+    near = bers.value_grid(xs, ys)
+    assert np.all(np.isfinite(far))
+    assert np.all(np.abs(far - near) <= 1e-14 * np.abs(near))
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("max_len", [2, 5])
+def test_evaluators_accept_no_points(star, max_len):
+    cfg = SeriesConfig(max_len=max_len, workers=2)
+    none = np.array([], dtype=np.complex128)
+    ys = np.array([0.9, -1.0 + 0.2j])
+    nu = NuFamily(star, config=cfg)
+    assert BersEvaluator(star, 2, config=cfg).value_grid(none, ys).shape == (2, 0)
+    assert BersEvaluator(star, 2, config=cfg).value_grid(ys, none).shape == (0, 2)
+    assert ThirdKindEvaluator(star, config=cfg).value_grid(none, ys).shape == (2, 0)
+    assert nu.values(none).shape == (2, 0)
+    assert nu.moduli_derivatives(none).shape == (2, 6, 0)
+    assert nu.last_shell_magnitudes == [0.0] * (max_len + 1)
 
 
 def test_series_match_30_digit_sums(star):
@@ -487,13 +560,15 @@ def test_series_match_30_digit_sums(star):
     g_a y0, so the error is measured against the rounding scale
     sum over words and poles of |part| * (1 + |gx| / |gx - p|). nu is also
     checked at max_len 5, whose shells 4 and 5 are summed as grouped dipole
-    expansions."""
+    expansions, and so is the weight-2 series, whose shells 4 and 5 are
+    grouped 4-pole expansions."""
     cfg = SeriesConfig(max_len=3, shell_tol=1.0)
     xs = np.array(default_probe_points(star, 4)[1:])  # the first one is y0 = 0
     ys = np.array([0.9 - 0.3j, -1.1 + 0.4j])
     nu = NuFamily(star, config=cfg)
     bers = BersEvaluator(star, 2, config=cfg)
     deep_nu = NuFamily(star, config=SeriesConfig(max_len=5, shell_tol=1.0))
+    deep_bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=5, shell_tol=1.0))
 
     def words_of(shells):
         return [
@@ -538,6 +613,10 @@ def test_series_match_30_digit_sums(star):
             (
                 deep_nu.values(xs),
                 [[exact(x, nu_parts(mp.mpc(v)), deep_words) for x in xs] for v in deep_nu.images],
+            ),
+            (
+                deep_bers.value_grid(xs, ys),
+                [[exact(x, bers_parts(mp.mpc(complex(y))), deep_words) for x in xs] for y in ys],
             ),
         ]
     for got, want in checks:
