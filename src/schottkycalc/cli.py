@@ -15,7 +15,9 @@ or a full run configuration
 Complex values are written as a number, an [re, im] pair or a string like
 "1+2j"; a missing or null key keeps its default, an unknown key is an
 error. No command reads "h" any more (the rauch check takes the exact
-period gradient); it stays a valid key so existing configs still load. One
+period gradient); it stays a valid key so existing configs still load.
+Likewise "workers" and --workers are accepted (>= 1) and have no effect:
+every series runs in the calling thread. One
 base point y0 anchors the nu family, and period-matrix, rauch and report
 certify one period matrix at the config's "normalization" and "symmetry"
 tolerances. Reports are JSON with sorted keys; every residual is
@@ -33,6 +35,7 @@ import json
 import re
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -546,33 +549,34 @@ _RESIDUAL_TOL_KEY = {
 def run_suite(rc: RunConfig, name: str, ctx: RunContext | None = None) -> dict:
     """Execute one named suite and assemble its report.
 
-    Suites run with the same ctx share its artifacts.
+    Suites run with the same ctx share its artifacts. A suite that raises
+    reports the error, and an exception outside _FAILURES also its traceback.
     """
     t0 = time.perf_counter()
+    failure = {}
     try:
         residuals = _SUITE_RUNNERS[name](rc, ctx or RunContext(rc))
-        error = None
     except Exception as exc:  # surfaced as diagnostics, not a crash
         residuals = {}
-        error = f"{type(exc).__name__}: {exc}"
+        failure["error"] = f"{type(exc).__name__}: {exc}"
+        if not isinstance(exc, _FAILURES):  # a programming error: keep where it was raised
+            failure["traceback"] = traceback.format_exc()
     checks = {}
-    passed = error is None
+    passed = not failure
     for rname, value in residuals.items():
         tol = rc.tol(_RESIDUAL_TOL_KEY[rname])
         ok = bool(value < tol)
         passed = passed and ok
         checks[rname] = {"residual": float(value), "tolerance": tol, "passed": ok}
-    report = {
+    return {
         "suite": name,
         "passed": passed,
         "checks": checks,
         "wall_time": time.perf_counter() - t0,
         "seed": rc.seed,
         "workers": rc.workers,
+        **failure,
     }
-    if error is not None:
-        report["error"] = error
-    return report
 
 
 def _run_suites(ctx: RunContext, names: Sequence[str]) -> dict:
@@ -791,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--json", default=None, help="also write the report to this path")
         sp.add_argument("--max-len", type=int, default=None, help="override truncation depth")
-        sp.add_argument("--workers", type=int, default=None, help="worker threads")
+        sp.add_argument("--workers", type=int, default=None, help="accepted, no effect")
         sp.add_argument("--seed", type=int, default=None, help="seed for random-word checks")
 
     common(sub.add_parser("validate", help="check the surface constraints"))

@@ -1,10 +1,10 @@
 """Poincare-series evaluation over Schottky groups.
 
-Series are summed shell-by-shell over reduced words of bounded length, with
-vectorized matrix action, deterministic chunked accumulation (fixed chunk
-boundaries, in-order Kahan combination, so results are bit-identical at any
-worker count), and a truncation warning when the last shell is still above
-the configured tolerance.
+Series are summed shell-by-shell over reduced words of bounded length, in
+the calling thread, with vectorized matrix action, deterministic chunked
+accumulation (fixed chunk boundaries, in-order Kahan combination) and a
+truncation warning when the last shell is still above the configured
+tolerance.
 
 The chunk boundaries depend only on the number of evaluation points, since
 they fix the order in which word terms are added. Each chunk's points are
@@ -14,7 +14,7 @@ tiling never changes a bit, except that numpy sums a 1-column block in a
 different order, which is why a trailing 1-column tile is folded into its
 neighbour. (The nu-derivative term sums its words by matrix products, whose
 bits may depend on the tile width; the tiles, like the chunks, depend only
-on the point count.) The work arrays live in per-thread scratch owned by one evaluator
+on the point count.) The work arrays live in scratch owned by one evaluator
 call, so no numpy op allocates one.
 
 One engine sums four terms:
@@ -27,7 +27,7 @@ One engine sums four terms:
 
 Direct and far shells. The third-kind, nu and weight-N series sum shells
 0..3 word by word as above, and every deeper shell as grouped multipole
-expansions (_FarField), in the calling thread. For a det-1 word (a b; c d)
+expansions (_FarField). For a det-1 word (a b; c d)
 and a point w, gx - w = (a - cw)(x - p_w)/(cx + d) with p_w = g^-1 w, so a
 word's term is weight / prod_k (x - p_k) over its m pulled-back poles: the
 dipole delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)), of
@@ -49,9 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,13 +100,13 @@ class EvaluationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation and execution policy for all series evaluations.
+    """Truncation policy for all series evaluations.
 
     stop_tol, when set, skips the remaining shells once two consecutive
     shells each contribute less than stop_tol (a deterministic cutoff: the
-    decision depends only on the sequentially reduced shell magnitudes, so
-    results stay worker-independent). Leave it None to always sum every
-    enumerated shell.
+    decision depends only on the sequentially reduced shell magnitudes).
+    Leave it None to always sum every enumerated shell. workers is accepted
+    (>= 1) and has no effect: every series runs in the calling thread.
     """
 
     max_len: int = 10
@@ -133,7 +131,7 @@ class SeriesConfig:
 def _chunk_size(m: int) -> int:
     # depends only on the evaluation-point count, so the chunk boundaries, and
     # with them the order in which word terms are added, never depend on the
-    # worker count or the tile size
+    # tile size
     return max(64, _CHUNK_ELEMENTS // max(1, m))
 
 
@@ -153,7 +151,6 @@ def _sum_shells(
     xs: np.ndarray,
     chunk_fn,
     t: int,
-    workers: int,
     stop_tol: float | None = None,
     columns=None,
     far=None,
@@ -166,17 +163,14 @@ def _sum_shells(
     slice of it as a sixth argument. Each shell is cut into word chunks of
     _chunk_size(m) rows; the chunk boundaries fix the order of the row sums,
     and so the bits. Each chunk's points are cut into column tiles
-    (_column_tiles), and every (chunk, tile) pair is one task: a tile's sums
-    are exactly that chunk's sums at those columns, so the tile size changes
-    speed and memory, never values (the nu-derivative term aside, see the
-    module docstring). Tasks are submitted and collected in a fixed order and each
-    column adds its chunk partials in chunk order, then shells combine
-    sequentially (Kahan); threads only compute partials, never reduce, so any
-    worker count gives identical bits. With stop_tol set, the loop exits once
-    two consecutive shells each contribute less than stop_tol (also a
-    worker-independent decision). far, when given (a _FarField of the same
-    term), supplies the totals of the shells from _DIRECT_SHELLS on instead
-    of chunk_fn; it runs in the calling thread.
+    (_column_tiles): a tile's sums are exactly that chunk's sums at those
+    columns, so the tile size changes speed and memory, never values (the
+    nu-derivative term aside, see the module docstring). Each column adds
+    its chunk partials in chunk order, then shells combine sequentially
+    (Kahan). With stop_tol set, the loop exits once two consecutive shells
+    each contribute less than stop_tol. far, when given (a _FarField of the
+    same term), supplies the totals of the shells from _DIRECT_SHELLS on
+    instead of chunk_fn.
     """
     m = len(xs)
     totals = np.zeros((t, m), dtype=np.complex128)
@@ -184,73 +178,55 @@ def _sum_shells(
     shell_mags: list[float] = []
     chunk = _chunk_size(m)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for length, cols in zip(range(shells.max_len + 1), columns or itertools.repeat(None)):
-            if far is not None and length >= _DIRECT_SHELLS:
-                shell_total = far.shell_total(length, xs, chunk_fn)
-            else:
-                shell_total = _direct_shell(
-                    shells, length, xs, chunk_fn, t, chunk, pool, cols
-                )
-            if not np.all(np.isfinite(shell_total)):
-                raise EvaluationError(
-                    "non-finite series terms (evaluation point at a pole of a group element?)"
-                )
-            # Kahan step keeps deep-shell tails from drowning in rounding
-            y = shell_total - comp
-            s = totals + y
-            comp = (s - totals) - y
-            totals = s
-            shell_mags.append(float(np.max(np.abs(shell_total), initial=0.0)))
-            if (
-                stop_tol is not None
-                and length >= 2
-                and shell_mags[-1] < stop_tol
-                and shell_mags[-2] < stop_tol
-            ):
-                break
-    finally:
-        if pool is not None:  # leave no task running: drop queued ones, join the workers
-            pool.shutdown(wait=True, cancel_futures=True)
+    for length, cols in zip(range(shells.max_len + 1), columns or itertools.repeat(None)):
+        if far is not None and length >= _DIRECT_SHELLS:
+            shell_total = far.shell_total(length, xs, chunk_fn)
+        else:
+            shell_total = _direct_shell(shells, length, xs, chunk_fn, t, chunk, cols)
+        if not np.all(np.isfinite(shell_total)):
+            raise EvaluationError(
+                "non-finite series terms (evaluation point at a pole of a group element?)"
+            )
+        # Kahan step keeps deep-shell tails from drowning in rounding
+        y = shell_total - comp
+        s = totals + y
+        comp = (s - totals) - y
+        totals = s
+        shell_mags.append(float(np.max(np.abs(shell_total), initial=0.0)))
+        if (
+            stop_tol is not None
+            and length >= 2
+            and shell_mags[-1] < stop_tol
+            and shell_mags[-2] < stop_tol
+        ):
+            break
     return totals, shell_mags
 
 
-def _direct_shell(shells, length, xs, chunk_fn, t, chunk, pool, cols):
+def _direct_shell(shells, length, xs, chunk_fn, t, chunk, cols):
     """One shell's (t, len(xs)) total from chunk_fn, as _sum_shells describes."""
     m = len(xs)
     a, b = shells.a[length], shells.b[length]
     c, d = shells.c[length], shells.d[length]
     n = len(a)
-    tasks = [
-        (i, min(i + chunk, n), lo, hi)
-        for i in range(0, n, chunk)
-        for lo, hi in _column_tiles(min(chunk, n - i), m)
-    ]
-    args = [
-        (a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi])
-        + (() if cols is None else (cols[..., i:j],))
-        for i, j, lo, hi in tasks
-    ]
-    if pool is None:
-        parts = (chunk_fn(*arg) for arg in args)
-    else:
-        futs = [pool.submit(chunk_fn, *arg) for arg in args]
-        parts = (f.result() for f in futs)
     shell_total = np.empty((t, m), dtype=np.complex128)
-    for (i, _, lo, hi), part in zip(tasks, parts):
-        if i == 0:  # each column adds its chunks' partials in chunk order
-            shell_total[:, lo:hi] = part
-        else:
-            shell_total[:, lo:hi] += part
+    for i in range(0, n, chunk):
+        j = min(i + chunk, n)
+        extra = () if cols is None else (cols[..., i:j],)
+        for lo, hi in _column_tiles(j - i, m):
+            part = chunk_fn(a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi], *extra)
+            if i == 0:  # each column adds its chunks' partials in chunk order
+                shell_total[:, lo:hi] = part
+            else:
+                shell_total[:, lo:hi] += part
     return shell_total
 
 
-class _Workspace(threading.local):
-    """Per-thread scratch for the chunk kernels, grown on demand.
+class _Workspace:
+    """Scratch for the chunk kernels, grown on demand.
 
-    One instance belongs to one evaluator call: its buffers are freed with
-    the call, and each pool thread sees its own, so no buffer is shared.
+    One instance belongs to one evaluator call, and its buffers are freed
+    with the call.
     """
 
     def __init__(self):
@@ -362,7 +338,6 @@ class _ShellSeries:
             xs,
             chunk_fn,
             t,
-            self.config.workers,
             stop_tol=self.config.stop_tol,
             columns=columns,
             far=far,
@@ -468,7 +443,7 @@ class ThirdKindEvaluator(_ShellSeries):
 
 
 def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
-    """Chunk worker summing g'(x) * (1/(gx - u) - 1/(gx - v)) per pole pair.
+    """Chunk function summing g'(x) * (1/(gx - u) - 1/(gx - v)) per pole pair.
 
     The product is always formed out of place as (1/(gx - u) - 1/(gx - v)) *
     g'(x): numpy's complex multiply is neither bit-commutative nor, on
@@ -547,7 +522,7 @@ def _add_chunk_sums(out: np.ndarray, chunk_fn, a, b, c, d, x: np.ndarray) -> Non
 class _FarField:
     """The shells of a series from _DIRECT_SHELLS on, each summed as grouped
     multipole expansions (_PoleGroups), built on first use and kept for
-    later calls, as are the expansions' work arrays (per thread)."""
+    later calls, as are the expansions' work arrays."""
 
     def __init__(self, p: SchottkyParams, shells: WordShells, depth: int, targets, numerator,
                  fixed=()):
@@ -617,7 +592,7 @@ class _PoleGroups:
     Bits: the expansion is elementwise over (row, group, point), the groups
     add in a fixed order and each near point's terms sum as one contiguous
     row, so a point's value depends on the other points only through K, and
-    never on tiles or workers.
+    never on tiles.
     """
 
     def __init__(self, shells: WordShells, length: int, depth: int, targets: np.ndarray,
@@ -717,8 +692,8 @@ class _PoleGroups:
         return self._mu[:K]
 
     def total(self, xs: np.ndarray, chunk_fn, ws: _Workspace) -> np.ndarray:
-        """The shell's (t, len(xs)) sum, in the calling thread, with the
-        expansions' work arrays in ws."""
+        """The shell's (t, len(xs)) sum, with the expansions' work arrays in
+        ws."""
         t, groups = self.radius.shape
         m = len(xs)
         out = np.zeros((t, m), dtype=np.complex128)
@@ -850,7 +825,7 @@ class NuFamily(_ShellSeries):
 
 
 def _nu_tangent_chunk_fn(y0: complex, images: Sequence[complex], image_moves):
-    """Chunk worker for NuFamily.moduli_derivatives, fed each word's tangent
+    """Chunk function for NuFamily.moduli_derivatives, fed each word's tangent
     dm = (da, db, dc, dd), shape (4, 3g, words).
 
     A word's nu_a term is g'(x) (r0 - r_a), with den = cx + d, g'(x) =
@@ -860,7 +835,7 @@ def _nu_tangent_chunk_fn(y0: complex, images: Sequence[complex], image_moves):
     so each a's sum over the words is two (3g x 2 words) @ (2 words x points)
     matrix products with G stacked on F = H - G gx. A matrix product's bits
     may depend on the width of its tile, which depends only on the point
-    count, never on the worker count. The pole guard is the nu series' own.
+    count. The pole guard is the nu series' own.
     """
     ws = _Workspace()
 

@@ -539,6 +539,24 @@ def test_suite_seed_is_echoed(tmp_path):
     assert rep["seed"] == 11 and rep["passed"]
 
 
+def test_suite_keeps_the_traceback_of_a_programming_error(tmp_path, monkeypatch):
+    def broken(rc, ctx):
+        raise TypeError("bad call")
+
+    def diverged(rc, ctx):
+        raise ArithmeticError("diverged")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "cocycle", broken)
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "residue", diverged)
+    rc = load_config(write_config(tmp_path))
+    bug, failure = run_suite(rc, "cocycle"), run_suite(rc, "residue")
+    assert bug["error"] == "TypeError: bad call" and bug["passed"] is False
+    assert "in broken" in bug["traceback"]
+    assert bug["traceback"].rstrip().endswith("TypeError: bad call")
+    assert failure["error"] == "ArithmeticError: diverged" and failure["passed"] is False
+    assert "traceback" not in failure  # a numerical failure stays one line
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path)
     proc = subprocess.run(

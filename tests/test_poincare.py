@@ -1,7 +1,6 @@
 import itertools
 import math
 import threading
-import time
 
 import mpmath as mp
 import numpy as np
@@ -196,7 +195,7 @@ def test_column_tiles_cover_points_and_fold_the_tail():
         assert all(e - s >= 2 for s, e in tiles) or m == 1
 
 
-def test_failing_chunk_leaves_no_worker_threads(star):
+def test_failing_chunk_stops_the_sum(star):
     shells = build_shells(star, 6)
     xs = np.zeros(4096, dtype=np.complex128)  # 64-word chunks, 16 tiles each
     in_last = []
@@ -205,25 +204,35 @@ def test_failing_chunk_leaves_no_worker_threads(star):
         in_last.append(np.shares_memory(a, shells.a[shells.max_len]))
         return np.zeros((1, len(x)), dtype=np.complex128)
 
-    _sum_shells(shells, xs, dry_run, 1, workers=1)
+    _sum_shells(shells, xs, dry_run, 1)
     tasks = len(in_last)
-    fail_at = in_last.index(True) + 2  # inside the last shell, tasks still queued
+    fail_at = in_last.index(True) + 2  # inside the last shell, many chunks still to go
     assert tasks - fail_at > 100
     calls = itertools.count()
-    before = set(threading.enumerate())
 
     def chunk_fn(a, b, c, d, x):
-        k = next(calls)
-        if k == fail_at:
+        if next(calls) == fail_at:
             raise EvaluationError("chunk failed")
-        if k > fail_at - 2:
-            time.sleep(0.05)  # keep the last shell's tasks queued
         return np.zeros((1, len(x)), dtype=np.complex128)
 
     with pytest.raises(EvaluationError):
-        _sum_shells(shells, xs, chunk_fn, 1, workers=2)
-    assert set(threading.enumerate()) <= before  # the pool's workers were joined
-    assert next(calls) < tasks  # the queued tasks were cancelled, not run
+        _sum_shells(shells, xs, chunk_fn, 1)
+    assert next(calls) == fail_at + 1  # no chunk after the failing one was called
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_series_start_no_thread(star, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a series started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = SeriesConfig(max_len=5, workers=4)  # an accepted workers value has no effect
+    xs = _probe_xs(513)
+    BersEvaluator(star, 2, config=cfg).value_grid(xs, THIRD_KIND_YS)
+    ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS)
+    nu = NuFamily(star, config=cfg)
+    nu.values(xs)
+    nu.moduli_derivatives(xs)
 
 
 def test_truncation_warning_on_shallow_cutoff():
@@ -388,7 +397,7 @@ def test_sum_shells_hands_each_task_its_words_columns(star):
         return np.zeros((1, len(x)), dtype=np.complex128)
 
     columns = (np.stack([shells.a[L], shells.d[L]]) for L in range(5))
-    _sum_shells(shells, xs, chunk_fn, 1, 2, columns=columns)
+    _sum_shells(shells, xs, chunk_fn, 1, columns=columns)
     assert max(handed) == 64  # the 108-word shell came in two chunks
 
 
@@ -473,10 +482,10 @@ def test_shallow_series_are_the_chunk_kernel_sums(star, max_len):
     xs = _far_case_points(star)
     nu = NuFamily(star, config=cfg)
     pairs = [(nu.y0, complex(v)) for v in nu.images]
-    want, _ = _sum_shells(nu.shells, xs, _pole_pair_chunk_fn(pairs), len(pairs), 1)
+    want, _ = _sum_shells(nu.shells, xs, _pole_pair_chunk_fn(pairs), len(pairs))
     assert np.array_equal(nu.values(xs), want)
     pairs = [(y, 0j) for y in THIRD_KIND_YS]
-    want, _ = _sum_shells(nu.shells, xs, _pole_pair_chunk_fn(pairs), len(pairs), 1)
+    want, _ = _sum_shells(nu.shells, xs, _pole_pair_chunk_fn(pairs), len(pairs))
     assert np.array_equal(ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS), want)
 
 
