@@ -220,16 +220,23 @@ def _parse_J(raw, N: int, genus: int) -> tuple[int, ...]:
         if isinstance(item, (list, tuple)):
             if len(item) != 2:
                 raise ConfigError(f"J entries are flat indices or [handle, power]: {item!r}")
-            a, k = int(item[0]), int(item[1])
+            a, k = _integer(item[0]), _integer(item[1])
             if not (1 <= a <= genus and 0 <= k < m):
                 raise ConfigError(f"J entry {item!r} out of range for g={genus}, N={N}")
             flats.append((a - 1) * m + k)
         else:
-            flats.append(int(item))
+            flats.append(_integer(item))
     d, n_tot = (genus - 1) * m, genus * m
     if len(flats) != d or len(set(flats)) != d or not all(0 <= f < n_tot for f in flats):
         raise ConfigError(f"J must pick {d} distinct flat indices in [0, {n_tot}), got {flats}")
     return tuple(sorted(flats))
+
+
+def _integer(value) -> int:
+    """A JSON integer; int() would truncate 7.9 and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _tolerances(raw) -> dict[str, float]:
@@ -239,7 +246,7 @@ def _tolerances(raw) -> dict[str, float]:
 # how load_config reads each key besides "surface" and "J"; the defaults
 # are RunConfig's
 _CONFIG_KEYS = {
-    **dict.fromkeys(("N", "max_len", "nodes", "workers", "seed"), int),
+    **dict.fromkeys(("N", "max_len", "nodes", "workers", "seed"), _integer),
     **dict.fromkeys(("shell_tol", "stop_tol", "h"), float),
     "tolerances": _tolerances,
 }

@@ -75,27 +75,15 @@ class PolyForm:
         return PolyForm(N, (0j,) * (2 * N - 1))
 
     def shifted_coeffs(self, w: complex) -> tuple[complex, ...]:
-        """Coefficients s_k with P(z) = sum_k s_k (z - w)^k."""
-        m = len(self.coeffs)
-        out = []
-        for k in range(m):
-            s = 0j
-            for j in range(k, m):
-                s += self.coeffs[j] * math.comb(j, k) * w ** (j - k)
-            out.append(s)
-        return tuple(out)
+        """Coefficients s_k with P(z) = sum_k s_k (z - w)^k: the pullback by
+        the translation z -> z + w."""
+        return poly_pullback(self, MoebiusMap(1.0, w, 0.0, 1.0)).coeffs
 
     @staticmethod
     def from_shifted(N: int, w: complex, shifted: Sequence[complex]) -> "PolyForm":
-        """Inverse of shifted_coeffs."""
-        m = 2 * N - 1
-        if len(shifted) != m:
-            raise ValueError(f"need {m} shifted coefficients")
-        coeffs = [0j] * m
-        for k, s in enumerate(shifted):
-            for j in range(k + 1):
-                coeffs[j] += s * math.comb(k, j) * (-w) ** (k - j)
-        return PolyForm(N, tuple(coeffs))
+        """Inverse of shifted_coeffs: PolyForm(N, shifted) pulled back by
+        z -> z - w."""
+        return poly_pullback(PolyForm(N, tuple(shifted)), MoebiusMap(1.0, -w, 0.0, 1.0))
 
 
 def _binom_coeffs(u: complex, v: complex, n: int) -> np.ndarray:

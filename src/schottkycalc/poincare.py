@@ -42,7 +42,7 @@ summed term by term, pulled back, behind the series' pole guard. A
 weight-N word that starts with a power of a limit point's own word, so
 that a - cA_j cancels or the pole of A_j leaves its group's disc, stays
 with the chunk kernel and its collapse guard. The nu-derivative term
-stays direct at every depth.
+differentiates the pole-pair dipole, word by word at every depth.
 """
 from __future__ import annotations
 
@@ -58,6 +58,7 @@ import numpy as np
 from . import moebius
 from .moebius import Infinity, MoebiusMap
 from .schottky import (
+    DIRECTIONS_PER_HANDLE,
     SchottkyParams,
     WordShells,
     build_shells,
@@ -547,6 +548,12 @@ def _pole_pair_far(p: SchottkyParams, shells: WordShells, pole_pairs) -> _FarFie
     return _FarField(p, shells, 3, uv, uv[0] - uv[1])
 
 
+def _pull_back(a, b, c, d, w):
+    """(a - cw, p_w = g^-1 w) for words g = (a b; c d): gx - w = (a - cw)(x - p_w)/(cx + d)."""
+    lam = a - c * w
+    return lam, (d * w - b) / lam
+
+
 class _PoleGroups:
     """One deep shell of a series whose word terms are m-pole products,
     its words grouped by their last `depth` letters.
@@ -613,7 +620,7 @@ class _PoleGroups:
             a, c = shells.a[length], shells.c[length]
             with np.errstate(divide="ignore", invalid="ignore"):
                 for u in fixed:
-                    keep &= np.abs((da * u - ba) / (aa - ca * u) - disc_c) <= disc_r
+                    keep &= np.abs(_pull_back(aa, ba, ca, da, u)[1] - disc_c) <= disc_r
                     keep &= np.abs(a - c * u) > 1e-8 * (np.abs(a) + np.abs(c * u))
         self.direct = np.flatnonzero(~keep)
         kept = np.flatnonzero(keep)
@@ -659,8 +666,7 @@ class _PoleGroups:
         than kept."""
         a, b, c, d = (m[sl] for m in self._abcd)
         points = self._points(row)
-        au = [a - c * u for u in points]
-        poles = [(d * u - b) / au_k for u, au_k in zip(points, au)]
+        au, poles = zip(*(_pull_back(a, b, c, d, u) for u in points))
         numerator = self.numerator if row is None else self.numerator[row : row + 1]
         return points, poles, numerator / functools.reduce(np.multiply, au)
 
@@ -816,68 +822,65 @@ class NuFamily(_ShellSeries):
         base point y0 held fixed: shape (g, 3g, len(xs)), row a - 1, column
         as schottky.generator_tangent's; one orbit pass."""
         xs = np.asarray(xs, dtype=np.complex128)
-        p = self.params
-        image_moves = [image_tangent(p, a, self.y0) for a in range(1, p.genus + 1)]
-        chunk_fn = _nu_tangent_chunk_fn(self.y0, self.images, image_moves)
-        columns = shell_tangents(p, self.shells)
-        rows = self._sum(xs, chunk_fn, p.genus * len(image_moves[0]), "nu derivative series", columns)
-        return rows.reshape(p.genus, len(image_moves[0]), len(xs))
+        g, k = self.params.genus, DIRECTIONS_PER_HANDLE * self.params.genus
+        columns = shell_tangents(self.params, self.shells)
+        rows = self._sum(xs, _nu_tangent_chunk_fn(self), g * k, "nu derivative series", columns)
+        return rows.reshape(g, k, len(xs))
 
 
-def _nu_tangent_chunk_fn(y0: complex, images: Sequence[complex], image_moves):
-    """Chunk function for NuFamily.moduli_derivatives, fed each word's tangent
-    dm = (da, db, dc, dd), shape (4, 3g, words).
+def _nu_tangent_chunk_fn(nu: NuFamily):
+    """NuFamily.moduli_derivatives' chunk function, fed the word tangents dm, shape (4, 3g, words).
 
-    A word's nu_a term is g'(x) (r0 - r_a), with den = cx + d, g'(x) =
-    den^-2, r0 = 1/(gx - y0) and r_a = 1/(gx - g_a y0). With
-    G = g'(x) (r_a^2 - r0^2) / den and H = -2 g'(x) (r0 - r_a) / den its
-    derivative is G (da x + db) + (H - G gx)(dc x + dd) - g'(x) r_a^2 d(g_a y0),
-    so each a's sum over the words is two (3g x 2 words) @ (2 words x points)
-    matrix products with G stacked on F = H - G gx. A matrix product's bits
-    may depend on the width of its tile, which depends only on the point
-    count. The pole guard is the nu series' own.
+    A word's nu_a term is the far field's dipole delta D, D = 1/((x - p_0)(x - p_u)),
+    u = g_a y0 (_PoleGroups). With y0 held fixed, its moduli derivative is
+
+        d(delta) D + delta dp_0 D/(x - p_0) + delta dp_u D/(x - p_u),
+
+    dp_w = (dd w + d dw - db - p_w d(a - cw))/(a - cw), with dw = 0 for y0 and image_tangent's
+    du for u. Per a that is three (3g x words) @ (words x points) matrix products, taken as
+    one, whose bits may depend on the tile width (set by the point count). The pole guard
+    is the far field's: |x - p_w| |a - cw| < 1e-12 |cx + d|, that is |gx - w| < 1e-12.
     """
     ws = _Workspace()
+    p, y0 = nu.params, nu.y0
+    U = np.array([y0, *nu.images])[:, None]  # the poles y0, g_1 y0, .., g_g y0
+    dU = np.pad([image_tangent(p, a, y0) for a in range(1, len(U))], ((1, 0), (0, 0)))[..., None]
+    last = [None, None]  # the chunk tangents last seen, and their word terms
 
     def chunk_fn(a, b, c, d, x, dm):
-        den, gx = _moebius_block(ws, a, b, c, d, x)
-        shape = den.shape
-        dg = np.multiply(den, den, out=ws.take("dg", shape))
-        np.reciprocal(dg, out=dg)
-        cube = np.divide(dg, den, out=ws.take("cube", shape))  # den^-3
-        r0 = ws.take("r0", shape)
-        ra = ws.take("q", shape)
-        absq = ws.take("absq", shape, np.float64)
-        np.subtract(gx, y0, out=r0)
-        if np.abs(r0, out=absq).min() < 1e-12:
-            raise PoleProximityError(f"base point {y0!r} within 1e-12 of the orbit of an x point")
-        np.reciprocal(r0, out=r0)
-        tmp = ws.take("qv", shape)
-        GF = ws.take("GF", (2 * shape[0], shape[1]))
-        G, F = GF[: shape[0]], GF[shape[0] :]
-        d_ac = np.concatenate((dm[0], dm[2]), axis=1)  # pairs with (G; F)
-        d_bd = np.concatenate((dm[1], dm[3]), axis=1)
-        out = np.empty((len(images), dm.shape[1], len(x)), dtype=np.complex128)
-        for i, (u, du) in enumerate(zip(images, image_moves)):
-            np.subtract(gx, u, out=ra)
-            if np.abs(ra, out=absq).min() < 1e-12:
-                raise PoleProximityError(f"pole {u!r} within 1e-12 of the orbit of an x point")
-            np.reciprocal(ra, out=ra)
-            # G = den^-3 (r_a^2 - r0^2) = den^-3 (r_a - r0)(r_a + r0)
-            np.subtract(ra, r0, out=F)
-            np.add(ra, r0, out=G)
-            G *= F
-            G *= cube
-            # F = H - G gx = 2 den^-3 (r_a - r0) - G gx
-            F *= cube
-            F *= 2.0
-            F -= np.multiply(G, gx, out=tmp)
-            np.multiply(ra, ra, out=tmp)
-            tmp *= dg
-            moved = np.sum(tmp, axis=0)  # sum of g'(x) r_a^2
-            out[i] = x * (d_ac @ GF) + d_bd @ GF
-            out[i] -= np.multiply.outer(du, moved)
-        return out.reshape(-1, len(x))
+        if last[0] is not dm:  # once per chunk: _direct_shell hands its tiles one view dm
+            da, db, dc, dd = dm
+            lam, P = _pull_back(a, b, c, d, U)  # (g + 1, words)
+            dlam = da - dc * U[:, None] - c * dU  # (g + 1, 3g, words)
+            dP = (dd * U[:, None] + d * dU - db - P[:, None] * dlam) / lam[:, None]
+            delta = (y0 - U[1:]) / (lam[0] * lam[1:])
+            dlog = dlam[0] / lam[0] + dlam[1:] / lam[1:, None] + dU[1:] / (y0 - U[1:, None])
+            ddelta = -delta[:, None] * dlog
+            # p_0 - delta (= p_u) rounds less than p_u when a - cu cancels and |delta| < |p_u|
+            close = np.abs(delta) < np.abs(P[1:])
+            dP[1:] = np.where(close[:, None], dP[0] - ddelta, dP[1:])
+            P[1:] = np.where(close, P[0] - delta, P[1:])
+            coef = np.concatenate((ddelta, delta[:, None] * dP[0], delta[:, None] * dP[1:]), axis=2)
+            last[:] = dm, (1e12 * np.abs(lam)[..., None], P[..., None], coef)
+        guard, P, coef = last[1]  # the guard is |x - p_w| 1e12 |a - cw| < |cx + d|
+        n, m = len(a), len(x)
+        den = np.multiply(c[:, None], x, out=ws.take("den", (n, m)))
+        den += d[:, None]
+        tol = np.abs(den, out=ws.take("tol", (n, m), np.float64))
+        R = np.subtract(x, P, out=ws.take("R", (len(P), n, m)))  # x - p_w per pole
+        absq = ws.take("absq", (n, m), np.float64)
+        for r, scale, w in zip(R, guard, U[:, 0]):
+            if np.any(np.multiply(np.abs(r, out=absq), scale, out=absq) < tol):
+                raise PoleProximityError(f"pole {w!r} within 1e-12 of the orbit of an x point")
+        np.reciprocal(R, out=R)
+        DE = ws.take("DE", (3 * n, m))  # D over D/(x - p_0) over D/(x - p_u)
+        out = np.empty(coef.shape[:2] + (m,), dtype=np.complex128)
+        for i, ru in enumerate(R[1:]):
+            np.multiply(R[0], ru, out=DE[:n])
+            np.multiply(DE[:n], R[0], out=DE[n : 2 * n])
+            np.multiply(DE[:n], ru, out=DE[2 * n :])
+            np.matmul(coef[i], DE, out=out[i])
+        return out.reshape(-1, m)
 
     return chunk_fn
 

@@ -93,7 +93,17 @@ def test_load_config_overrides_win(tmp_path):
     assert rc.max_len == 3 and rc.seed == 9 and rc.workers == 2
 
 
-WRONG_TYPES = [{"max_len": "ten"}, {"nodes": [1]}, {"tolerances": [1]}, {"h": "small"}]
+WRONG_TYPES = [
+    {"max_len": "ten"},
+    {"nodes": [1]},
+    {"tolerances": [1]},
+    {"h": "small"},
+    # an integer key takes only a JSON integer: none of these is truncated
+    {"max_len": 7.9},
+    {"max_len": True},
+    {"nodes": "256"},
+    {"J": [[1, 0.7], [1, 1], [1, 2]]},
+]
 
 
 @pytest.mark.parametrize(

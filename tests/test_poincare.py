@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+from dataclasses import astuple
 
 import mpmath as mp
 import numpy as np
@@ -631,6 +632,59 @@ def test_series_match_30_digit_sums(star):
     for got, want in checks:
         want, scale = np.moveaxis(np.array(want), -1, 0)
         assert np.all(np.abs(got - want) <= 1e-14 * scale.real)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_nu_moduli_derivatives_match_50_digit_difference():
+    """moduli_derivatives on genus 3 near the base point y0 = 0, against a
+    50-digit central difference (h = 1e-20) of the same truncated series: the
+    same words, rebuilt from exact generators of the handles moved along each
+    perturbed_params direction. Near y0 the word g_a puts its pulled-back pole
+    g_a^-1 g_a y0 = y0 next to x, where rounding in the poles costs the most."""
+    xs = np.array([0.03, -0.015 + 0.01j])
+    nu = NuFamily(WIDE, config=SeriesConfig(max_len=3))
+    got = nu.moduli_derivatives(xs)
+    shells = nu.shells
+
+    def product(m, n):
+        return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+                m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+    def nu_values(q):
+        gens = {}
+        for a, h in enumerate(q.handles, start=1):
+            s = 1 / mp.sqrt(-h.rho)
+            g = gens[a] = (h.w_minus * s, (h.rho - h.w_plus * h.w_minus) * s, s, -h.w_plus * s)
+            gens[-a] = (g[3], -g[1], -g[2], g[0])
+        words = [[(1, 0, 0, 1)]]
+        for L in range(1, shells.max_len + 1):
+            words.append(
+                [product(words[-1][i], gens[int(l)])
+                 for i, l in zip(shells.parent[L], shells.last_letter[L])]
+            )
+        images = [gens[a][1] / gens[a][3] for a in range(1, q.genus + 1)]  # g_a(0)
+        values = []
+        for u in images:
+            for x in xs:
+                x = mp.mpc(complex(x))
+                total = 0
+                for a, b, c, d in itertools.chain(*words):
+                    den = c * x + d
+                    gx = (a * x + b) / den
+                    total += (1 / gx - 1 / (gx - u)) / den**2
+                values.append(total)
+        return np.array(values).reshape(q.genus, len(xs))
+
+    exact = SchottkyParams([HandleParams(*map(mp.mpc, astuple(h))) for h in WIDE.handles])
+    h = mp.mpf("1e-20")
+    want = np.empty(got.shape, dtype=np.complex128)
+    with mp.workdps(50):
+        for a in range(1, WIDE.genus + 1):
+            for l in range(3):
+                plus, minus = (nu_values(perturbed_params(exact, a, l, s)) for s in (h, -h))
+                want[:, 3 * (a - 1) + l] = ((plus - minus) / (2 * h)).astype(np.complex128)
+    scale = np.max(np.abs(want), axis=(0, 1))
+    assert np.all(np.abs(got - want) <= 2e-9 * scale)
 
 
 # ---------------------------------------------------------------------------
