@@ -239,15 +239,24 @@ def _integer(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    """A JSON number; float() would read "1e-5" and true as numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _tolerances(raw) -> dict[str, float]:
-    return {str(name): float(tol) for name, tol in dict(raw).items()}
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected an object of tolerances, got {raw!r}")
+    return {name: _real(tol) for name, tol in raw.items()}
 
 
 # how load_config reads each key besides "surface" and "J"; the defaults
 # are RunConfig's
 _CONFIG_KEYS = {
     **dict.fromkeys(("N", "max_len", "nodes", "workers", "seed"), _integer),
-    **dict.fromkeys(("shell_tol", "stop_tol", "h"), float),
+    **dict.fromkeys(("shell_tol", "stop_tol", "h"), _real),
     "tolerances": _tolerances,
 }
 

@@ -10,20 +10,21 @@ The chunk boundaries depend only on the number of evaluation points, since
 they fix the order in which word terms are added. Each chunk's points are
 split into column tiles of about _TILE_ELEMENTS words x points, so a kernel's
 work arrays stay cache-sized; a tile's column sums are that chunk's sums, so
-tiling never changes a bit, except that numpy sums a 1-column block in a
-different order, which is why a trailing 1-column tile is folded into its
-neighbour. (The nu-derivative term sums its words by matrix products, whose
-bits may depend on the tile width; the tiles, like the chunks, depend only
-on the point count.) The work arrays live in scratch owned by one evaluator
-call, so no numpy op allocates one.
+for two or more points tiling never changes a bit. numpy sums a 1-column
+block in a different (pairwise) order, which is why a trailing 1-column tile
+is folded into its neighbour. A lone point is the exception: its shells
+0..3 are summed as one 1-column block, so its value can differ in the last
+bits from the same point's value inside a batch (up to 1.6e-16 relative on
+STAR at max_len 6); the deep shells' direct words repeat a lone point
+(_add_chunk_sums) and do not differ. The work arrays live in scratch owned
+by one evaluator call, so no numpy op allocates one.
 
-One engine sums four terms:
+One engine sums three terms:
   * the weight-N two-point series with 2N-1 limit-point correction factors,
   * third-kind differentials (pole pair y, 0),
-  * the normalized differentials nu_a attached to the handles,
-  * the moduli derivatives of the nu_a, from each word's exact matrix
-    tangent (schottky.shell_tangents), which _sum_shells hands to the term
-    word by word.
+  * the normalized differentials nu_a attached to the handles; their moduli
+    derivatives need no series of their own (variation.exact_period_gradient
+    takes them from nu on the handle circles).
 
 Direct and far shells. The third-kind, nu and weight-N series sum shells
 0..3 word by word as above, and every deeper shell as grouped multipole
@@ -41,13 +42,11 @@ tail is bounded a priori for any m (_PoleGroups), and a near group is
 summed term by term, pulled back, behind the series' pole guard. A
 weight-N word that starts with a power of a limit point's own word, so
 that a - cA_j cancels or the pole of A_j leaves its group's disc, stays
-with the chunk kernel and its collapse guard. The nu-derivative term
-differentiates the pole-pair dipole, word by word at every depth.
+with the chunk kernel and its collapse guard.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,16 +57,13 @@ import numpy as np
 from . import moebius
 from .moebius import Infinity, MoebiusMap
 from .schottky import (
-    DIRECTIONS_PER_HANDLE,
     SchottkyParams,
     WordShells,
     build_shells,
     disc_center,
     disc_radius,
     generator,
-    image_tangent,
     in_domain,
-    shell_tangents,
 )
 
 __all__ = [
@@ -153,25 +149,21 @@ def _sum_shells(
     chunk_fn,
     t: int,
     stop_tol: float | None = None,
-    columns=None,
     far=None,
 ):
     """Accumulate chunk_fn over word shells in a fixed order.
 
     chunk_fn(a, b, c, d, x) -> (t, len(x)) partial sums for those words at
-    the points x. columns, when given, yields one array per shell whose last
-    axis runs over that shell's words, and chunk_fn then gets its words'
-    slice of it as a sixth argument. Each shell is cut into word chunks of
-    _chunk_size(m) rows; the chunk boundaries fix the order of the row sums,
-    and so the bits. Each chunk's points are cut into column tiles
-    (_column_tiles): a tile's sums are exactly that chunk's sums at those
-    columns, so the tile size changes speed and memory, never values (the
-    nu-derivative term aside, see the module docstring). Each column adds
-    its chunk partials in chunk order, then shells combine sequentially
-    (Kahan). With stop_tol set, the loop exits once two consecutive shells
-    each contribute less than stop_tol. far, when given (a _FarField of the
-    same term), supplies the totals of the shells from _DIRECT_SHELLS on
-    instead of chunk_fn.
+    the points x. Each shell is cut into word chunks of _chunk_size(m)
+    rows; the chunk boundaries fix the order of the row sums, and so the
+    bits. Each chunk's points are cut into column tiles (_column_tiles): a
+    tile's sums are exactly that chunk's sums at those columns, so the tile
+    size changes speed and memory, never values (a lone point aside, see the
+    module docstring). Each column adds its chunk partials in chunk order,
+    then shells combine sequentially (Kahan). With stop_tol set, the loop
+    exits once two consecutive shells each contribute less than stop_tol.
+    far, when given (a _FarField of the same term), supplies the totals of
+    the shells from _DIRECT_SHELLS on instead of chunk_fn.
     """
     m = len(xs)
     totals = np.zeros((t, m), dtype=np.complex128)
@@ -179,11 +171,11 @@ def _sum_shells(
     shell_mags: list[float] = []
     chunk = _chunk_size(m)
 
-    for length, cols in zip(range(shells.max_len + 1), columns or itertools.repeat(None)):
+    for length in range(shells.max_len + 1):
         if far is not None and length >= _DIRECT_SHELLS:
             shell_total = far.shell_total(length, xs, chunk_fn)
         else:
-            shell_total = _direct_shell(shells, length, xs, chunk_fn, t, chunk, cols)
+            shell_total = _direct_shell(shells, length, xs, chunk_fn, t, chunk)
         if not np.all(np.isfinite(shell_total)):
             raise EvaluationError(
                 "non-finite series terms (evaluation point at a pole of a group element?)"
@@ -204,7 +196,7 @@ def _sum_shells(
     return totals, shell_mags
 
 
-def _direct_shell(shells, length, xs, chunk_fn, t, chunk, cols):
+def _direct_shell(shells, length, xs, chunk_fn, t, chunk):
     """One shell's (t, len(xs)) total from chunk_fn, as _sum_shells describes."""
     m = len(xs)
     a, b = shells.a[length], shells.b[length]
@@ -213,9 +205,8 @@ def _direct_shell(shells, length, xs, chunk_fn, t, chunk, cols):
     shell_total = np.empty((t, m), dtype=np.complex128)
     for i in range(0, n, chunk):
         j = min(i + chunk, n)
-        extra = () if cols is None else (cols[..., i:j],)
         for lo, hi in _column_tiles(j - i, m):
-            part = chunk_fn(a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi], *extra)
+            part = chunk_fn(a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi])
             if i == 0:  # each column adds its chunks' partials in chunk order
                 shell_total[:, lo:hi] = part
             else:
@@ -327,21 +318,12 @@ class _ShellSeries:
         self.shells = build_shells(p, config.max_len, cap=config.cap)
         self._last_shell_mags: list[float] = []
 
-    def _sum(
-        self, xs: np.ndarray, chunk_fn, t: int, label: str, columns=None, far=None
-    ) -> np.ndarray:
-        """Sum chunk_fn over the shells (with per-word columns and the deep
-        shells' far field, as _sum_shells), keep the shell magnitudes, and
-        warn (at the caller of the public method) if the last shell is above
-        shell_tol."""
+    def _sum(self, xs: np.ndarray, chunk_fn, t: int, label: str, far=None) -> np.ndarray:
+        """Sum chunk_fn over the shells (with the deep shells' far field, as
+        _sum_shells), keep the shell magnitudes, and warn (at the caller of
+        the public method) if the last shell is above shell_tol."""
         totals, mags = _sum_shells(
-            self.shells,
-            xs,
-            chunk_fn,
-            t,
-            stop_tol=self.config.stop_tol,
-            columns=columns,
-            far=far,
+            self.shells, xs, chunk_fn, t, stop_tol=self.config.stop_tol, far=far
         )
         self._last_shell_mags = mags
         tol = self.config.shell_tol
@@ -816,73 +798,6 @@ class NuFamily(_ShellSeries):
         xs = np.asarray(xs, dtype=np.complex128)
         pairs = self._pole_pairs
         return self._sum(xs, _pole_pair_chunk_fn(pairs), len(pairs), "nu series", far=self._far)
-
-    def moduli_derivatives(self, xs) -> np.ndarray:
-        """Every nu_a differentiated along every moduli direction, with the
-        base point y0 held fixed: shape (g, 3g, len(xs)), row a - 1, column
-        as schottky.generator_tangent's; one orbit pass."""
-        xs = np.asarray(xs, dtype=np.complex128)
-        g, k = self.params.genus, DIRECTIONS_PER_HANDLE * self.params.genus
-        columns = shell_tangents(self.params, self.shells)
-        rows = self._sum(xs, _nu_tangent_chunk_fn(self), g * k, "nu derivative series", columns)
-        return rows.reshape(g, k, len(xs))
-
-
-def _nu_tangent_chunk_fn(nu: NuFamily):
-    """NuFamily.moduli_derivatives' chunk function, fed the word tangents dm, shape (4, 3g, words).
-
-    A word's nu_a term is the far field's dipole delta D, D = 1/((x - p_0)(x - p_u)),
-    u = g_a y0 (_PoleGroups). With y0 held fixed, its moduli derivative is
-
-        d(delta) D + delta dp_0 D/(x - p_0) + delta dp_u D/(x - p_u),
-
-    dp_w = (dd w + d dw - db - p_w d(a - cw))/(a - cw), with dw = 0 for y0 and image_tangent's
-    du for u. Per a that is three (3g x words) @ (words x points) matrix products, taken as
-    one, whose bits may depend on the tile width (set by the point count). The pole guard
-    is the far field's: |x - p_w| |a - cw| < 1e-12 |cx + d|, that is |gx - w| < 1e-12.
-    """
-    ws = _Workspace()
-    p, y0 = nu.params, nu.y0
-    U = np.array([y0, *nu.images])[:, None]  # the poles y0, g_1 y0, .., g_g y0
-    dU = np.pad([image_tangent(p, a, y0) for a in range(1, len(U))], ((1, 0), (0, 0)))[..., None]
-    last = [None, None]  # the chunk tangents last seen, and their word terms
-
-    def chunk_fn(a, b, c, d, x, dm):
-        if last[0] is not dm:  # once per chunk: _direct_shell hands its tiles one view dm
-            da, db, dc, dd = dm
-            lam, P = _pull_back(a, b, c, d, U)  # (g + 1, words)
-            dlam = da - dc * U[:, None] - c * dU  # (g + 1, 3g, words)
-            dP = (dd * U[:, None] + d * dU - db - P[:, None] * dlam) / lam[:, None]
-            delta = (y0 - U[1:]) / (lam[0] * lam[1:])
-            dlog = dlam[0] / lam[0] + dlam[1:] / lam[1:, None] + dU[1:] / (y0 - U[1:, None])
-            ddelta = -delta[:, None] * dlog
-            # p_0 - delta (= p_u) rounds less than p_u when a - cu cancels and |delta| < |p_u|
-            close = np.abs(delta) < np.abs(P[1:])
-            dP[1:] = np.where(close[:, None], dP[0] - ddelta, dP[1:])
-            P[1:] = np.where(close, P[0] - delta, P[1:])
-            coef = np.concatenate((ddelta, delta[:, None] * dP[0], delta[:, None] * dP[1:]), axis=2)
-            last[:] = dm, (1e12 * np.abs(lam)[..., None], P[..., None], coef)
-        guard, P, coef = last[1]  # the guard is |x - p_w| 1e12 |a - cw| < |cx + d|
-        n, m = len(a), len(x)
-        den = np.multiply(c[:, None], x, out=ws.take("den", (n, m)))
-        den += d[:, None]
-        tol = np.abs(den, out=ws.take("tol", (n, m), np.float64))
-        R = np.subtract(x, P, out=ws.take("R", (len(P), n, m)))  # x - p_w per pole
-        absq = ws.take("absq", (n, m), np.float64)
-        for r, scale, w in zip(R, guard, U[:, 0]):
-            if np.any(np.multiply(np.abs(r, out=absq), scale, out=absq) < tol):
-                raise PoleProximityError(f"pole {w!r} within 1e-12 of the orbit of an x point")
-        np.reciprocal(R, out=R)
-        DE = ws.take("DE", (3 * n, m))  # D over D/(x - p_0) over D/(x - p_u)
-        out = np.empty(coef.shape[:2] + (m,), dtype=np.complex128)
-        for i, ru in enumerate(R[1:]):
-            np.multiply(R[0], ru, out=DE[:n])
-            np.multiply(DE[:n], R[0], out=DE[n : 2 * n])
-            np.multiply(DE[:n], ru, out=DE[2 * n :])
-            np.matmul(coef[i], DE, out=out[i])
-        return out.reshape(-1, m)
-
-    return chunk_fn
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,15 @@ while recording the group element that undoes the moves.
 
 Moduli tangents are exact: `generator_tangent` differentiates each
 normalized generator matrix along the DIRECTIONS_PER_HANDLE directions of
-every handle, `image_tangent` moves a point's generator image, and
-`shell_tangents` carries the tangents through the word shells by the
-product rule.
+every handle, and `image_tangent` moves a point's generator image. Rauch's
+formula (variation.exact_period_gradient) builds the period matrix's
+gradient from the generator tangents alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "reduce_to_fundamental",
     "reduce_word",
     "require_valid",
-    "shell_tangents",
     "surface_from_dict",
     "surface_to_dict",
     "to_classical",
@@ -375,46 +374,6 @@ def image_tangent(p: SchottkyParams, letter: int, z: complex) -> np.ndarray:
     da, db, dc, dd = generator_tangent(p, letter)
     den = m.c * z + m.d
     return ((da * z + db) - (m.a * z + m.b) / den * (dc * z + dd)) / den
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Entries of the 2x2 products x y, each a stack of (a, b, c, d)."""
-    return np.stack(
-        [
-            x[0] * y[0] + x[1] * y[2],
-            x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2],
-            x[2] * y[1] + x[3] * y[3],
-        ]
-    )
-
-
-def shell_tangents(p: SchottkyParams, shells: WordShells) -> Iterator[np.ndarray]:
-    """The word matrices' tangents, one shell at a time.
-
-    Yields, for each length L of shells (built from p), an array of shape
-    (4, 3g, shell_size(L)): entry i of every length-L word, differentiated
-    in generator_tangent's columns. A word is its parent times the generator
-    of its last letter, so d(word) = d(parent) gen + parent d(gen); only the
-    previous shell's tangents are kept.
-    """
-    g = p.genus
-    # lookup tables indexed by letter + g
-    gens = np.zeros((4, 2 * g + 1), dtype=np.complex128)
-    dgens = np.zeros((4, DIRECTIONS_PER_HANDLE * g, 2 * g + 1), dtype=np.complex128)
-    for letter in p.letters:
-        m = generator(p, letter)
-        gens[:, letter + g] = (m.a, m.b, m.c, m.d)
-        dgens[:, :, letter + g] = generator_tangent(p, letter)
-    prev = np.zeros((4, DIRECTIONS_PER_HANDLE * g, 1), dtype=np.complex128)
-    yield prev
-    for length in range(1, shells.max_len + 1):
-        parent, slot = shells.parent[length], shells.last_letter[length] + g
-        parents = np.stack([e[length - 1][parent] for e in (shells.a, shells.b, shells.c, shells.d)])
-        prev = _product(prev[:, :, parent], gens[:, None, slot]) + _product(
-            parents[:, None, :], dgens[:, :, slot]
-        )
-        yield prev
 
 
 def reduce_to_fundamental(

@@ -11,10 +11,15 @@ Every finite-difference moduli derivative goes through one engine:
 tangent direction (a, l) into an array of shape (g, 3, ...), and `_contract`
 sums that array against a (g, 3) coefficient table. `nabla_apply`,
 `sl2_apply` and `rauch_check` are each one contraction. The gradient of the
-period matrix has two sources with the same shape: `exact_period_gradient`
-differentiates the series in forward mode on a certified matrix's own paths
-and nu family, and `period_gradient` takes central differences of whole
-period matrices, kept as the independent cross-check.
+period matrix has two sources with the same shape. `exact_period_gradient`
+is Rauch's variational formula in Schottky coordinates,
+
+    dOmega_ij/d(k,l) = -(1/2 pi i)^2 integral over C_k of nu_i nu_j X_kl dz,
+
+with X_kl = dg_k / g_k' the quadratic cocycle of direction (k, l): one
+handle-circle moment of the certified matrix's own nu family, on the grid
+of the normalization gate. `period_gradient` takes central differences of
+whole period matrices, kept as the independent cross-check.
 
 The delta-normalization of the handle differentials is checked with the
 handle-circle moments of `contour.handle_moments`; the jump coefficients
@@ -45,7 +50,7 @@ from .schottky import (
     disc_radius,
     from_classical,
     generator,
-    image_tangent,
+    generator_tangent,
     in_domain,
     require_valid,
     to_classical,
@@ -75,7 +80,7 @@ __all__ = [
 
 # Gauss-Legendre nodes per beta-path leg (doubled for the gate)
 _N_LEG = 64
-# node-doubling gate of the path quadrature
+# node-doubling gate of the path quadrature and of the gradient's circle moments
 _PATH_GATE = 1e-8
 
 
@@ -441,12 +446,19 @@ def _path_integral(leg_values: list[np.ndarray], weights: list[tuple]) -> np.nda
     return total2
 
 
+def _handle_circle_nu(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256):
+    """Per handle a: a, the doubled trapezoid nodes z of C_a, their weights
+    dz, the centre w_a and nu's values there, shape (g, 2 n_nodes)."""
+    for a in range(1, p.genus + 1):
+        z, dz, w_a = handle_nodes(p, a, n_nodes)
+        yield a, z, dz, w_a, nu.values(z)
+
+
 def nu_normalization_error(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256) -> float:
     """Max |(1/2 pi i) * integral over C_a of nu_b - delta_ab| over a, b."""
     worst = 0.0
-    for a in range(1, p.genus + 1):
-        z, dz, w_a = handle_nodes(p, a, n_nodes)
-        moments = handle_moments(nu.values(z), z, dz, w_a, [0], 1e-8)[:, 0]
+    for a, z, dz, w_a, vals in _handle_circle_nu(p, nu, n_nodes):
+        moments = handle_moments(vals, z, dz, w_a, [0], 1e-8)[:, 0]
         moments[a - 1] -= 1.0
         worst = fail_max(worst, np.max(np.abs(moments)))
     return worst
@@ -503,36 +515,32 @@ def period_matrix(
 def exact_period_gradient(base: PeriodMatrix) -> np.ndarray:
     """Exact derivative of the period matrix base.omega per coordinate.
 
-    Returns dOmega/d(a,l) stacked at [a - 1, l], shape (g, 3, g, g), the
-    array period_gradient approximates. Forward mode on base's own paths and
-    nu family, so nothing is rebuilt: with the anchor z0 of the handle-b path
-    held fixed,
+    Returns dOmega/d(k,l) stacked at [k - 1, l], shape (g, 3, g, g), the
+    array period_gradient approximates, from base's nu family alone (Rauch's
+    variational formula in Schottky coordinates): with g_k = (a b; c d) and
+    (da, db, dc, dd) its generator_tangent along direction (k, l),
 
-        dOmega_ab = -(1/2 pi i) [integral from z0 to g_b z0 of d nu_a
-                                 + nu_a(g_b z0) (d g_b)(z0)],
+        dOmega_ij/d(k,l) = -(1/2 pi i) (1/2 pi i) integral over C_k of
+                           nu_i(z) nu_j(z) X_kl(z) dz,
+        X_kl(z) = dg_k(z) / g_k'(z) = (da z + db)(cz + d) - (az + b)(dc z + dd),
 
-    the integral taken with period_matrix's quadrature and node-doubling
-    gate. The anchor's own motion would add (nu_a(g_b z0) g_b'(z0) -
-    nu_a(z0)) dz0, which vanishes because nu_a is g_b-invariant.
+    X_kl being the quadratic (weight -1) cocycle of the direction, so only
+    the circle C_k enters direction (k, l). The moments are taken on the
+    handle-circle grid of nu_normalization_error, behind the node-doubling
+    gate _PATH_GATE.
     """
     nu = base.nu
     p = nu.params
     g = p.genus
-    anchors = [_anchor(p, b) for b in range(1, g + 1)]
-    images = [mob_apply(generator(p, b), z0) for b, z0 in enumerate(anchors, start=1)]
-    ends = nu.values(np.array(images))  # nu_a(g_b z0) at [a - 1, b - 1]
-    rules = [_path_rule(legs) for legs in base.paths]
-    leg_nodes = [z for nodes, _ in rules for z in nodes]
-    # one derivative pass over every leg's nodes (the word tangents are
-    # built once), then each leg integrates its own slice
-    derivs = nu.moduli_derivatives(np.concatenate(leg_nodes))
-    leg_derivs = iter(np.split(derivs, np.cumsum([len(z) for z in leg_nodes])[:-1], axis=-1))
     grad = np.empty((g, DIRECTIONS_PER_HANDLE, g, g), dtype=np.complex128)
-    for b, ((nodes, weights), z0) in enumerate(zip(rules, anchors), start=1):
-        moved = np.multiply.outer(ends[:, b - 1], image_tangent(p, b, z0))  # (g, 3g)
-        integral = _path_integral([next(leg_derivs) for _ in nodes], weights)
-        d_omega = -(integral + moved) / TWO_PI_I
-        grad[..., b - 1] = d_omega.reshape(g, g, DIRECTIONS_PER_HANDLE).transpose(1, 2, 0)
+    for k, z, dz, w_k, vals in _handle_circle_nu(p, nu):
+        m = generator(p, k)
+        own = slice(DIRECTIONS_PER_HANDLE * (k - 1), DIRECTIONS_PER_HANDLE * k)
+        da, db, dc, dd = generator_tangent(p, k)[:, own, None]  # (3, 1) each
+        X = (da * z + db) * (m.c * z + m.d) - (m.a * z + m.b) * (dc * z + dd)  # (3, 2n)
+        rows = X[:, None, None] * vals[:, None] * vals[None, :]  # (3, g, g, 2n)
+        moments = handle_moments(rows.reshape(-1, len(z)), z, dz, w_k, [0], _PATH_GATE)
+        grad[k - 1] = -moments.reshape(DIRECTIONS_PER_HANDLE, g, g) / TWO_PI_I
     return grad
 
 

@@ -103,6 +103,11 @@ WRONG_TYPES = [
     {"max_len": True},
     {"nodes": "256"},
     {"J": [[1, 0.7], [1, 1], [1, 2]]},
+    # a real key takes only a JSON number: neither a string nor a bool
+    {"h": "1e-5"},
+    {"stop_tol": "1e-11"},
+    {"shell_tol": True},
+    {"tolerances": {"rauch": "1e-6"}},
 ]
 
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import threading
-from dataclasses import astuple
 
 import mpmath as mp
 import numpy as np
@@ -33,7 +32,6 @@ from schottkycalc.schottky import (
     in_domain,
     word_map,
 )
-from schottkycalc.variation import perturbed_params
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +231,6 @@ def test_series_start_no_thread(star, monkeypatch):
     ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS)
     nu = NuFamily(star, config=cfg)
     nu.values(xs)
-    nu.moduli_derivatives(xs)
 
 
 def test_truncation_warning_on_shallow_cutoff():
@@ -352,54 +349,9 @@ def test_nu_and_third_kind_pole_guards(star):
     nu = NuFamily(star, config=CFG, y0=y0)
     with pytest.raises(PoleProximityError):
         nu.values([y0])
-    with pytest.raises(PoleProximityError):
-        nu.moduli_derivatives([y0])
     y = 1.1 - 0.4j
     with pytest.raises(PoleProximityError):
         ThirdKindEvaluator(star, config=CFG).value_grid([y], [y])
-
-
-@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
-def test_nu_moduli_derivatives_match_central_differences(star):
-    config = SeriesConfig(max_len=6)
-    y0 = 0.2 + 0.1j
-    xs = np.array([0.5 + 0.3j, -0.2 - 0.8j, 3.0 + 1.0j])
-    got = NuFamily(star, config=config, y0=y0).moduli_derivatives(xs)
-    assert got.shape == (2, 6, 3)
-    # at h = 1e-4 the h^2 error (~4e-9) is above rounding, which grows like 1/h
-    h = 1e-4
-    for a in (1, 2):
-        for l in range(3):
-            plus, minus = (
-                NuFamily(perturbed_params(star, a, l, s), config=config, y0=y0).values(xs)
-                for s in (h, -h)
-            )
-            want = (plus - minus) / (2 * h)
-            assert np.max(np.abs(got[:, 3 * (a - 1) + l] - want)) < 5e-8 * np.max(np.abs(got))
-
-
-@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
-def test_nu_moduli_derivatives_deterministic_across_workers(star):
-    one = NuFamily(star, config=SeriesConfig(max_len=5, workers=1))
-    two = NuFamily(star, config=SeriesConfig(max_len=5, workers=2))
-    for m in TILE_CASE_POINTS:
-        xs = _probe_xs(m)
-        assert np.array_equal(one.moduli_derivatives(xs), two.moduli_derivatives(xs)), m
-
-
-def test_sum_shells_hands_each_task_its_words_columns(star):
-    shells = build_shells(star, 4)
-    xs = np.zeros(4096, dtype=np.complex128)  # 64-word chunks, 16 tiles each
-    handed = []
-
-    def chunk_fn(a, b, c, d, x, cols):
-        handed.append(len(a))
-        assert np.array_equal(cols[0], a) and np.array_equal(cols[1], d)
-        return np.zeros((1, len(x)), dtype=np.complex128)
-
-    columns = (np.stack([shells.a[L], shells.d[L]]) for L in range(5))
-    _sum_shells(shells, xs, chunk_fn, 1, columns=columns)
-    assert max(handed) == 64  # the 108-word shell came in two chunks
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +508,6 @@ def test_evaluators_accept_no_points(star, max_len):
     assert BersEvaluator(star, 2, config=cfg).value_grid(ys, none).shape == (0, 2)
     assert ThirdKindEvaluator(star, config=cfg).value_grid(none, ys).shape == (2, 0)
     assert nu.values(none).shape == (2, 0)
-    assert nu.moduli_derivatives(none).shape == (2, 6, 0)
     assert nu.last_shell_magnitudes == [0.0] * (max_len + 1)
 
 
@@ -632,59 +583,6 @@ def test_series_match_30_digit_sums(star):
     for got, want in checks:
         want, scale = np.moveaxis(np.array(want), -1, 0)
         assert np.all(np.abs(got - want) <= 1e-14 * scale.real)
-
-
-@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
-def test_nu_moduli_derivatives_match_50_digit_difference():
-    """moduli_derivatives on genus 3 near the base point y0 = 0, against a
-    50-digit central difference (h = 1e-20) of the same truncated series: the
-    same words, rebuilt from exact generators of the handles moved along each
-    perturbed_params direction. Near y0 the word g_a puts its pulled-back pole
-    g_a^-1 g_a y0 = y0 next to x, where rounding in the poles costs the most."""
-    xs = np.array([0.03, -0.015 + 0.01j])
-    nu = NuFamily(WIDE, config=SeriesConfig(max_len=3))
-    got = nu.moduli_derivatives(xs)
-    shells = nu.shells
-
-    def product(m, n):
-        return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
-                m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
-
-    def nu_values(q):
-        gens = {}
-        for a, h in enumerate(q.handles, start=1):
-            s = 1 / mp.sqrt(-h.rho)
-            g = gens[a] = (h.w_minus * s, (h.rho - h.w_plus * h.w_minus) * s, s, -h.w_plus * s)
-            gens[-a] = (g[3], -g[1], -g[2], g[0])
-        words = [[(1, 0, 0, 1)]]
-        for L in range(1, shells.max_len + 1):
-            words.append(
-                [product(words[-1][i], gens[int(l)])
-                 for i, l in zip(shells.parent[L], shells.last_letter[L])]
-            )
-        images = [gens[a][1] / gens[a][3] for a in range(1, q.genus + 1)]  # g_a(0)
-        values = []
-        for u in images:
-            for x in xs:
-                x = mp.mpc(complex(x))
-                total = 0
-                for a, b, c, d in itertools.chain(*words):
-                    den = c * x + d
-                    gx = (a * x + b) / den
-                    total += (1 / gx - 1 / (gx - u)) / den**2
-                values.append(total)
-        return np.array(values).reshape(q.genus, len(xs))
-
-    exact = SchottkyParams([HandleParams(*map(mp.mpc, astuple(h))) for h in WIDE.handles])
-    h = mp.mpf("1e-20")
-    want = np.empty(got.shape, dtype=np.complex128)
-    with mp.workdps(50):
-        for a in range(1, WIDE.genus + 1):
-            for l in range(3):
-                plus, minus = (nu_values(perturbed_params(exact, a, l, s)) for s in (h, -h))
-                want[:, 3 * (a - 1) + l] = ((plus - minus) / (2 * h)).astype(np.complex128)
-    scale = np.max(np.abs(want), axis=(0, 1))
-    assert np.all(np.abs(got - want) <= 2e-9 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from schottkycalc.schottky import (
     letter_order,
     reduce_to_fundamental,
     reduce_word,
-    shell_tangents,
     surface_from_dict,
     surface_to_dict,
     to_classical,
@@ -281,21 +280,3 @@ def test_image_tangent_matches_central_differences():
             for l in range(3)
         ]
         assert np.max(np.abs(got - want)) < 1e-8
-
-
-def test_shell_tangents_follow_build_shells():
-    shells = build_shells(TILTED, 3)
-    tangents = list(shell_tangents(TILTED, shells))
-    assert [t.shape for t in tangents] == [(4, 6, shells.shell_size(L)) for L in range(4)]
-    assert np.all(tangents[0] == 0)  # the identity does not move
-    for a in (1, 2):
-        for l in range(3):
-            for L in range(1, 4):
-
-                def entries(q):
-                    s = build_shells(q, 3)
-                    return np.array([s.a[L], s.b[L], s.c[L], s.d[L]])
-
-                fd = _central(entries, a, l)
-                err = np.max(np.abs(tangents[L][:, 3 * (a - 1) + l] - fd))
-                assert err < 1e-7 * max(1.0, np.max(np.abs(fd)))

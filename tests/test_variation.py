@@ -1,10 +1,13 @@
 """Tests for moduli tangent directions, the weight-2 variation field,
 beta-periods, and the quadratic-differential identity for period derivatives."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from schottkycalc import variation as va
+from schottkycalc.cli import load_config
 from schottkycalc.contour import QuadratureError
 from schottkycalc.eichler import PolyForm, canonical_cocycle, cocycle_eval, decompose_coboundary
 from schottkycalc.gem import CanonicalGEM, SpanningTheta, canonical_gem
@@ -21,6 +24,7 @@ from schottkycalc.schottky import (
 
 STAR = SchottkyParams(handles=(HandleParams(-6.0, -2.0, 0.09), HandleParams(2.0, 6.0, 0.09)))
 CFG = SeriesConfig(max_len=6, shell_tol=1e-6)
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +333,7 @@ def test_exact_period_gradient_is_worker_independent(base_pm):
 
 def test_exact_period_gradient_gate_fails_closed(base_pm, monkeypatch):
     monkeypatch.setattr(va, "_PATH_GATE", 0.0)
-    with pytest.raises(QuadratureError, match="node doubling"):
+    with pytest.raises(QuadratureError, match="node-doubling"):
         va.exact_period_gradient(base_pm)
 
 
@@ -348,6 +352,20 @@ def test_rauch_identity(canonical, grad, base_pm):
     assert rep["symmetry_error"] < 1e-7
     assert rep["normalization_error"] < 1e-8
     assert len(rep["per_sample"]) == len(xs)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("name", ["asymmetric", "genus3_wide"])
+def test_rauch_identity_with_the_exact_gradient(name):
+    # each shipped config at its own settings and the rauch suite's samples:
+    # the handle-circle gradient holds the identity to the series' accuracy
+    rc = load_config(str(CONFIGS / f"{name}.json"))
+    p = rc.surface
+    psi = canonical_gem(p, 2, config=rc.series(), n_nodes=rc.nodes, J=rc.J)
+    base = va.period_matrix(p, config=rc.series(), y0=default_probe_points(p, 1)[0])
+    xs = default_probe_points(p, 4)[1:]
+    rep = va.rauch_check(psi, xs, va.exact_period_gradient(base), base)
+    assert rep["max_rel_error"] < 5e-11
 
 
 def test_rauch_check_reads_nu_from_its_base(canonical, grad, base_pm, monkeypatch):
