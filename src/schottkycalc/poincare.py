@@ -28,19 +28,22 @@ One engine sums three terms:
 
 Direct and far shells. The third-kind, nu and weight-N series sum shells
 0..3 word by word as above, and every deeper shell as grouped multipole
-expansions (_FarField). For a det-1 word (a b; c d)
-and a point w, gx - w = (a - cw)(x - p_w)/(cx + d) with p_w = g^-1 w, so a
-word's term is weight / prod_k (x - p_k) over its m pulled-back poles: the
-dipole delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)), of
-a pole pair, and the 2N-pole coef / ((x - p_y) prod_j (x - p_{A_j})),
+expansions (_FarField). For a det-1 word (a b; c d) and a point w,
+gx - w = (a - cw)(x - p_w)/(cx + d) with p_w = g^-1 w, so a word's term is
+weight / prod_k (x - p_k) over its m pulled-back poles: the dipole
+delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)), of a pole
+pair, and the 2N-pole coef / ((x - p_y) prod_j (x - p_{A_j})),
 coef = prod_j (y - A_j) / ((a - cy) prod_j (a - cA_j)), of the weight-N
 term, whose (cx + d) powers cancel. A deep shell's words are grouped by
 their last three letters (pole pairs) or two (weight N), whose nested disc
-holds the group's poles; a group far from x (radius below half the
-distance) adds a truncated Laurent expansion in 1/(x - c) whose dropped
-tail is bounded a priori for any m (_PoleGroups), and a near group is
-summed term by term, pulled back, behind the series' pole guard. A
-weight-N word that starts with a power of a limit point's own word, so
+holds the group's poles, centred on the mean pole of the points all rows
+share (the A_j, or a pole pair's shared y0 or 0). A group far from x (its
+radius over all rows below half the distance; one test per group and
+point) adds a truncated Laurent expansion in 1/(x - c), built once per
+point and contracted with every row's moments in one product per point,
+whose dropped tail is bounded a priori for any m (_PoleGroups); a near
+group is summed term by term, pulled back, behind the series' pole guard.
+A weight-N word that starts with a power of a limit point's own word, so
 that a - cA_j cancels or the pole of A_j leaves its group's disc, stays
 with the chunk kernel and its collapse guard.
 """
@@ -383,7 +386,13 @@ class BersEvaluator(_ShellSeries):
             den, gx = _moebius_block(ws, a, b, c, d, x)
             base = _bers_factor(ws, den, gx, A, N)
             q = ws.take("q", den.shape)
-            absq = ws.take("absq", den.shape, np.float64)
+            # |gx - y| < 1e-12 at some point only if y lies in the word's
+            # bounding box of gx over the points widened by 1e-12 (rounding is
+            # monotone), so the exact guard runs on those words alone
+            re, im = gx.real, gx.imag
+            yr, yi = ys.real[:, None], ys.imag[:, None]
+            boxed = (re.min(axis=1) - yr < 1e-12) & (yr - re.max(axis=1) < 1e-12)
+            boxed &= (im.min(axis=1) - yi < 1e-12) & (yi - im.max(axis=1) < 1e-12)
             out = np.empty((len(ys), len(x)), dtype=np.complex128)
             for i, yv in enumerate(ys):
                 if y_weights[i] == 0:
@@ -391,7 +400,7 @@ class BersEvaluator(_ShellSeries):
                     out[i] = 0.0
                     continue
                 np.subtract(gx, yv, out=q)
-                if np.abs(q, out=absq).min() < 1e-12:
+                if boxed[i].any() and np.abs(q[boxed[i]]).min() < 1e-12:
                     raise PoleProximityError(
                         f"y = {yv!r} is within 1e-12 of the orbit of an x point"
                     )
@@ -421,7 +430,7 @@ class ThirdKindEvaluator(_ShellSeries):
             _pole_pair_chunk_fn(pole_pairs),
             len(ys),
             "third-kind series",
-            far=_pole_pair_far(self.params, self.shells, pole_pairs),
+            far=_pole_pair_far(self.params, self.shells, pole_pairs, 0j),
         )
 
 
@@ -508,11 +517,11 @@ class _FarField:
     later calls, as are the expansions' work arrays."""
 
     def __init__(self, p: SchottkyParams, shells: WordShells, depth: int, targets, numerator,
-                 fixed=()):
+                 fixed, guard_fixed: bool = False):
         self.shells = shells
         # row 0 the disc centres, row 1 the radii, by letter code 2(|l| - 1) + (l < 0)
         discs = np.array([(disc_center(p, l), disc_radius(p, l)) for l in p.letters]).T
-        self.args = (depth, targets, numerator, np.asarray(fixed, dtype=np.complex128), discs)
+        self.args = (depth, targets, numerator, np.asarray(fixed, complex), guard_fixed, discs)
         self._groups: dict[int, _PoleGroups] = {}
         self._ws = _Workspace()
 
@@ -523,11 +532,14 @@ class _FarField:
         return groups.total(xs, chunk_fn, self._ws)
 
 
-def _pole_pair_far(p: SchottkyParams, shells: WordShells, pole_pairs) -> _FarField:
-    """The far field of a pole-pair series: targets (u, v), numerator u - v,
-    words grouped by their last three letters."""
-    uv = np.array(pole_pairs, dtype=np.complex128).reshape(-1, 2).T[..., None]
-    return _FarField(p, shells, 3, uv, uv[0] - uv[1])
+def _pole_pair_far(p: SchottkyParams, shells: WordShells, pole_pairs, shared) -> _FarField:
+    """The far field of a pole-pair series whose pairs (u, v) all hold the
+    point `shared`: that point fixed and guarded, the other member the row
+    target, numerator u - v, words grouped by their last three letters."""
+    uv = np.array(pole_pairs, dtype=np.complex128).reshape(-1, 2)
+    other = np.where(uv[:, 0] == shared, uv[:, 1], uv[:, 0])
+    return _FarField(p, shells, 3, other[None, :, None], (uv[:, 0] - uv[:, 1])[:, None],
+                     [shared], guard_fixed=True)
 
 
 def _pull_back(a, b, c, d, w):
@@ -548,7 +560,9 @@ class _PoleGroups:
     `fixed` points shared by every row, with
     weight = numerator / prod_k (a - c u_k):
       * a pole pair (u, v), g'(x) [1/(gx - u) - 1/(gx - v)], is m = 2 with
-        numerator u - v: the dipole delta / ((x - p_u)(x - p_v));
+        numerator u - v: the dipole delta / ((x - p_u)(x - p_v)), its fixed
+        point the member every pair shares (y0 for nu, 0 for the third
+        kind), the other member its target;
       * the weight-N term (g'x)^N prod_j (y - A_j) / ((gx - y) prod_j (gx - A_j))
         is m = 2N, target y, fixed A_1 .. A_{2N-1}, numerator
         prod_j (y - A_j): the (cx + d) powers cancel exactly.
@@ -564,46 +578,47 @@ class _PoleGroups:
     then g maps infinity within rounding of u, and the pole is rounding
     noise (on STAR, u = A_j under (g_1 g_2)^3 at length 8 gives
     a - cu = 2e-6 from terms of 1e10). The row targets are points of F or
-    their images (y, y0, g_a y0); one elsewhere only widens its groups.
+    their images (y, g_a y0); one elsewhere only widens its groups.
 
-    A group's centre c is its words' mean pole, over the fixed points when
-    there are any (then c is shared by the rows), else per row; its radius
-    r, per row, is the largest distance of a pole from c. A group is far
-    from x when r < _FAR_RATIO |x - c|, and there it adds sum_{n>=0} mu_n (x - c)^-(m+n)
-    with the moments mu_n = sum_w weight_w h_n(p_w - c), h_n the complete
-    homogeneous polynomial of degree n in the m poles. Since
+    A group's centre c is its words' mean pole over the fixed points, shared
+    by the rows; its radius r is the largest distance of any row's pole from
+    c. A group is far from x when r < _FAR_RATIO |x - c|, one test per
+    (group, point), and there it adds sum_{n>=0} mu_n (x - c)^-(m+n) with the
+    moments mu_n = sum_w weight_w h_n(p_w - c), h_n the complete homogeneous
+    polynomial of degree n in the m poles. Since
     |h_n| <= C(n + m - 1, m - 1) r^n, stopping at K = _expansion_order(rho, m),
     rho the worst far r / |x - c| of the call, drops a tail of at most
     _TAIL_TOL sum |weight| / |x - c|^m. Near (group, point) pairs are summed
-    term by term, pulled back, with the series' pole guard on the row
-    targets (a limit point is never an orbit point of x).
+    term by term for every row, pulled back, behind the series' pole guard
+    on the targets, and on the fixed points if guard_fixed (a limit point is
+    never an orbit point of x, a pole pair's shared member may be).
 
-    Bits: the expansion is elementwise over (row, group, point), the groups
-    add in a fixed order and each near point's terms sum as one contiguous
-    row, so a point's value depends on the other points only through K, and
-    never on tiles.
+    Bits: a point's powers of 1/(x - c) come from that point alone and meet
+    all rows' moments in its own (1, K groups) @ (K groups, t) product, and
+    each near point's terms sum as one contiguous row, so a point's value
+    depends on the other points only through K, and never on tiles.
     """
 
     def __init__(self, shells: WordShells, length: int, depth: int, targets: np.ndarray,
-                 numerator: np.ndarray, fixed: np.ndarray, discs: np.ndarray):
+                 numerator: np.ndarray, fixed: np.ndarray, guard_fixed: bool, discs: np.ndarray):
         mats = (shells.a, shells.b, shells.c, shells.d)
         key, ancestor = _suffixes(shells, length, depth)
         self.targets, self.fixed, self.numerator = targets, fixed, numerator
         self.m = len(targets) + len(fixed)
+        self.guarded = self.m if guard_fixed else len(targets)
         # words per (t, words) work array: a quarter tile
         self._batch = max(1, _TILE_ELEMENTS // (4 * max(1, len(numerator))))
+        back = length - depth + 1
+        letter = shells.last_letter[back][ancestor]
+        code = 2 * (np.abs(letter) - 1) + (letter < 0)
+        disc_c, disc_r = discs[0, code], discs[1, code].real
+        aa, ba, ca, da = (m[back][ancestor] for m in mats)
+        a, c = shells.a[length], shells.c[length]
         keep = np.ones(len(key), dtype=np.bool_)
-        if len(fixed):
-            back = length - depth + 1
-            letter = shells.last_letter[back][ancestor]
-            code = 2 * (np.abs(letter) - 1) + (letter < 0)
-            disc_c, disc_r = discs[0, code], discs[1, code].real
-            aa, ba, ca, da = (m[back][ancestor] for m in mats)
-            a, c = shells.a[length], shells.c[length]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for u in fixed:
-                    keep &= np.abs(_pull_back(aa, ba, ca, da, u)[1] - disc_c) <= disc_r
-                    keep &= np.abs(a - c * u) > 1e-8 * (np.abs(a) + np.abs(c * u))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for u in fixed:
+                keep &= np.abs(_pull_back(aa, ba, ca, da, u)[1] - disc_c) <= disc_r
+                keep &= np.abs(a - c * u) > 1e-8 * (np.abs(a) + np.abs(c * u))
         self.direct = np.flatnonzero(~keep)
         kept = np.flatnonzero(keep)
         order = kept[np.argsort(key[kept], kind="stable")]
@@ -612,20 +627,19 @@ class _PoleGroups:
         self._group_of_word = np.repeat(np.arange(len(sizes)), sizes)
         self._abcd = tuple(m[length][order] for m in mats)  # the kept words, in group order
         self._direct_abcd = tuple(m[length][self.direct] for m in mats)
-        centres, radii = [], []
+        self.centre = np.zeros(len(sizes), dtype=np.complex128)
+        self.radius = np.zeros(len(sizes))
         for g0, g1, sl in self._group_batches():
-            # each group's mean pole and the largest distance of a pole from it
+            # each group's mean pole over the fixed points and the largest
+            # distance of any pole from it
             _, poles, _ = self._terms(sl)
             starts = self.starts[g0:g1] - sl.start
-            centred = poles[len(targets) :] or poles
-            mean = np.add.reduceat(functools.reduce(np.add, centred), starts, axis=1)
-            centres.append(mean / (len(centred) * sizes[g0:g1]))
-            cw = centres[-1][:, self._group_of_word[sl] - g0]
-            spread = functools.reduce(np.maximum, [np.abs(p - cw) for p in poles])
-            radii.append(np.maximum.reduceat(spread, starts, axis=1))
-        self.centre = np.concatenate(centres, axis=1) if centres else np.zeros((1, 0))
-        self.radius = np.concatenate(radii, axis=1) if radii else np.zeros((len(numerator), 0))
-        self._mu = np.empty((0,) + self.radius.shape, dtype=np.complex128)
+            mean = np.add.reduceat(functools.reduce(np.add, poles[len(targets) :]), starts, axis=1)
+            self.centre[g0:g1] = mean[0] / (len(fixed) * sizes[g0:g1])
+            cw = self.centre[self._group_of_word[sl]]
+            spread = [np.abs(p - cw).max(axis=0, initial=0.0) for p in poles]
+            self.radius[g0:g1] = np.maximum.reduceat(functools.reduce(np.maximum, spread), starts)
+        self._mu = np.empty((0, len(sizes), len(numerator)), dtype=np.complex128)
 
     def _group_batches(self):
         """Runs [g0, g1) of whole groups holding at most self._batch words
@@ -636,33 +650,28 @@ class _PoleGroups:
                 yield g0, g1, slice(self.starts[g0], self.stops[g1 - 1])
                 g0 = g1
 
-    def _points(self, row: int | None = None) -> list[np.ndarray]:
-        """The m points as (t or 1, 1) arrays, or as (1, 1) arrays of one row."""
-        rows = slice(None) if row is None else slice(row, row + 1)
-        return [u[rows] for u in self.targets] + [np.full((1, 1), f) for f in self.fixed]
-
-    def _terms(self, sl: slice, row: int | None = None):
-        """(points, poles, weights) of a slice of the kept words, or of one
-        row of them: the poles one (t or 1, words) array per point, the
-        weights (t, words). Recomputed when needed, to the same bits, rather
-        than kept."""
+    def _terms(self, sl: slice):
+        """(points, poles, weights) of a slice of the kept words: the m points
+        as (t or 1, 1) arrays, the poles one (t or 1, words) array per point,
+        the weights (t, words). Recomputed when needed, to the same bits,
+        rather than kept."""
         a, b, c, d = (m[sl] for m in self._abcd)
-        points = self._points(row)
+        points = list(self.targets) + [np.full((1, 1), f) for f in self.fixed]
         au, poles = zip(*(_pull_back(a, b, c, d, u) for u in points))
-        numerator = self.numerator if row is None else self.numerator[row : row + 1]
-        return points, poles, numerator / functools.reduce(np.multiply, au)
+        return points, poles, self.numerator / functools.reduce(np.multiply, au)
 
     def _moments(self, K: int) -> np.ndarray:
-        """mu_0 .. mu_{K-1}, shape (K, t, groups), by the recurrence
+        """mu_0 .. mu_{K-1} of every group and row, shape (K groups, t),
+        row n groups + g holding mu_n of group g, by the recurrence
         H_{m-1} = q_{m-1}^n, H_k <- q_k H_k + H_{k+1}, h_n = H_0 (so the
         fixed points' H_k are shared by the rows). A call needing more
         orders recomputes them all, to the same bits."""
         if len(self._mu) < K:
-            mu = np.empty((K,) + self.radius.shape, dtype=np.complex128)
+            mu = np.empty((K,) + self._mu.shape[1:], dtype=np.complex128)
             for g0, g1, sl in self._group_batches():
                 _, poles, weight = self._terms(sl)
                 starts = self.starts[g0:g1] - sl.start
-                cw = self.centre[:, self._group_of_word[sl]]
+                cw = self.centre[self._group_of_word[sl]]
                 q = [p - cw for p in poles]
                 del poles
                 H = [np.ones_like(q_k) for q_k in q]
@@ -673,93 +682,76 @@ class _PoleGroups:
                         for k in range(len(q) - 2, -1, -1):
                             H[k] *= q[k]
                             H[k] += H[k + 1]
-                    mu[n, :, g0:g1] = np.add.reduceat(
-                        np.multiply(weight, H[0], out=term), starts, axis=1
-                    )
+                    np.multiply(weight, H[0], out=term)
+                    mu[n, g0:g1] = np.add.reduceat(term, starts, axis=1).T
             self._mu = mu
-        return self._mu[:K]
+        return self._mu[:K].reshape(-1, len(self.numerator))
 
     def total(self, xs: np.ndarray, chunk_fn, ws: _Workspace) -> np.ndarray:
-        """The shell's (t, len(xs)) sum, with the expansions' work arrays in
-        ws."""
-        t, groups = self.radius.shape
-        m = len(xs)
+        """The shell's (t, len(xs)) sum, with the expansions' work arrays in ws."""
+        t, groups, m = len(self.numerator), len(self.radius), len(xs)
         out = np.zeros((t, m), dtype=np.complex128)
         if not out.size:
             return out
-        width = max(1, _TILE_ELEMENTS // max(1, t * groups))
-        tiles = [(lo, min(lo + width, m)) for lo in range(0, m, width)]
-        radius = self.radius[..., None]
-        near = np.empty((t, groups, m), dtype=np.bool_)
+        width = max(1, _TILE_ELEMENTS // max(1, groups))
+        near = np.empty((m, groups), dtype=np.bool_)  # one test for every row
         rho = 0.0
-        for lo, hi in tiles:
-            dist = np.abs(xs[lo:hi] - self.centre[..., None])
+        for lo in range(0, m, width):
+            dist = np.abs(xs[lo : lo + width, None] - self.centre)
             # a far point lies more than r from every pole of its group
             # (|x - c| > 2r), so the expansion needs no pole guard
-            far = radius < _FAR_RATIO * dist
-            near[..., lo:hi] = ~far
-            ratio = np.divide(radius, dist, out=np.zeros(far.shape), where=far)
+            far = self.radius < _FAR_RATIO * dist
+            near[lo : lo + width] = ~far
+            ratio = np.divide(self.radius, dist, out=np.zeros(far.shape), where=far)
             rho = max(rho, float(ratio.max(initial=0.0)))
         if not near.all():
-            mu = self._moments(_expansion_order(rho, self.m))
-            for lo, hi in tiles:
-                out[:, lo:hi] = self._far_sum(ws, mu, xs[lo:hi], near[..., lo:hi])
-        for i, j in zip(*np.nonzero(near.any(axis=2))):
-            cols = np.flatnonzero(near[i, j])
-            out[i, cols] += self._near_sum(i, j, xs[cols])
-        del near
+            K = _expansion_order(rho, self.m)
+            mu = self._moments(K)
+            width = max(1, _TILE_ELEMENTS // (K * groups))
+            for lo in range(0, m, width):
+                x = xs[lo : lo + width]
+                # (x - c)^-(m+n), n < K, by repeated multiplication: each one
+                # runs a point's groups as one strided row and never writes
+                # over an input (numpy's in-place complex multiply of a
+                # 1-element block rounds differently), so a point's bits are
+                # its own, as is its (1, K groups) @ (K groups, t) product
+                pw = ws.take("powers", (len(x), self.m + K - 1, groups))
+                with np.errstate(all="ignore"):
+                    np.divide(1.0, x[:, None] - self.centre, out=pw[:, 0])
+                    for k in range(1, pw.shape[1]):
+                        np.multiply(pw[:, k - 1], pw[:, 0], out=pw[:, k])
+                P = pw[:, self.m - 1 :]
+                np.copyto(P, 0.0, where=near[lo : lo + width, None])  # which may overflow
+                out[:, lo : lo + width] = np.matmul(P.reshape(len(x), 1, -1), mu)[:, 0].T
+        for j in np.flatnonzero(near.any(axis=0)):
+            cols = np.flatnonzero(near[:, j])
+            out[:, cols] += self._near_sum(j, xs[cols])
         if len(self.direct):
             _add_chunk_sums(out, chunk_fn, *self._direct_abcd, xs)
         return out
 
-    def _far_sum(self, ws: _Workspace, mu: np.ndarray, x: np.ndarray, near: np.ndarray):
-        """Sum over the far groups of their expansions at x, by Horner in
-        1/(x - c) with one (t, groups, len(x)) operation per order (1/(x - c)
-        is shared by the rows when c is); near entries, which may overflow,
-        are set to exactly 0 before the groups add."""
-        acc = ws.take("acc", near.shape)
-        acc[...] = mu[-1][..., None]
-        tmp = ws.take("tmp", near.shape)
-        inv = ws.take("inv", self.centre.shape + x.shape)
-        np.subtract(x, self.centre[..., None], out=inv)
-        with np.errstate(all="ignore"):
-            np.divide(1.0, inv, out=inv)
-            # a multiply never writes over an input: numpy's in-place complex
-            # multiply of a 1-element block rounds differently
-            for mu_k in mu[-2::-1]:
-                np.multiply(acc, inv, out=tmp)
-                np.add(tmp, mu_k[..., None], out=acc)
-            for _ in range(self.m):
-                np.multiply(acc, inv, out=tmp)
-                acc, tmp = tmp, acc
-        acc[near] = 0.0
-        total = acc[:, 0].copy()
-        for j in range(1, acc.shape[1]):  # groups add in a fixed order
-            total += acc[:, j]
-        return total
-
-    def _near_sum(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        """Row i's terms of group j summed pulled back at the points x,
-        behind the series' pole guard on the row targets."""
+    def _near_sum(self, j: int, x: np.ndarray) -> np.ndarray:
+        """Group j's terms, pulled back, summed for every row at the points x,
+        shape (t, len(x)), behind the pole guard on the guarded points."""
         sl = slice(self.starts[j], self.stops[j])
         a, _, c, d = (m[sl] for m in self._abcd)
-        points, poles, weight = self._terms(sl, i)
-        out = np.empty(len(x), dtype=np.complex128)
-        step = max(1, _TILE_ELEMENTS // len(a))
+        points, poles, weight = self._terms(sl)
+        out = np.empty((len(weight), len(x)), dtype=np.complex128)
+        step = max(1, _TILE_ELEMENTS // weight.size)
         for lo in range(0, len(x), step):
-            xk = x[lo : lo + step, None]
+            xk = x[lo : lo + step, None, None]
             # |gx - w| = |x - p_w| |a - cw| / |cx + d|
             den = 1e-12 * np.abs(c * xk + d)
             prod = None
             for k, (u, p) in enumerate(zip(points, poles)):
-                xp = xk - p  # (points, words)
-                if k < len(self.targets) and np.any(np.abs(xp) * np.abs(a - c * u) < den):
-                    raise PoleProximityError(
-                        f"pole {u[0, 0]!r} within 1e-12 of the orbit of an x point"
-                    )
+                xp = xk - p  # (points, t or 1, words)
+                hit = k < self.guarded and np.abs(xp) * np.abs(a - c * u) < den
+                if np.any(hit):
+                    raise PoleProximityError(f"pole {u[hit.any(axis=(0, 2))][0, 0]!r} within "
+                                             "1e-12 of the orbit of an x point")
                 prod = xp if prod is None else prod * xp
-            # one contiguous row per point: its bits do not depend on the others
-            out[lo : lo + step] = np.sum(weight / prod, axis=1)
+            # one contiguous row per (point, row): its bits depend on no other
+            out[:, lo : lo + step] = np.sum(weight / prod, axis=2).T
         return out
 
 
@@ -788,7 +780,7 @@ class NuFamily(_ShellSeries):
         if any(isinstance(t, Infinity) for t in self.images):
             raise ValueError("base point maps to infinity under a generator")
         self._pole_pairs = [(self.y0, complex(t)) for t in self.images]
-        self._far = _pole_pair_far(p, self.shells, self._pole_pairs)
+        self._far = _pole_pair_far(p, self.shells, self._pole_pairs, self.y0)
 
     def value(self, a: int, x: complex) -> complex:
         return complex(self.values(np.array([x]))[a - 1, 0])

@@ -388,6 +388,7 @@ class PeriodMatrix:
     normalization_error: float
     paths: tuple[tuple[complex, ...], ...]
     nu: NuFamily  # the family whose periods omega holds
+    circles: tuple | None = None  # _handle_circle_nu as the certifying gate evaluated it
 
     @property
     def genus(self) -> int:
@@ -446,18 +447,20 @@ def _path_integral(leg_values: list[np.ndarray], weights: list[tuple]) -> np.nda
     return total2
 
 
-def _handle_circle_nu(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256):
+def _handle_circle_nu(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256) -> tuple:
     """Per handle a: a, the doubled trapezoid nodes z of C_a, their weights
     dz, the centre w_a and nu's values there, shape (g, 2 n_nodes)."""
-    for a in range(1, p.genus + 1):
-        z, dz, w_a = handle_nodes(p, a, n_nodes)
-        yield a, z, dz, w_a, nu.values(z)
+    nodes = [(a, *handle_nodes(p, a, n_nodes)) for a in range(1, p.genus + 1)]
+    return tuple((a, z, dz, w_a, nu.values(z)) for a, z, dz, w_a in nodes)
 
 
-def nu_normalization_error(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256) -> float:
-    """Max |(1/2 pi i) * integral over C_a of nu_b - delta_ab| over a, b."""
+def nu_normalization_error(
+    p: SchottkyParams, nu: NuFamily, n_nodes: int = 256, circles: tuple | None = None
+) -> float:
+    """Max |(1/2 pi i) * integral over C_a of nu_b - delta_ab| over a, b, from
+    nu on the handle circles: `circles` (_handle_circle_nu's) when given."""
     worst = 0.0
-    for a, z, dz, w_a, vals in _handle_circle_nu(p, nu, n_nodes):
+    for a, z, dz, w_a, vals in circles or _handle_circle_nu(p, nu, n_nodes):
         moments = handle_moments(vals, z, dz, w_a, [0], 1e-8)[:, 0]
         moments[a - 1] -= 1.0
         worst = fail_max(worst, np.max(np.abs(moments)))
@@ -482,7 +485,8 @@ def period_matrix(
     require_valid(p)
     if nu is None:
         nu = NuFamily(p, config=config, y0=y0)
-    norm_err = nu_normalization_error(p, nu) if certify else float("nan")
+    circles = _handle_circle_nu(p, nu) if certify else None
+    norm_err = nu_normalization_error(p, nu, circles=circles) if certify else float("nan")
     if certify and not (norm_err <= normalization_tol):
         raise NormalizationError(
             f"handle differentials fail delta normalization by {norm_err:.3e}"
@@ -505,6 +509,7 @@ def period_matrix(
         normalization_error=norm_err,
         paths=tuple(paths),
         nu=nu,
+        circles=circles,
     )
 
 
@@ -525,15 +530,15 @@ def exact_period_gradient(base: PeriodMatrix) -> np.ndarray:
         X_kl(z) = dg_k(z) / g_k'(z) = (da z + db)(cz + d) - (az + b)(dc z + dd),
 
     X_kl being the quadratic (weight -1) cocycle of the direction, so only
-    the circle C_k enters direction (k, l). The moments are taken on the
-    handle-circle grid of nu_normalization_error, behind the node-doubling
-    gate _PATH_GATE.
+    the circle C_k enters direction (k, l). The moments take nu on the
+    handle circles from base's normalization gate (or evaluate it, uncertified)
+    behind the node-doubling gate _PATH_GATE.
     """
     nu = base.nu
     p = nu.params
     g = p.genus
     grad = np.empty((g, DIRECTIONS_PER_HANDLE, g, g), dtype=np.complex128)
-    for k, z, dz, w_k, vals in _handle_circle_nu(p, nu):
+    for k, z, dz, w_k, vals in base.circles or _handle_circle_nu(p, nu):
         m = generator(p, k)
         own = slice(DIRECTIONS_PER_HANDLE * (k - 1), DIRECTIONS_PER_HANDLE * k)
         da, db, dc, dd = generator_tangent(p, k)[:, own, None]  # (3, 1) each

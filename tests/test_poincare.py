@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import mpmath as mp
@@ -131,6 +134,20 @@ def test_bers_grid_matches_scalar(bers2):
 def test_bers_pole_guard(bers2):
     with pytest.raises(PoleProximityError):
         bers2.value(0.3, 0.3)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("length", [2, 3])
+def test_bers_pole_guard_in_direct_shells(star, length):
+    bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=4))
+    shells = bers.shells
+    xs = _probe_xs(5)
+    i = shells.shell_size(length) // 3
+    a, b, c, d = (m[length][i] for m in (shells.a, shells.b, shells.c, shells.d))
+    y = (a * xs[2] + b) / (c * xs[2] + d)  # g x, formed as the chunk kernel forms it
+    with pytest.raises(PoleProximityError):
+        bers.value_grid(xs, [0.9, y])
+    assert np.all(np.isfinite(bers.value_grid(xs, [0.9, y + 1e-9])))
 
 
 def test_bers_rejects_wrong_point_count(star):
@@ -378,12 +395,14 @@ def _surface(name, star):
 
 
 def _far_case_points(p):
-    """Points in F, on every handle circle and inside every disc."""
+    """Points in F, on every handle circle, inside every disc and three discs
+    deep, where deep shells' groups are near."""
     pts = list(default_probe_points(p, 4)[1:])  # the first one is y0 = 0
     for a in range(1, p.genus + 1):
         pts.extend(handle_nodes(p, a, 8)[0][::3])
     for letter in p.letters:
         pts.append(moebius.apply(generator(p, letter), pts[0]))
+        pts.append(moebius.apply(word_map(p, (letter,) * 3), pts[0]))
     return np.array(pts)
 
 
@@ -400,11 +419,76 @@ def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
         "bers2": lambda: BersEvaluator(p, 2, config=cfg).value_grid(xs, ys),
         "bers3": lambda: BersEvaluator(p, 3, config=cfg).value_grid(xs, ys),
     }
-    far = {kind: f() for kind, f in evaluate.items()}
+    groups = poincare._PoleGroups
+    total, moments, near_sum = groups.total, groups._moments, groups._near_sum
+    paths = []  # per shell, the paths it took: "far" expansions, "near" sums
+    monkeypatch.setattr(groups, "total", lambda *a: paths.append(set()) or total(*a))
+    monkeypatch.setattr(groups, "_moments", lambda *a: paths[-1].add("far") or moments(*a))
+    monkeypatch.setattr(groups, "_near_sum", lambda *a: paths[-1].add("near") or near_sum(*a))
+    far = {}
+    for kind, f in evaluate.items():
+        paths.clear()
+        far[kind] = f()
+        # the points take the expansion and the term-by-term sum within one shell
+        assert {"far", "near"} in paths, kind
     monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)  # every group is near every point
     for kind, f in evaluate.items():
         near = f()
         assert np.all(np.abs(far[kind] - near) <= 1e-14 * np.abs(near)), kind
+
+
+def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
+    """A far shell's value at a point is that point's own (1, K groups) @
+    (K groups, t) product plus its near and direct sums, so with the
+    expansion order K fixed (the one thing a batch's points share) a prefix
+    or a shifted slice of a batch gives the batch's bits, where one
+    whole-block product would not."""
+    seen = {}
+    shell_total = poincare._FarField.shell_total
+
+    def spy(far, length, xs, chunk_fn):
+        seen[length] = far, chunk_fn
+        return shell_total(far, length, xs, chunk_fn)
+
+    monkeypatch.setattr(poincare._FarField, "shell_total", spy)
+    xs = _probe_xs(130)
+    ys = 0.99 * np.exp(2j * np.pi * np.arange(20) / 20)  # as many rows as a spanning table
+    BersEvaluator(star, 2, config=SeriesConfig(max_len=5)).value_grid(xs, ys)
+    far, chunk_fn = seen[5]
+    groups = far._groups[5]
+    order, K = poincare._expansion_order, []
+    monkeypatch.setattr(poincare, "_expansion_order", lambda *a: K.append(order(*a)) or K[0])
+    whole = groups.total(xs, chunk_fn, far._ws)
+    assert len(K) == 1 and len(groups.direct)  # the batch takes the expansions and direct words
+    for lo, hi in [(0, 1), (0, 2), (0, 3), (0, 7), (0, 65), (1, 2), (3, 10), (64, 129)]:
+        part = groups.total(xs[lo:hi], chunk_fn, far._ws)
+        assert np.array_equal(part, whole[:, lo:hi]), (lo, hi)
+
+
+def test_far_field_bits_do_not_depend_on_blas_threads(tmp_path):
+    code = """if True:
+        import sys
+        import numpy as np
+        from schottkycalc.poincare import BersEvaluator, NuFamily, SeriesConfig
+        from schottkycalc.schottky import HandleParams, SchottkyParams
+        p = SchottkyParams([HandleParams(-6.0, -2.0, 0.09), HandleParams(2.0, 6.0, 0.09)])
+        cfg = SeriesConfig(max_len=6)
+        k = np.arange(257)
+        xs = 1.3 * np.exp(2j * np.pi * (k + 0.25) / 257) * (0.6 + 0.3 * (k % 3) / 2)
+        ys = 0.99 * np.exp(2j * np.pi * np.arange(20) / 20)
+        bers = BersEvaluator(p, 2, config=cfg).value_grid(xs, ys)
+        np.save(sys.argv[1], np.concatenate([bers, NuFamily(p, config=cfg).values(xs)]))
+    """
+    out = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        path = tmp_path / f"{threads}.npy"
+        cmd = [sys.executable, "-c", code, str(path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out[threads] = np.load(path)
+    assert np.array_equal(out["1"], out["2"])
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")

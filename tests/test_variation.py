@@ -1,6 +1,7 @@
 """Tests for moduli tangent directions, the weight-2 variation field,
 beta-periods, and the quadratic-differential identity for period derivatives."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,16 @@ def test_exact_period_gradient_is_worker_independent(base_pm):
     base2 = va.period_matrix(STAR, config=cfg2)
     assert np.array_equal(base2.omega, base_pm.omega)
     assert np.array_equal(va.exact_period_gradient(base2), va.exact_period_gradient(base_pm))
+
+
+def test_exact_period_gradient_reuses_the_gate_circles(base_pm, monkeypatch):
+    # an uncertified base keeps no circle values: the gradient evaluates them
+    fresh = va.exact_period_gradient(replace(base_pm, circles=None))
+    calls = []
+    values = NuFamily.values
+    monkeypatch.setattr(NuFamily, "values", lambda self, xs: calls.append(1) or values(self, xs))
+    assert np.array_equal(va.exact_period_gradient(base_pm), fresh)
+    assert calls == []
 
 
 def test_exact_period_gradient_gate_fails_closed(base_pm, monkeypatch):
