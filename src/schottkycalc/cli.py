@@ -415,7 +415,8 @@ def _suite_coboundary(rc: RunConfig, ctx: RunContext) -> dict:
                         [cocycle_eval(X, (a,))(z) for z in zs]
                     )
             direct = np.array([delta(z) - P(z) for z in zs])
-            worst = fail_max(worst, np.max(np.abs(rebuilt_vals - direct)))
+            scale = max(1.0, np.max(np.abs(direct)))  # judged on the values' own scale
+            worst = fail_max(worst, np.max(np.abs(rebuilt_vals - direct)) / scale)
     return {"reconstruction": worst}
 
 

@@ -1,23 +1,15 @@
 """Poincare-series evaluation over Schottky groups.
 
 Series are summed shell-by-shell over reduced words of bounded length, in
-the calling thread, with vectorized matrix action, deterministic chunked
-accumulation (fixed chunk boundaries, in-order Kahan combination) and a
-truncation warning when the last shell is still above the configured
-tolerance.
+the calling thread, with vectorized matrix action, in-order Kahan
+combination of the shells and a truncation warning when the last shell is
+still above the configured tolerance.
 
-The chunk boundaries depend only on the number of evaluation points, since
-they fix the order in which word terms are added. Each chunk's points are
-split into column tiles of about _TILE_ELEMENTS words x points, so a kernel's
-work arrays stay cache-sized; a tile's column sums are that chunk's sums, so
-for two or more points tiling never changes a bit. numpy sums a 1-column
-block in a different (pairwise) order, which is why a trailing 1-column tile
-is folded into its neighbour. A lone point is the exception: its shells
-0..3 are summed as one 1-column block, so its value can differ in the last
-bits from the same point's value inside a batch (up to 1.6e-16 relative on
-STAR at max_len 6); the deep shells' direct words repeat a lone point
-(_add_chunk_sums) and do not differ. The work arrays live in scratch owned
-by one evaluator call, so no numpy op allocates one.
+A point's direct sums do not depend on the other points in its batch: one
+routine (_add_direct_sums) sums every word summed directly, cutting only
+the points into column tiles, and each column adds its words row by row.
+The work arrays live in scratch owned by one evaluator call, so no numpy op
+allocates one.
 
 One engine sums three terms:
   * the weight-N two-point series with 2N-1 limit-point correction factors,
@@ -82,7 +74,6 @@ __all__ = [
     "shell_report",
 ]
 
-_CHUNK_ELEMENTS = 1 << 18  # word-chunk size budget (words x eval points)
 _TILE_ELEMENTS = 1 << 14  # column-tile work-array budget (words x eval points)
 
 
@@ -128,13 +119,6 @@ class SeriesConfig:
             raise ValueError("stop_tol must be positive when set")
 
 
-def _chunk_size(m: int) -> int:
-    # depends only on the evaluation-point count, so the chunk boundaries, and
-    # with them the order in which word terms are added, never depend on the
-    # tile size
-    return max(64, _CHUNK_ELEMENTS // max(1, m))
-
-
 def _column_tiles(rows: int, m: int) -> list[tuple[int, int]]:
     """Column ranges splitting m points so each (rows x width) block stays
     near _TILE_ELEMENTS. A trailing 1-column tile is folded into its
@@ -144,6 +128,19 @@ def _column_tiles(rows: int, m: int) -> list[tuple[int, int]]:
     if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
         del cuts[-2]
     return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _add_direct_sums(out: np.ndarray, chunk_fn, a, b, c, d, x: np.ndarray) -> None:
+    """Add chunk_fn's sums over the words (a, b, c, d) at the points x to
+    out, in column tiles: a tile's sums are exactly its columns' sums, so
+    the tile size changes speed and memory, never values. A lone point is
+    passed twice, so its column sums row by row, as in any wider tile, and
+    its bits do not depend on the other points."""
+    if len(x) == 1:
+        out += chunk_fn(a, b, c, d, np.repeat(x, 2))[:, :1]
+        return
+    for lo, hi in _column_tiles(len(a), len(x)):
+        out[:, lo:hi] += chunk_fn(a, b, c, d, x[lo:hi])
 
 
 def _sum_shells(
@@ -157,12 +154,8 @@ def _sum_shells(
     """Accumulate chunk_fn over word shells in a fixed order.
 
     chunk_fn(a, b, c, d, x) -> (t, len(x)) partial sums for those words at
-    the points x. Each shell is cut into word chunks of _chunk_size(m)
-    rows; the chunk boundaries fix the order of the row sums, and so the
-    bits. Each chunk's points are cut into column tiles (_column_tiles): a
-    tile's sums are exactly that chunk's sums at those columns, so the tile
-    size changes speed and memory, never values (a lone point aside, see the
-    module docstring). Each column adds its chunk partials in chunk order,
+    the points x. Each shell's words are summed by _add_direct_sums, so a
+    point's direct sums do not depend on the other points in its batch;
     then shells combine sequentially (Kahan). With stop_tol set, the loop
     exits once two consecutive shells each contribute less than stop_tol.
     far, when given (a _FarField of the same term), supplies the totals of
@@ -172,13 +165,14 @@ def _sum_shells(
     totals = np.zeros((t, m), dtype=np.complex128)
     comp = np.zeros_like(totals)
     shell_mags: list[float] = []
-    chunk = _chunk_size(m)
 
     for length in range(shells.max_len + 1):
         if far is not None and length >= _DIRECT_SHELLS:
             shell_total = far.shell_total(length, xs, chunk_fn)
         else:
-            shell_total = _direct_shell(shells, length, xs, chunk_fn, t, chunk)
+            shell_total = np.zeros((t, m), dtype=np.complex128)
+            words = (shells.a[length], shells.b[length], shells.c[length], shells.d[length])
+            _add_direct_sums(shell_total, chunk_fn, *words, xs)
         if not np.all(np.isfinite(shell_total)):
             raise EvaluationError(
                 "non-finite series terms (evaluation point at a pole of a group element?)"
@@ -197,24 +191,6 @@ def _sum_shells(
         ):
             break
     return totals, shell_mags
-
-
-def _direct_shell(shells, length, xs, chunk_fn, t, chunk):
-    """One shell's (t, len(xs)) total from chunk_fn, as _sum_shells describes."""
-    m = len(xs)
-    a, b = shells.a[length], shells.b[length]
-    c, d = shells.c[length], shells.d[length]
-    n = len(a)
-    shell_total = np.empty((t, m), dtype=np.complex128)
-    for i in range(0, n, chunk):
-        j = min(i + chunk, n)
-        for lo, hi in _column_tiles(j - i, m):
-            part = chunk_fn(a[i:j], b[i:j], c[i:j], d[i:j], xs[lo:hi])
-            if i == 0:  # each column adds its chunks' partials in chunk order
-                shell_total[:, lo:hi] = part
-            else:
-                shell_total[:, lo:hi] += part
-    return shell_total
 
 
 class _Workspace:
@@ -471,7 +447,7 @@ def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
 # ---------------------------------------------------------------------------
 # deep shells as grouped multipole expansions
 
-_DIRECT_SHELLS = 4  # shells 0..3 are summed word by word by the chunk kernels
+_DIRECT_SHELLS = 4  # shells 0..3 are summed word by word (_add_direct_sums)
 _FAR_RATIO = 0.5  # a group is far from x when its radius is below _FAR_RATIO |x - c|
 _TAIL_TOL = 1e-17  # dropped expansion tail, relative to sum |weight| / |x - c|^m
 
@@ -497,18 +473,6 @@ def _suffixes(shells: WordShells, length: int, depth: int) -> tuple[np.ndarray, 
         key = key * letters + 2 * (np.abs(letter) - 1) + (letter < 0)
         idx = shells.parent[back][idx]
     return key, ancestor
-
-
-def _add_chunk_sums(out: np.ndarray, chunk_fn, a, b, c, d, x: np.ndarray) -> None:
-    """Add chunk_fn's sums over the words (a, b, c, d) at the points x to
-    out, in column tiles; a lone point is passed twice, so its column sums
-    row by row, as in any wider tile, and its bits do not depend on the
-    other points."""
-    if len(x) == 1:
-        out += chunk_fn(a, b, c, d, np.repeat(x, 2))[:, :1]
-        return
-    for lo, hi in _column_tiles(len(a), len(x)):
-        out[:, lo:hi] += chunk_fn(a, b, c, d, x[lo:hi])
 
 
 class _FarField:
@@ -727,7 +691,7 @@ class _PoleGroups:
             cols = np.flatnonzero(near[:, j])
             out[:, cols] += self._near_sum(j, xs[cols])
         if len(self.direct):
-            _add_chunk_sums(out, chunk_fn, *self._direct_abcd, xs)
+            _add_direct_sums(out, chunk_fn, *self._direct_abcd, xs)
         return out
 
     def _near_sum(self, j: int, x: np.ndarray) -> np.ndarray:

@@ -14,9 +14,8 @@ while recording the group element that undoes the moves.
 
 Moduli tangents are exact: `generator_tangent` differentiates each
 normalized generator matrix along the DIRECTIONS_PER_HANDLE directions of
-every handle, and `image_tangent` moves a point's generator image. Rauch's
-formula (variation.exact_period_gradient) builds the period matrix's
-gradient from the generator tangents alone.
+every handle. Rauch's formula (variation.exact_period_gradient) builds the
+period matrix's gradient from the generator tangents alone.
 """
 from __future__ import annotations
 
@@ -46,7 +45,6 @@ __all__ = [
     "from_classical",
     "generator",
     "generator_tangent",
-    "image_tangent",
     "in_domain",
     "invert_word",
     "letter_order",
@@ -365,15 +363,6 @@ def generator_tangent(p: SchottkyParams, letter: int) -> np.ndarray:
     if letter < 0:
         out = np.stack([out[3], -out[1], -out[2], out[0]])
     return out
-
-
-def image_tangent(p: SchottkyParams, letter: int, z: complex) -> np.ndarray:
-    """Derivative of generator(p, letter)(z) with z held fixed, shape (3g,),
-    in generator_tangent's columns."""
-    m = generator(p, letter)
-    da, db, dc, dd = generator_tangent(p, letter)
-    den = m.c * z + m.d
-    return ((da * z + db) - (m.a * z + m.b) / den * (dc * z + dd)) / den
 
 
 def reduce_to_fundamental(

@@ -548,6 +548,24 @@ def test_nan_residual_fails_the_suite(tmp_path, monkeypatch):
     assert rep["passed"] is False
 
 
+def test_coboundary_residual_is_relative_to_its_values(monkeypatch):
+    # genus3_wide's values reach 1.6e6, so an absolute error of rounding size
+    # there is about 2e-9; a wrong coefficient must still fail
+    rc = load_config(str(Path(__file__).parents[1] / "configs" / "genus3_wide.json"))
+    assert run_suite(rc, "coboundary")["passed"]
+    exact = cli.decompose_coboundary
+
+    def decompose(p, P):
+        coeffs = exact(p, P)
+        coeffs[0, 0] *= 1 + 1e-6
+        return coeffs
+
+    monkeypatch.setattr(cli, "decompose_coboundary", decompose)
+    rep = run_suite(rc, "coboundary")
+    assert rep["checks"]["reconstruction"]["residual"] > 1e-10
+    assert rep["passed"] is False
+
+
 def test_suite_seed_is_echoed(tmp_path):
     cfg = write_config(tmp_path, seed=11)
     rep = run_suite(load_config(cfg), "cocycle")

@@ -192,7 +192,7 @@ def test_bers_deterministic_across_workers(star):
 def test_column_tiles_do_not_change_bits(star, monkeypatch, m):
     xs = _probe_xs(m)
     evals = _all_evaluators(star, SeriesConfig(max_len=5, workers=2))
-    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1 << 40)  # one tile per chunk
+    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1 << 40)  # one tile per shell
     whole = {name: f(xs) for name, f in evals.items()}
     monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1)  # 2- and 3-column tiles
     for name, f in evals.items():
@@ -213,7 +213,7 @@ def test_column_tiles_cover_points_and_fold_the_tail():
 
 def test_failing_chunk_stops_the_sum(star):
     shells = build_shells(star, 6)
-    xs = np.zeros(4096, dtype=np.complex128)  # 64-word chunks, 16 tiles each
+    xs = np.zeros(4096, dtype=np.complex128)  # the last shell's 972 words in 256 tiles
     in_last = []
 
     def dry_run(a, b, c, d, x):
@@ -222,7 +222,7 @@ def test_failing_chunk_stops_the_sum(star):
 
     _sum_shells(shells, xs, dry_run, 1)
     tasks = len(in_last)
-    fail_at = in_last.index(True) + 2  # inside the last shell, many chunks still to go
+    fail_at = in_last.index(True) + 2  # inside the last shell, many tiles still to go
     assert tasks - fail_at > 100
     calls = itertools.count()
 
@@ -233,7 +233,7 @@ def test_failing_chunk_stops_the_sum(star):
 
     with pytest.raises(EvaluationError):
         _sum_shells(shells, xs, chunk_fn, 1)
-    assert next(calls) == fail_at + 1  # no chunk after the failing one was called
+    assert next(calls) == fail_at + 1  # no tile after the failing one was called
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
@@ -499,6 +499,25 @@ def test_direct_dipole_sums_do_not_depend_on_tiles(star, monkeypatch):
     whole = nu.values(xs)
     monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1)  # one point per batch
     assert np.array_equal(nu.values(xs), whole)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("name", ["star", "genus3-wide"])
+def test_direct_sums_do_not_depend_on_the_batch(star, name):
+    # at max_len 3 every word is summed directly, so no expansion order is
+    # shared between the points
+    p = _surface(name, star)
+    evals = _all_evaluators(p, SeriesConfig(max_len=3))
+    rng = np.random.default_rng(15)
+    re = [disc_center(p, l).real for l in p.letters]
+    xs = rng.uniform(min(re) - 2, max(re) + 2, 3000) + 2j * rng.uniform(-1, 1, 3000)
+    xs = xs[[in_domain(p, x) for x in xs]][:2000]
+    assert len(xs) == 2000
+    for kind, f in evals.items():
+        batch = f(xs)
+        assert np.array_equal(f(xs[:100]), batch[:, :100]), kind
+        for i in range(20):
+            assert np.array_equal(f(xs[i : i + 1]), batch[:, i : i + 1]), (kind, i)
 
 
 @pytest.mark.parametrize("length", [1, 5])

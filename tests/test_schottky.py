@@ -20,7 +20,6 @@ from schottkycalc.schottky import (
     from_classical,
     generator,
     generator_tangent,
-    image_tangent,
     in_domain,
     invert_word,
     letter_order,
@@ -268,15 +267,3 @@ def test_generator_tangent_matches_central_differences():
                 assert np.max(np.abs(tan[:, 3 * (a - 1) + l] - fd)) < 1e-8
                 if a != abs(letter):
                     assert np.all(tan[:, 3 * (a - 1) + l] == 0)
-
-
-def test_image_tangent_matches_central_differences():
-    z = 0.3 + 0.7j
-    for letter in TILTED.letters:
-        got = image_tangent(TILTED, letter, z)
-        want = [
-            _central(lambda q: moebius.apply(generator(q, letter), z), a, l)
-            for a in (1, 2)
-            for l in range(3)
-        ]
-        assert np.max(np.abs(got - want)) < 1e-8
