@@ -232,7 +232,8 @@ class BasisSelection:
 
     matrix[r, c]: moment of coefficient function r against cocycle c, with
     flat index i <-> (handle 1 + i // (2N-1), power i % (2N-1)). J are the
-    selected cocycle columns, rows the selected coefficient functions.
+    selected cocycle columns, rows the selected coefficient functions, and
+    inverse the inverse of their pivot block matrix[rows, J].
     """
 
     N: int
@@ -242,6 +243,7 @@ class BasisSelection:
     J: tuple[int, ...]
     rows: tuple[int, ...]
     singular_values: tuple[float, ...]
+    inverse: np.ndarray
     duality_error: float
 
     @property
@@ -256,6 +258,24 @@ class BasisSelection:
     def label(self, flat: int) -> tuple[int, int]:
         m = 2 * self.N - 1
         return (flat // m + 1, flat % m)
+
+
+def _pivots(A: np.ndarray, d: int) -> list[int]:
+    """First d column pivots of A by Householder QR with Businger-Golub
+    column pivoting: each step takes the remaining column of largest norm,
+    the first index on a tie as LAPACK's geqp3 does. The norms are
+    recomputed at each step rather than downdated."""
+    R = np.array(A, dtype=np.complex128)
+    perm = list(range(R.shape[1]))
+    for k in range(d):
+        j = k + int(np.argmax(np.linalg.norm(R[k:, k:], axis=0)))
+        R[:, [k, j]] = R[:, [j, k]]
+        perm[k], perm[j] = perm[j], perm[k]
+        v = R[k:, k].copy()
+        v[0] += np.exp(1j * np.angle(v[0])) * np.linalg.norm(v)
+        v /= np.linalg.norm(v) or 1.0  # a zero column needs no reflection
+        R[k:, k:] -= 2.0 * np.outer(v, v.conj() @ R[k:, k:])
+    return perm[:d]
 
 
 def select_basis(
@@ -289,11 +309,7 @@ def select_basis(
             for r, row in enumerate(rows):
                 M_shift[r, ai * m + k] = complex(np.sum(row[1::2] * wk[1::2]) * 2.0) / TWO_PI_I
 
-    # imported here, its only use: scipy.linalg pulls in numpy.f2py, about
-    # 0.14 s and 28 MB at start-up for every command that never selects a basis
-    import scipy.linalg
-
-    svals = scipy.linalg.svdvals(M)
+    svals = np.linalg.svd(M, compute_uv=False)
     d = (g - 1) * m
     if d == 0:
         raise ValueError("genus-1 surfaces have no weight-N differentials in this family")
@@ -307,25 +323,21 @@ def select_basis(
         )
 
     if J is None:
-        _, _, piv = scipy.linalg.qr(M, pivoting=True)
-        J = tuple(sorted(int(i) for i in piv[:d]))
+        J = tuple(sorted(_pivots(M, d)))
     else:
         J = tuple(sorted(int(i) for i in J))
         if len(J) != d or len(set(J)) != d or not all(0 <= j < n_tot for j in J):
             raise ValueError(
                 f"column override must pick {d} distinct indices in [0, {n_tot}), got {J}"
             )
-    _, _, piv_rows = scipy.linalg.qr(M[:, J].T, pivoting=True)
-    rows = tuple(sorted(int(i) for i in piv_rows[:d]))
+    rows = tuple(sorted(_pivots(M[:, J].T, d)))
 
     block = M[np.ix_(rows, J)]
     cond = np.linalg.cond(block)
     if not (cond <= _COND_MAX):
         raise ConditioningError(f"pivot block condition number {cond:.3e} > {_COND_MAX:.1e}")
-    A = np.linalg.inv(block)
-    duality_error = float(
-        np.max(np.abs(A @ M_shift[np.ix_(rows, J)] - np.eye(d)))
-    )
+    inverse = np.linalg.inv(block)
+    duality_error = float(np.max(np.abs(inverse @ M_shift[np.ix_(rows, J)] - np.eye(d))))
 
     return BasisSelection(
         N=N,
@@ -335,6 +347,7 @@ def select_basis(
         J=J,
         rows=rows,
         singular_values=tuple(float(s) for s in svals),
+        inverse=inverse,
         duality_error=duality_error,
     )
 
@@ -345,8 +358,6 @@ class DualBasis:
     def __init__(self, theta: SpanningTheta, selection: BasisSelection):
         self.theta = theta
         self.selection = selection
-        block = selection.matrix[np.ix_(selection.rows, selection.J)]
-        self._A = np.linalg.inv(block)
 
     def values(self, xs) -> np.ndarray:
         """Dual family at the given points, shape (dim, len(xs))."""
@@ -354,7 +365,7 @@ class DualBasis:
         tab = self.theta.table(xs)
         g, m, mx = tab.shape
         flat = tab.reshape(g * m, mx)
-        return self._A @ flat[list(self.selection.rows)]
+        return self.selection.inverse @ flat[list(self.selection.rows)]
 
 
 # ---------------------------------------------------------------------------

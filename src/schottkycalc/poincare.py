@@ -260,6 +260,10 @@ def limit_points(p: SchottkyParams, n: int, dedup_tol: float = 1e-6) -> np.ndarr
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > 1 and p.genus < 2:
+        raise ValueError(
+            f"a genus-1 group has one limit point, not {n}: the weight-N series needs genus >= 2"
+        )
     found: list[complex] = []
     for length in range(1, 9):
         shells = build_shells(p, length, cap=10_000_000)

@@ -268,13 +268,35 @@ def test_eval_takes_a_grid_that_starts_with_a_minus(tmp_path, capsys):
     assert [float(r[1]) for r in rows[1:]] == [-0.4, 0.4]
 
 
-def test_importing_the_cli_leaves_scipy_linalg_out():
-    # scipy.linalg costs about 0.14 s of start-up; only select_basis needs it
-    code = "import sys, schottkycalc.cli; print('scipy.linalg' in sys.modules)"
+def test_basis_runs_with_scipy_unimportable():
+    # numpy is the only dependency: with scipy blocked, the basis still comes out
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from schottkycalc.cli import main\n"
+        "code = main(['basis', '--config', 'configs/surface_star.json', '--max-len', '5'])\n"
+        "loaded = [k for k, v in sys.modules.items() if k.startswith('scipy') and v is not None]\n"
+        "print(code, loaded, file=sys.stderr)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=Path(__file__).parents[1],
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stderr.splitlines()[-1] == "0 []"
+
+
+def test_report_on_genus_one_says_the_series_needs_genus_two(tmp_path, capsys):
+    cfg = str(Path(__file__).parents[1] / "configs" / "single_handle.json")
+    out_path = tmp_path / "report.json"
+    assert main(["report", "--all", "--config", cfg, "--json", str(out_path)]) == 1
+    suites = json.loads(out_path.read_text())["suites"]
+    assert {k for k, s in suites.items() if s["passed"]} == {"cocycle", "coboundary", "nu-norm"}
+    for name in ("residue", "quasiperiod", "canonical", "gemcont", "rauch"):
+        assert "needs genus >= 2" in suites[name]["error"]
 
 
 def _readme_commands():

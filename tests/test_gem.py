@@ -7,6 +7,7 @@ from schottkycalc.contour import CircleContour, contour_nodes, pairing
 from schottkycalc.eichler import canonical_cocycle, cocycle_eval
 from schottkycalc.gem import (
     CanonicalGEM,
+    ConditioningError,
     DualBasis,
     FitResidualError,
     GeometryError,
@@ -17,6 +18,7 @@ from schottkycalc.gem import (
     expected_moment_identity,
     moment_identity,
     select_basis,
+    _pivots,
 )
 from schottkycalc.moebius import apply as mob_apply, deriv as mob_deriv, inverse
 from schottkycalc.poincare import BersEvaluator, SeriesConfig
@@ -103,6 +105,20 @@ def test_selection_rank_and_gap(selection):
     assert s[2] / s[3] > 1e6
     assert len(selection.J) == len(set(selection.J)) == 3
     assert len(selection.rows) == 3
+
+
+def test_pivots_take_the_largest_remaining_column_first_index_on_a_tie():
+    A = np.diag([1.0, 3.0, 2.0]).astype(complex)
+    A = np.column_stack([A, 1j * A[:, 1]])  # column 3 depends on column 1, same norm
+    assert _pivots(A, 3) == [1, 2, 0]
+    assert _pivots(A[:, ::-1], 3) == [0, 1, 3]
+
+
+@pytest.mark.parametrize("J", [(0, 1, 2), (3, 4, 5)])
+def test_dependent_column_override_fails_closed(base, J):
+    # all three powers on one handle: the pivot block is numerically singular
+    with pytest.raises(ConditioningError):
+        select_basis(SpanningTheta(base), n_nodes=128, J=J)
 
 
 def test_selection_duality_via_independent_quadrature(selection):
@@ -273,5 +289,5 @@ def test_genus_one_has_no_differentials():
     # a genus-1 group has too few limit points to anchor the weight-2 series,
     # matching d_N = (g-1)(2N-1) = 0: nothing to build
     p1 = SchottkyParams(handles=(HandleParams(-2, 2, 0.25),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs genus >= 2"):
         BersEvaluator(p1, 2, config=SeriesConfig(max_len=6, shell_tol=1e-4))
