@@ -26,18 +26,19 @@ weight / prod_k (x - p_k) over its m pulled-back poles: the dipole
 delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)), of a pole
 pair, and the 2N-pole coef / ((x - p_y) prod_j (x - p_{A_j})),
 coef = prod_j (y - A_j) / ((a - cy) prod_j (a - cA_j)), of the weight-N
-term, whose (cx + d) powers cancel. A deep shell's words are grouped by
-their last three letters (pole pairs) or two (weight N), whose nested disc
-holds the group's poles, centred on the mean pole of the points all rows
-share (the A_j, or a pole pair's shared y0 or 0). A group far from x (its
-radius over all rows below half the distance; one test per group and
-point) adds a truncated Laurent expansion in 1/(x - c), built once per
-point and contracted with every row's moments in one product per point,
-whose dropped tail is bounded a priori for any m (_PoleGroups); a near
-group is summed term by term, pulled back, behind the series' pole guard.
-A weight-N word that starts with a power of a limit point's own word, so
-that a - cA_j cancels or the pole of A_j leaves its group's disc, stays
-with the chunk kernel and its collapse guard.
+term, whose (cx + d) powers cancel. The limit points' factors a - cA_j and
+poles are carried down the word tree, exact along the powers of each A_j's
+own word, where the matrix entries cancel (_limit_factors). A deep shell's
+words are grouped by their last three letters (pole pairs) or two
+(weight N), whose nested disc holds the group's poles, centred on the mean
+pole of the points all rows share (the A_j, or a pole pair's shared y0 or
+0). A group far from x (its radius over all rows below half the distance;
+one test per group and point) adds a truncated Laurent expansion in
+1/(x - c), built once per point and contracted with every row's moments in
+one product per point, whose dropped tail is bounded a priori for any m
+(_PoleGroups). A near group, and each of the (2N - 1)(2g - 1) weight-N
+words per shell whose A_j pole leaves its group's disc, is summed term by
+term, pulled back, behind the series' pole guard.
 """
 from __future__ import annotations
 
@@ -168,7 +169,7 @@ def _sum_shells(
 
     for length in range(shells.max_len + 1):
         if far is not None and length >= _DIRECT_SHELLS:
-            shell_total = far.shell_total(length, xs, chunk_fn)
+            shell_total = far.shell_total(length, xs)
         else:
             shell_total = np.zeros((t, m), dtype=np.complex128)
             words = (shells.a[length], shells.b[length], shells.c[length], shells.d[length])
@@ -224,40 +225,14 @@ def _moebius_block(ws: _Workspace, a, b, c, d, x):
     return den, gx
 
 
-def _bers_factor(ws: _Workspace, den, gx, A: np.ndarray, N: int) -> np.ndarray:
-    """The y-independent part of a weight-N term, (g'x)^N / prod_j (gx - A_j),
-    for every (word, point) pair; shared by the series and shell_report so
-    the collapse guard lives in one place."""
-    shape = den.shape
-    base = np.multiply(den, den, out=ws.take("base", shape))
-    base **= -N  # (g'x)^N for det-1 matrices
-    q = ws.take("q", shape)
-    absq = ws.take("absq", shape, np.float64)
-    collapsed = ws.take("collapsed", shape, np.bool_)
-    for A_j in A:
-        np.subtract(gx, A_j, out=q)
-        # deep words collapse onto the limit points below float resolution;
-        # those terms are O(|g'x|^{N-1}) ~ truncation tail, so zero them
-        # instead of dividing by noise
-        np.less(np.abs(q, out=absq), 1e-16 * max(1.0, abs(A_j)), out=collapsed)
-        if collapsed.any():
-            q[collapsed] = 1.0
-            base[collapsed] = 0.0
-        base /= q
-    return base
-
-
 # ---------------------------------------------------------------------------
-# limit points
+# limit points and the shared points' pulled-back poles
 
 
-def limit_points(p: SchottkyParams, n: int, dedup_tol: float = 1e-6) -> np.ndarray:
-    """First n distinct attracting fixed points, in word-enumeration order.
-
-    Scans reduced words with positive leading letter in length-lex order and
-    collects attracting fixed points, merging any that repeat (powers of a
-    word share fixed points with the word itself).
-    """
+@functools.lru_cache(maxsize=16)
+def _limit_words(p: SchottkyParams, n: int) -> tuple[tuple, tuple]:
+    """limit_points' scan, kept per (surface, n): the points, and the word
+    each was found with."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > 1 and p.genus < 2:
@@ -265,6 +240,7 @@ def limit_points(p: SchottkyParams, n: int, dedup_tol: float = 1e-6) -> np.ndarr
             f"a genus-1 group has one limit point, not {n}: the weight-N series needs genus >= 2"
         )
     found: list[complex] = []
+    words: list[tuple[int, ...]] = []
     for length in range(1, 9):
         shells = build_shells(p, length, cap=10_000_000)
         idx = np.arange(shells.shell_size(length))
@@ -277,11 +253,71 @@ def limit_points(p: SchottkyParams, n: int, dedup_tol: float = 1e-6) -> np.ndarr
             z_attr, _, _ = moebius.fixed_points(g)
             if isinstance(z_attr, Infinity):
                 continue
-            if all(abs(z_attr - f) > dedup_tol for f in found):
+            if all(abs(z_attr - f) > 1e-6 for f in found):
                 found.append(z_attr)
+                words.append(shells.word(length, i))
             if len(found) >= n:
-                return np.array(found[:n], dtype=np.complex128)
+                return tuple(found), tuple(words)
     raise ValueError(f"could not find {n} distinct limit points (got {len(found)})")
+
+
+def limit_points(p: SchottkyParams, n: int) -> np.ndarray:
+    """First n distinct attracting fixed points, in word-enumeration order.
+
+    Scans reduced words with positive leading letter in length-lex order and
+    collects attracting fixed points, merging any that repeat (powers of a
+    word share fixed points with the word itself).
+    """
+    return np.array(_limit_words(p, n)[0], dtype=np.complex128)
+
+
+def _letter_code(letter: np.ndarray) -> np.ndarray:
+    """Letter l's index 2(|l| - 1) + (l < 0) in letter_order, so in shell 1."""
+    return 2 * (np.abs(letter) - 1) + (letter < 0)
+
+
+def _pull_back(a, b, c, d, w):
+    """(a - cw, p_w = g^-1 w) for words g = (a b; c d): gx - w = (a - cw)(x - p_w)/(cx + d)."""
+    lam = a - c * w
+    return lam, (d * w - b) / lam
+
+
+@dataclass(frozen=True)
+class _Shared:
+    """Points u_k that every row of a series shares, with lam[L][k] = a - c u_k
+    and pole[L][k] = g^-1 u_k over the words of shell L; guard if a u_k may
+    be an orbit point of x (a pole pair's shared member, not a limit point)."""
+
+    points: np.ndarray
+    lam: list[np.ndarray]
+    pole: list[np.ndarray]
+    guard: bool
+
+
+def _limit_factors(shells: WordShells, A: np.ndarray, words) -> _Shared:
+    """The A_j's factors and poles, carried down the parent links with no
+    deep word's matrix entry: for g = P s, a - c u = (a_P - c_P u)(a_s - c_s p)
+    and g^-1 u = s^-1 p, p = P^-1 u. A_j repels under W_j^-1, W_j the word
+    the scan found it with, so along W_j^k the carried pole would drift off
+    A_j (and a - c A_j from g's entries cancels): each W_j^k is snapped to
+    pole A_j and factor lambda_j^k, lambda_j = 1/(c A_j + d) from W_j's
+    entries. The W_j^k are reduced words only when W_j is cyclically reduced."""
+    assert all(w[0] != -w[-1] for w in words), f"limit-point words {words} not cyclically reduced"
+    mats = (shells.a, shells.b, shells.c, shells.d)
+    lam, pole = [np.ones((len(A), 1), dtype=np.complex128)], [A[:, None].astype(np.complex128)]
+    at, base = [0] * len(A), {}  # at[j]: the length-L prefix of W_j W_j ... in shell L
+    for length in range(1, shells.max_len + 1):
+        parent, last = shells.parent[length], shells.last_letter[length]
+        step, p = _pull_back(*(m[1][_letter_code(last)] for m in mats), pole[-1][:, parent])
+        lam.append(lam[-1][:, parent] * step)
+        pole.append(p)
+        for j, w in enumerate(words):
+            i = at[j] = np.flatnonzero((parent == at[j]) & (last == w[(length - 1) % len(w)]))[0]
+            if length == len(w):  # a - c A_j = 1/(c A_j + d) at W_j's fixed point, uncancelled
+                base[j] = 1.0 / (shells.c[length][i] * A[j] + shells.d[length][i])
+            if length % len(w) == 0:
+                lam[-1][j, i], pole[-1][j, i] = base[j] ** (length // len(w)), A[j]
+    return _Shared(A, lam, pole, guard=False)
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +368,16 @@ class BersEvaluator(_ShellSeries):
     the A_j factors both tame convergence and plant the y-side zeros.
     """
 
-    def __init__(
-        self,
-        p: SchottkyParams,
-        N: int,
-        points: Sequence[complex] | None = None,
-        config: SeriesConfig = SeriesConfig(),
-    ):
+    def __init__(self, p: SchottkyParams, N: int, config: SeriesConfig = SeriesConfig()):
         if N < 2:
             raise ValueError("weight parameter N must be >= 2")
         self.N = N
-        if points is None:
-            points = limit_points(p, 2 * N - 1)
-        self.points = np.asarray(points, dtype=np.complex128)
-        if len(self.points) != 2 * N - 1:
-            raise ValueError(f"need exactly {2 * N - 1} limit points, got {len(self.points)}")
+        self.points = limit_points(p, 2 * N - 1)
         super().__init__(p, config)
+        self._shared = _limit_factors(self.shells, self.points, _limit_words(p, 2 * N - 1)[1])
 
     def value(self, x: complex, y: complex) -> complex:
-        return complex(
-            self.value_grid(np.array([x], dtype=np.complex128), np.array([y]))[0, 0]
-        )
+        return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])
 
     def value_grid(self, xs, ys) -> np.ndarray:
         """Array of values, shape (len(ys), len(xs)); x-batches share orbits."""
@@ -360,12 +385,19 @@ class BersEvaluator(_ShellSeries):
         ys = np.asarray(ys, dtype=np.complex128)
         N, A = self.N, self.points
         y_weights = np.array([np.prod(yv - A) for yv in ys])  # product of (y - A_j)
+        # a y on a planted zero (some A_j) zeroes every term: its row is 0
+        live = y_weights != 0
+        ys, y_weights = ys[live], y_weights[live]
         ws = _Workspace()
 
         def chunk_fn(a, b, c, d, x):
             den, gx = _moebius_block(ws, a, b, c, d, x)
-            base = _bers_factor(ws, den, gx, A, N)
+            base = np.multiply(den, den, out=ws.take("base", den.shape))
+            base **= -N  # (g'x)^N for det-1 matrices
             q = ws.take("q", den.shape)
+            with np.errstate(divide="ignore", invalid="ignore"):  # x on a limit point: inf
+                for A_j in A:
+                    base /= np.subtract(gx, A_j, out=q)
             # |gx - y| < 1e-12 at some point only if y lies in the word's
             # bounding box of gx over the points widened by 1e-12 (rounding is
             # monotone), so the exact guard runs on those words alone
@@ -375,10 +407,6 @@ class BersEvaluator(_ShellSeries):
             boxed &= (im.min(axis=1) - yi < 1e-12) & (yi - im.max(axis=1) < 1e-12)
             out = np.empty((len(ys), len(x)), dtype=np.complex128)
             for i, yv in enumerate(ys):
-                if y_weights[i] == 0:
-                    # y sits exactly on a planted zero: every term vanishes
-                    out[i] = 0.0
-                    continue
                 np.subtract(gx, yv, out=q)
                 if boxed[i].any() and np.abs(q[boxed[i]]).min() < 1e-12:
                     raise PoleProximityError(
@@ -390,8 +418,10 @@ class BersEvaluator(_ShellSeries):
             # array rounds differently from the out-of-place one
             return out * y_weights[:, None]
 
-        far = _FarField(self.params, self.shells, 2, ys[None, :, None], y_weights[:, None], fixed=A)
-        return self._sum(xs, chunk_fn, len(ys), f"weight-{N} series", far=far)
+        far = _FarField(self.params, self.shells, 2, ys, y_weights, self._shared)
+        out = np.zeros((len(live), len(xs)), dtype=np.complex128)
+        out[live] = self._sum(xs, chunk_fn, len(ys), f"weight-{N} series", far=far)
+        return out
 
 
 class ThirdKindEvaluator(_ShellSeries):
@@ -473,8 +503,7 @@ def _suffixes(shells: WordShells, length: int, depth: int) -> tuple[np.ndarray, 
     key = np.zeros(len(idx), dtype=np.int64)
     for back in range(length, length - depth, -1):
         ancestor = idx
-        letter = shells.last_letter[back][idx]
-        key = key * letters + 2 * (np.abs(letter) - 1) + (letter < 0)
+        key = key * letters + _letter_code(shells.last_letter[back][idx])
         idx = shells.parent[back][idx]
     return key, ancestor
 
@@ -482,84 +511,65 @@ def _suffixes(shells: WordShells, length: int, depth: int) -> tuple[np.ndarray, 
 class _FarField:
     """The shells of a series from _DIRECT_SHELLS on, each summed as grouped
     multipole expansions (_PoleGroups), built on first use and kept for
-    later calls, as are the expansions' work arrays."""
+    later calls, as are the expansions' work arrays. One target and one
+    numerator per row; `shared` holds the points every row shares."""
 
     def __init__(self, p: SchottkyParams, shells: WordShells, depth: int, targets, numerator,
-                 fixed, guard_fixed: bool = False):
-        self.shells = shells
-        # row 0 the disc centres, row 1 the radii, by letter code 2(|l| - 1) + (l < 0)
+                 shared: _Shared):
+        self.shells, self.shared = shells, shared
+        # row 0 the disc centres, row 1 the radii, by letter code
         discs = np.array([(disc_center(p, l), disc_radius(p, l)) for l in p.letters]).T
-        self.args = (depth, targets, numerator, np.asarray(fixed, complex), guard_fixed, discs)
+        self.args = (depth, targets[:, None], numerator[:, None], shared, discs)
         self._groups: dict[int, _PoleGroups] = {}
         self._ws = _Workspace()
 
-    def shell_total(self, length: int, xs: np.ndarray, chunk_fn) -> np.ndarray:
+    def shell_total(self, length: int, xs: np.ndarray) -> np.ndarray:
         groups = self._groups.get(length)
         if groups is None:
             groups = self._groups[length] = _PoleGroups(self.shells, length, *self.args)
-        return groups.total(xs, chunk_fn, self._ws)
+        return groups.total(xs, self._ws)
 
 
 def _pole_pair_far(p: SchottkyParams, shells: WordShells, pole_pairs, shared) -> _FarField:
     """The far field of a pole-pair series whose pairs (u, v) all hold the
-    point `shared`: that point fixed and guarded, the other member the row
+    point `shared`: that point shared and guarded, the other member the row
     target, numerator u - v, words grouped by their last three letters."""
     uv = np.array(pole_pairs, dtype=np.complex128).reshape(-1, 2)
     other = np.where(uv[:, 0] == shared, uv[:, 1], uv[:, 0])
-    return _FarField(p, shells, 3, other[None, :, None], (uv[:, 0] - uv[:, 1])[:, None],
-                     [shared], guard_fixed=True)
-
-
-def _pull_back(a, b, c, d, w):
-    """(a - cw, p_w = g^-1 w) for words g = (a b; c d): gx - w = (a - cw)(x - p_w)/(cx + d)."""
-    lam = a - c * w
-    return lam, (d * w - b) / lam
+    mats = zip(shells.a, shells.b, shells.c, shells.d)
+    lam, pole = zip(*(_pull_back(*abcd, np.full((1, 1), shared)) for abcd in mats))
+    pulled = _Shared(np.array([shared], dtype=np.complex128), list(lam), list(pole), guard=True)
+    return _FarField(p, shells, 3, other, uv[:, 0] - uv[:, 1], pulled)
 
 
 class _PoleGroups:
-    """One deep shell of a series whose word terms are m-pole products,
-    its words grouped by their last `depth` letters.
+    """One deep shell of a series whose word terms are m-pole products
+    weight / prod_k (x - p_k), p_k = g^-1 u_k, weight = numerator /
+    prod_k (a - c u_k), as in the module docstring: u_0 the row's target,
+    its factor and pole from the word's matrix, then the points every row
+    shares, theirs from `shared` (a limit point's carried and snapped by
+    _limit_factors). Neither form subtracts two poles.
 
-    For a det-1 word (a b; c d) and a point w, gx - w =
-    (a - cw)(x - p_w)/(cx + d) with the pulled-back pole p_w = g^-1 w =
-    (dw - b)/(a - cw), and g'(x) = (cx + d)^-2. So a word's term is
-    weight / prod_k (x - p_k) over m points u_k: the row targets
-    (`targets`, shape (r, t, 1), one value per output row) and then the
-    `fixed` points shared by every row, with
-    weight = numerator / prod_k (a - c u_k):
-      * a pole pair (u, v), g'(x) [1/(gx - u) - 1/(gx - v)], is m = 2 with
-        numerator u - v: the dipole delta / ((x - p_u)(x - p_v)), its fixed
-        point the member every pair shares (y0 for nu, 0 for the third
-        kind), the other member its target;
-      * the weight-N term (g'x)^N prod_j (y - A_j) / ((gx - y) prod_j (gx - A_j))
-        is m = 2N, target y, fixed A_1 .. A_{2N-1}, numerator
-        prod_j (y - A_j): the (cx + d) powers cancel exactly.
-    Neither form subtracts two poles.
-
-    A word's poles lie in the nested disc of its last `depth` letters, the
-    image of the last disc of its length-(length - depth + 1) ancestor,
-    unless a point sits in the wrong disc. A fixed point does for the words
-    that start with a power of its own word, and such a word stays direct
-    (chunk_fn sums it at every point, with its collapse guard) when that
-    pole lies outside the disc (its pole under the ancestor outside the
-    ancestor's last disc) or when a - cu cancels below 1e-8 of |a| + |cu|:
-    then g maps infinity within rounding of u, and the pole is rounding
-    noise (on STAR, u = A_j under (g_1 g_2)^3 at length 8 gives
-    a - cu = 2e-6 from terms of 1e10). The row targets are points of F or
+    The words are grouped by their last `depth` letters, whose nested disc,
+    the image of the last disc of their length-(length - depth + 1)
+    ancestor, holds their poles unless a point sits in the wrong disc. A
+    limit point A_j does for the 2g - 1 words per shell whose first
+    length - depth + 1 letters run along W_j W_j ...; such an outside word,
+    found by testing the ancestors' poles against their last disc, is
+    summed term by term at every point. The row targets are points of F or
     their images (y, g_a y0); one elsewhere only widens its groups.
 
-    A group's centre c is its words' mean pole over the fixed points, shared
-    by the rows; its radius r is the largest distance of any row's pole from
-    c. A group is far from x when r < _FAR_RATIO |x - c|, one test per
-    (group, point), and there it adds sum_{n>=0} mu_n (x - c)^-(m+n) with the
-    moments mu_n = sum_w weight_w h_n(p_w - c), h_n the complete homogeneous
-    polynomial of degree n in the m poles. Since
-    |h_n| <= C(n + m - 1, m - 1) r^n, stopping at K = _expansion_order(rho, m),
-    rho the worst far r / |x - c| of the call, drops a tail of at most
-    _TAIL_TOL sum |weight| / |x - c|^m. Near (group, point) pairs are summed
-    term by term for every row, pulled back, behind the series' pole guard
-    on the targets, and on the fixed points if guard_fixed (a limit point is
-    never an orbit point of x, a pole pair's shared member may be).
+    A group's centre c is its words' mean pole over the shared points, its
+    radius r the largest distance of any row's pole from c. A group is far
+    from x when r < _FAR_RATIO |x - c|, one test per (group, point), and
+    there it adds sum_{n>=0} mu_n (x - c)^-(m+n), mu_n = sum_w weight_w
+    h_n(p_w - c), h_n the complete homogeneous polynomial of degree n in the
+    m poles. As |h_n| <= C(n + m - 1, m - 1) r^n, stopping at
+    K = _expansion_order(rho, m), rho the worst far r / |x - c| of the call,
+    drops at most _TAIL_TOL sum |weight| / |x - c|^m. Near (group, point)
+    pairs and the outside words are summed term by term (_near_sum) behind
+    the pole guard on the targets, and on the shared points if they may be
+    orbit points of x (a pole pair's shared member; never a limit point).
 
     Bits: a point's powers of 1/(x - c) come from that point alone and meet
     all rows' moments in its own (1, K groups) @ (K groups, t) product, and
@@ -568,42 +578,35 @@ class _PoleGroups:
     """
 
     def __init__(self, shells: WordShells, length: int, depth: int, targets: np.ndarray,
-                 numerator: np.ndarray, fixed: np.ndarray, guard_fixed: bool, discs: np.ndarray):
-        mats = (shells.a, shells.b, shells.c, shells.d)
+                 numerator: np.ndarray, shared: _Shared, discs: np.ndarray):
         key, ancestor = _suffixes(shells, length, depth)
-        self.targets, self.fixed, self.numerator = targets, fixed, numerator
-        self.m = len(targets) + len(fixed)
-        self.guarded = self.m if guard_fixed else len(targets)
+        self.targets, self.numerator, self.shared = targets, numerator, shared
+        self.m = 1 + len(shared.points)
         # words per (t, words) work array: a quarter tile
         self._batch = max(1, _TILE_ELEMENTS // (4 * max(1, len(numerator))))
         back = length - depth + 1
-        letter = shells.last_letter[back][ancestor]
-        code = 2 * (np.abs(letter) - 1) + (letter < 0)
+        code = _letter_code(shells.last_letter[back][ancestor])
         disc_c, disc_r = discs[0, code], discs[1, code].real
-        aa, ba, ca, da = (m[back][ancestor] for m in mats)
-        a, c = shells.a[length], shells.c[length]
-        keep = np.ones(len(key), dtype=np.bool_)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for u in fixed:
-                keep &= np.abs(_pull_back(aa, ba, ca, da, u)[1] - disc_c) <= disc_r
-                keep &= np.abs(a - c * u) > 1e-8 * (np.abs(a) + np.abs(c * u))
-        self.direct = np.flatnonzero(~keep)
-        kept = np.flatnonzero(keep)
+        inside = np.all(np.abs(shared.pole[back][:, ancestor] - disc_c) <= disc_r, axis=0)
+        kept = np.flatnonzero(inside)
         order = kept[np.argsort(key[kept], kind="stable")]
         _, self.starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
         self.stops = self.starts + sizes
         self._group_of_word = np.repeat(np.arange(len(sizes)), sizes)
-        self._abcd = tuple(m[length][order] for m in mats)  # the kept words, in group order
-        self._direct_abcd = tuple(m[length][self.direct] for m in mats)
+        # the kept words in group order, then the outside words
+        order = np.r_[order, np.flatnonzero(~inside)]
+        self.outside = slice(len(kept), len(order))
+        self._abcd = tuple(m[length][order] for m in (shells.a, shells.b, shells.c, shells.d))
+        self._lam, self._pole = (s[length][:, None, order] for s in (shared.lam, shared.pole))
         self.centre = np.zeros(len(sizes), dtype=np.complex128)
         self.radius = np.zeros(len(sizes))
         for g0, g1, sl in self._group_batches():
-            # each group's mean pole over the fixed points and the largest
+            # each group's mean pole over the shared points and the largest
             # distance of any pole from it
             _, poles, _ = self._terms(sl)
             starts = self.starts[g0:g1] - sl.start
-            mean = np.add.reduceat(functools.reduce(np.add, poles[len(targets) :]), starts, axis=1)
-            self.centre[g0:g1] = mean[0] / (len(fixed) * sizes[g0:g1])
+            mean = np.add.reduceat(functools.reduce(np.add, poles[1:]), starts, axis=1)
+            self.centre[g0:g1] = mean[0] / (len(shared.points) * sizes[g0:g1])
             cw = self.centre[self._group_of_word[sl]]
             spread = [np.abs(p - cw).max(axis=0, initial=0.0) for p in poles]
             self.radius[g0:g1] = np.maximum.reduceat(functools.reduce(np.maximum, spread), starts)
@@ -619,20 +622,20 @@ class _PoleGroups:
                 g0 = g1
 
     def _terms(self, sl: slice):
-        """(points, poles, weights) of a slice of the kept words: the m points
-        as (t or 1, 1) arrays, the poles one (t or 1, words) array per point,
-        the weights (t, words). Recomputed when needed, to the same bits,
-        rather than kept."""
+        """(factors a - c u_k, poles, weights) of a slice of the words: per
+        point, the target's as (t, words) arrays, then each shared point's
+        as a (1, words) array; the weights (t, words). Recomputed when
+        needed, to the same bits, rather than kept."""
         a, b, c, d = (m[sl] for m in self._abcd)
-        points = list(self.targets) + [np.full((1, 1), f) for f in self.fixed]
-        au, poles = zip(*(_pull_back(a, b, c, d, u) for u in points))
-        return points, poles, self.numerator / functools.reduce(np.multiply, au)
+        lam, pole = _pull_back(a, b, c, d, self.targets)
+        lams, poles = (lam, *self._lam[:, :, sl]), (pole, *self._pole[:, :, sl])
+        return lams, poles, self.numerator / functools.reduce(np.multiply, lams)
 
     def _moments(self, K: int) -> np.ndarray:
         """mu_0 .. mu_{K-1} of every group and row, shape (K groups, t),
         row n groups + g holding mu_n of group g, by the recurrence
         H_{m-1} = q_{m-1}^n, H_k <- q_k H_k + H_{k+1}, h_n = H_0 (so the
-        fixed points' H_k are shared by the rows). A call needing more
+        shared points' H_k are shared by the rows). A call needing more
         orders recomputes them all, to the same bits."""
         if len(self._mu) < K:
             mu = np.empty((K,) + self._mu.shape[1:], dtype=np.complex128)
@@ -655,7 +658,7 @@ class _PoleGroups:
             self._mu = mu
         return self._mu[:K].reshape(-1, len(self.numerator))
 
-    def total(self, xs: np.ndarray, chunk_fn, ws: _Workspace) -> np.ndarray:
+    def total(self, xs: np.ndarray, ws: _Workspace) -> np.ndarray:
         """The shell's (t, len(xs)) sum, with the expansions' work arrays in ws."""
         t, groups, m = len(self.numerator), len(self.radius), len(xs)
         out = np.zeros((t, m), dtype=np.complex128)
@@ -693,33 +696,35 @@ class _PoleGroups:
                 out[:, lo : lo + width] = np.matmul(P.reshape(len(x), 1, -1), mu)[:, 0].T
         for j in np.flatnonzero(near.any(axis=0)):
             cols = np.flatnonzero(near[:, j])
-            out[:, cols] += self._near_sum(j, xs[cols])
-        if len(self.direct):
-            _add_direct_sums(out, chunk_fn, *self._direct_abcd, xs)
+            out[:, cols] += self._near_sum(slice(self.starts[j], self.stops[j]), xs[cols])
+        if self.outside.stop > self.outside.start:
+            out += self._near_sum(self.outside, xs)
         return out
 
-    def _near_sum(self, j: int, x: np.ndarray) -> np.ndarray:
-        """Group j's terms, pulled back, summed for every row at the points x,
-        shape (t, len(x)), behind the pole guard on the guarded points."""
-        sl = slice(self.starts[j], self.stops[j])
-        a, _, c, d = (m[sl] for m in self._abcd)
-        points, poles, weight = self._terms(sl)
+    def _near_sum(self, sl: slice, x: np.ndarray) -> np.ndarray:
+        """The words sl's terms, pulled back, summed for every row at the
+        points x, shape (t, len(x)), behind the pole guard. The shared points'
+        factor is formed once per (point, word) and met by each row in turn;
+        a row's terms at a point sum as one contiguous run of its own."""
+        _, _, c, d = (m[sl] for m in self._abcd)
+        lams, poles, weight = self._terms(sl)
         out = np.empty((len(weight), len(x)), dtype=np.complex128)
-        step = max(1, _TILE_ELEMENTS // weight.size)
+        step = max(1, _TILE_ELEMENTS // weight.shape[1])
         for lo in range(0, len(x), step):
-            xk = x[lo : lo + step, None, None]
+            xk = x[lo : lo + step, None]
             # |gx - w| = |x - p_w| |a - cw| / |cx + d|
             den = 1e-12 * np.abs(c * xk + d)
-            prod = None
-            for k, (u, p) in enumerate(zip(points, poles)):
-                xp = xk - p  # (points, t or 1, words)
-                hit = k < self.guarded and np.abs(xp) * np.abs(a - c * u) < den
-                if np.any(hit):
-                    raise PoleProximityError(f"pole {u[hit.any(axis=(0, 2))][0, 0]!r} within "
-                                             "1e-12 of the orbit of an x point")
-                prod = xp if prod is None else prod * xp
-            # one contiguous row per (point, row): its bits depend on no other
-            out[:, lo : lo + step] = np.sum(weight / prod, axis=2).T
+            shared = None
+            for u, lam, p in zip(self.shared.points, lams[1:], poles[1:]):
+                xp = xk - p  # (points, words)
+                if self.shared.guard and np.any(np.abs(xp) * np.abs(lam) < den):
+                    raise PoleProximityError(f"pole {u!r} within 1e-12 of the orbit of an x point")
+                shared = xp if shared is None else shared * xp
+            for r, u in enumerate(self.targets[:, 0]):
+                xp = xk - poles[0][r]
+                if np.any(np.abs(xp) * np.abs(lams[0][r]) < den):
+                    raise PoleProximityError(f"pole {u!r} within 1e-12 of the orbit of an x point")
+                out[r, lo : lo + step] = np.sum(weight[r] / (xp * shared), axis=1)
         return out
 
 
@@ -770,28 +775,19 @@ def shell_report(
     x: complex,
     y: complex,
     config: SeriesConfig = SeriesConfig(),
-    points: Sequence[complex] | None = None,
 ) -> list[dict]:
-    """Largest single weight-N term per word length at a probe pair (x, y)."""
-    if points is None:
-        points = limit_points(p, 2 * N - 1)
-    A = np.asarray(points, dtype=np.complex128)
-    shells = build_shells(p, config.max_len, cap=config.cap)
-    y_weight = complex(np.prod(y - A))
-    ws = _Workspace()
+    """Largest single weight-N term per word length at a probe pair (x, y),
+    each term y_w / ((a - cy)(x - p_y) prod_j lambda_j (x - p_j)) from the
+    series' carried limit-point factors (_PoleGroups)."""
+    bers = BersEvaluator(p, N, config=config)
+    shells, shared = bers.shells, bers._shared
+    y_weight = complex(np.prod(y - bers.points))
     rows = []
     for length in range(shells.max_len + 1):
-        a, b = shells.a[length], shells.b[length]
-        c, d = shells.c[length], shells.d[length]
-        den, gx = _moebius_block(ws, a, b, c, d, np.array([x], dtype=np.complex128))
-        term = _bers_factor(ws, den, gx, A, N) / (gx - y) * y_weight
-        rows.append(
-            {
-                "length": length,
-                "count": int(len(a)),
-                "max_term": float(np.max(np.abs(term))),
-            }
-        )
+        lam, pole = _pull_back(*(m[length] for m in (shells.a, shells.b, shells.c, shells.d)), y)
+        limit = np.prod(shared.lam[length] * (x - shared.pole[length]), axis=0)
+        term = y_weight / (lam * (x - pole) * limit)
+        rows.append({"length": length, "count": len(lam), "max_term": float(np.max(np.abs(term)))})
     return rows
 
 

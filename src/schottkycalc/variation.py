@@ -480,11 +480,13 @@ def period_matrix(
 
     With certify=True the differentials must pass the delta-normalization
     gate at normalization_tol and the matrix must be symmetric to
-    symmetry_tol.
+    symmetry_tol. A given nu must belong to p (ValueError otherwise).
     """
     require_valid(p)
     if nu is None:
         nu = NuFamily(p, config=config, y0=y0)
+    elif nu.params != p:
+        raise ValueError("the handle differentials nu belong to another surface")
     circles = _handle_circle_nu(p, nu) if certify else None
     norm_err = nu_normalization_error(p, nu, circles=circles) if certify else float("nan")
     if certify and not (norm_err <= normalization_tol):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -9,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from schottkycalc import moebius, poincare
+from schottkycalc import gem, moebius, poincare
 from schottkycalc.contour import CircleContour, circle_integral, handle_nodes
 from schottkycalc.poincare import (
     BersEvaluator,
@@ -113,6 +114,13 @@ def test_bers_vanishes_at_limit_points(bers2):
         assert abs(bers2.value(x, complex(A_j))) == 0.0
 
 
+def test_bers_at_a_limit_point_fails_closed(bers2):
+    # the identity term's (x - A_j) is 0: no term is zeroed in its place
+    for A_j in bers2.points:
+        with pytest.raises(EvaluationError):
+            bers2.value(complex(A_j), 0.9 - 0.3j)
+
+
 def test_bers_x_periodicity_as_form(star, bers2):
     x, y = 0.25 + 0.4j, -0.6 - 0.2j
     g1 = generator(star, 1)
@@ -148,11 +156,6 @@ def test_bers_pole_guard_in_direct_shells(star, length):
     with pytest.raises(PoleProximityError):
         bers.value_grid(xs, [0.9, y])
     assert np.all(np.isfinite(bers.value_grid(xs, [0.9, y + 1e-9])))
-
-
-def test_bers_rejects_wrong_point_count(star):
-    with pytest.raises(ValueError):
-        BersEvaluator(star, 2, points=[0.1, 0.2], config=CFG)
 
 
 def _all_evaluators(p, config):
@@ -437,31 +440,39 @@ def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
         assert np.all(np.abs(far[kind] - near) <= 1e-14 * np.abs(near)), kind
 
 
-def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
-    """A far shell's value at a point is that point's own (1, K groups) @
-    (K groups, t) product plus its near and direct sums, so with the
-    expansion order K fixed (the one thing a batch's points share) a prefix
-    or a shifted slice of a batch gives the batch's bits, where one
-    whole-block product would not."""
+def _spy_far_fields(monkeypatch) -> dict:
+    """(far field, shell total) of each deep shell, by length, filled as the
+    series run."""
     seen = {}
     shell_total = poincare._FarField.shell_total
 
-    def spy(far, length, xs, chunk_fn):
-        seen[length] = far, chunk_fn
-        return shell_total(far, length, xs, chunk_fn)
+    def spy(far, length, xs):
+        seen[length] = far, shell_total(far, length, xs)
+        return seen[length][1]
 
     monkeypatch.setattr(poincare._FarField, "shell_total", spy)
+    return seen
+
+
+def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
+    """A far shell's value at a point is that point's own (1, K groups) @
+    (K groups, t) product plus its near and outside-word sums, so with the
+    expansion order K fixed (the one thing a batch's points share) a prefix
+    or a shifted slice of a batch gives the batch's bits, where one
+    whole-block product would not."""
+    seen = _spy_far_fields(monkeypatch)
     xs = _probe_xs(130)
     ys = 0.99 * np.exp(2j * np.pi * np.arange(20) / 20)  # as many rows as a spanning table
     BersEvaluator(star, 2, config=SeriesConfig(max_len=5)).value_grid(xs, ys)
-    far, chunk_fn = seen[5]
+    far = seen[5][0]
     groups = far._groups[5]
     order, K = poincare._expansion_order, []
     monkeypatch.setattr(poincare, "_expansion_order", lambda *a: K.append(order(*a)) or K[0])
-    whole = groups.total(xs, chunk_fn, far._ws)
-    assert len(K) == 1 and len(groups.direct)  # the batch takes the expansions and direct words
+    whole = groups.total(xs, far._ws)
+    # the batch takes the expansions and the outside words
+    assert len(K) == 1 and groups.outside.stop > groups.outside.start
     for lo, hi in [(0, 1), (0, 2), (0, 3), (0, 7), (0, 65), (1, 2), (3, 10), (64, 129)]:
-        part = groups.total(xs[lo:hi], chunk_fn, far._ws)
+        part = groups.total(xs[lo:hi], far._ws)
         assert np.array_equal(part, whole[:, lo:hi]), (lo, hi)
 
 
@@ -523,10 +534,7 @@ def test_direct_sums_do_not_depend_on_the_batch(star, name):
 @pytest.mark.parametrize("length", [1, 5])
 def test_nu_pole_guard_at_pulled_back_base_point(star, length):
     nu = NuFamily(star, config=SeriesConfig(max_len=6))
-    shells = nu.shells
-    y0 = nu.y0
-    # g^-1 y0, formed as the far field forms its poles
-    poles = (shells.d[length] * y0 - shells.b[length]) / (shells.a[length] - shells.c[length] * y0)
+    poles = nu._far.shared.pole[length][0]  # g^-1 y0, the far field's own poles
     with pytest.raises(PoleProximityError):
         nu.values([poles[len(poles) // 3]])
 
@@ -561,43 +569,123 @@ def test_bers_pole_guard_at_pulled_back_target(star, length):
     bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=6))
     shells = bers.shells
     y = 0.9 - 0.3j
-    # g^-1 y, formed as the far field forms its poles
-    poles = (shells.d[length] * y - shells.b[length]) / (shells.a[length] - shells.c[length] * y)
+    # g^-1 y from the word's matrix, the routine the far field forms a target's poles with
+    words = (m[length] for m in (shells.a, shells.b, shells.c, shells.d))
+    _, poles = poincare._pull_back(*words, y)
     with pytest.raises(PoleProximityError):
         bers.value_grid([poles[len(poles) // 3]], [y])
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
-@pytest.mark.parametrize("max_len", [6, 8])
-def test_bers_limit_point_outliers_stay_direct(star, monkeypatch, max_len):
-    """A word that starts with a power of a limit point's own word maps
-    infinity close to that point. When a - c A_j cancels, the pulled-back
-    pole is noise: on STAR, a - c A_j = 0 at max_len 6, and at max_len 8
-    (g_1 g_2)^3 g_2 g_1 gives a noise pole at exactly 0. Otherwise the pole
-    may still lie outside the group's nested disc (shell 4). The far field
-    leaves such words to the chunk kernel and its collapse guard, at every
-    point, x = 0 included, and keeps every group as small as its disc."""
-    bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=max_len))
-    shells, A = bers.shells, bers.points
-    ys = _bers_targets(star)
-    targets = ys[None, :, None]
-    weights = np.array([np.prod(y - A) for y in ys])[:, None]
-    far_field = poincare._FarField(star, shells, 2, targets, weights, fixed=A)
-    for length in range(poincare._DIRECT_SHELLS, max_len + 1):
-        a, c = shells.a[length][None], shells.c[length][None]
-        cancelled = np.any(
-            np.abs(a - c * A[:, None]) <= 1e-15 * (np.abs(a) + np.abs(c * A[:, None])), axis=0
-        )
-        groups = poincare._PoleGroups(shells, length, *far_field.args)
-        assert set(np.flatnonzero(cancelled)) <= set(groups.direct)
-        assert np.isfinite(groups.radius).all() and groups.radius.max() < 1e-3, length
-    assert cancelled.any()
-    xs = np.r_[0j, _far_case_points(star)]
+@pytest.mark.parametrize(
+    "name, N, max_len", [("star", 2, 6), ("star", 2, 8), ("star", 3, 6), ("genus3-wide", 2, 5)]
+)
+def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
+    """A word whose first L - 1 letters run along W_j W_j ..., W_j the word
+    of the limit point A_j, pulls A_j back outside its group's nested disc:
+    (2N - 1)(2g - 1) words per shell, as the last letter is free, and no
+    other word. Those are summed term by term at every point, x = 0
+    included; every other deep word sits in a group no wider than its disc,
+    and no word past shell 3 reaches the chunk kernel."""
+    p = _surface(name, star)
+    bers = BersEvaluator(p, N, config=SeriesConfig(max_len=max_len))
+    shells = bers.shells
+    direct, add = [], poincare._add_direct_sums
+
+    def spy_direct(out, chunk_fn, a, *rest):
+        direct.append(len(a))
+        add(out, chunk_fn, a, *rest)
+
+    monkeypatch.setattr(poincare, "_add_direct_sums", spy_direct)
+    seen = _spy_far_fields(monkeypatch)
+    xs = np.r_[0j, _far_case_points(p)]
+    ys = _bers_targets(p)
     far = bers.value_grid(xs, ys)
+    assert sum(direct) == sum(map(shells.shell_size, range(poincare._DIRECT_SHELLS)))
+    words = poincare._limit_words(p, 2 * N - 1)[1]
+    for length in range(poincare._DIRECT_SHELLS, max_len + 1):
+        groups = seen[length][0]._groups[length]
+        want = []
+        for w in words:
+            i = 0
+            for back in range(1, length):  # the length-(L - 1) prefix of W_j W_j ...
+                parent, last = shells.parent[back], shells.last_letter[back]
+                i = np.flatnonzero((parent == i) & (last == w[(back - 1) % len(w)]))[0]
+            want.extend(np.flatnonzero(shells.parent[length] == i))
+        assert len(want) == (2 * N - 1) * (2 * p.genus - 1)
+        got = np.stack([m[groups.outside] for m in groups._abcd])
+        expected = np.stack([m[length][want] for m in (shells.a, shells.b, shells.c, shells.d)])
+        assert np.array_equal(got[:, np.lexsort(got)], expected[:, np.lexsort(expected)]), length
+        assert np.isfinite(groups.radius).all() and groups.radius.max() < 1e-3, length
     monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)
     near = bers.value_grid(xs, ys)
     assert np.all(np.isfinite(far))
     assert np.all(np.abs(far - near) <= 1e-14 * np.abs(near))
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_deep_bers_shells_match_40_digit_sums(star, monkeypatch):
+    """Shells 4 and up of the weight-2 and weight-3 series against the same
+    words summed in 40-digit arithmetic, from 40-digit generator matrices
+    and 40-digit limit points: x in F and inside a disc, y in F and at
+    spanning-table targets inside the discs. The words along a limit
+    point's own word W_j, whose a - c A_j cancels, carry their factors
+    exactly, so the float sums agree to 1e-15 absolute."""
+    max_len = 6
+    _, _, _, images, _ = gem._probe_targets(star, 1, 2)
+    xs = np.r_[default_probe_points(star, 4)[1:], images[2]]
+    ys = np.r_[0.9 - 0.3j, -1.1 + 0.4j, images[:2]]
+    got, seen = {}, _spy_far_fields(monkeypatch)
+    for N in (2, 3):
+        seen.clear()
+        BersEvaluator(star, N, config=SeriesConfig(max_len=max_len)).value_grid(xs, ys)
+        got[N] = sum(total for _, total in seen.values())
+    shells = build_shells(star, max_len)
+    with mp.workdps(40):
+        gens = []
+        for letter in star.letters:
+            h = star.handles[abs(letter) - 1]
+            wp, wm, rho = mp.mpc(h.w_plus), mp.mpc(h.w_minus), mp.mpc(h.rho)
+            s = 1 / mp.sqrt(-rho)
+            a, b, c, d = wm * s, (rho - wp * wm) * s, s, -wp * s
+            gens.append((a, b, c, d) if letter > 0 else (d, -b, -c, a))
+        mats = [[(mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1))]]
+        for length in range(1, max_len + 1):
+            mats.append([])
+            for parent, letter in zip(shells.parent[length], shells.last_letter[length]):
+                a, b, c, d = mats[-2][parent]
+                ga, gb, gc, gd = gens[star.letters.index(letter)]
+                mats[-1].append((a * ga + b * gc, a * gb + b * gd,
+                                 c * ga + d * gc, c * gb + d * gd))
+        A = []
+        for A_float, w in zip(*poincare._limit_words(star, 5)):
+            a, b, c, d = functools.reduce(
+                lambda m, g: (m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
+                              m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3]),
+                (gens[star.letters.index(letter)] for letter in w),
+            )
+            root = mp.sqrt((d - a) ** 2 + 4 * b * c)
+            A.append(min([(a - d + root) / (2 * c), (a - d - root) / (2 * c)],
+                         key=lambda z: abs(z - A_float)))
+        Y = [mp.mpc(complex(y)) for y in ys]
+        weight = {N: [mp.fprod(y - A_j for A_j in A[: 2 * N - 1]) for y in Y] for N in (2, 3)}
+        want = {N: np.zeros((len(ys), len(xs)), dtype=complex) for N in (2, 3)}
+        for k, x in enumerate(xs):
+            X = mp.mpc(complex(x))
+            sums = {N: [mp.mpc(0)] * len(ys) for N in (2, 3)}
+            for a, b, c, d in itertools.chain(*mats[poincare._DIRECT_SHELLS :]):
+                den = c * X + d
+                gx = (a * X + b) / den
+                base2 = 1 / (den**4 * mp.fprod(gx - A_j for A_j in A[:3]))
+                base3 = base2 / (den**2 * (gx - A[3]) * (gx - A[4]))
+                for i, y in enumerate(Y):
+                    pole = 1 / (gx - y)
+                    sums[2][i] += base2 * pole * weight[2][i]
+                    sums[3][i] += base3 * pole * weight[3][i]
+            for N in (2, 3):
+                want[N][:, k] = [complex(v) for v in sums[N]]
+    for N in (2, 3):
+        assert np.max(np.abs(got[N] - want[N])) <= 1e-15, N
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")

@@ -259,6 +259,13 @@ def test_period_matrix_certified(base_pm):
     assert abs(base_pm.omega[0, 0] - base_pm.omega[1, 1]) < 1e-9
 
 
+def test_period_matrix_rejects_a_nu_from_another_surface(base_pm):
+    # STAR's nu with a surface whose rho_1 is 0.05 would clear the normalization gate
+    other = SchottkyParams([HandleParams(-6.0, -2.0, 0.05), STAR.handles[1]])
+    with pytest.raises(ValueError, match="another surface"):
+        va.period_matrix(other, config=CFG, nu=base_pm.nu)
+
+
 def test_period_matrix_transport_invariant(base_pm):
     for M in (moebius(1.05 + 0.2j, 0.3 - 0.1j, 0, 1), moebius(1, 0.5j, 0.1, 1)):
         pm = va.period_matrix(transport(STAR, M), config=CFG)
