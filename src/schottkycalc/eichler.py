@@ -68,7 +68,7 @@ class PolyForm:
             raise ValueError(f"mixed weights: N = {self.N} vs {other.N}")
 
     def norm(self) -> float:
-        return max(abs(c) for c in self.coeffs)
+        return float(np.max(np.abs(self.coeffs)))  # a NaN coefficient gives NaN
 
     @staticmethod
     def zero(N: int) -> "PolyForm":

@@ -8,8 +8,8 @@ still above the configured tolerance.
 A point's direct sums do not depend on the other points in its batch: one
 routine (_add_direct_sums) sums every word summed directly, cutting only
 the points into column tiles, and each column adds its words row by row.
-The work arrays live in scratch owned by one evaluator call, so no numpy op
-allocates one.
+The work arrays live in scratch owned by the call, or by the evaluator for
+the far field, so no numpy op allocates one.
 
 One engine sums three terms:
   * the weight-N two-point series with 2N-1 limit-point correction factors,
@@ -20,7 +20,7 @@ One engine sums three terms:
 
 Direct and far shells. The third-kind, nu and weight-N series sum shells
 0..3 word by word as above, and every deeper shell as grouped multipole
-expansions (_FarField). For a det-1 word (a b; c d) and a point w,
+expansions. For a det-1 word (a b; c d) and a point w,
 gx - w = (a - cw)(x - p_w)/(cx + d) with p_w = g^-1 w, so a word's term is
 weight / prod_k (x - p_k) over its m pulled-back poles: the dipole
 delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)), of a pole
@@ -35,10 +35,13 @@ pole of the points all rows share (the A_j, or a pole pair's shared y0 or
 0). A group far from x (its radius over all rows below half the distance;
 one test per group and point) adds a truncated Laurent expansion in
 1/(x - c), built once per point and contracted with every row's moments in
-one product per point, whose dropped tail is bounded a priori for any m
-(_PoleGroups). A near group, and each of the (2N - 1)(2g - 1) weight-N
-words per shell whose A_j pole leaves its group's disc, is summed term by
-term, pulled back, behind the series' pole guard.
+one product per point, whose dropped tail is bounded a priori for any m.
+A near group, and each of the (2N - 1)(2g - 1) weight-N words per shell
+whose A_j pole leaves its group's disc, is summed term by term, pulled
+back, behind the series' pole guard. A shell's groups and centres are
+planned once per evaluator (_GroupPlan); the rows' targets, radii and
+moments are bound per call (_PoleGroups), once for nu, whose rows never
+change.
 """
 from __future__ import annotations
 
@@ -159,8 +162,8 @@ def _sum_shells(
     point's direct sums do not depend on the other points in its batch;
     then shells combine sequentially (Kahan). With stop_tol set, the loop
     exits once two consecutive shells each contribute less than stop_tol.
-    far, when given (a _FarField of the same term), supplies the totals of
-    the shells from _DIRECT_SHELLS on instead of chunk_fn.
+    far, when given (a callable (length, xs) -> shell total of the same
+    term), supplies the shells from _DIRECT_SHELLS on instead of chunk_fn.
     """
     m = len(xs)
     totals = np.zeros((t, m), dtype=np.complex128)
@@ -169,7 +172,7 @@ def _sum_shells(
 
     for length in range(shells.max_len + 1):
         if far is not None and length >= _DIRECT_SHELLS:
-            shell_total = far.shell_total(length, xs)
+            shell_total = far(length, xs)
         else:
             shell_total = np.zeros((t, m), dtype=np.complex128)
             words = (shells.a[length], shells.b[length], shells.c[length], shells.d[length])
@@ -195,11 +198,8 @@ def _sum_shells(
 
 
 class _Workspace:
-    """Scratch for the chunk kernels, grown on demand.
-
-    One instance belongs to one evaluator call, and its buffers are freed
-    with the call.
-    """
+    """Scratch for the series kernels, grown on demand: a chunk function's
+    lives for its evaluator call, the far field's for its evaluator."""
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
@@ -248,7 +248,8 @@ def _limit_words(p: SchottkyParams, n: int) -> tuple[tuple, tuple]:
             idx = shells.parent[back][idx]
         a, b = shells.a[length], shells.b[length]
         c, d = shells.c[length], shells.d[length]
-        for i in np.flatnonzero(shells.last_letter[1][idx] > 0):
+        first, last = shells.last_letter[1][idx], shells.last_letter[length]
+        for i in np.flatnonzero((first > 0) & (first != -last)):  # cyclically reduced
             g = MoebiusMap(complex(a[i]), complex(b[i]), complex(c[i]), complex(d[i]))
             z_attr, _, _ = moebius.fixed_points(g)
             if isinstance(z_attr, Infinity):
@@ -264,9 +265,10 @@ def _limit_words(p: SchottkyParams, n: int) -> tuple[tuple, tuple]:
 def limit_points(p: SchottkyParams, n: int) -> np.ndarray:
     """First n distinct attracting fixed points, in word-enumeration order.
 
-    Scans reduced words with positive leading letter in length-lex order and
-    collects attracting fixed points, merging any that repeat (powers of a
-    word share fixed points with the word itself).
+    Scans cyclically reduced words (first letter not the inverse of the
+    last, so a word's powers are reduced words) with positive leading letter
+    in length-lex order and collects attracting fixed points, merging any
+    that repeat (powers of a word share fixed points with the word itself).
     """
     return np.array(_limit_words(p, n)[0], dtype=np.complex128)
 
@@ -302,7 +304,8 @@ def _limit_factors(shells: WordShells, A: np.ndarray, words) -> _Shared:
     A_j (and a - c A_j from g's entries cancels): each W_j^k is snapped to
     pole A_j and factor lambda_j^k, lambda_j = 1/(c A_j + d) from W_j's
     entries. The W_j^k are reduced words only when W_j is cyclically reduced."""
-    assert all(w[0] != -w[-1] for w in words), f"limit-point words {words} not cyclically reduced"
+    if any(w[0] == -w[-1] for w in words):
+        raise ValueError(f"limit-point words {words} are not cyclically reduced")
     mats = (shells.a, shells.b, shells.c, shells.d)
     lam, pole = [np.ones((len(A), 1), dtype=np.complex128)], [A[:, None].astype(np.complex128)]
     at, base = [0] * len(A), {}  # at[j]: the length-L prefix of W_j W_j ... in shell L
@@ -320,6 +323,13 @@ def _limit_factors(shells: WordShells, A: np.ndarray, words) -> _Shared:
     return _Shared(A, lam, pole, guard=False)
 
 
+def _pulled_back(shells: WordShells, u: complex) -> _Shared:
+    """A pole pair's shared member u, guarded, with its factor and pole over every word."""
+    mats = zip(shells.a, shells.b, shells.c, shells.d)
+    lam, pole = zip(*(_pull_back(*abcd, np.full((1, 1), u)) for abcd in mats))
+    return _Shared(np.array([u], dtype=np.complex128), list(lam), list(pole), guard=True)
+
+
 # ---------------------------------------------------------------------------
 # series evaluators
 
@@ -328,21 +338,37 @@ class _ShellSeries:
     """State and summation step shared by the series evaluators.
 
     Each evaluator is one term summed over the same word shells; a subclass
-    supplies the term as a chunk function and passes it to _sum.
+    sets the points every row shares (self._shared) at construction and
+    passes the term as a chunk function to _sum, with the rows' targets and
+    numerators and the dict that binds them (new per call, or NuFamily's).
     """
+
+    _depth = 3  # deep words are grouped by their last _depth letters
 
     def __init__(self, p: SchottkyParams, config: SeriesConfig = SeriesConfig()):
         self.params = p
         self.config = config
         self.shells = build_shells(p, config.max_len, cap=config.cap)
         self._last_shell_mags: list[float] = []
+        self._plans: dict[int, _GroupPlan] = {}
+        self._ws = _Workspace()
 
-    def _sum(self, xs: np.ndarray, chunk_fn, t: int, label: str, far=None) -> np.ndarray:
-        """Sum chunk_fn over the shells (with the deep shells' far field, as
-        _sum_shells), keep the shell magnitudes, and warn (at the caller of
-        the public method) if the last shell is above shell_tol."""
+    def _far_total(self, targets, numerator, rows: dict, length: int, xs) -> np.ndarray:
+        """Deep shell `length`'s total at xs: its plan bound to the rows."""
+        if length not in self._plans:
+            self._plans[length] = _GroupPlan(self, length)
+        if length not in rows:
+            rows[length] = _PoleGroups(self._plans[length], targets, numerator)
+        return rows[length].total(xs, self._ws)
+
+    def _sum(self, xs, chunk_fn, label: str, targets, numerator, rows: dict) -> np.ndarray:
+        """Sum chunk_fn over the shells, the deep ones as _far_total, keep the
+        shell magnitudes, and warn (at the caller of the public method) if
+        the last shell is above shell_tol. The callable passed on is made
+        per call, so nothing ties the evaluator to itself."""
+        far = functools.partial(self._far_total, targets[:, None], numerator[:, None], rows)
         totals, mags = _sum_shells(
-            self.shells, xs, chunk_fn, t, stop_tol=self.config.stop_tol, far=far
+            self.shells, xs, chunk_fn, len(numerator), stop_tol=self.config.stop_tol, far=far
         )
         self._last_shell_mags = mags
         tol = self.config.shell_tol
@@ -367,6 +393,8 @@ class BersEvaluator(_ShellSeries):
     with weight 1-N. The identity term carries the residue-one pole at x = y;
     the A_j factors both tame convergence and plant the y-side zeros.
     """
+
+    _depth = 2
 
     def __init__(self, p: SchottkyParams, N: int, config: SeriesConfig = SeriesConfig()):
         if N < 2:
@@ -418,14 +446,17 @@ class BersEvaluator(_ShellSeries):
             # array rounds differently from the out-of-place one
             return out * y_weights[:, None]
 
-        far = _FarField(self.params, self.shells, 2, ys, y_weights, self._shared)
         out = np.zeros((len(live), len(xs)), dtype=np.complex128)
-        out[live] = self._sum(xs, chunk_fn, len(ys), f"weight-{N} series", far=far)
+        out[live] = self._sum(xs, chunk_fn, f"weight-{N} series", ys, y_weights, {})
         return out
 
 
 class ThirdKindEvaluator(_ShellSeries):
     """Differential with simple poles at y (residue +1) and 0 (residue -1)."""
+
+    def __init__(self, p: SchottkyParams, config: SeriesConfig = SeriesConfig()):
+        super().__init__(p, config)
+        self._shared = _pulled_back(self.shells, 0j)
 
     def value(self, x: complex, y: complex) -> complex:
         return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])
@@ -434,14 +465,8 @@ class ThirdKindEvaluator(_ShellSeries):
         """Shape (len(ys), len(xs)); pole pair (y_i, 0) per row."""
         xs = np.asarray(xs, dtype=np.complex128)
         ys = np.asarray(ys, dtype=np.complex128)
-        pole_pairs = [(yv, 0j) for yv in ys]
-        return self._sum(
-            xs,
-            _pole_pair_chunk_fn(pole_pairs),
-            len(ys),
-            "third-kind series",
-            far=_pole_pair_far(self.params, self.shells, pole_pairs, 0j),
-        )
+        chunk_fn = _pole_pair_chunk_fn([(yv, 0j) for yv in ys])
+        return self._sum(xs, chunk_fn, "third-kind series", ys, ys - 0j, {})
 
 
 def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
@@ -508,68 +533,63 @@ def _suffixes(shells: WordShells, length: int, depth: int) -> tuple[np.ndarray, 
     return key, ancestor
 
 
-class _FarField:
-    """The shells of a series from _DIRECT_SHELLS on, each summed as grouped
-    multipole expansions (_PoleGroups), built on first use and kept for
-    later calls, as are the expansions' work arrays. One target and one
-    numerator per row; `shared` holds the points every row shares."""
+class _GroupPlan:
+    """A deep shell's words in groups, as every call of its series uses them.
 
-    def __init__(self, p: SchottkyParams, shells: WordShells, depth: int, targets, numerator,
-                 shared: _Shared):
-        self.shells, self.shared = shells, shared
-        # row 0 the disc centres, row 1 the radii, by letter code
-        discs = np.array([(disc_center(p, l), disc_radius(p, l)) for l in p.letters]).T
-        self.args = (depth, targets[:, None], numerator[:, None], shared, discs)
-        self._groups: dict[int, _PoleGroups] = {}
-        self._ws = _Workspace()
+    A word's term is weight / prod_k (x - p_k), p_k = g^-1 u_k, weight =
+    numerator / prod_k (a - c u_k): u_0 a row's target, pulled back from the
+    word's matrix (_PoleGroups), then the points every row shares, from
+    `shared` (a limit point's carried and snapped by _limit_factors).
 
-    def shell_total(self, length: int, xs: np.ndarray) -> np.ndarray:
-        groups = self._groups.get(length)
-        if groups is None:
-            groups = self._groups[length] = _PoleGroups(self.shells, length, *self.args)
-        return groups.total(xs, self._ws)
+    The words are grouped by their last `_depth` letters, whose nested disc,
+    the image of the last disc of their length-(length - _depth + 1)
+    ancestor, holds their poles unless a point sits in the wrong disc. A
+    limit point A_j does for the 2g - 1 words per shell whose first
+    length - _depth + 1 letters run along W_j W_j ...; such an outside word,
+    found by testing the ancestors' poles against their last disc, is
+    summed term by term at every point. A group's centre c is its words'
+    mean pole over the shared points.
+    """
 
-
-def _pole_pair_far(p: SchottkyParams, shells: WordShells, pole_pairs, shared) -> _FarField:
-    """The far field of a pole-pair series whose pairs (u, v) all hold the
-    point `shared`: that point shared and guarded, the other member the row
-    target, numerator u - v, words grouped by their last three letters."""
-    uv = np.array(pole_pairs, dtype=np.complex128).reshape(-1, 2)
-    other = np.where(uv[:, 0] == shared, uv[:, 1], uv[:, 0])
-    mats = zip(shells.a, shells.b, shells.c, shells.d)
-    lam, pole = zip(*(_pull_back(*abcd, np.full((1, 1), shared)) for abcd in mats))
-    pulled = _Shared(np.array([shared], dtype=np.complex128), list(lam), list(pole), guard=True)
-    return _FarField(p, shells, 3, other, uv[:, 0] - uv[:, 1], pulled)
+    def __init__(self, series: _ShellSeries, length: int):
+        p, shells, depth, shared = series.params, series.shells, series._depth, series._shared
+        key, ancestor = _suffixes(shells, length, depth)
+        self.shared, self.m = shared, 1 + len(shared.points)
+        back = length - depth + 1
+        code = _letter_code(shells.last_letter[back][ancestor])
+        disc_c = np.array([disc_center(p, l) for l in p.letters])[code]
+        disc_r = np.array([disc_radius(p, l) for l in p.letters])[code]
+        inside = np.all(np.abs(shared.pole[back][:, ancestor] - disc_c) <= disc_r, axis=0)
+        kept = np.flatnonzero(inside)
+        order = kept[np.argsort(key[kept], kind="stable")]
+        _, self.starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+        self.stops = self.starts + sizes
+        self.group_of_word = np.repeat(np.arange(len(sizes)), sizes)
+        # the kept words in group order, then the outside words
+        order = np.r_[order, np.flatnonzero(~inside)]
+        self.outside = slice(len(kept), len(order))
+        self.abcd = tuple(m[length][order] for m in (shells.a, shells.b, shells.c, shells.d))
+        self.lam, self.pole = (s[length][:, None, order] for s in (shared.lam, shared.pole))
+        poles = functools.reduce(np.add, self.pole[:, :, : len(kept)])
+        self.centre = np.add.reduceat(poles, self.starts, axis=1)[0] / (len(shared.points) * sizes)
 
 
 class _PoleGroups:
-    """One deep shell of a series whose word terms are m-pole products
-    weight / prod_k (x - p_k), p_k = g^-1 u_k, weight = numerator /
-    prod_k (a - c u_k), as in the module docstring: u_0 the row's target,
-    its factor and pole from the word's matrix, then the points every row
-    shares, theirs from `shared` (a limit point's carried and snapped by
-    _limit_factors). Neither form subtracts two poles.
+    """A deep shell's plan bound to its series' rows, one target and one
+    numerator per row: each group's radius r, the largest distance of any
+    row's pole from its centre c, and the expansions' moments.
 
-    The words are grouped by their last `depth` letters, whose nested disc,
-    the image of the last disc of their length-(length - depth + 1)
-    ancestor, holds their poles unless a point sits in the wrong disc. A
-    limit point A_j does for the 2g - 1 words per shell whose first
-    length - depth + 1 letters run along W_j W_j ...; such an outside word,
-    found by testing the ancestors' poles against their last disc, is
-    summed term by term at every point. The row targets are points of F or
-    their images (y, g_a y0); one elsewhere only widens its groups.
-
-    A group's centre c is its words' mean pole over the shared points, its
-    radius r the largest distance of any row's pole from c. A group is far
-    from x when r < _FAR_RATIO |x - c|, one test per (group, point), and
-    there it adds sum_{n>=0} mu_n (x - c)^-(m+n), mu_n = sum_w weight_w
-    h_n(p_w - c), h_n the complete homogeneous polynomial of degree n in the
-    m poles. As |h_n| <= C(n + m - 1, m - 1) r^n, stopping at
-    K = _expansion_order(rho, m), rho the worst far r / |x - c| of the call,
-    drops at most _TAIL_TOL sum |weight| / |x - c|^m. Near (group, point)
-    pairs and the outside words are summed term by term (_near_sum) behind
-    the pole guard on the targets, and on the shared points if they may be
-    orbit points of x (a pole pair's shared member; never a limit point).
+    A group is far from x when r < _FAR_RATIO |x - c|, one test per
+    (group, point), and there it adds sum_{n>=0} mu_n (x - c)^-(m+n),
+    mu_n = sum_w weight_w h_n(p_w - c), h_n the complete homogeneous
+    polynomial of degree n in the m poles. As |h_n| <= C(n + m - 1, m - 1)
+    r^n, stopping at K = _expansion_order(rho, m), rho the worst far
+    r / |x - c| of the call, drops at most _TAIL_TOL sum |weight| / |x - c|^m.
+    Near (group, point) pairs and the outside words are summed term by term
+    (_near_sum) behind the pole guard on the targets, and on the shared
+    points if they may be orbit points of x (a pole pair's shared member;
+    never a limit point). The row targets are points of F or their images
+    (y, g_a y0); one elsewhere only widens its groups.
 
     Bits: a point's powers of 1/(x - c) come from that point alone and meet
     all rows' moments in its own (1, K groups) @ (K groups, t) product, and
@@ -577,48 +597,27 @@ class _PoleGroups:
     depends on the other points only through K, and never on tiles.
     """
 
-    def __init__(self, shells: WordShells, length: int, depth: int, targets: np.ndarray,
-                 numerator: np.ndarray, shared: _Shared, discs: np.ndarray):
-        key, ancestor = _suffixes(shells, length, depth)
-        self.targets, self.numerator, self.shared = targets, numerator, shared
-        self.m = 1 + len(shared.points)
+    def __init__(self, plan: _GroupPlan, targets: np.ndarray, numerator: np.ndarray):
+        self.plan, self.targets, self.numerator = plan, targets, numerator
         # words per (t, words) work array: a quarter tile
         self._batch = max(1, _TILE_ELEMENTS // (4 * max(1, len(numerator))))
-        back = length - depth + 1
-        code = _letter_code(shells.last_letter[back][ancestor])
-        disc_c, disc_r = discs[0, code], discs[1, code].real
-        inside = np.all(np.abs(shared.pole[back][:, ancestor] - disc_c) <= disc_r, axis=0)
-        kept = np.flatnonzero(inside)
-        order = kept[np.argsort(key[kept], kind="stable")]
-        _, self.starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
-        self.stops = self.starts + sizes
-        self._group_of_word = np.repeat(np.arange(len(sizes)), sizes)
-        # the kept words in group order, then the outside words
-        order = np.r_[order, np.flatnonzero(~inside)]
-        self.outside = slice(len(kept), len(order))
-        self._abcd = tuple(m[length][order] for m in (shells.a, shells.b, shells.c, shells.d))
-        self._lam, self._pole = (s[length][:, None, order] for s in (shared.lam, shared.pole))
-        self.centre = np.zeros(len(sizes), dtype=np.complex128)
-        self.radius = np.zeros(len(sizes))
+        self.radius = np.zeros(len(plan.starts))
         for g0, g1, sl in self._group_batches():
-            # each group's mean pole over the shared points and the largest
-            # distance of any pole from it
             _, poles, _ = self._terms(sl)
-            starts = self.starts[g0:g1] - sl.start
-            mean = np.add.reduceat(functools.reduce(np.add, poles[1:]), starts, axis=1)
-            self.centre[g0:g1] = mean[0] / (len(shared.points) * sizes[g0:g1])
-            cw = self.centre[self._group_of_word[sl]]
+            cw = plan.centre[plan.group_of_word[sl]]
             spread = [np.abs(p - cw).max(axis=0, initial=0.0) for p in poles]
+            starts = plan.starts[g0:g1] - sl.start
             self.radius[g0:g1] = np.maximum.reduceat(functools.reduce(np.maximum, spread), starts)
-        self._mu = np.empty((0, len(sizes), len(numerator)), dtype=np.complex128)
+        self._mu = np.empty((0, len(plan.starts), len(numerator)), dtype=np.complex128)
 
     def _group_batches(self):
         """Runs [g0, g1) of whole groups holding at most self._batch words
         (or one group), with their words' slice of the group order."""
+        starts, stops = self.plan.starts, self.plan.stops
         g0 = 0
-        for g1 in range(1, len(self.starts) + 1):
-            if g1 == len(self.starts) or self.stops[g1] - self.starts[g0] > self._batch:
-                yield g0, g1, slice(self.starts[g0], self.stops[g1 - 1])
+        for g1 in range(1, len(starts) + 1):
+            if g1 == len(starts) or stops[g1] - starts[g0] > self._batch:
+                yield g0, g1, slice(starts[g0], stops[g1 - 1])
                 g0 = g1
 
     def _terms(self, sl: slice):
@@ -626,9 +625,9 @@ class _PoleGroups:
         point, the target's as (t, words) arrays, then each shared point's
         as a (1, words) array; the weights (t, words). Recomputed when
         needed, to the same bits, rather than kept."""
-        a, b, c, d = (m[sl] for m in self._abcd)
-        lam, pole = _pull_back(a, b, c, d, self.targets)
-        lams, poles = (lam, *self._lam[:, :, sl]), (pole, *self._pole[:, :, sl])
+        plan = self.plan
+        lam, pole = _pull_back(*(m[sl] for m in plan.abcd), self.targets)
+        lams, poles = (lam, *plan.lam[:, :, sl]), (pole, *plan.pole[:, :, sl])
         return lams, poles, self.numerator / functools.reduce(np.multiply, lams)
 
     def _moments(self, K: int) -> np.ndarray:
@@ -638,11 +637,11 @@ class _PoleGroups:
         shared points' H_k are shared by the rows). A call needing more
         orders recomputes them all, to the same bits."""
         if len(self._mu) < K:
-            mu = np.empty((K,) + self._mu.shape[1:], dtype=np.complex128)
+            mu, plan = np.empty((K,) + self._mu.shape[1:], dtype=np.complex128), self.plan
             for g0, g1, sl in self._group_batches():
                 _, poles, weight = self._terms(sl)
-                starts = self.starts[g0:g1] - sl.start
-                cw = self.centre[self._group_of_word[sl]]
+                starts = plan.starts[g0:g1] - sl.start
+                cw = plan.centre[plan.group_of_word[sl]]
                 q = [p - cw for p in poles]
                 del poles
                 H = [np.ones_like(q_k) for q_k in q]
@@ -660,6 +659,7 @@ class _PoleGroups:
 
     def total(self, xs: np.ndarray, ws: _Workspace) -> np.ndarray:
         """The shell's (t, len(xs)) sum, with the expansions' work arrays in ws."""
+        plan, centre = self.plan, self.plan.centre
         t, groups, m = len(self.numerator), len(self.radius), len(xs)
         out = np.zeros((t, m), dtype=np.complex128)
         if not out.size:
@@ -668,7 +668,7 @@ class _PoleGroups:
         near = np.empty((m, groups), dtype=np.bool_)  # one test for every row
         rho = 0.0
         for lo in range(0, m, width):
-            dist = np.abs(xs[lo : lo + width, None] - self.centre)
+            dist = np.abs(xs[lo : lo + width, None] - centre)
             # a far point lies more than r from every pole of its group
             # (|x - c| > 2r), so the expansion needs no pole guard
             far = self.radius < _FAR_RATIO * dist
@@ -676,7 +676,7 @@ class _PoleGroups:
             ratio = np.divide(self.radius, dist, out=np.zeros(far.shape), where=far)
             rho = max(rho, float(ratio.max(initial=0.0)))
         if not near.all():
-            K = _expansion_order(rho, self.m)
+            K = _expansion_order(rho, plan.m)
             mu = self._moments(K)
             width = max(1, _TILE_ELEMENTS // (K * groups))
             for lo in range(0, m, width):
@@ -686,19 +686,19 @@ class _PoleGroups:
                 # over an input (numpy's in-place complex multiply of a
                 # 1-element block rounds differently), so a point's bits are
                 # its own, as is its (1, K groups) @ (K groups, t) product
-                pw = ws.take("powers", (len(x), self.m + K - 1, groups))
+                pw = ws.take("powers", (len(x), plan.m + K - 1, groups))
                 with np.errstate(all="ignore"):
-                    np.divide(1.0, x[:, None] - self.centre, out=pw[:, 0])
+                    np.divide(1.0, x[:, None] - centre, out=pw[:, 0])
                     for k in range(1, pw.shape[1]):
                         np.multiply(pw[:, k - 1], pw[:, 0], out=pw[:, k])
-                P = pw[:, self.m - 1 :]
+                P = pw[:, plan.m - 1 :]
                 np.copyto(P, 0.0, where=near[lo : lo + width, None])  # which may overflow
                 out[:, lo : lo + width] = np.matmul(P.reshape(len(x), 1, -1), mu)[:, 0].T
         for j in np.flatnonzero(near.any(axis=0)):
             cols = np.flatnonzero(near[:, j])
-            out[:, cols] += self._near_sum(slice(self.starts[j], self.stops[j]), xs[cols])
-        if self.outside.stop > self.outside.start:
-            out += self._near_sum(self.outside, xs)
+            out[:, cols] += self._near_sum(slice(plan.starts[j], plan.stops[j]), xs[cols])
+        if plan.outside.stop > plan.outside.start:
+            out += self._near_sum(plan.outside, xs)
         return out
 
     def _near_sum(self, sl: slice, x: np.ndarray) -> np.ndarray:
@@ -706,7 +706,7 @@ class _PoleGroups:
         points x, shape (t, len(x)), behind the pole guard. The shared points'
         factor is formed once per (point, word) and met by each row in turn;
         a row's terms at a point sum as one contiguous run of its own."""
-        _, _, c, d = (m[sl] for m in self._abcd)
+        _, _, c, d = (m[sl] for m in self.plan.abcd)
         lams, poles, weight = self._terms(sl)
         out = np.empty((len(weight), len(x)), dtype=np.complex128)
         step = max(1, _TILE_ELEMENTS // weight.shape[1])
@@ -715,9 +715,9 @@ class _PoleGroups:
             # |gx - w| = |x - p_w| |a - cw| / |cx + d|
             den = 1e-12 * np.abs(c * xk + d)
             shared = None
-            for u, lam, p in zip(self.shared.points, lams[1:], poles[1:]):
+            for u, lam, p in zip(self.plan.shared.points, lams[1:], poles[1:]):
                 xp = xk - p  # (points, words)
-                if self.shared.guard and np.any(np.abs(xp) * np.abs(lam) < den):
+                if self.plan.shared.guard and np.any(np.abs(xp) * np.abs(lam) < den):
                     raise PoleProximityError(f"pole {u!r} within 1e-12 of the orbit of an x point")
                 shared = xp if shared is None else shared * xp
             for r, u in enumerate(self.targets[:, 0]):
@@ -753,7 +753,7 @@ class NuFamily(_ShellSeries):
         if any(isinstance(t, Infinity) for t in self.images):
             raise ValueError("base point maps to infinity under a generator")
         self._pole_pairs = [(self.y0, complex(t)) for t in self.images]
-        self._far = _pole_pair_far(p, self.shells, self._pole_pairs, self.y0)
+        self._shared, self._rows = _pulled_back(self.shells, self.y0), {}
 
     def value(self, a: int, x: complex) -> complex:
         return complex(self.values(np.array([x]))[a - 1, 0])
@@ -761,8 +761,8 @@ class NuFamily(_ShellSeries):
     def values(self, xs) -> np.ndarray:
         """All nu_a at once, shape (g, len(xs)); one orbit pass."""
         xs = np.asarray(xs, dtype=np.complex128)
-        pairs = self._pole_pairs
-        return self._sum(xs, _pole_pair_chunk_fn(pairs), len(pairs), "nu series", far=self._far)
+        chunk_fn, images = _pole_pair_chunk_fn(self._pole_pairs), np.array(self.images, complex)
+        return self._sum(xs, chunk_fn, "nu series", images, self.y0 - images, self._rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 codes, report shape, determinism, and the invariant suites."""
 
 import csv
+import itertools
 import json
 import os
 import shlex
@@ -21,6 +22,7 @@ from schottkycalc.cli import (
     main,
     run_suite,
 )
+from schottkycalc.eichler import PolyForm
 from schottkycalc.schottky import HandleParams, ReductionError, to_classical
 
 STAR_SURFACE = {
@@ -592,6 +594,34 @@ def test_suite_seed_is_echoed(tmp_path):
     cfg = write_config(tmp_path, seed=11)
     rep = run_suite(load_config(cfg), "cocycle")
     assert rep["seed"] == 11 and rep["passed"]
+
+
+def test_cocycle_suite_fails_on_a_nan_coefficient(tmp_path, monkeypatch):
+    evaluate, calls = cli.cocycle_eval, itertools.count()
+
+    def nan_second_coefficient(X, word):
+        value = evaluate(X, word)
+        # each check evaluates the whole word first, then its two halves,
+        # whose pullback would spread a NaN over every coefficient
+        if next(calls) % 3:
+            return value
+        coeffs = list(value.coeffs)
+        coeffs[1] = complex("nan")
+        return PolyForm(X.N, coeffs)
+
+    monkeypatch.setattr(cli, "cocycle_eval", nan_second_coefficient)
+    rep = run_suite(load_config(write_config(tmp_path)), "cocycle")
+    assert rep["passed"] is False
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_residue_and_quasiperiod_pass_at_high_weight(tmp_path, N):
+    # the 2N - 1 limit points' words must be cyclically reduced; at N >= 5 the
+    # scan once took (1, 2, -1) and the weight-N series failed to build
+    rc = load_config(write_config(tmp_path, N=N, max_len=7, shell_tol=1e-8))
+    ctx = cli.RunContext(rc)
+    for suite in ("residue", "quasiperiod"):
+        assert run_suite(rc, suite, ctx)["passed"], suite
 
 
 def test_suite_keeps_the_traceback_of_a_programming_error(tmp_path, monkeypatch):

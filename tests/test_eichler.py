@@ -31,6 +31,11 @@ def _poly_close(p: PolyForm, q: PolyForm, tol=1e-9):
     return all(abs(x - y) <= tol * scale for x, y in zip(p.coeffs, q.coeffs))
 
 
+def test_polyform_norm_keeps_a_nan():
+    assert np.isnan(PolyForm(2, (1.0, np.nan, 0.0)).norm())
+    assert PolyForm(2, (1.0, -3j, 0.0)).norm() == 3.0
+
+
 def test_polyform_shape_checks():
     with pytest.raises(ValueError):
         PolyForm(2, (1.0, 2.0))

@@ -95,6 +95,18 @@ def test_limit_points_live_inside_discs(star):
         assert not in_domain(star, complex(z))
 
 
+@pytest.mark.parametrize("name", ["star", "asymmetric"])
+def test_limit_point_words_are_cyclically_reduced(star, name):
+    # their powers must be reduced words (_limit_factors); past the seventh
+    # point the scan once took (1, 2, -1), and N >= 5 failed to build
+    p = _surface(name, star)
+    _, words = poincare._limit_words(p, 11)
+    assert all(w[0] != -w[-1] for w in words)
+    # the points N <= 4 uses keep their words
+    assert words[:7] == ((1,), (2,), (1, 2), (1, -2), (2, 1), (2, -1), (1, 1, 2))
+    BersEvaluator(p, 6, config=SeriesConfig(max_len=5))
+
+
 # ---------------------------------------------------------------------------
 # weight-N series
 
@@ -441,16 +453,17 @@ def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
 
 
 def _spy_far_fields(monkeypatch) -> dict:
-    """(far field, shell total) of each deep shell, by length, filled as the
-    series run."""
+    """(pole groups, shell total) of each deep shell, by length, filled as
+    the series run."""
     seen = {}
-    shell_total = poincare._FarField.shell_total
+    far_total = poincare._ShellSeries._far_total
 
-    def spy(far, length, xs):
-        seen[length] = far, shell_total(far, length, xs)
-        return seen[length][1]
+    def spy(series, targets, numerator, rows, length, xs):
+        total = far_total(series, targets, numerator, rows, length, xs)
+        seen[length] = rows[length], total
+        return total
 
-    monkeypatch.setattr(poincare._FarField, "shell_total", spy)
+    monkeypatch.setattr(poincare._ShellSeries, "_far_total", spy)
     return seen
 
 
@@ -463,17 +476,47 @@ def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
     seen = _spy_far_fields(monkeypatch)
     xs = _probe_xs(130)
     ys = 0.99 * np.exp(2j * np.pi * np.arange(20) / 20)  # as many rows as a spanning table
-    BersEvaluator(star, 2, config=SeriesConfig(max_len=5)).value_grid(xs, ys)
-    far = seen[5][0]
-    groups = far._groups[5]
+    bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=5))
+    bers.value_grid(xs, ys)
+    groups = seen[5][0]
     order, K = poincare._expansion_order, []
     monkeypatch.setattr(poincare, "_expansion_order", lambda *a: K.append(order(*a)) or K[0])
-    whole = groups.total(xs, far._ws)
+    whole = groups.total(xs, bers._ws)
     # the batch takes the expansions and the outside words
-    assert len(K) == 1 and groups.outside.stop > groups.outside.start
+    assert len(K) == 1 and groups.plan.outside.stop > groups.plan.outside.start
     for lo, hi in [(0, 1), (0, 2), (0, 3), (0, 7), (0, 65), (1, 2), (3, 10), (64, 129)]:
-        part = groups.total(xs[lo:hi], far._ws)
+        part = groups.total(xs[lo:hi], bers._ws)
         assert np.array_equal(part, whole[:, lo:hi]), (lo, hi)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_deep_shell_plans_are_built_once_per_evaluator(star, monkeypatch):
+    """Each deep shell's plan is built once per evaluator and only its rows
+    are bound on each call, to the bits of a fresh evaluator; NuFamily,
+    whose rows never change, binds them once."""
+    built = []
+    for cls in (poincare._GroupPlan, poincare._PoleGroups):
+        init = cls.__init__
+        spy = lambda self, *a, cls=cls, init=init: built.append(cls) or init(self, *a)
+        monkeypatch.setattr(cls, "__init__", spy)
+    cfg = SeriesConfig(max_len=6)
+    deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
+    xs = _far_case_points(star)
+    ysets = [THIRD_KIND_YS, THIRD_KIND_YS[:1], 0.5 * THIRD_KIND_YS]
+    for make in (functools.partial(BersEvaluator, star, 2, config=cfg),
+                 functools.partial(ThirdKindEvaluator, star, config=cfg)):
+        series = make()
+        built.clear()
+        got = [series.value_grid(xs, ys) for ys in ysets]
+        assert built.count(poincare._GroupPlan) == deep
+        assert built.count(poincare._PoleGroups) == len(ysets) * deep
+        assert np.array_equal(got[-1], make().value_grid(xs, ysets[-1]))
+    nu = NuFamily(star, config=cfg)
+    built.clear()
+    first = nu.values(xs)
+    nu.values(xs[:3])
+    assert built == [poincare._GroupPlan, poincare._PoleGroups] * deep
+    assert np.array_equal(nu.values(xs), first)
 
 
 def test_far_field_bits_do_not_depend_on_blas_threads(tmp_path):
@@ -534,7 +577,7 @@ def test_direct_sums_do_not_depend_on_the_batch(star, name):
 @pytest.mark.parametrize("length", [1, 5])
 def test_nu_pole_guard_at_pulled_back_base_point(star, length):
     nu = NuFamily(star, config=SeriesConfig(max_len=6))
-    poles = nu._far.shared.pole[length][0]  # g^-1 y0, the far field's own poles
+    poles = nu._shared.pole[length][0]  # g^-1 y0, the far field's own poles
     with pytest.raises(PoleProximityError):
         nu.values([poles[len(poles) // 3]])
 
@@ -604,7 +647,7 @@ def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
     assert sum(direct) == sum(map(shells.shell_size, range(poincare._DIRECT_SHELLS)))
     words = poincare._limit_words(p, 2 * N - 1)[1]
     for length in range(poincare._DIRECT_SHELLS, max_len + 1):
-        groups = seen[length][0]._groups[length]
+        groups = seen[length][0]
         want = []
         for w in words:
             i = 0
@@ -613,7 +656,7 @@ def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
                 i = np.flatnonzero((parent == i) & (last == w[(back - 1) % len(w)]))[0]
             want.extend(np.flatnonzero(shells.parent[length] == i))
         assert len(want) == (2 * N - 1) * (2 * p.genus - 1)
-        got = np.stack([m[groups.outside] for m in groups._abcd])
+        got = np.stack([m[groups.plan.outside] for m in groups.plan.abcd])
         expected = np.stack([m[length][want] for m in (shells.a, shells.b, shells.c, shells.d)])
         assert np.array_equal(got[:, np.lexsort(got)], expected[:, np.lexsort(expected)]), length
         assert np.isfinite(groups.radius).all() and groups.radius.max() < 1e-3, length
