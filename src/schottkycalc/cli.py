@@ -61,6 +61,7 @@ from .poincare import (
 )
 from .schottky import (
     _c_from_json,
+    _is_number,
     CapacityError,
     ReductionError,
     SchottkyParams,
@@ -241,7 +242,7 @@ def _integer(value) -> int:
 
 def _real(value) -> float:
     """A JSON number; float() would read "1e-5" and true as numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 

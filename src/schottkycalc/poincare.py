@@ -5,12 +5,6 @@ the calling thread, with vectorized matrix action, in-order Kahan
 combination of the shells and a truncation warning when the last shell is
 still above the configured tolerance.
 
-A point's direct sums do not depend on the other points in its batch: one
-routine (_add_direct_sums) sums every word summed directly, cutting only
-the points into column tiles, and each column adds its words row by row.
-The work arrays live in scratch owned by the call, or by the evaluator for
-the far field, so no numpy op allocates one.
-
 One engine sums three terms:
   * the weight-N two-point series with 2N-1 limit-point correction factors,
   * third-kind differentials (pole pair y, 0),
@@ -18,13 +12,22 @@ One engine sums three terms:
     derivatives need no series of their own (variation.exact_period_gradient
     takes them from nu on the handle circles).
 
-Direct and far shells. The third-kind, nu and weight-N series sum shells
-0..3 word by word as above, and every deeper shell as grouped multipole
-expansions. For a det-1 word (a b; c d) and a point w,
-gx - w = (a - cw)(x - p_w)/(cx + d) with p_w = g^-1 w, so a word's term is
-weight / prod_k (x - p_k) over its m pulled-back poles: the dipole
-delta / ((x - p_u)(x - p_v)), delta = (u - v)/((a - cu)(a - cv)), of a pole
-pair, and the 2N-pole coef / ((x - p_y) prod_j (x - p_{A_j})),
+They are one term, numerator_r (cx + d)^-2N / ((gx - t_r) prod_k (gx - s_k)):
+each row has a target t_r and a numerator, and all rows share 2N - 1
+points s_k (N = 1 for a pole pair). Shells 0..3 are summed by one direct
+kernel (_DirectKernel) in (points, words) work arrays, cut into tiles of
+points only, so a point's terms sum along one row of their own and its
+direct sums do not depend on the other points in its batch. The direct
+kernel and the far field keep their work arrays in scratch owned by the
+evaluator.
+
+Direct and far shells. Every series sums shells 0..3 in the gx form as
+above, and every deeper shell as grouped multipole expansions. For a det-1
+word (a b; c d) and a point w, gx - w = (a - cw)(x - p_w)/(cx + d) with
+p_w = g^-1 w, so a word's term is weight / prod_k (x - p_k) over its m
+pulled-back poles: the dipole delta / ((x - p_u)(x - p_v)),
+delta = (u - v)/((a - cu)(a - cv)), of a pole pair, and the 2N-pole
+coef / ((x - p_y) prod_j (x - p_{A_j})),
 coef = prod_j (y - A_j) / ((a - cy) prod_j (a - cA_j)), of the weight-N
 term, whose (cx + d) powers cancel. The limit points' factors a - cA_j and
 poles are carried down the word tree, exact along the powers of each A_j's
@@ -49,7 +52,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -78,7 +80,7 @@ __all__ = [
     "shell_report",
 ]
 
-_TILE_ELEMENTS = 1 << 14  # column-tile work-array budget (words x eval points)
+_TILE_ELEMENTS = 1 << 14  # work-array budget of a tile (points x words, or rows)
 
 
 class TruncationWarning(UserWarning):
@@ -123,47 +125,35 @@ class SeriesConfig:
             raise ValueError("stop_tol must be positive when set")
 
 
-def _column_tiles(rows: int, m: int) -> list[tuple[int, int]]:
-    """Column ranges splitting m points so each (rows x width) block stays
-    near _TILE_ELEMENTS. A trailing 1-column tile is folded into its
-    neighbour: numpy reduces a (rows, 1) block pairwise rather than row by
-    row, which would change the bits of those sums."""
-    cuts = list(range(0, m, max(2, _TILE_ELEMENTS // rows))) + [m]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _add_direct_sums(out: np.ndarray, chunk_fn, a, b, c, d, x: np.ndarray) -> None:
-    """Add chunk_fn's sums over the words (a, b, c, d) at the points x to
-    out, in column tiles: a tile's sums are exactly its columns' sums, so
-    the tile size changes speed and memory, never values. A lone point is
-    passed twice, so its column sums row by row, as in any wider tile, and
-    its bits do not depend on the other points."""
-    if len(x) == 1:
-        out += chunk_fn(a, b, c, d, np.repeat(x, 2))[:, :1]
-        return
-    for lo, hi in _column_tiles(len(a), len(x)):
-        out[:, lo:hi] += chunk_fn(a, b, c, d, x[lo:hi])
+def _add_direct_sums(out: np.ndarray, kernel, a, b, c, d, x: np.ndarray) -> None:
+    """Add kernel's sums over the words (a, b, c, d) at the points x to out,
+    in tiles of points: each point's terms sum along its own row of the
+    (points, words) work arrays, so the tile size changes speed and memory,
+    never values, and a point's sums do not depend on the other points.
+    A tile is half the budget: the kernel keeps six such arrays per
+    evaluator."""
+    step = max(1, _TILE_ELEMENTS // (2 * len(a)))
+    for lo in range(0, len(x), step):
+        out[:, lo : lo + step] += kernel(a, b, c, d, x[lo : lo + step])
 
 
 def _sum_shells(
     shells: WordShells,
     xs: np.ndarray,
-    chunk_fn,
+    kernel,
     t: int,
     stop_tol: float | None = None,
     far=None,
 ):
-    """Accumulate chunk_fn over word shells in a fixed order.
+    """Accumulate kernel over word shells in a fixed order.
 
-    chunk_fn(a, b, c, d, x) -> (t, len(x)) partial sums for those words at
+    kernel(a, b, c, d, x) -> (t, len(x)) partial sums for those words at
     the points x. Each shell's words are summed by _add_direct_sums, so a
     point's direct sums do not depend on the other points in its batch;
     then shells combine sequentially (Kahan). With stop_tol set, the loop
     exits once two consecutive shells each contribute less than stop_tol.
     far, when given (a callable (length, xs) -> shell total of the same
-    term), supplies the shells from _DIRECT_SHELLS on instead of chunk_fn.
+    term), supplies the shells from _DIRECT_SHELLS on instead of kernel.
     """
     m = len(xs)
     totals = np.zeros((t, m), dtype=np.complex128)
@@ -176,7 +166,7 @@ def _sum_shells(
         else:
             shell_total = np.zeros((t, m), dtype=np.complex128)
             words = (shells.a[length], shells.b[length], shells.c[length], shells.d[length])
-            _add_direct_sums(shell_total, chunk_fn, *words, xs)
+            _add_direct_sums(shell_total, kernel, *words, xs)
         if not np.all(np.isfinite(shell_total)):
             raise EvaluationError(
                 "non-finite series terms (evaluation point at a pole of a group element?)"
@@ -198,8 +188,9 @@ def _sum_shells(
 
 
 class _Workspace:
-    """Scratch for the series kernels, grown on demand: a chunk function's
-    lives for its evaluator call, the far field's for its evaluator."""
+    """Scratch for the series kernels, owned by the evaluator and grown on
+    demand: the direct kernel's (points, words) arrays and the far field's
+    powers."""
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
@@ -210,19 +201,6 @@ class _Workspace:
         if buf is None or buf.size < size:
             buf = self._bufs[name] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
-
-
-def _moebius_block(ws: _Workspace, a, b, c, d, x):
-    """den = c x + d and gx = (a x + b) / den for every (word, point) pair."""
-    shape = (len(a), len(x))
-    den = ws.take("den", shape)
-    np.multiply(c[:, None], x[None, :], out=den)
-    den += d[:, None]
-    gx = ws.take("gx", shape)
-    np.multiply(a[:, None], x[None, :], out=gx)
-    gx += b[:, None]
-    gx /= den
-    return den, gx
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +308,62 @@ def _pulled_back(shells: WordShells, u: complex) -> _Shared:
     return _Shared(np.array([u], dtype=np.complex128), list(lam), list(pole), guard=True)
 
 
+class _DirectKernel:
+    """One series' term summed over the words (a b; c d) of shells 0..3 at
+    the points x, as kernel(a, b, c, d, x) -> (t, len(x)): numerator_r
+    (cx + d)^-2N / ((gx - t_r) prod_k (gx - s_k)) over the 2N - 1 shared
+    points s_k, i.e. the weight-N term, or (N = 1) a pole pair's
+    g'(x)(1/(gx - u) - 1/(gx - v)) with row target v, numerator u - v and
+    shared u.
+
+    The work arrays are (points, words), in the evaluator's scratch, so a
+    point's terms sum along one contiguous row of their own, and no complex
+    product is formed in place (numpy's in-place complex multiply of a
+    1-element array rounds differently): a point's bits never depend on the
+    other points. The pole guard covers the targets, and the shared points
+    when shared.guard is set (a pole pair's shared member, not a limit point).
+    """
+
+    def __init__(self, ws: _Workspace, targets, numerator, shared: _Shared):
+        self.ws, self.targets, self.numerator, self.shared = ws, targets, numerator[:, None], shared
+        self.guarded = np.concatenate([shared.points, targets]) if shared.guard else targets
+        # the guarded points as (point, re and im, 1), against (re and im, word) bounds
+        self._reim = np.stack([self.guarded.real, self.guarded.imag], axis=1)[:, :, None]
+
+    def __call__(self, a, b, c, d, x) -> np.ndarray:
+        m, n = len(x), len(a)
+        den, gx, prod, spare, q = self.ws.take("direct", (5, m, n))
+        np.multiply(x[:, None], c, out=den)
+        den += d
+        np.multiply(x[:, None], a, out=gx)
+        gx += b
+        gx /= den
+        # |gx - w| < 1e-12 at some point only if w lies in the word's bounding
+        # box of gx over the points widened by 1e-12 (rounding is monotone), so
+        # the exact guard runs on those words alone
+        parts = self.ws.take("parts", (2, n, m), np.float64)  # re, im by word
+        np.copyto(parts, gx.view(np.float64).reshape(m, n, 2).T)
+        lo, hi = parts.min(axis=2), parts.max(axis=2)
+        boxed = ((lo - self._reim < 1e-12) & (self._reim - hi < 1e-12)).all(axis=1)
+        for i in np.flatnonzero(boxed.any(axis=1)):
+            if np.abs(gx[:, boxed[i]] - self.guarded[i]).min() < 1e-12:
+                w = complex(self.guarded[i])
+                raise PoleProximityError(f"pole {w!r} within 1e-12 of the orbit of an x point")
+        with np.errstate(divide="ignore", invalid="ignore"):  # x on a limit point: inf
+            # (cx + d)^2N prod_k (gx - s_k) as (cx + d) prod_k (cx + d)(gx - s_k)
+            np.copyto(prod, den)
+            for s in self.shared.points:
+                for factor in (den, np.subtract(gx, s, out=q)):
+                    np.multiply(prod, factor, out=spare)
+                    prod, spare = spare, prod
+            base = np.divide(1.0, prod, out=prod)
+            out = np.empty((len(self.targets), m), dtype=np.complex128)
+            for r, t in enumerate(self.targets):
+                np.divide(base, np.subtract(gx, t, out=q), out=q)
+                np.add.reduce(q, axis=1, out=out[r])
+            return out * self.numerator
+
+
 # ---------------------------------------------------------------------------
 # series evaluators
 
@@ -339,8 +373,10 @@ class _ShellSeries:
 
     Each evaluator is one term summed over the same word shells; a subclass
     sets the points every row shares (self._shared) at construction and
-    passes the term as a chunk function to _sum, with the rows' targets and
-    numerators and the dict that binds them (new per call, or NuFamily's).
+    passes _sum its rows' targets and numerators, with the dict that binds
+    them to the deep shells (new per call, or NuFamily's). Shells 0..3 are
+    summed by _DirectKernel, the deeper ones by the far field, both from
+    those rows and self._shared, with their scratch in self._ws.
     """
 
     _depth = 3  # deep words are grouped by their last _depth letters
@@ -361,14 +397,16 @@ class _ShellSeries:
             rows[length] = _PoleGroups(self._plans[length], targets, numerator)
         return rows[length].total(xs, self._ws)
 
-    def _sum(self, xs, chunk_fn, label: str, targets, numerator, rows: dict) -> np.ndarray:
-        """Sum chunk_fn over the shells, the deep ones as _far_total, keep the
-        shell magnitudes, and warn (at the caller of the public method) if
-        the last shell is above shell_tol. The callable passed on is made
-        per call, so nothing ties the evaluator to itself."""
+    def _sum(self, xs, label: str, targets, numerator, rows: dict) -> np.ndarray:
+        """Sum the term over the shells, the direct ones with _DirectKernel
+        and the deep ones as _far_total, keep the shell magnitudes, and warn
+        (at the caller of the public method) if the last shell is above
+        shell_tol. The callables passed on are made per call, so nothing
+        ties the evaluator to itself."""
+        kernel = _DirectKernel(self._ws, targets, numerator, self._shared)
         far = functools.partial(self._far_total, targets[:, None], numerator[:, None], rows)
         totals, mags = _sum_shells(
-            self.shells, xs, chunk_fn, len(numerator), stop_tol=self.config.stop_tol, far=far
+            self.shells, xs, kernel, len(numerator), stop_tol=self.config.stop_tol, far=far
         )
         self._last_shell_mags = mags
         tol = self.config.shell_tol
@@ -411,43 +449,12 @@ class BersEvaluator(_ShellSeries):
         """Array of values, shape (len(ys), len(xs)); x-batches share orbits."""
         xs = np.asarray(xs, dtype=np.complex128)
         ys = np.asarray(ys, dtype=np.complex128)
-        N, A = self.N, self.points
-        y_weights = np.array([np.prod(yv - A) for yv in ys])  # product of (y - A_j)
+        y_weights = np.array([np.prod(yv - self.points) for yv in ys])  # product of (y - A_j)
         # a y on a planted zero (some A_j) zeroes every term: its row is 0
         live = y_weights != 0
         ys, y_weights = ys[live], y_weights[live]
-        ws = _Workspace()
-
-        def chunk_fn(a, b, c, d, x):
-            den, gx = _moebius_block(ws, a, b, c, d, x)
-            base = np.multiply(den, den, out=ws.take("base", den.shape))
-            base **= -N  # (g'x)^N for det-1 matrices
-            q = ws.take("q", den.shape)
-            with np.errstate(divide="ignore", invalid="ignore"):  # x on a limit point: inf
-                for A_j in A:
-                    base /= np.subtract(gx, A_j, out=q)
-            # |gx - y| < 1e-12 at some point only if y lies in the word's
-            # bounding box of gx over the points widened by 1e-12 (rounding is
-            # monotone), so the exact guard runs on those words alone
-            re, im = gx.real, gx.imag
-            yr, yi = ys.real[:, None], ys.imag[:, None]
-            boxed = (re.min(axis=1) - yr < 1e-12) & (yr - re.max(axis=1) < 1e-12)
-            boxed &= (im.min(axis=1) - yi < 1e-12) & (yi - im.max(axis=1) < 1e-12)
-            out = np.empty((len(ys), len(x)), dtype=np.complex128)
-            for i, yv in enumerate(ys):
-                np.subtract(gx, yv, out=q)
-                if boxed[i].any() and np.abs(q[boxed[i]]).min() < 1e-12:
-                    raise PoleProximityError(
-                        f"y = {yv!r} is within 1e-12 of the orbit of an x point"
-                    )
-                np.divide(base, q, out=q)
-                np.sum(q, axis=0, out=out[i])
-            # not `out *=`: numpy's in-place complex multiply of a 1-element
-            # array rounds differently from the out-of-place one
-            return out * y_weights[:, None]
-
         out = np.zeros((len(live), len(xs)), dtype=np.complex128)
-        out[live] = self._sum(xs, chunk_fn, f"weight-{N} series", ys, y_weights, {})
+        out[live] = self._sum(xs, f"weight-{self.N} series", ys, y_weights, {})
         return out
 
 
@@ -465,48 +472,13 @@ class ThirdKindEvaluator(_ShellSeries):
         """Shape (len(ys), len(xs)); pole pair (y_i, 0) per row."""
         xs = np.asarray(xs, dtype=np.complex128)
         ys = np.asarray(ys, dtype=np.complex128)
-        chunk_fn = _pole_pair_chunk_fn([(yv, 0j) for yv in ys])
-        return self._sum(xs, chunk_fn, "third-kind series", ys, ys - 0j, {})
-
-
-def _pole_pair_chunk_fn(pole_pairs: Sequence[tuple[complex, complex]]):
-    """Chunk function summing g'(x) * (1/(gx - u) - 1/(gx - v)) per pole pair.
-
-    The product is always formed out of place as (1/(gx - u) - 1/(gx - v)) *
-    g'(x): numpy's complex multiply is neither bit-commutative nor, on
-    1-element arrays, bit-identical in place and out of place, so one fixed
-    form keeps the bits independent of the block size.
-    """
-    ws = _Workspace()
-
-    def chunk_fn(a, b, c, d, x):
-        den, gx = _moebius_block(ws, a, b, c, d, x)
-        shape = den.shape
-        dg = np.multiply(den, den, out=ws.take("dg", shape))
-        np.reciprocal(dg, out=dg)
-        qu = ws.take("q", shape)
-        qv = ws.take("qv", shape)
-        absq = ws.take("absq", shape, np.float64)
-        out = np.empty((len(pole_pairs), len(x)), dtype=np.complex128)
-        for i, (u, v) in enumerate(pole_pairs):
-            np.subtract(gx, u, out=qu)
-            np.subtract(gx, v, out=qv)
-            if min(np.abs(qu, out=absq).min(), np.abs(qv, out=absq).min()) < 1e-12:
-                raise PoleProximityError(
-                    f"pole pair ({u!r}, {v!r}) within 1e-12 of the orbit of an x point"
-                )
-            np.divide(1.0, qu, out=qu)
-            qu -= np.divide(1.0, qv, out=qv)
-            np.sum(np.multiply(qu, dg, out=qv), axis=0, out=out[i])
-        return out
-
-    return chunk_fn
+        return self._sum(xs, "third-kind series", ys, ys - 0j, {})
 
 
 # ---------------------------------------------------------------------------
 # deep shells as grouped multipole expansions
 
-_DIRECT_SHELLS = 4  # shells 0..3 are summed word by word (_add_direct_sums)
+_DIRECT_SHELLS = 4  # shells 0..3 are summed by _DirectKernel (_add_direct_sums)
 _FAR_RATIO = 0.5  # a group is far from x when its radius is below _FAR_RATIO |x - c|
 _TAIL_TOL = 1e-17  # dropped expansion tail, relative to sum |weight| / |x - c|^m
 
@@ -752,7 +724,6 @@ class NuFamily(_ShellSeries):
         ]
         if any(isinstance(t, Infinity) for t in self.images):
             raise ValueError("base point maps to infinity under a generator")
-        self._pole_pairs = [(self.y0, complex(t)) for t in self.images]
         self._shared, self._rows = _pulled_back(self.shells, self.y0), {}
 
     def value(self, a: int, x: complex) -> complex:
@@ -761,8 +732,8 @@ class NuFamily(_ShellSeries):
     def values(self, xs) -> np.ndarray:
         """All nu_a at once, shape (g, len(xs)); one orbit pass."""
         xs = np.asarray(xs, dtype=np.complex128)
-        chunk_fn, images = _pole_pair_chunk_fn(self._pole_pairs), np.array(self.images, complex)
-        return self._sum(xs, chunk_fn, "nu series", images, self.y0 - images, self._rows)
+        images = np.array(self.images, complex)
+        return self._sum(xs, "nu series", images, self.y0 - images, self._rows)
 
 
 # ---------------------------------------------------------------------------

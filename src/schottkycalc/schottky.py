@@ -453,11 +453,16 @@ def transport(p: SchottkyParams, m: MoebiusMap) -> SchottkyParams:
 # serialization
 
 
+def _is_number(v) -> bool:
+    """A JSON number: a bool is an int to Python, not a number to JSON."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _c_from_json(v) -> complex:
-    """A complex value from a number, an [re, im] pair or a string like "1+2j"."""
-    if isinstance(v, (int, float)):
+    """A complex value from a number, an [re, im] pair of numbers or a string like "1+2j"."""
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
         return complex(float(v[0]), float(v[1]))
     if isinstance(v, str):
         try:
@@ -482,8 +487,11 @@ def surface_from_dict(d: dict) -> SchottkyParams:
             )
         )
     p = SchottkyParams(handles)
-    if "genus" in d and int(d["genus"]) != p.genus:
-        raise ValueError(f"genus field {d['genus']} does not match {p.genus} handles")
+    genus = d.get("genus", p.genus)
+    if isinstance(genus, bool) or not isinstance(genus, int):
+        raise ValueError(f"genus field {genus!r} is not an integer")
+    if genus != p.genus:
+        raise ValueError(f"genus field {genus} does not match {p.genus} handles")
     return p
 
 

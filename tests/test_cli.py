@@ -95,6 +95,7 @@ def test_load_config_overrides_win(tmp_path):
     assert rc.max_len == 3 and rc.seed == 9 and rc.workers == 2
 
 
+STAR_HANDLES = STAR_SURFACE["handles"]
 WRONG_TYPES = [
     {"max_len": "ten"},
     {"nodes": [1]},
@@ -110,6 +111,10 @@ WRONG_TYPES = [
     {"stop_tol": "1e-11"},
     {"shell_tol": True},
     {"tolerances": {"rauch": "1e-6"}},
+    # a surface value takes no JSON bool, and its genus only a JSON integer
+    {"surface": {"handles": [{**STAR_HANDLES[0], "w_plus": True}, STAR_HANDLES[1]]}},
+    {"surface": {"handles": [STAR_HANDLES[0], {**STAR_HANDLES[1], "w_minus": [6, False]}]}},
+    {"surface": {**STAR_SURFACE, "genus": 2.7}},
 ]
 
 

@@ -22,7 +22,6 @@ from schottkycalc.poincare import (
     TruncationWarning,
     default_probe_points,
     limit_points,
-    _pole_pair_chunk_fn,
     _sum_shells,
     shell_report,
 )
@@ -159,15 +158,48 @@ def test_bers_pole_guard(bers2):
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 @pytest.mark.parametrize("length", [2, 3])
 def test_bers_pole_guard_in_direct_shells(star, length):
-    bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=4))
-    shells = bers.shells
+    """The direct kernel of every series guards its row targets through the
+    bounding-box prefilter (the weight-N y, the third kind's y, nu's g_a y0)
+    and a pole pair's shared point (the third kind's 0): with the pole at
+    g x, each series raises, and 1e-9 away it gives a finite value. The
+    three evaluators are checked in turn, at a word g of the shell. nu's
+    g_a y0 lies one disc deep, so its preimage under a word g of shell 2 or
+    3 lies deep enough that the rounding of x moves g x by 1e-11 to 1e-7
+    and no float x is within 1e-12 of the pole: its case takes a shell-1
+    word g_l, l != a, whose preimage rounds to within 3e-13."""
+    cfg = SeriesConfig(max_len=4)
+    bers = BersEvaluator(star, 2, config=cfg)
+    third = ThirdKindEvaluator(star, config=cfg)
+    nu = NuFamily(star, config=cfg)
+    shells = nu.shells
     xs = _probe_xs(5)
-    i = shells.shell_size(length) // 3
-    a, b, c, d = (m[length][i] for m in (shells.a, shells.b, shells.c, shells.d))
-    y = (a * xs[2] + b) / (c * xs[2] + d)  # g x, formed as the chunk kernel forms it
-    with pytest.raises(PoleProximityError):
-        bers.value_grid(xs, [0.9, y])
-    assert np.all(np.isfinite(bers.value_grid(xs, [0.9, y + 1e-9])))
+
+    def word(length, i):
+        return tuple(m[length][i] for m in (shells.a, shells.b, shells.c, shells.d))
+
+    def on_preimage(g, w):
+        """xs with xs[2] moved to g^-1 w."""
+        return np.r_[xs[:2], poincare._pull_back(*g, w)[1], xs[3:]]
+
+    g = word(length, shells.shell_size(length) // 3)
+    a, b, c, d = g
+    y = (a * xs[2] + b) / (c * xs[2] + d)  # g x, formed as the direct kernel forms it
+    g_l = word(1, 2)  # the word g_2
+    assert shells.word(1, 2) == (2,)
+    cases = {
+        "weight-N y": lambda eps: bers.value_grid(xs, [0.9, y + eps]),
+        "third-kind y": lambda eps: third.value_grid(xs, [0.9, y + eps]),
+        "third-kind 0": lambda eps: third.value_grid(on_preimage(g, 0j) + eps, [0.9]),
+        "nu g_1 y0": lambda eps: nu.values(on_preimage(g_l, nu.images[0]) + eps),
+    }
+    for name, f in cases.items():
+        try:
+            f(0.0)
+        except PoleProximityError:
+            pass
+        else:
+            pytest.fail(f"{name}: no PoleProximityError")
+        assert np.all(np.isfinite(f(1e-9))), name
 
 
 def _all_evaluators(p, config):
@@ -189,7 +221,7 @@ def _probe_xs(m):
     return 1.3 * np.exp(2j * np.pi * (k + 0.25) / max(m, 1)) * (0.6 + 0.3 * (k % 3) / 2)
 
 
-# 1 and 2 columns, an odd count, several tiles and a folded 1-column tail tile
+# 1 and 2 points, an odd count, and several tiles
 TILE_CASE_POINTS = (1, 2, 3, 65, 513)
 
 
@@ -209,26 +241,14 @@ def test_column_tiles_do_not_change_bits(star, monkeypatch, m):
     evals = _all_evaluators(star, SeriesConfig(max_len=5, workers=2))
     monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1 << 40)  # one tile per shell
     whole = {name: f(xs) for name, f in evals.items()}
-    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1)  # 2- and 3-column tiles
+    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1)  # one point per tile
     for name, f in evals.items():
         assert np.array_equal(f(xs), whole[name]), name
 
 
-def test_column_tiles_cover_points_and_fold_the_tail():
-    assert poincare._column_tiles(1, 1) == [(0, 1)]
-    assert poincare._column_tiles(64, 3) == [(0, 3)]
-    tiles = poincare._column_tiles(poincare._TILE_ELEMENTS // 4, 9)
-    assert tiles == [(0, 4), (4, 9)]  # the 1-column tail joined its neighbour
-    for rows, m in ((12, 4096), (64, 4096), (3000, 513), (1, 2)):
-        tiles = poincare._column_tiles(rows, m)
-        assert tiles[0][0] == 0 and tiles[-1][1] == m
-        assert all(e0 == s1 for (_, e0), (s1, _) in zip(tiles, tiles[1:]))
-        assert all(e - s >= 2 for s, e in tiles) or m == 1
-
-
 def test_failing_chunk_stops_the_sum(star):
     shells = build_shells(star, 6)
-    xs = np.zeros(4096, dtype=np.complex128)  # the last shell's 972 words in 256 tiles
+    xs = np.zeros(4096, dtype=np.complex128)  # the last shell's 972 words in 512 tiles
     in_last = []
 
     def dry_run(a, b, c, d, x):
@@ -582,18 +602,85 @@ def test_nu_pole_guard_at_pulled_back_base_point(star, length):
         nu.values([poles[len(poles) // 3]])
 
 
+def _pole_pair_kernel(shells, pairs):
+    """The direct kernel of the terms g'(x)(1/(gx - u_r) - 1/(gx - v_r)),
+    built from the pole pairs (u_r, v_r) alone: the member all pairs share
+    is the kernel's shared point, the other one each row's target, and the
+    numerator is u_r - v_r."""
+    u, v = (np.array(p, dtype=np.complex128) for p in zip(*pairs))
+    shared, targets = (u, v) if len(set(u)) == 1 else (v, u)
+    assert len(set(shared)) == 1
+    kernel_shared = poincare._pulled_back(shells, complex(shared[0]))
+    return poincare._DirectKernel(poincare._Workspace(), targets, u - v, kernel_shared)
+
+
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 @pytest.mark.parametrize("max_len", [0, 3])
 def test_shallow_series_are_the_chunk_kernel_sums(star, max_len):
+    """With no deep shell, nu and the third kind are, bit for bit, the direct
+    kernel's sums of their pole pairs over the shells."""
     cfg = SeriesConfig(max_len=max_len, shell_tol=1.0)
     xs = _far_case_points(star)
     nu = NuFamily(star, config=cfg)
     pairs = [(nu.y0, complex(v)) for v in nu.images]
-    want, _ = _sum_shells(nu.shells, xs, _pole_pair_chunk_fn(pairs), len(pairs))
+    want, _ = _sum_shells(nu.shells, xs, _pole_pair_kernel(nu.shells, pairs), len(pairs))
     assert np.array_equal(nu.values(xs), want)
-    pairs = [(y, 0j) for y in THIRD_KIND_YS]
-    want, _ = _sum_shells(nu.shells, xs, _pole_pair_chunk_fn(pairs), len(pairs))
+    pairs = [(complex(y), 0j) for y in THIRD_KIND_YS]
+    want, _ = _sum_shells(nu.shells, xs, _pole_pair_kernel(nu.shells, pairs), len(pairs))
     assert np.array_equal(ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS), want)
+
+
+def _mp_mul(m, g):
+    """The product of two matrices given as (a, b, c, d)."""
+    return (m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
+            m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3])
+
+
+def _mp_word_matrices(p, shells):
+    """The generators by letter, built from the handles at the working mp
+    precision, and the shells' word matrices as their products, shell by
+    shell in the shells' order."""
+    gens = {}
+    for letter in p.letters:
+        h = p.handles[abs(letter) - 1]
+        wp, wm, rho = mp.mpc(h.w_plus), mp.mpc(h.w_minus), mp.mpc(h.rho)
+        s = 1 / mp.sqrt(-rho)
+        a, b, c, d = wm * s, (rho - wp * wm) * s, s, -wp * s
+        gens[letter] = (a, b, c, d) if letter > 0 else (d, -b, -c, a)
+    mats = [[(mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1))]]
+    for length in range(1, shells.max_len + 1):
+        parents, letters = shells.parent[length], shells.last_letter[length]
+        mats.append([_mp_mul(mats[-1][i], gens[letter]) for i, letter in zip(parents, letters)])
+    return gens, mats
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_shallow_series_match_40_digit_sums(star):
+    """Shells 0-3 of nu and the third kind, all summed by the direct kernel,
+    against the same words summed in 40-digit arithmetic, from 40-digit
+    generator matrices and the same float pole pairs, at F points at least
+    1.5 from y0. Nearer y0, g_a x and g_a y0 nearly coincide, and the
+    rounding of g_a x costs digits in either form of the term (3.4e-14 at
+    x = 1.3i, 2.9e-9 at x = 0.003)."""
+    cfg = SeriesConfig(max_len=3, shell_tol=1.0)
+    nu = NuFamily(star, config=cfg)
+    xs = np.array(default_probe_points(star, 43))
+    xs = xs[np.abs(xs - nu.y0) >= 1.5]
+    assert len(xs) == 38
+    got = np.r_[nu.values(xs), ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS)]
+    pairs = [(nu.y0, v) for v in nu.images] + [(y, 0j) for y in THIRD_KIND_YS]
+    want = np.empty_like(got)
+    with mp.workdps(40):
+        _, mats = _mp_word_matrices(star, nu.shells)
+        pairs = [(mp.mpc(complex(u)), mp.mpc(complex(v))) for u, v in pairs]
+        for k, x in enumerate(xs):
+            X = mp.mpc(complex(x))
+            words = itertools.chain(*mats)
+            images = [((a * X + b) / (c * X + d), c * X + d) for a, b, c, d in words]
+            for i, (u, v) in enumerate(pairs):
+                terms = ((1 / (gx - u) - 1 / (gx - v)) / den**2 for gx, den in images)
+                want[i, k] = complex(mp.fsum(terms))
+    assert np.all(np.abs(got - want) <= 3e-14 * np.maximum(1.0, np.abs(want)))
 
 
 def test_expansion_order_bounds_the_tail():
@@ -629,15 +716,15 @@ def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
     (2N - 1)(2g - 1) words per shell, as the last letter is free, and no
     other word. Those are summed term by term at every point, x = 0
     included; every other deep word sits in a group no wider than its disc,
-    and no word past shell 3 reaches the chunk kernel."""
+    and no word past shell 3 reaches the direct kernel."""
     p = _surface(name, star)
     bers = BersEvaluator(p, N, config=SeriesConfig(max_len=max_len))
     shells = bers.shells
     direct, add = [], poincare._add_direct_sums
 
-    def spy_direct(out, chunk_fn, a, *rest):
+    def spy_direct(out, kernel, a, *rest):
         direct.append(len(a))
-        add(out, chunk_fn, a, *rest)
+        add(out, kernel, a, *rest)
 
     monkeypatch.setattr(poincare, "_add_direct_sums", spy_direct)
     seen = _spy_far_fields(monkeypatch)
@@ -685,28 +772,10 @@ def test_deep_bers_shells_match_40_digit_sums(star, monkeypatch):
         got[N] = sum(total for _, total in seen.values())
     shells = build_shells(star, max_len)
     with mp.workdps(40):
-        gens = []
-        for letter in star.letters:
-            h = star.handles[abs(letter) - 1]
-            wp, wm, rho = mp.mpc(h.w_plus), mp.mpc(h.w_minus), mp.mpc(h.rho)
-            s = 1 / mp.sqrt(-rho)
-            a, b, c, d = wm * s, (rho - wp * wm) * s, s, -wp * s
-            gens.append((a, b, c, d) if letter > 0 else (d, -b, -c, a))
-        mats = [[(mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1))]]
-        for length in range(1, max_len + 1):
-            mats.append([])
-            for parent, letter in zip(shells.parent[length], shells.last_letter[length]):
-                a, b, c, d = mats[-2][parent]
-                ga, gb, gc, gd = gens[star.letters.index(letter)]
-                mats[-1].append((a * ga + b * gc, a * gb + b * gd,
-                                 c * ga + d * gc, c * gb + d * gd))
+        gens, mats = _mp_word_matrices(star, shells)
         A = []
         for A_float, w in zip(*poincare._limit_words(star, 5)):
-            a, b, c, d = functools.reduce(
-                lambda m, g: (m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
-                              m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3]),
-                (gens[star.letters.index(letter)] for letter in w),
-            )
+            a, b, c, d = functools.reduce(_mp_mul, (gens[letter] for letter in w))
             root = mp.sqrt((d - a) ** 2 + 4 * b * c)
             A.append(min([(a - d + root) / (2 * c), (a - d - root) / (2 * c)],
                          key=lambda z: abs(z - A_float)))
