@@ -67,6 +67,7 @@ from .schottky import (
     SchottkyParams,
     build_shells,
     disc_center,
+    disc_gaps,
     disc_radius,
     expected_word_count,
     generator,
@@ -292,6 +293,9 @@ def load_config(
     surface_raw = raw.get("surface", raw if "handles" in raw else None)
     if surface_raw is None:
         raise ConfigError("config needs a 'surface' object or top-level 'handles'")
+    beside = sorted({"genus", "handles"} & set(raw)) if "surface" in raw else []
+    if beside:
+        raise ConfigError(f"top-level {beside} beside a 'surface' object")
     try:
         surface = surface_from_dict(surface_raw)
         require_valid(surface)
@@ -626,19 +630,10 @@ def _print_suite(report: dict) -> None:
 def cmd_validate(rc: RunConfig, args) -> int:
     p = rc.surface
     violations = surface_validate(p)
-    gaps = []
-    letters = p.letters
-    for i, u in enumerate(letters):
-        for v in letters[i + 1 :]:
-            gaps.append(
-                abs(disc_center(p, u) - disc_center(p, v))
-                - disc_radius(p, u)
-                - disc_radius(p, v)
-            )
     payload = {
         "valid": not violations,
         "genus": p.genus,
-        "min_gap": min(gaps) if gaps else None,
+        "min_gap": min((gap for _, gap in disc_gaps(p)), default=None),
         "violations": violations,
         "surface": surface_to_dict(p),
     }

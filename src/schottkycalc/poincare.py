@@ -17,9 +17,7 @@ each row has a target t_r and a numerator, and all rows share 2N - 1
 points s_k (N = 1 for a pole pair). Shells 0..3 are summed by one direct
 kernel (_DirectKernel) in (points, words) work arrays, cut into tiles of
 points only, so a point's terms sum along one row of their own and its
-direct sums do not depend on the other points in its batch. The direct
-kernel and the far field keep their work arrays in scratch owned by the
-evaluator.
+direct sums do not depend on the other points in its batch.
 
 Direct and far shells. Every series sums shells 0..3 in the gx form as
 above, and every deeper shell as grouped multipole expansions. For a det-1
@@ -41,10 +39,10 @@ one test per group and point) adds a truncated Laurent expansion in
 one product per point, whose dropped tail is bounded a priori for any m.
 A near group, and each of the (2N - 1)(2g - 1) weight-N words per shell
 whose A_j pole leaves its group's disc, is summed term by term, pulled
-back, behind the series' pole guard. A shell's groups and centres are
-planned once per evaluator (_GroupPlan); the rows' targets, radii and
-moments are bound per call (_PoleGroups), once for nu, whose rows never
-change.
+back. A shell's groups and centres are planned once per evaluator
+(_GroupPlan); the rows' targets, radii and moments are bound per call
+(_PoleGroups), once for nu, whose rows never change. Every term-by-term
+sum, direct or near, runs behind one pulled-back pole guard (_pole_guard).
 """
 from __future__ import annotations
 
@@ -130,7 +128,7 @@ def _add_direct_sums(out: np.ndarray, kernel, a, b, c, d, x: np.ndarray) -> None
     in tiles of points: each point's terms sum along its own row of the
     (points, words) work arrays, so the tile size changes speed and memory,
     never values, and a point's sums do not depend on the other points.
-    A tile is half the budget: the kernel keeps six such arrays per
+    A tile is half the budget: the kernel keeps five such arrays per
     evaluator."""
     step = max(1, _TILE_ELEMENTS // (2 * len(a)))
     for lo in range(0, len(x), step):
@@ -195,11 +193,11 @@ class _Workspace:
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
-            buf = self._bufs[name] = np.empty(size, dtype=dtype)
+            buf = self._bufs[name] = np.empty(size, dtype=np.complex128)
         return buf[:size].reshape(shape)
 
 
@@ -265,13 +263,14 @@ def _pull_back(a, b, c, d, w):
 @dataclass(frozen=True)
 class _Shared:
     """Points u_k that every row of a series shares, with lam[L][k] = a - c u_k
-    and pole[L][k] = g^-1 u_k over the words of shell L; guard if a u_k may
-    be an orbit point of x (a pole pair's shared member, not a limit point)."""
+    and pole[L][k] = g^-1 u_k over the words of shell L; guard, the points
+    _pole_guard covers after the rows' targets: all u_k if they may be orbit
+    points of x (a pole pair's shared member), none if limit points."""
 
     points: np.ndarray
     lam: list[np.ndarray]
     pole: list[np.ndarray]
-    guard: bool
+    guard: np.ndarray
 
 
 def _limit_factors(shells: WordShells, A: np.ndarray, words) -> _Shared:
@@ -298,14 +297,34 @@ def _limit_factors(shells: WordShells, A: np.ndarray, words) -> _Shared:
                 base[j] = 1.0 / (shells.c[length][i] * A[j] + shells.d[length][i])
             if length % len(w) == 0:
                 lam[-1][j, i], pole[-1][j, i] = base[j] ** (length // len(w)), A[j]
-    return _Shared(A, lam, pole, guard=False)
+    return _Shared(A, lam, pole, guard=A[:0])
 
 
 def _pulled_back(shells: WordShells, u: complex) -> _Shared:
     """A pole pair's shared member u, guarded, with its factor and pole over every word."""
     mats = zip(shells.a, shells.b, shells.c, shells.d)
     lam, pole = zip(*(_pull_back(*abcd, np.full((1, 1), u)) for abcd in mats))
-    return _Shared(np.array([u], dtype=np.complex128), list(lam), list(pole), guard=True)
+    points = np.array([u], dtype=np.complex128)
+    return _Shared(points, list(lam), list(pole), guard=points)
+
+
+def _pole_guard(x, c, d, lam, pole, points, discs) -> None:
+    """Raise PoleProximityError where |gx - w| < 1e-12, tested pulled back as
+    |x - p_w| |lam| < 1e-12 |cx + d| at the points x, words (a b; c d) and
+    guarded points w, lam = a - cw and p_w = g^-1 w as (w, words) arrays. A
+    pair (w, g) is tested only if max_D (min_x |x - c_D| - |p_w - c_D|), a lower
+    bound on |x - p_w| (c_D the disc centres; the min shrunk by 1e-9 so that
+    rounding can only add pairs), times |lam| is below 1e-12 (|c| max |x| + |d|)."""
+    reach = np.abs(discs[:, None] - x).min(axis=1) * (1 - 1e-9)
+    apart = (reach[:, None, None] - np.abs(pole - discs[:, None, None])).max(axis=0)
+    room = 1e-12 * (np.abs(c) * np.abs(x).max() + np.abs(d))
+    k, j = np.nonzero(apart * np.abs(lam) < room)
+    if len(k):
+        xk = x[:, None]
+        hit = np.abs(xk - pole[k, j]) * np.abs(lam[k, j]) < 1e-12 * np.abs(c[j] * xk + d[j])
+        if hit.any():
+            w = complex(points[k[hit.any(axis=0)][0]])
+            raise PoleProximityError(f"pole {w!r} within 1e-12 of the orbit of an x point")
 
 
 class _DirectKernel:
@@ -320,17 +339,16 @@ class _DirectKernel:
     point's terms sum along one contiguous row of their own, and no complex
     product is formed in place (numpy's in-place complex multiply of a
     1-element array rounds differently): a point's bits never depend on the
-    other points. The pole guard covers the targets, and the shared points
-    when shared.guard is set (a pole pair's shared member, not a limit point).
+    other points. _pole_guard covers the targets and shared.guard.
     """
 
-    def __init__(self, ws: _Workspace, targets, numerator, shared: _Shared):
+    def __init__(self, ws: _Workspace, targets, numerator, shared: _Shared, discs):
         self.ws, self.targets, self.numerator, self.shared = ws, targets, numerator[:, None], shared
-        self.guarded = np.concatenate([shared.points, targets]) if shared.guard else targets
-        # the guarded points as (point, re and im, 1), against (re and im, word) bounds
-        self._reim = np.stack([self.guarded.real, self.guarded.imag], axis=1)[:, :, None]
+        self.guarded, self.discs = np.concatenate([targets, shared.guard]), discs
 
     def __call__(self, a, b, c, d, x) -> np.ndarray:
+        lam, pole = _pull_back(a, b, c, d, self.guarded[:, None])
+        _pole_guard(x, c, d, lam, pole, self.guarded, self.discs)
         m, n = len(x), len(a)
         den, gx, prod, spare, q = self.ws.take("direct", (5, m, n))
         np.multiply(x[:, None], c, out=den)
@@ -338,17 +356,6 @@ class _DirectKernel:
         np.multiply(x[:, None], a, out=gx)
         gx += b
         gx /= den
-        # |gx - w| < 1e-12 at some point only if w lies in the word's bounding
-        # box of gx over the points widened by 1e-12 (rounding is monotone), so
-        # the exact guard runs on those words alone
-        parts = self.ws.take("parts", (2, n, m), np.float64)  # re, im by word
-        np.copyto(parts, gx.view(np.float64).reshape(m, n, 2).T)
-        lo, hi = parts.min(axis=2), parts.max(axis=2)
-        boxed = ((lo - self._reim < 1e-12) & (self._reim - hi < 1e-12)).all(axis=1)
-        for i in np.flatnonzero(boxed.any(axis=1)):
-            if np.abs(gx[:, boxed[i]] - self.guarded[i]).min() < 1e-12:
-                w = complex(self.guarded[i])
-                raise PoleProximityError(f"pole {w!r} within 1e-12 of the orbit of an x point")
         with np.errstate(divide="ignore", invalid="ignore"):  # x on a limit point: inf
             # (cx + d)^2N prod_k (gx - s_k) as (cx + d) prod_k (cx + d)(gx - s_k)
             np.copyto(prod, den)
@@ -388,6 +395,7 @@ class _ShellSeries:
         self._last_shell_mags: list[float] = []
         self._plans: dict[int, _GroupPlan] = {}
         self._ws = _Workspace()
+        self._discs = np.array([disc_center(p, l) for l in p.letters])
 
     def _far_total(self, targets, numerator, rows: dict, length: int, xs) -> np.ndarray:
         """Deep shell `length`'s total at xs: its plan bound to the rows."""
@@ -403,7 +411,7 @@ class _ShellSeries:
         (at the caller of the public method) if the last shell is above
         shell_tol. The callables passed on are made per call, so nothing
         ties the evaluator to itself."""
-        kernel = _DirectKernel(self._ws, targets, numerator, self._shared)
+        kernel = _DirectKernel(self._ws, targets, numerator, self._shared, self._discs)
         far = functools.partial(self._far_total, targets[:, None], numerator[:, None], rows)
         totals, mags = _sum_shells(
             self.shells, xs, kernel, len(numerator), stop_tol=self.config.stop_tol, far=far
@@ -529,7 +537,8 @@ class _GroupPlan:
         self.shared, self.m = shared, 1 + len(shared.points)
         back = length - depth + 1
         code = _letter_code(shells.last_letter[back][ancestor])
-        disc_c = np.array([disc_center(p, l) for l in p.letters])[code]
+        self.discs = series._discs
+        disc_c = self.discs[code]
         disc_r = np.array([disc_radius(p, l) for l in p.letters])[code]
         inside = np.all(np.abs(shared.pole[back][:, ancestor] - disc_c) <= disc_r, axis=0)
         kept = np.flatnonzero(inside)
@@ -558,10 +567,8 @@ class _PoleGroups:
     r^n, stopping at K = _expansion_order(rho, m), rho the worst far
     r / |x - c| of the call, drops at most _TAIL_TOL sum |weight| / |x - c|^m.
     Near (group, point) pairs and the outside words are summed term by term
-    (_near_sum) behind the pole guard on the targets, and on the shared
-    points if they may be orbit points of x (a pole pair's shared member;
-    never a limit point). The row targets are points of F or their images
-    (y, g_a y0); one elsewhere only widens its groups.
+    (_near_sum) behind _pole_guard. The row targets are points of F or their
+    images (y, g_a y0); one elsewhere only widens its groups.
 
     Bits: a point's powers of 1/(x - c) come from that point alone and meet
     all rows' moments in its own (1, K groups) @ (K groups, t) product, and
@@ -675,28 +682,21 @@ class _PoleGroups:
 
     def _near_sum(self, sl: slice, x: np.ndarray) -> np.ndarray:
         """The words sl's terms, pulled back, summed for every row at the
-        points x, shape (t, len(x)), behind the pole guard. The shared points'
-        factor is formed once per (point, word) and met by each row in turn;
-        a row's terms at a point sum as one contiguous run of its own."""
+        points x, shape (t, len(x)), behind _pole_guard once per tile. The
+        shared points' factor is formed once per (point, word) and met by
+        each row in turn, whose terms at a point sum as one contiguous run."""
         _, _, c, d = (m[sl] for m in self.plan.abcd)
         lams, poles, weight = self._terms(sl)
+        guarded = np.concatenate([self.targets[:, 0], self.plan.shared.guard])
+        lam, pole = (np.concatenate(f)[: len(guarded)] for f in (lams, poles))
         out = np.empty((len(weight), len(x)), dtype=np.complex128)
         step = max(1, _TILE_ELEMENTS // weight.shape[1])
         for lo in range(0, len(x), step):
             xk = x[lo : lo + step, None]
-            # |gx - w| = |x - p_w| |a - cw| / |cx + d|
-            den = 1e-12 * np.abs(c * xk + d)
-            shared = None
-            for u, lam, p in zip(self.plan.shared.points, lams[1:], poles[1:]):
-                xp = xk - p  # (points, words)
-                if self.plan.shared.guard and np.any(np.abs(xp) * np.abs(lam) < den):
-                    raise PoleProximityError(f"pole {u!r} within 1e-12 of the orbit of an x point")
-                shared = xp if shared is None else shared * xp
-            for r, u in enumerate(self.targets[:, 0]):
-                xp = xk - poles[0][r]
-                if np.any(np.abs(xp) * np.abs(lams[0][r]) < den):
-                    raise PoleProximityError(f"pole {u!r} within 1e-12 of the orbit of an x point")
-                out[r, lo : lo + step] = np.sum(weight[r] / (xp * shared), axis=1)
+            _pole_guard(xk[:, 0], c, d, lam, pole, guarded, self.plan.discs)
+            shared = functools.reduce(np.multiply, [xk - p for p in poles[1:]])  # (points, words)
+            for r in range(len(weight)):
+                out[r, lo : lo + step] = np.sum(weight[r] / ((xk - poles[0][r]) * shared), axis=1)
         return out
 
 

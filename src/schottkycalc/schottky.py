@@ -40,6 +40,7 @@ __all__ = [
     "WordShells",
     "build_shells",
     "disc_center",
+    "disc_gaps",
     "disc_radius",
     "expected_word_count",
     "from_classical",
@@ -162,23 +163,26 @@ def generator(p: SchottkyParams, letter: int) -> MoebiusMap:
     return m if letter > 0 else moebius.inverse(m)
 
 
+def disc_gaps(p: SchottkyParams) -> list[tuple[tuple[int, int], float]]:
+    """((u, v), |center_u - center_v| - r_u - r_v) for every pair of discs."""
+    letters = p.letters
+    centers = [disc_center(p, l) for l in letters]
+    radii = [disc_radius(p, l) for l in letters]
+    return [
+        ((u, v), abs(centers[i] - centers[j]) - radii[i] - radii[j])
+        for i, u in enumerate(letters)
+        for j, v in enumerate(letters[i + 1 :], i + 1)
+    ]
+
+
 def validate(p: SchottkyParams) -> list[dict]:
     """Report every violated pairwise disc-separation constraint.
 
     Returns a list of violation records {"letters": (u, v), "gap": float}
-    where gap = |center_u - center_v| - (r_u + r_v) <= 0. Empty iff the
-    surface is usable.
+    where gap <= 0 is the pair's disc_gaps entry. Empty iff the surface is
+    usable.
     """
-    violations = []
-    letters = p.letters
-    for i, u in enumerate(letters):
-        cu, ru = disc_center(p, u), disc_radius(p, u)
-        for v in letters[i + 1 :]:
-            cv, rv = disc_center(p, v), disc_radius(p, v)
-            gap = abs(cu - cv) - (ru + rv)
-            if gap <= 0.0:
-                violations.append({"letters": (u, v), "gap": gap})
-    return violations
+    return [{"letters": uv, "gap": gap} for uv, gap in disc_gaps(p) if gap <= 0.0]
 
 
 def require_valid(p: SchottkyParams) -> None:

@@ -115,6 +115,11 @@ WRONG_TYPES = [
     {"surface": {"handles": [{**STAR_HANDLES[0], "w_plus": True}, STAR_HANDLES[1]]}},
     {"surface": {"handles": [STAR_HANDLES[0], {**STAR_HANDLES[1], "w_minus": [6, False]}]}},
     {"surface": {**STAR_SURFACE, "genus": 2.7}},
+    # a top-level genus or handles belongs to the bare form: beside a
+    # surface object it would be ignored
+    {"genus": 2.7, "handles": []},
+    {"genus": 2},
+    {"handles": STAR_HANDLES},
 ]
 
 

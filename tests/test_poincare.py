@@ -9,6 +9,8 @@ import threading
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from schottkycalc import gem, moebius, poincare
 from schottkycalc.contour import CircleContour, circle_integral, handle_nodes
@@ -158,15 +160,13 @@ def test_bers_pole_guard(bers2):
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 @pytest.mark.parametrize("length", [2, 3])
 def test_bers_pole_guard_in_direct_shells(star, length):
-    """The direct kernel of every series guards its row targets through the
-    bounding-box prefilter (the weight-N y, the third kind's y, nu's g_a y0)
-    and a pole pair's shared point (the third kind's 0): with the pole at
-    g x, each series raises, and 1e-9 away it gives a finite value. The
-    three evaluators are checked in turn, at a word g of the shell. nu's
-    g_a y0 lies one disc deep, so its preimage under a word g of shell 2 or
-    3 lies deep enough that the rounding of x moves g x by 1e-11 to 1e-7
-    and no float x is within 1e-12 of the pole: its case takes a shell-1
-    word g_l, l != a, whose preimage rounds to within 3e-13."""
+    """The direct kernel of every series guards its row targets (the
+    weight-N y, the third kind's y, nu's g_a y0) and a pole pair's shared
+    point (the third kind's 0) in pulled-back form: with the pole at g x,
+    each series raises, and 1e-9 away it gives a finite value. The three
+    evaluators are checked in turn, at a word g of the shell, and nu also
+    at (-1, 2) or (-1, 2, 1), whose preimage of g_1 y0 a guard on g x formed
+    from the word's matrix let through (nu_1 read 1.2e15 and 1.0e16)."""
     cfg = SeriesConfig(max_len=4)
     bers = BersEvaluator(star, 2, config=cfg)
     third = ThirdKindEvaluator(star, config=cfg)
@@ -184,13 +184,15 @@ def test_bers_pole_guard_in_direct_shells(star, length):
     g = word(length, shells.shell_size(length) // 3)
     a, b, c, d = g
     y = (a * xs[2] + b) / (c * xs[2] + d)  # g x, formed as the direct kernel forms it
-    g_l = word(1, 2)  # the word g_2
-    assert shells.word(1, 2) == (2,)
+    letters = {2: (-1, 2), 3: (-1, 2, 1)}[length]
+    [i] = [i for i in range(shells.shell_size(length)) if shells.word(length, i) == letters]
+    found = word(length, i)
     cases = {
         "weight-N y": lambda eps: bers.value_grid(xs, [0.9, y + eps]),
         "third-kind y": lambda eps: third.value_grid(xs, [0.9, y + eps]),
         "third-kind 0": lambda eps: third.value_grid(on_preimage(g, 0j) + eps, [0.9]),
-        "nu g_1 y0": lambda eps: nu.values(on_preimage(g_l, nu.images[0]) + eps),
+        "nu g_1 y0": lambda eps: nu.values(on_preimage(g, nu.images[0]) + eps),
+        f"nu g_1 y0 at {letters}": lambda eps: nu.values(on_preimage(found, nu.images[0]) + eps),
     }
     for name, f in cases.items():
         try:
@@ -200,6 +202,55 @@ def test_bers_pole_guard_in_direct_shells(star, length):
         else:
             pytest.fail(f"{name}: no PoleProximityError")
         assert np.all(np.isfinite(f(1e-9))), name
+
+
+TIGHT = SchottkyParams([HandleParams(-1.5, -0.5, 0.04), HandleParams(0.5, 1.5, 0.04)])
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    tight=st.booleans(),
+    length=st.integers(0, 5),
+    targets=st.lists(st.complex_numbers(max_magnitude=8.0, **_finite), min_size=1, max_size=3),
+    at_poles=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.sampled_from([0.0, 1e-15, 1e-13, 1e-11]),
+            st.floats(0.0, 2 * np.pi),
+        ),
+        max_size=4,
+    ),
+    free=st.lists(st.complex_numbers(max_magnitude=8.0, **_finite), max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_pole_guard_raises_exactly_where_the_exact_test_flags(
+    star, tight, length, targets, at_poles, free
+):
+    """The pole guard's disc-centre prefilter drops no pair that matters: it
+    raises exactly when the exact test, |x - p_w| |a - cw| < 1e-12 |cx + d|
+    over every (point, word, guarded point), flags one, for the words of
+    shells 0-5 and points at random or at a pole plus 0 to 1e-11."""
+    p = TIGHT if tight else star
+    shells = build_shells(p, 5)
+    a, b, c, d = (m[length] for m in (shells.a, shells.b, shells.c, shells.d))
+    w = np.array(targets, dtype=np.complex128)
+    with np.errstate(all="ignore"):  # a target on some g(infinity)
+        lam, pole = poincare._pull_back(a, b, c, d, w[:, None])
+    assume(np.all(np.abs(pole) < 1e8))
+    x = np.array(
+        [pole.flat[i % pole.size] + eps * np.exp(1j * t) for i, eps, t in at_poles] + free,
+        dtype=np.complex128,
+    )
+    assume(len(x))
+    xk = x[:, None, None]
+    flagged = np.any(np.abs(xk - pole) * np.abs(lam) < 1e-12 * np.abs(c * xk + d))
+    discs = np.array([disc_center(p, l) for l in p.letters])
+    try:
+        poincare._pole_guard(x, c, d, lam, pole, w, discs)
+    except PoleProximityError:
+        assert flagged
+    else:
+        assert not flagged
 
 
 def _all_evaluators(p, config):
@@ -602,16 +653,17 @@ def test_nu_pole_guard_at_pulled_back_base_point(star, length):
         nu.values([poles[len(poles) // 3]])
 
 
-def _pole_pair_kernel(shells, pairs):
-    """The direct kernel of the terms g'(x)(1/(gx - u_r) - 1/(gx - v_r)),
-    built from the pole pairs (u_r, v_r) alone: the member all pairs share
-    is the kernel's shared point, the other one each row's target, and the
-    numerator is u_r - v_r."""
+def _pole_pair_kernel(series, pairs):
+    """The direct kernel of the terms g'(x)(1/(gx - u_r) - 1/(gx - v_r)) over
+    the series' shells, built from the pole pairs (u_r, v_r) alone: the
+    member all pairs share is the kernel's shared point, the other one each
+    row's target, and the numerator is u_r - v_r."""
     u, v = (np.array(p, dtype=np.complex128) for p in zip(*pairs))
     shared, targets = (u, v) if len(set(u)) == 1 else (v, u)
     assert len(set(shared)) == 1
-    kernel_shared = poincare._pulled_back(shells, complex(shared[0]))
-    return poincare._DirectKernel(poincare._Workspace(), targets, u - v, kernel_shared)
+    kernel_shared = poincare._pulled_back(series.shells, complex(shared[0]))
+    ws = poincare._Workspace()
+    return poincare._DirectKernel(ws, targets, u - v, kernel_shared, series._discs)
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
@@ -623,10 +675,10 @@ def test_shallow_series_are_the_chunk_kernel_sums(star, max_len):
     xs = _far_case_points(star)
     nu = NuFamily(star, config=cfg)
     pairs = [(nu.y0, complex(v)) for v in nu.images]
-    want, _ = _sum_shells(nu.shells, xs, _pole_pair_kernel(nu.shells, pairs), len(pairs))
+    want, _ = _sum_shells(nu.shells, xs, _pole_pair_kernel(nu, pairs), len(pairs))
     assert np.array_equal(nu.values(xs), want)
     pairs = [(complex(y), 0j) for y in THIRD_KIND_YS]
-    want, _ = _sum_shells(nu.shells, xs, _pole_pair_kernel(nu.shells, pairs), len(pairs))
+    want, _ = _sum_shells(nu.shells, xs, _pole_pair_kernel(nu, pairs), len(pairs))
     assert np.array_equal(ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS), want)
 
 
