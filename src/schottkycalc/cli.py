@@ -23,8 +23,8 @@ certify one period matrix at the config's "normalization" and "symmetry"
 tolerances. Reports are JSON with sorted keys; every residual is
 paired with the tolerance it was judged against, and wall_time fields are
 the only run-to-run variation.
-Exit codes: 0 all requested work passed, 1 a suite or computation failed,
-2 the configuration was unusable.
+Exit codes: 0 all requested work passed, 1 a suite or computation failed
+(or validate found overlapping discs), 2 the configuration was unusable.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .schottky import (
     _c_from_json,
     _is_number,
     CapacityError,
+    InvalidSurfaceError,
     ReductionError,
     SchottkyParams,
     build_shells,
@@ -164,7 +165,8 @@ class RunContext:
     The nu family and the period matrix share the base point y0, the first
     default probe point; the period matrix is certified at the config's
     "normalization" and "symmetry" tolerances. A failed build is not
-    retried: asking again re-raises its error.
+    retried: asking again re-raises its error. Its evaluators share one word
+    tree with every other live evaluator of the surface and depth (poincare).
     """
 
     def __init__(self, rc: RunConfig):
@@ -207,10 +209,8 @@ class RunContext:
             "period_matrix",
             period_matrix,
             rc.surface,
-            config=rc.series(),
             normalization_tol=rc.tol("normalization"),
             symmetry_tol=rc.tol("symmetry"),
-            y0=self.y0,
             nu=self.nu(),
         )
 
@@ -276,7 +276,7 @@ def load_config(
     workers: int | None = None,
     seed: int | None = None,
 ) -> RunConfig:
-    """Read a config file, applying any command-line overrides."""
+    """Read a config file, applying any command-line overrides (main checks the disc gaps)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -298,7 +298,6 @@ def load_config(
         raise ConfigError(f"top-level {beside} beside a 'surface' object")
     try:
         surface = surface_from_dict(surface_raw)
-        require_valid(surface)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad surface: {exc}") from exc
 
@@ -638,7 +637,7 @@ def cmd_validate(rc: RunConfig, args) -> int:
         "surface": surface_to_dict(p),
     }
     emit(payload, args.json)
-    return 0 if not violations else 2
+    return 0 if not violations else 1
 
 
 def cmd_enumerate(rc: RunConfig, args) -> int:
@@ -887,6 +886,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         rc = load_config(
             args.config, max_len=args.max_len, workers=args.workers, seed=args.seed
         )
+        if args.command != "validate":  # validate reports overlapping discs itself
+            try:
+                require_valid(rc.surface)
+            except InvalidSurfaceError as exc:
+                raise ConfigError(f"bad surface: {exc}") from exc
         return _COMMANDS[args.command](rc, args)
     except (ConfigError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +205,22 @@ class _Workspace:
 # ---------------------------------------------------------------------------
 # limit points and the shared points' pulled-back poles
 
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _live(key, build):
+    """The word tree (key (p, max_len, cap)) or limit-point factors (key
+    (p, max_len, cap, N)) for key while any evaluator holds them, else
+    build()'s, made read-only so no evaluator's write changes another's sums."""
+    value = _LIVE.get(key)
+    if value is None:
+        value = _LIVE[key] = build()
+        for field in vars(value).values():
+            for array in field if isinstance(field, list) else [field]:
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+    return value
+
 
 @functools.lru_cache(maxsize=16)
 def _limit_words(p: SchottkyParams, n: int) -> tuple[tuple, tuple]:
@@ -273,14 +290,16 @@ class _Shared:
     guard: np.ndarray
 
 
-def _limit_factors(shells: WordShells, A: np.ndarray, words) -> _Shared:
-    """The A_j's factors and poles, carried down the parent links with no
-    deep word's matrix entry: for g = P s, a - c u = (a_P - c_P u)(a_s - c_s p)
+def _limit_factors(shells: WordShells, p: SchottkyParams, n: int) -> _Shared:
+    """The first n limit points A_j (limit_points) with their factors and
+    poles, carried down the parent links with no deep word's matrix entry:
+    for g = P s, a - c u = (a_P - c_P u)(a_s - c_s p)
     and g^-1 u = s^-1 p, p = P^-1 u. A_j repels under W_j^-1, W_j the word
     the scan found it with, so along W_j^k the carried pole would drift off
     A_j (and a - c A_j from g's entries cancels): each W_j^k is snapped to
     pole A_j and factor lambda_j^k, lambda_j = 1/(c A_j + d) from W_j's
     entries. The W_j^k are reduced words only when W_j is cyclically reduced."""
+    A, words = limit_points(p, n), _limit_words(p, n)[1]
     if any(w[0] == -w[-1] for w in words):
         raise ValueError(f"limit-point words {words} are not cyclically reduced")
     mats = (shells.a, shells.b, shells.c, shells.d)
@@ -384,6 +403,10 @@ class _ShellSeries:
     them to the deep shells (new per call, or NuFamily's). Shells 0..3 are
     summed by _DirectKernel, the deeper ones by the far field, both from
     those rows and self._shared, with their scratch in self._ws.
+
+    Evaluators of one surface, max_len and cap share one read-only word
+    tree, and weight-N ones of one N its limit-point factors, while any of
+    them lives (_live); once none does, the next one builds them anew.
     """
 
     _depth = 3  # deep words are grouped by their last _depth letters
@@ -391,7 +414,8 @@ class _ShellSeries:
     def __init__(self, p: SchottkyParams, config: SeriesConfig = SeriesConfig()):
         self.params = p
         self.config = config
-        self.shells = build_shells(p, config.max_len, cap=config.cap)
+        key = (p, config.max_len, config.cap)
+        self.shells = _live(key, lambda: build_shells(p, config.max_len, cap=config.cap))
         self._last_shell_mags: list[float] = []
         self._plans: dict[int, _GroupPlan] = {}
         self._ws = _Workspace()
@@ -446,9 +470,10 @@ class BersEvaluator(_ShellSeries):
         if N < 2:
             raise ValueError("weight parameter N must be >= 2")
         self.N = N
-        self.points = limit_points(p, 2 * N - 1)
         super().__init__(p, config)
-        self._shared = _limit_factors(self.shells, self.points, _limit_words(p, 2 * N - 1)[1])
+        key = (p, config.max_len, config.cap, N)
+        self._shared = _live(key, lambda: _limit_factors(self.shells, p, 2 * N - 1))
+        self.points = self._shared.points
 
     def value(self, x: complex, y: complex) -> complex:
         return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])

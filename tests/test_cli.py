@@ -9,12 +9,13 @@ import shlex
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from schottkycalc import cli, gem, variation
+from schottkycalc import cli, gem, poincare, variation
 from schottkycalc.cli import (
     ConfigError,
     RunConfig,
@@ -174,6 +175,24 @@ def test_load_config_rejects_bad_surface(tmp_path):
 def test_every_shipped_config_loads_and_validates(path):
     load_config(str(path))
     assert main(["validate", "--config", str(path)]) == 0
+
+
+def test_validate_reports_overlapping_discs(tmp_path, capsys):
+    # letters 1 and 2 overlap across handles; every other command refuses
+    surface = {"handles": [{"w_plus": -1.0, "w_minus": -3.0, "rho": 0.5},
+                           {"w_plus": -0.5, "w_minus": 3.0, "rho": 0.5}]}
+    cfg = write_config(tmp_path, surface=surface)
+    assert main(["validate", "--config", cfg]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False and [v["letters"] for v in out["violations"]] == [[1, 2]]
+    assert out["min_gap"] == pytest.approx(0.5 - 2 * 0.5**0.5)
+    for command in (["enumerate"], ["basis"], ["report", "--all"]):
+        assert main([*command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad surface")
+    # a handle whose own circles overlap cannot be read at all
+    own = {"handles": [{"w_plus": 0.0, "w_minus": 0.1, "rho": 1.0}]}
+    assert main(["validate", "--config", write_config(tmp_path, surface=own)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad surface")
 
 
 def test_load_config_rejects_garbage(tmp_path):
@@ -501,14 +520,24 @@ def _counting(monkeypatch, module, name, record):
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
-    kernels, matrices = [], []
+    kernels, matrices, depths, factors = [], [], [], []
     _counting(monkeypatch, cli, "canonical_gem", kernels)
     for module in (cli, variation):
         _counting(monkeypatch, module, "period_matrix", matrices)
+    # spies that keep no tree alive, over a registry no other test fills
+    monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
+    build, carry = poincare.build_shells, poincare._limit_factors
+    monkeypatch.setattr(
+        poincare, "build_shells", lambda p, n, **kw: depths.append(n) or build(p, n, **kw)
+    )
+    monkeypatch.setattr(poincare, "_limit_factors", lambda *a: factors.append(a[2]) or carry(*a))
     cfg = write_config(tmp_path, max_len=5)
     out_path = tmp_path / "report.json"
     assert main(["report", "--config", cfg, "--all", "--json", str(out_path)]) == 0
     assert len(kernels) == 1
+    # one word tree at the config's depth and one set of weight-2 limit-point
+    # factors, shared by every evaluator the suites build
+    assert depths.count(5) == 1 and factors == [3]
     # one certified base, shared by the rauch suite (which differentiates
     # it exactly) and the report's period_matrix entry
     assert len(matrices) == 1

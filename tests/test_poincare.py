@@ -1,10 +1,12 @@
 import functools
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -588,6 +590,53 @@ def test_deep_shell_plans_are_built_once_per_evaluator(star, monkeypatch):
     nu.values(xs[:3])
     assert built == [poincare._GroupPlan, poincare._PoleGroups] * deep
     assert np.array_equal(nu.values(xs), first)
+
+
+def test_evaluators_share_one_read_only_tree_while_any_lives(star, monkeypatch):
+    """Evaluators of one surface, max_len and cap share one word tree, and
+    weight-N ones of one N its limit-point factors, only while one of them
+    lives; both are read-only, and sharing them changes no bit."""
+    monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
+    cfg = SeriesConfig(max_len=5)
+    xs = _probe_xs(7)
+    makers = {
+        "bers": lambda: BersEvaluator(star, 2, config=cfg),
+        "nu": lambda: NuFamily(star, config=cfg),
+        "third_kind": lambda: ThirdKindEvaluator(star, config=cfg),
+    }
+
+    def values(ev):
+        return ev.values(xs) if isinstance(ev, NuFamily) else ev.value_grid(xs, THIRD_KIND_YS)
+
+    alone = {}
+    for name, make in makers.items():
+        ev = make()
+        alone[name] = values(ev)
+        refs = [weakref.ref(ev.shells), weakref.ref(ev._shared)]
+        del ev
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None] and not poincare._LIVE, name
+
+    twins = {name: make() for name, make in makers.items()}
+    bers = twins["bers"]
+    for name, make in makers.items():
+        ev = make()
+        assert ev.shells is bers.shells, name
+        assert np.array_equal(values(ev), alone[name]), name
+    assert BersEvaluator(star, 2, config=cfg)._shared is bers._shared
+    assert BersEvaluator(star, 3, config=cfg)._shared is not bers._shared
+    for other in (SeriesConfig(max_len=4), SeriesConfig(max_len=5, cap=10**6)):
+        assert NuFamily(star, config=other).shells is not bers.shells
+
+    with pytest.raises(ValueError, match="read-only"):
+        bers.shells.a[3][0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        bers._shared.lam[3][0, 0] = 0.0
+
+    refs = [weakref.ref(bers.shells), weakref.ref(bers._shared)]
+    del twins, bers, ev
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None] and not poincare._LIVE
 
 
 def test_far_field_bits_do_not_depend_on_blas_threads(tmp_path):
