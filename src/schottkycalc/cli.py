@@ -124,7 +124,7 @@ class RunConfig:
     J: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name, least in (("N", 2), ("max_len", 1), ("nodes", 8)):
+        for name, least in (("N", 2), ("max_len", 1), ("nodes", 8), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (self.h > 0):

@@ -1,9 +1,9 @@
 """Poincare-series evaluation over Schottky groups.
 
 Series are summed shell-by-shell over reduced words of bounded length, in
-the calling thread, with vectorized matrix action, in-order Kahan
-combination of the shells and a truncation warning when the last shell is
-still above the configured tolerance.
+the calling thread, by one loop (_ShellSeries._sum) with vectorized matrix
+action, in-order Kahan combination of the shells and a truncation warning
+when the last shell is still above the configured tolerance.
 
 One engine sums three terms:
   * the weight-N two-point series with 2N-1 limit-point correction factors,
@@ -39,10 +39,11 @@ one test per group and point) adds a truncated Laurent expansion in
 one product per point, whose dropped tail is bounded a priori for any m.
 A near group, and each of the (2N - 1)(2g - 1) weight-N words per shell
 whose A_j pole leaves its group's disc, is summed term by term, pulled
-back. A shell's groups and centres are planned once per evaluator
-(_GroupPlan); the rows' targets, radii and moments are bound per call
-(_PoleGroups), once for nu, whose rows never change. Every term-by-term
-sum, direct or near, runs behind one pulled-back pole guard (_pole_guard).
+back. A shell's groups and centres are planned once per live set of
+shared points (_GroupPlan, in _Shared.plans); the rows' targets, radii and
+moments are bound to it (_PoleGroups) and kept while the targets stay, so
+nu, whose rows never change, binds them once. Every term-by-term sum,
+direct or near, runs behind one pulled-back pole guard (_pole_guard).
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ import functools
 import math
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,71 +125,10 @@ class SeriesConfig:
             raise ValueError("stop_tol must be positive when set")
 
 
-def _add_direct_sums(out: np.ndarray, kernel, a, b, c, d, x: np.ndarray) -> None:
-    """Add kernel's sums over the words (a, b, c, d) at the points x to out,
-    in tiles of points: each point's terms sum along its own row of the
-    (points, words) work arrays, so the tile size changes speed and memory,
-    never values, and a point's sums do not depend on the other points.
-    A tile is half the budget: the kernel keeps five such arrays per
-    evaluator."""
-    step = max(1, _TILE_ELEMENTS // (2 * len(a)))
-    for lo in range(0, len(x), step):
-        out[:, lo : lo + step] += kernel(a, b, c, d, x[lo : lo + step])
-
-
-def _sum_shells(
-    shells: WordShells,
-    xs: np.ndarray,
-    kernel,
-    t: int,
-    stop_tol: float | None = None,
-    far=None,
-):
-    """Accumulate kernel over word shells in a fixed order.
-
-    kernel(a, b, c, d, x) -> (t, len(x)) partial sums for those words at
-    the points x. Each shell's words are summed by _add_direct_sums, so a
-    point's direct sums do not depend on the other points in its batch;
-    then shells combine sequentially (Kahan). With stop_tol set, the loop
-    exits once two consecutive shells each contribute less than stop_tol.
-    far, when given (a callable (length, xs) -> shell total of the same
-    term), supplies the shells from _DIRECT_SHELLS on instead of kernel.
-    """
-    m = len(xs)
-    totals = np.zeros((t, m), dtype=np.complex128)
-    comp = np.zeros_like(totals)
-    shell_mags: list[float] = []
-
-    for length in range(shells.max_len + 1):
-        if far is not None and length >= _DIRECT_SHELLS:
-            shell_total = far(length, xs)
-        else:
-            shell_total = np.zeros((t, m), dtype=np.complex128)
-            words = (shells.a[length], shells.b[length], shells.c[length], shells.d[length])
-            _add_direct_sums(shell_total, kernel, *words, xs)
-        if not np.all(np.isfinite(shell_total)):
-            raise EvaluationError(
-                "non-finite series terms (evaluation point at a pole of a group element?)"
-            )
-        # Kahan step keeps deep-shell tails from drowning in rounding
-        y = shell_total - comp
-        s = totals + y
-        comp = (s - totals) - y
-        totals = s
-        shell_mags.append(float(np.max(np.abs(shell_total), initial=0.0)))
-        if (
-            stop_tol is not None
-            and length >= 2
-            and shell_mags[-1] < stop_tol
-            and shell_mags[-2] < stop_tol
-        ):
-            break
-    return totals, shell_mags
-
-
 class _Workspace:
-    """Scratch for the series kernels, owned by the evaluator and grown on
-    demand: the direct kernel's (points, words) arrays and the far field's
+    """Scratch for the series kernels, owned by one evaluator (unlike the
+    tree, the shared points and the plans, which _live shares) and grown on
+    demand: the direct kernel's (points, words) tiles and the far field's
     powers."""
 
     def __init__(self):
@@ -209,9 +149,12 @@ _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _live(key, build):
-    """The word tree (key (p, max_len, cap)) or limit-point factors (key
-    (p, max_len, cap, N)) for key while any evaluator holds them, else
-    build()'s, made read-only so no evaluator's write changes another's sums."""
+    """The word tree (key (p, max_len, cap)) or shared points (key
+    (p, max_len, cap, "N", N) for the limit points of weight N, or
+    (p, max_len, cap, "u", u) for a pole pair's shared member u; the tag
+    keeps N = 3 and u = 3 + 0j apart, which compare and hash alike) for key
+    while any evaluator holds them, else build()'s, its arrays made
+    read-only so no evaluator's write changes another's sums."""
     value = _LIVE.get(key)
     if value is None:
         value = _LIVE[key] = build()
@@ -282,12 +225,15 @@ class _Shared:
     """Points u_k that every row of a series shares, with lam[L][k] = a - c u_k
     and pole[L][k] = g^-1 u_k over the words of shell L; guard, the points
     _pole_guard covers after the rows' targets: all u_k if they may be orbit
-    points of x (a pole pair's shared member), none if limit points."""
+    points of x (a pole pair's shared member), none if limit points; plans,
+    each deep shell's _GroupPlan, built on first use by any evaluator that
+    holds these points (_live) and kept while one does."""
 
     points: np.ndarray
     lam: list[np.ndarray]
     pole: list[np.ndarray]
     guard: np.ndarray
+    plans: dict = field(default_factory=dict)
 
 
 def _limit_factors(shells: WordShells, p: SchottkyParams, n: int) -> _Shared:
@@ -347,8 +293,8 @@ def _pole_guard(x, c, d, lam, pole, points, discs) -> None:
 
 
 class _DirectKernel:
-    """One series' term summed over the words (a b; c d) of shells 0..3 at
-    the points x, as kernel(a, b, c, d, x) -> (t, len(x)): numerator_r
+    """One series' term summed over the words (a b; c d) of a shell 0..3 at
+    a tile of points x, as kernel(a, b, c, d, x) -> (t, len(x)): numerator_r
     (cx + d)^-2N / ((gx - t_r) prod_k (gx - s_k)) over the 2N - 1 shared
     points s_k, i.e. the weight-N term, or (N = 1) a pole pair's
     g'(x)(1/(gx - u) - 1/(gx - v)) with row target v, numerator u - v and
@@ -395,53 +341,76 @@ class _DirectKernel:
 
 
 class _ShellSeries:
-    """State and summation step shared by the series evaluators.
+    """State and shell loop shared by the series evaluators.
 
     Each evaluator is one term summed over the same word shells; a subclass
-    sets the points every row shares (self._shared) at construction and
-    passes _sum its rows' targets and numerators, with the dict that binds
-    them to the deep shells (new per call, or NuFamily's). Shells 0..3 are
-    summed by _DirectKernel, the deeper ones by the far field, both from
-    those rows and self._shared, with their scratch in self._ws.
+    names the points every row shares by their _live tag and build(shells),
+    and passes _sum its rows' targets and numerators. The rows stay bound,
+    to the evaluator's own copies of both, while successive calls bring
+    equal targets, and are bound anew when the targets change.
 
     Evaluators of one surface, max_len and cap share one read-only word
-    tree, and weight-N ones of one N its limit-point factors, while any of
-    them lives (_live); once none does, the next one builds them anew.
+    tree, and those of one tag its shared points and the deep shells'
+    plans, while any of them lives (_live); once none does, the next one
+    builds them anew.
     """
 
     _depth = 3  # deep words are grouped by their last _depth letters
 
-    def __init__(self, p: SchottkyParams, config: SeriesConfig = SeriesConfig()):
+    def __init__(self, p: SchottkyParams, config: SeriesConfig, tag: tuple, build):
         self.params = p
         self.config = config
         key = (p, config.max_len, config.cap)
         self.shells = _live(key, lambda: build_shells(p, config.max_len, cap=config.cap))
+        self._shared = _live(key + tag, lambda: build(self.shells))
         self._last_shell_mags: list[float] = []
-        self._plans: dict[int, _GroupPlan] = {}
+        self._targets = None  # the bound rows' targets
         self._ws = _Workspace()
         self._discs = np.array([disc_center(p, l) for l in p.letters])
 
-    def _far_total(self, targets, numerator, rows: dict, length: int, xs) -> np.ndarray:
-        """Deep shell `length`'s total at xs: its plan bound to the rows."""
-        if length not in self._plans:
-            self._plans[length] = _GroupPlan(self, length)
-        if length not in rows:
-            rows[length] = _PoleGroups(self._plans[length], targets, numerator)
-        return rows[length].total(xs, self._ws)
-
-    def _sum(self, xs, label: str, targets, numerator, rows: dict) -> np.ndarray:
-        """Sum the term over the shells, the direct ones with _DirectKernel
-        and the deep ones as _far_total, keep the shell magnitudes, and warn
-        (at the caller of the public method) if the last shell is above
-        shell_tol. The callables passed on are made per call, so nothing
-        ties the evaluator to itself."""
-        kernel = _DirectKernel(self._ws, targets, numerator, self._shared, self._discs)
-        far = functools.partial(self._far_total, targets[:, None], numerator[:, None], rows)
-        totals, mags = _sum_shells(
-            self.shells, xs, kernel, len(numerator), stop_tol=self.config.stop_tol, far=far
-        )
+    def _sum(self, xs, label: str, targets, numerator) -> np.ndarray:
+        """Sum the term over the shells in order (Kahan), stop once two
+        consecutive shells are below stop_tol, keep the shell magnitudes,
+        and warn (at the caller of the public method) if the last shell is
+        above shell_tol. Shells 0..3 go to _DirectKernel in tiles of points
+        of half the budget (it keeps five such arrays): a point's terms sum
+        along its own row, so tiles change speed and memory, never values.
+        Each deeper shell is its plan bound to the rows (_PoleGroups)."""
+        if not np.array_equal(targets, self._targets):
+            self._targets, self._numerator = np.array(targets), np.array(numerator)
+            self._rows: dict[int, _PoleGroups] = {}
+        kernel = _DirectKernel(self._ws, self._targets, self._numerator, self._shared, self._discs)
+        shells, plans, m = self.shells, self._shared.plans, len(xs)
+        totals = np.zeros((len(self._targets), m), dtype=np.complex128)
+        comp = np.zeros_like(totals)
+        mags: list[float] = []
+        stop, tol = self.config.stop_tol, self.config.shell_tol
+        for length in range(shells.max_len + 1):
+            if length < _DIRECT_SHELLS:
+                words = [w[length] for w in (shells.a, shells.b, shells.c, shells.d)]
+                step = max(1, _TILE_ELEMENTS // (2 * len(words[0])))
+                shell_total = np.zeros_like(totals)
+                for lo in range(0, m, step):
+                    shell_total[:, lo : lo + step] += kernel(*words, xs[lo : lo + step])
+            else:
+                if length not in plans:
+                    plans[length] = _GroupPlan(self, length)
+                if length not in self._rows:
+                    self._rows[length] = _PoleGroups(plans[length], self._targets, self._numerator)
+                shell_total = self._rows[length].total(xs, self._ws)
+            if not np.all(np.isfinite(shell_total)):
+                raise EvaluationError(
+                    "non-finite series terms (evaluation point at a pole of a group element?)"
+                )
+            # Kahan step keeps deep-shell tails from drowning in rounding
+            y = shell_total - comp
+            s = totals + y
+            comp = (s - totals) - y
+            totals = s
+            mags.append(float(np.max(np.abs(shell_total), initial=0.0)))
+            if stop is not None and length >= 2 and mags[-1] < stop and mags[-2] < stop:
+                break
         self._last_shell_mags = mags
-        tol = self.config.shell_tol
         if len(mags) >= 2 and mags[-1] > tol:
             warnings.warn(
                 f"{label}: last shell still contributes {mags[-1]:.3e} "
@@ -470,9 +439,7 @@ class BersEvaluator(_ShellSeries):
         if N < 2:
             raise ValueError("weight parameter N must be >= 2")
         self.N = N
-        super().__init__(p, config)
-        key = (p, config.max_len, config.cap, N)
-        self._shared = _live(key, lambda: _limit_factors(self.shells, p, 2 * N - 1))
+        super().__init__(p, config, ("N", N), lambda shells: _limit_factors(shells, p, 2 * N - 1))
         self.points = self._shared.points
 
     def value(self, x: complex, y: complex) -> complex:
@@ -487,7 +454,7 @@ class BersEvaluator(_ShellSeries):
         live = y_weights != 0
         ys, y_weights = ys[live], y_weights[live]
         out = np.zeros((len(live), len(xs)), dtype=np.complex128)
-        out[live] = self._sum(xs, f"weight-{self.N} series", ys, y_weights, {})
+        out[live] = self._sum(xs, f"weight-{self.N} series", ys, y_weights)
         return out
 
 
@@ -495,8 +462,7 @@ class ThirdKindEvaluator(_ShellSeries):
     """Differential with simple poles at y (residue +1) and 0 (residue -1)."""
 
     def __init__(self, p: SchottkyParams, config: SeriesConfig = SeriesConfig()):
-        super().__init__(p, config)
-        self._shared = _pulled_back(self.shells, 0j)
+        super().__init__(p, config, ("u", 0j), lambda shells: _pulled_back(shells, 0j))
 
     def value(self, x: complex, y: complex) -> complex:
         return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])
@@ -505,13 +471,13 @@ class ThirdKindEvaluator(_ShellSeries):
         """Shape (len(ys), len(xs)); pole pair (y_i, 0) per row."""
         xs = np.asarray(xs, dtype=np.complex128)
         ys = np.asarray(ys, dtype=np.complex128)
-        return self._sum(xs, "third-kind series", ys, ys - 0j, {})
+        return self._sum(xs, "third-kind series", ys, ys - 0j)
 
 
 # ---------------------------------------------------------------------------
 # deep shells as grouped multipole expansions
 
-_DIRECT_SHELLS = 4  # shells 0..3 are summed by _DirectKernel (_add_direct_sums)
+_DIRECT_SHELLS = 4  # shells 0..3 are summed by _DirectKernel, in _ShellSeries._sum
 _FAR_RATIO = 0.5  # a group is far from x when its radius is below _FAR_RATIO |x - c|
 _TAIL_TOL = 1e-17  # dropped expansion tail, relative to sum |weight| / |x - c|^m
 
@@ -539,7 +505,8 @@ def _suffixes(shells: WordShells, length: int, depth: int) -> tuple[np.ndarray, 
 
 
 class _GroupPlan:
-    """A deep shell's words in groups, as every call of its series uses them.
+    """A deep shell's words in groups, as every series that shares its points
+    uses them (kept in _Shared.plans; it holds no reference back to them).
 
     A word's term is weight / prod_k (x - p_k), p_k = g^-1 u_k, weight =
     numerator / prod_k (a - c u_k): u_0 a row's target, pulled back from the
@@ -559,7 +526,7 @@ class _GroupPlan:
     def __init__(self, series: _ShellSeries, length: int):
         p, shells, depth, shared = series.params, series.shells, series._depth, series._shared
         key, ancestor = _suffixes(shells, length, depth)
-        self.shared, self.m = shared, 1 + len(shared.points)
+        self.guard, self.m = shared.guard, 1 + len(shared.points)
         back = length - depth + 1
         code = _letter_code(shells.last_letter[back][ancestor])
         self.discs = series._discs
@@ -578,6 +545,9 @@ class _GroupPlan:
         self.lam, self.pole = (s[length][:, None, order] for s in (shared.lam, shared.pole))
         poles = functools.reduce(np.add, self.pole[:, :, : len(kept)])
         self.centre = np.add.reduceat(poles, self.starts, axis=1)[0] / (len(shared.points) * sizes)
+        for array in [*self.abcd, *vars(self).values()]:  # shared, so read-only as in _live
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
 
 class _PoleGroups:
@@ -602,7 +572,7 @@ class _PoleGroups:
     """
 
     def __init__(self, plan: _GroupPlan, targets: np.ndarray, numerator: np.ndarray):
-        self.plan, self.targets, self.numerator = plan, targets, numerator
+        self.plan, self.targets, self.numerator = plan, targets[:, None], numerator[:, None]
         # words per (t, words) work array: a quarter tile
         self._batch = max(1, _TILE_ELEMENTS // (4 * max(1, len(numerator))))
         self.radius = np.zeros(len(plan.starts))
@@ -712,7 +682,7 @@ class _PoleGroups:
         each row in turn, whose terms at a point sum as one contiguous run."""
         _, _, c, d = (m[sl] for m in self.plan.abcd)
         lams, poles, weight = self._terms(sl)
-        guarded = np.concatenate([self.targets[:, 0], self.plan.shared.guard])
+        guarded = np.concatenate([self.targets[:, 0], self.plan.guard])
         lam, pole = (np.concatenate(f)[: len(guarded)] for f in (lams, poles))
         out = np.empty((len(weight), len(x)), dtype=np.complex128)
         step = max(1, _TILE_ELEMENTS // weight.shape[1])
@@ -742,14 +712,13 @@ class NuFamily(_ShellSeries):
     ):
         if not in_domain(p, y0):
             raise ValueError(f"base point {y0!r} must lie in the fundamental domain")
-        super().__init__(p, config)
         self.y0 = complex(y0)
         self.images = [
             moebius.apply(generator(p, a), self.y0) for a in range(1, p.genus + 1)
         ]
         if any(isinstance(t, Infinity) for t in self.images):
             raise ValueError("base point maps to infinity under a generator")
-        self._shared, self._rows = _pulled_back(self.shells, self.y0), {}
+        super().__init__(p, config, ("u", self.y0), lambda shells: _pulled_back(shells, self.y0))
 
     def value(self, a: int, x: complex) -> complex:
         return complex(self.values(np.array([x]))[a - 1, 0])
@@ -758,7 +727,7 @@ class NuFamily(_ShellSeries):
         """All nu_a at once, shape (g, len(xs)); one orbit pass."""
         xs = np.asarray(xs, dtype=np.complex128)
         images = np.array(self.images, complex)
-        return self._sum(xs, "nu series", images, self.y0 - images, self._rows)
+        return self._sum(xs, "nu series", images, self.y0 - images)
 
 
 # ---------------------------------------------------------------------------

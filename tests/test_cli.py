@@ -130,6 +130,7 @@ WRONG_TYPES = [
         {"N": 1},
         {"max_len": 0},
         {"nodes": 2},
+        {"seed": -1},  # numpy's generator would refuse it only once a suite runs
         {"h": -1.0},
         {"shell_tol": 0.0},
         {"stop_tol": -1e-11},
@@ -222,6 +223,14 @@ def test_main_exit_codes(tmp_path, capsys):
     # too-shallow truncation: the canonical pipeline reports a failure
     assert main(["check", "--config", cfg, "--suite", "rauch", "--max-len", "1"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["check", "--suite", "cocycle", "--config", cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert main(["check", "--suite", "cocycle", "--config", write_config(tmp_path, seed=-1)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be >= 0")
 
 
 def test_word_cap_is_a_config_error(capsys):
@@ -520,8 +529,9 @@ def _counting(monkeypatch, module, name, record):
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
-    kernels, matrices, depths, factors = [], [], [], []
+    kernels, matrices, depths, factors, plans = [], [], [], [], []
     _counting(monkeypatch, cli, "canonical_gem", kernels)
+    _counting(monkeypatch, poincare._GroupPlan, "__init__", plans)
     for module in (cli, variation):
         _counting(monkeypatch, module, "period_matrix", matrices)
     # spies that keep no tree alive, over a registry no other test fills
@@ -538,6 +548,10 @@ def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
     # one word tree at the config's depth and one set of weight-2 limit-point
     # factors, shared by every evaluator the suites build
     assert depths.count(5) == 1 and factors == [3]
+    # deep shells 4 and 5 planned once for each set of shared points: the
+    # weight-2 limit points, y0 = 0 (nu and the third kind) and the second
+    # nu's base point
+    assert len(plans) == 3 * 2
     # one certified base, shared by the rauch suite (which differentiates
     # it exactly) and the report's period_matrix entry
     assert len(matrices) == 1

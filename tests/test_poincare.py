@@ -26,7 +26,6 @@ from schottkycalc.poincare import (
     TruncationWarning,
     default_probe_points,
     limit_points,
-    _sum_shells,
     shell_report,
 )
 from schottkycalc.schottky import (
@@ -299,28 +298,33 @@ def test_column_tiles_do_not_change_bits(star, monkeypatch, m):
         assert np.array_equal(f(xs), whole[name]), name
 
 
-def test_failing_chunk_stops_the_sum(star):
-    shells = build_shells(star, 6)
-    xs = np.zeros(4096, dtype=np.complex128)  # the last shell's 972 words in 512 tiles
+def test_failing_chunk_stops_the_sum(star, monkeypatch):
+    series = ThirdKindEvaluator(star, config=SeriesConfig(max_len=3))
+    last = series.shells.a[series.shells.max_len]
+    # the last direct shell's 36 words in 512 tiles of 8 points
+    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 2 * 8 * len(last))
+    xs = np.zeros(4096, dtype=np.complex128)
     in_last = []
 
-    def dry_run(a, b, c, d, x):
-        in_last.append(np.shares_memory(a, shells.a[shells.max_len]))
+    def dry_run(kernel, a, b, c, d, x):
+        in_last.append(np.shares_memory(a, last))
         return np.zeros((1, len(x)), dtype=np.complex128)
 
-    _sum_shells(shells, xs, dry_run, 1)
+    monkeypatch.setattr(poincare._DirectKernel, "__call__", dry_run)
+    series.value_grid(xs, THIRD_KIND_YS[:1])
     tasks = len(in_last)
     fail_at = in_last.index(True) + 2  # inside the last shell, many tiles still to go
     assert tasks - fail_at > 100
     calls = itertools.count()
 
-    def chunk_fn(a, b, c, d, x):
+    def chunk_fn(kernel, a, b, c, d, x):
         if next(calls) == fail_at:
             raise EvaluationError("chunk failed")
         return np.zeros((1, len(x)), dtype=np.complex128)
 
+    monkeypatch.setattr(poincare._DirectKernel, "__call__", chunk_fn)
     with pytest.raises(EvaluationError):
-        _sum_shells(shells, xs, chunk_fn, 1)
+        series.value_grid(xs, THIRD_KIND_YS[:1])
     assert next(calls) == fail_at + 1  # no tile after the failing one was called
 
 
@@ -525,19 +529,13 @@ def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
         assert np.all(np.abs(far[kind] - near) <= 1e-14 * np.abs(near)), kind
 
 
-def _spy_far_fields(monkeypatch) -> dict:
-    """(pole groups, shell total) of each deep shell, by length, filled as
-    the series run."""
-    seen = {}
-    far_total = poincare._ShellSeries._far_total
-
-    def spy(series, targets, numerator, rows, length, xs):
-        total = far_total(series, targets, numerator, rows, length, xs)
-        seen[length] = rows[length], total
-        return total
-
-    monkeypatch.setattr(poincare._ShellSeries, "_far_total", spy)
-    return seen
+def _spy_far_totals(monkeypatch) -> list:
+    """Each deep shell's total, appended as the series sum them."""
+    totals, total = [], poincare._PoleGroups.total
+    monkeypatch.setattr(
+        poincare._PoleGroups, "total", lambda *a: totals.append(total(*a)) or totals[-1]
+    )
+    return totals
 
 
 def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
@@ -546,12 +544,11 @@ def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
     expansion order K fixed (the one thing a batch's points share) a prefix
     or a shifted slice of a batch gives the batch's bits, where one
     whole-block product would not."""
-    seen = _spy_far_fields(monkeypatch)
     xs = _probe_xs(130)
     ys = 0.99 * np.exp(2j * np.pi * np.arange(20) / 20)  # as many rows as a spanning table
     bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=5))
     bers.value_grid(xs, ys)
-    groups = seen[5][0]
+    groups = bers._rows[5]
     order, K = poincare._expansion_order, []
     monkeypatch.setattr(poincare, "_expansion_order", lambda *a: K.append(order(*a)) or K[0])
     whole = groups.total(xs, bers._ws)
@@ -562,16 +559,24 @@ def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
         assert np.array_equal(part, whole[:, lo:hi]), (lo, hi)
 
 
-@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
-def test_deep_shell_plans_are_built_once_per_evaluator(star, monkeypatch):
-    """Each deep shell's plan is built once per evaluator and only its rows
-    are bound on each call, to the bits of a fresh evaluator; NuFamily,
-    whose rows never change, binds them once."""
+def _spy_builds(monkeypatch) -> list:
+    """The class of each _GroupPlan and _PoleGroups built, in order."""
     built = []
     for cls in (poincare._GroupPlan, poincare._PoleGroups):
         init = cls.__init__
         spy = lambda self, *a, cls=cls, init=init: built.append(cls) or init(self, *a)
         monkeypatch.setattr(cls, "__init__", spy)
+    return built
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_deep_shell_plans_are_built_once_per_evaluator(star, monkeypatch):
+    """Each deep shell's plan is built once per evaluator and only its rows
+    are bound on each call with new targets, to the bits of a fresh
+    evaluator; NuFamily, whose rows never change, binds them once. The
+    registry starts empty, so no module fixture lends its plans."""
+    monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
+    built = _spy_builds(monkeypatch)
     cfg = SeriesConfig(max_len=6)
     deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
     xs = _far_case_points(star)
@@ -584,12 +589,93 @@ def test_deep_shell_plans_are_built_once_per_evaluator(star, monkeypatch):
         assert built.count(poincare._GroupPlan) == deep
         assert built.count(poincare._PoleGroups) == len(ysets) * deep
         assert np.array_equal(got[-1], make().value_grid(xs, ysets[-1]))
+    del series  # NuFamily(y0 = 0) would share the third kind's plans
     nu = NuFamily(star, config=cfg)
     built.clear()
     first = nu.values(xs)
     nu.values(xs[:3])
     assert built == [poincare._GroupPlan, poincare._PoleGroups] * deep
     assert np.array_equal(nu.values(xs), first)
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_rows_are_kept_while_the_targets_stay(star, monkeypatch):
+    """Two spanning tables, whose probe targets never change, bind each deep
+    shell's rows once; a call with other targets binds them anew, and a call
+    with the first targets again binds them once more. Every value is a
+    fresh evaluator's."""
+    monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
+    built = _spy_builds(monkeypatch)
+    cfg = SeriesConfig(max_len=6)
+    deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
+    xs = np.array(default_probe_points(star, 4)[1:])
+    bers = BersEvaluator(star, 2, config=cfg)
+    theta = gem.SpanningTheta(bers)
+    tables = [theta.table(xs), theta.table(xs[:2])]
+    assert built.count(poincare._PoleGroups) == deep
+    other = bers.value_grid(xs, THIRD_KIND_YS)
+    assert built.count(poincare._PoleGroups) == 2 * deep
+    again = theta.table(xs)
+    assert built.count(poincare._PoleGroups) == 3 * deep
+    assert built.count(poincare._GroupPlan) == deep
+
+    def fresh():
+        return BersEvaluator(star, 2, config=cfg)
+
+    assert np.array_equal(tables[0], gem.SpanningTheta(fresh()).table(xs))
+    assert np.array_equal(tables[1], gem.SpanningTheta(fresh()).table(xs[:2]))
+    assert np.array_equal(other, fresh().value_grid(xs, THIRD_KIND_YS))
+    assert np.array_equal(again, tables[0])
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_rows_bind_copies_of_the_callers_targets(star, monkeypatch):
+    """A caller that writes new values into the targets array it passed
+    changes no bound row: a call with the old values keeps the rows and a
+    call with the new ones binds them anew, each to a fresh evaluator's
+    bits. Every deep group is summed term by term, from the bound targets."""
+    monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)
+    built = _spy_builds(monkeypatch)
+    cfg = SeriesConfig(max_len=6)
+    deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
+    xs = _far_case_points(star)
+    tk = ThirdKindEvaluator(star, config=cfg)
+    ys = THIRD_KIND_YS.copy()
+    tk.value_grid(xs, ys)
+    ys *= 0.5
+    old = tk.value_grid(xs, THIRD_KIND_YS)
+    assert built.count(poincare._PoleGroups) == deep
+    new = tk.value_grid(xs, ys)
+    assert built.count(poincare._PoleGroups) == 2 * deep
+    assert np.array_equal(old, ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS))
+    assert np.array_equal(new, ThirdKindEvaluator(star, config=cfg).value_grid(xs, ys))
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_live_twins_build_each_deep_plan_once(star, monkeypatch):
+    """Two live weight-2 evaluators, and nu with y0 = 0 beside the third
+    kind (both pole pairs share 0), build each deep shell's plan once and
+    bind their own rows; weight 3 has plans of its own."""
+    monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
+    built = _spy_builds(monkeypatch)
+    cfg = SeriesConfig(max_len=6)
+    deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
+    xs = _far_case_points(star)
+
+    def values(ev):
+        return ev.values(xs) if isinstance(ev, NuFamily) else ev.value_grid(xs, THIRD_KIND_YS)
+
+    twins = [
+        (BersEvaluator(star, 2, config=cfg), BersEvaluator(star, 2, config=cfg)),
+        (ThirdKindEvaluator(star, config=cfg), NuFamily(star, config=cfg)),
+        (BersEvaluator(star, 3, config=cfg),),
+    ]
+    for evs in twins:
+        built.clear()
+        for ev in evs:
+            values(ev)
+        assert built.count(poincare._GroupPlan) == deep
+        assert built.count(poincare._PoleGroups) == len(evs) * deep
 
 
 def test_evaluators_share_one_read_only_tree_while_any_lives(star, monkeypatch):
@@ -625,6 +711,9 @@ def test_evaluators_share_one_read_only_tree_while_any_lives(star, monkeypatch):
         assert np.array_equal(values(ev), alone[name]), name
     assert BersEvaluator(star, 2, config=cfg)._shared is bers._shared
     assert BersEvaluator(star, 3, config=cfg)._shared is not bers._shared
+    # the keys (.., "N", 3) and (.., "u", 3 + 0j) differ by their tags alone
+    bers3, nu3 = BersEvaluator(star, 3, config=cfg), NuFamily(star, config=cfg, y0=3.0)
+    assert len(bers3.points) == 5 and np.array_equal(nu3._shared.points, [3.0])
     for other in (SeriesConfig(max_len=4), SeriesConfig(max_len=5, cap=10**6)):
         assert NuFamily(star, config=other).shells is not bers.shells
 
@@ -632,9 +721,13 @@ def test_evaluators_share_one_read_only_tree_while_any_lives(star, monkeypatch):
         bers.shells.a[3][0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         bers._shared.lam[3][0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        twins["third_kind"]._shared.lam[3][0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        bers._shared.plans[4].lam[0, 0, 0] = 0.0  # a plan every weight-2 twin sums with
 
     refs = [weakref.ref(bers.shells), weakref.ref(bers._shared)]
-    del twins, bers, ev
+    del twins, bers, ev, bers3, nu3
     gc.collect()
     assert [ref() for ref in refs] == [None, None] and not poincare._LIVE
 
@@ -715,6 +808,18 @@ def _pole_pair_kernel(series, pairs):
     return poincare._DirectKernel(ws, targets, u - v, kernel_shared, series._discs)
 
 
+def _direct_sums(shells, kernel, xs):
+    """The kernel's sums over each shell's words at all of xs in one tile,
+    combined shell by shell as the series combine them (Kahan)."""
+    totals = comp = 0
+    for words in zip(shells.a, shells.b, shells.c, shells.d):
+        y = kernel(*words, xs) - comp
+        s = totals + y
+        comp = (s - totals) - y
+        totals = s
+    return totals
+
+
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 @pytest.mark.parametrize("max_len", [0, 3])
 def test_shallow_series_are_the_chunk_kernel_sums(star, max_len):
@@ -724,10 +829,10 @@ def test_shallow_series_are_the_chunk_kernel_sums(star, max_len):
     xs = _far_case_points(star)
     nu = NuFamily(star, config=cfg)
     pairs = [(nu.y0, complex(v)) for v in nu.images]
-    want, _ = _sum_shells(nu.shells, xs, _pole_pair_kernel(nu, pairs), len(pairs))
+    want = _direct_sums(nu.shells, _pole_pair_kernel(nu, pairs), xs)
     assert np.array_equal(nu.values(xs), want)
     pairs = [(complex(y), 0j) for y in THIRD_KIND_YS]
-    want, _ = _sum_shells(nu.shells, xs, _pole_pair_kernel(nu, pairs), len(pairs))
+    want = _direct_sums(nu.shells, _pole_pair_kernel(nu, pairs), xs)
     assert np.array_equal(ThirdKindEvaluator(star, config=cfg).value_grid(xs, THIRD_KIND_YS), want)
 
 
@@ -821,21 +926,20 @@ def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
     p = _surface(name, star)
     bers = BersEvaluator(p, N, config=SeriesConfig(max_len=max_len))
     shells = bers.shells
-    direct, add = [], poincare._add_direct_sums
+    direct, call = {}, poincare._DirectKernel.__call__
 
-    def spy_direct(out, kernel, a, *rest):
-        direct.append(len(a))
-        add(out, kernel, a, *rest)
+    def spy_direct(kernel, a, *rest):
+        direct[id(a)] = len(a)  # a shell's words, whatever its tiles
+        return call(kernel, a, *rest)
 
-    monkeypatch.setattr(poincare, "_add_direct_sums", spy_direct)
-    seen = _spy_far_fields(monkeypatch)
+    monkeypatch.setattr(poincare._DirectKernel, "__call__", spy_direct)
     xs = np.r_[0j, _far_case_points(p)]
     ys = _bers_targets(p)
     far = bers.value_grid(xs, ys)
-    assert sum(direct) == sum(map(shells.shell_size, range(poincare._DIRECT_SHELLS)))
+    assert sum(direct.values()) == sum(map(shells.shell_size, range(poincare._DIRECT_SHELLS)))
     words = poincare._limit_words(p, 2 * N - 1)[1]
     for length in range(poincare._DIRECT_SHELLS, max_len + 1):
-        groups = seen[length][0]
+        groups = bers._rows[length]
         want = []
         for w in words:
             i = 0
@@ -866,11 +970,11 @@ def test_deep_bers_shells_match_40_digit_sums(star, monkeypatch):
     _, _, _, images, _ = gem._probe_targets(star, 1, 2)
     xs = np.r_[default_probe_points(star, 4)[1:], images[2]]
     ys = np.r_[0.9 - 0.3j, -1.1 + 0.4j, images[:2]]
-    got, seen = {}, _spy_far_fields(monkeypatch)
+    got, totals = {}, _spy_far_totals(monkeypatch)
     for N in (2, 3):
-        seen.clear()
+        totals.clear()
         BersEvaluator(star, N, config=SeriesConfig(max_len=max_len)).value_grid(xs, ys)
-        got[N] = sum(total for _, total in seen.values())
+        got[N] = sum(totals)
     shells = build_shells(star, max_len)
     with mp.workdps(40):
         gens, mats = _mp_word_matrices(star, shells)
