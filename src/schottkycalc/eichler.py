@@ -2,11 +2,14 @@
 
 A PolyForm is a polynomial of degree <= 2N-2 read as the coefficient of a
 (1-N)-form; the group acts by (P|m)(z) = P(mz) m'(z)^{1-N}, which maps this
-space to itself exactly. Cocycles assign a PolyForm to every group word so
-that X[uv] = X[u]|v + X[v]; they are determined by their generator values.
+space to itself exactly and linearly: each map has one cached (2N-1)-square
+matrix, and a pullback is one mat-vec. Cocycles assign a PolyForm to every
+group word so that X[uv] = X[u]|v + X[v]; they are determined by their
+generator values, and a word's value is one mat-vec and add per letter.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -88,36 +91,34 @@ class PolyForm:
 
 def _binom_coeffs(u: complex, v: complex, n: int) -> np.ndarray:
     """Monomial coefficients of (u z + v)^n, low to high."""
-    return np.array(
-        [math.comb(n, j) * u**j * v ** (n - j) for j in range(n + 1)],
-        dtype=np.complex128,
-    )
+    return np.array([math.comb(n, j) * u**j * v ** (n - j) for j in range(n + 1)], dtype=complex)
+
+
+@functools.lru_cache(maxsize=256)
+def _action(m: MoebiusMap, N: int) -> np.ndarray:
+    """Read-only (2N-1)-square matrix of P -> P|m on monomial coefficients,
+    built once per (map, N): column k holds (az+b)^k (cz+d)^{2N-2-k}."""
+    n = 2 * N - 2
+    S = np.column_stack([np.convolve(_binom_coeffs(m.a, m.b, k), _binom_coeffs(m.c, m.d, n - k))
+                         for k in range(n + 1)])
+    S.flags.writeable = False
+    return S
 
 
 def poly_pullback(P: PolyForm, m: MoebiusMap) -> PolyForm:
-    """Exact polynomial representing (P|m)(z) = P(mz) m'(z)^{1-N}.
-
-    With determinant-one representatives m'(z)^{1-N} = (cz+d)^{2N-2}, so
-    each monomial contributes c_k (az+b)^k (cz+d)^{2N-2-k}: a finite
-    binomial convolution, uniform in N and free of interpolation error.
-    """
-    N = P.N
-    n = 2 * N - 2
-    total = np.zeros(n + 1, dtype=np.complex128)
-    for k, ck in enumerate(P.coeffs):
-        if ck == 0:
-            continue
-        part = np.convolve(_binom_coeffs(m.a, m.b, k), _binom_coeffs(m.c, m.d, n - k))
-        total += ck * part
-    return PolyForm(N, tuple(total))
+    """Exact polynomial representing (P|m)(z) = P(mz) m'(z)^{1-N}: with
+    determinant one, m'(z)^{1-N} = (cz+d)^{2N-2}, so the action is linear, one
+    mat-vec with m's cached matrix (_action), free of interpolation error."""
+    return PolyForm(P.N, tuple(_action(m, P.N) @ np.array(P.coeffs)))
 
 
 @dataclass(frozen=True)
 class Cocycle:
     """Group cocycle valued in PolyForms, stored by its generator values.
 
-    values[a-1] is the cocycle on the positive letter a; negative letters and
-    longer words follow from X[uv] = X[u]|v + X[v].
+    values[a-1] is the cocycle on the positive letter a. By X[uv] = X[u]|v + X[v]
+    each letter l is a step X[ul] = S_l X[u] + v_l, S_l the matrix of m_l and
+    v_{-a} = -S_{-a} v_a as X[g^-1] = -X[g]|g^-1.
     """
 
     N: int
@@ -127,34 +128,40 @@ class Cocycle:
     def __post_init__(self):
         if len(self.values) != len(self.maps):
             raise ValueError("one PolyForm per generator required")
-        for v in self.values:
-            if v.N != self.N:
-                raise ValueError("mixed weights in cocycle values")
+        if any(v.N != self.N for v in self.values):
+            raise ValueError("mixed weights in cocycle values")
 
     @property
     def genus(self) -> int:
         return len(self.values)
 
+    @functools.cached_property
+    def _steps(self) -> dict[int, tuple[MoebiusMap, np.ndarray, np.ndarray]]:
+        steps = {}
+        for a, (v, m) in enumerate(zip(self.values, self.maps), 1):
+            x, inv = np.array(v.coeffs), moebius.inverse(m)
+            S_inv = _action(inv, self.N)
+            steps[a], steps[-a] = (m, _action(m, self.N), x), (inv, S_inv, -(S_inv @ x))
+        return steps
+
+    def _step(self, letter: int) -> tuple[MoebiusMap, np.ndarray, np.ndarray]:
+        if letter not in self._steps:
+            raise ValueError(f"letter {letter} out of range: need 1 <= |letter| <= {self.genus}")
+        return self._steps[letter]
+
     def on_letter(self, letter: int) -> PolyForm:
-        a = abs(letter)
-        if not 1 <= a <= self.genus:
-            raise ValueError(f"letter {letter} out of range")
-        if letter > 0:
-            return self.values[a - 1]
-        # X[g^-1] = -X[g]|g^-1
-        return -poly_pullback(self.values[a - 1], moebius.inverse(self.maps[a - 1]))
+        return PolyForm(self.N, tuple(self._step(letter)[2]))
 
     def letter_map(self, letter: int) -> MoebiusMap:
-        m = self.maps[abs(letter) - 1]
-        return m if letter > 0 else moebius.inverse(m)
+        return self._step(letter)[0]
 
 
 def cocycle_eval(X: Cocycle, word: Sequence[int]) -> PolyForm:
-    """Value of the cocycle on an arbitrary word."""
-    cur = PolyForm.zero(X.N)
-    for letter in word:
-        cur = poly_pullback(cur, X.letter_map(letter)) + X.on_letter(letter)
-    return cur
+    """Value of the cocycle on an arbitrary word: one mat-vec per letter."""
+    cur = np.zeros(2 * X.N - 1, dtype=np.complex128)
+    for _, S, v in map(X._step, word):
+        cur = S @ cur + v
+    return PolyForm(X.N, tuple(cur))
 
 
 def canonical_cocycle(p: SchottkyParams, N: int, a: int, k: int) -> Cocycle:
@@ -167,8 +174,7 @@ def canonical_cocycle(p: SchottkyParams, N: int, a: int, k: int) -> Cocycle:
         raise ValueError(f"handle index {a} out of range")
     if not 0 <= k <= 2 * N - 2:
         raise ValueError(f"power {k} out of range for N = {N}")
-    shifted = [0j] * (2 * N - 1)
-    shifted[k] = 1.0 + 0j
+    shifted = np.eye(2 * N - 1, dtype=complex)[k]
     mono = PolyForm.from_shifted(N, p.handles[a - 1].w_plus, shifted)
     values = [PolyForm.zero(N) if b != a else mono for b in range(1, p.genus + 1)]
     maps = tuple(generator(p, b) for b in range(1, p.genus + 1))
@@ -189,7 +195,4 @@ def decompose_coboundary(p: SchottkyParams, P: PolyForm) -> np.ndarray:
     X_P = sum_{a,k} p[a-1, k] * canonical_cocycle(p, N, a, k).
     """
     X = coboundary(p, P)
-    out = np.zeros((p.genus, 2 * P.N - 1), dtype=np.complex128)
-    for a in range(1, p.genus + 1):
-        out[a - 1] = X.values[a - 1].shifted_coeffs(p.handles[a - 1].w_plus)
-    return out
+    return np.array([v.shifted_coeffs(h.w_plus) for v, h in zip(X.values, p.handles)])

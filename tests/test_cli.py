@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schottkycalc import cli, gem, poincare, variation
+from schottkycalc import cli, eichler, gem, poincare, variation
 from schottkycalc.cli import (
     ConfigError,
     RunConfig,
@@ -665,6 +665,27 @@ def test_cocycle_suite_fails_on_a_nan_coefficient(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cocycle_eval", nan_second_coefficient)
     rep = run_suite(load_config(write_config(tmp_path)), "cocycle")
     assert rep["passed"] is False
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_cocycle_and_coboundary_pass_above_weight_two(tmp_path, N):
+    # the (2N-1)-square action matrices at N = 3 and 4: 5x5 and 7x7
+    rc = load_config(write_config(tmp_path, N=N))
+    for suite in ("cocycle", "coboundary"):
+        rep = run_suite(rc, suite)
+        assert rep["passed"], rep
+        assert all(c["residual"] <= 1e-13 for c in rep["checks"].values()), rep
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("seed", [1, 2])
+def test_report_builds_one_action_matrix_per_map(seed):
+    # each generator, its inverse and the translations by +-w_a: 4g matrices,
+    # however many random words the cocycle suite draws
+    cfg = str(Path(__file__).parents[1] / "configs" / "surface_star.json")
+    eichler._action.cache_clear()
+    assert main(["report", "--all", "--config", cfg, "--max-len", "5", "--seed", str(seed)]) == 0
+    assert eichler._action.cache_info().misses == 4 * load_config(cfg).surface.genus == 8
 
 
 @pytest.mark.parametrize("N", [5, 6])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,57 @@ def test_pullback_pointwise(star):
         assert abs(q(z) - expected) < 1e-10 * max(1.0, abs(expected))
 
 
+def _binom_coeffs(u, v, n):
+    return np.array([math.comb(n, j) * u**j * v ** (n - j) for j in range(n + 1)], dtype=complex)
+
+
+def _reference_pullback(P: PolyForm, m) -> np.ndarray:
+    """P|m by the per-monomial binomial convolution: monomial k contributes
+    c_k (az+b)^k (cz+d)^{2N-2-k}, summed one monomial at a time."""
+    n = 2 * P.N - 2
+    total = np.zeros(n + 1, dtype=np.complex128)
+    for k, ck in enumerate(P.coeffs):
+        if ck == 0:
+            continue
+        total += ck * np.convolve(_binom_coeffs(m.a, m.b, k), _binom_coeffs(m.c, m.d, n - k))
+    return total
+
+
+def _assert_matches_reference(P: PolyForm, m):
+    ref = _reference_pullback(P, m)
+    got = np.array(poly_pullback(P, m).coeffs)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_pullback_matches_the_convolution_on_the_surface_maps(star, N):
+    # the generators, their inverses and the translations by +-w_a: every
+    # map the cocycle suites act with
+    maps = [generator(star, l) for l in star.letters]
+    maps += [moebius.MoebiusMap(1.0, s * h.w_plus, 0.0, 1.0) for h in star.handles for s in (1, -1)]
+    rng = np.random.default_rng(N)
+    for m in maps:
+        for _ in range(5):
+            coeffs = rng.normal(size=2 * N - 1) + 1j * rng.normal(size=2 * N - 1)
+            _assert_matches_reference(PolyForm(N, tuple(coeffs)), m)
+
+
+_ENTRY = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    _ENTRY,
+    _ENTRY,
+    st.lists(_ENTRY, min_size=7, max_size=7),
+)
+@settings(max_examples=60, deadline=None)
+def test_pullback_matches_the_convolution_on_drawn_maps(N, a, b, c, coeffs):
+    m = moebius.MoebiusMap(a, b, c, (1 + b * c) / a)  # determinant one
+    _assert_matches_reference(PolyForm(N, tuple(coeffs[: 2 * N - 1])), m)
+
+
 def test_pullback_identity(star):
     p = PolyForm(2, (1.0, 2.0, 3.0))
     q = poly_pullback(p, moebius.identity())
@@ -114,6 +167,26 @@ def test_cocycle_inverse_letter(star):
     X = canonical_cocycle(star, 2, 1, 1)
     v = cocycle_eval(X, (1, -1))
     assert v.norm() < 1e-10
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3], ids=["zero", "g+1", "-(g+1)"])
+def test_out_of_range_letter_is_rejected(star, letter):
+    X = canonical_cocycle(star, 2, 1, 0)  # genus 2: letters +-1, +-2
+    with pytest.raises(ValueError, match="out of range"):
+        X.letter_map(letter)
+    with pytest.raises(ValueError, match="out of range"):
+        X.on_letter(letter)
+    with pytest.raises(ValueError, match="out of range"):
+        cocycle_eval(X, (1, letter))
+
+
+def test_negative_letter_steps_invert_the_positive_ones(star):
+    X = canonical_cocycle(star, 3, 2, 3)
+    for a in (1, 2):
+        assert X.letter_map(-a) == moebius.inverse(X.maps[a - 1])
+        expected = -poly_pullback(X.values[a - 1], moebius.inverse(X.maps[a - 1]))
+        assert X.on_letter(-a) == expected
+        assert X.on_letter(a) == X.values[a - 1]
 
 
 @pytest.mark.parametrize(
