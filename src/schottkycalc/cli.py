@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contour import TWO_PI_I, CircleContour, circle_integral_checked, fail_max
+from .contour import contour_nodes, fail_max, handle_moments
 from .eichler import PolyForm, canonical_cocycle, cocycle_eval, decompose_coboundary, poly_pullback
 from .gem import (
     CanonicalGEM,
@@ -377,17 +377,28 @@ def _random_word_pair(rng: np.random.Generator, g: int):
             return w1, w2
 
 
+def _canonical_cocycles(rc: RunConfig) -> dict:
+    """The g(2N-1) canonical cocycles of the run, keyed (handle, power)."""
+    p, N = rc.surface, rc.N
+    return {
+        (a, k): canonical_cocycle(p, N, a, k)
+        for a in range(1, p.genus + 1)
+        for k in range(2 * N - 1)
+    }
+
+
 def _suite_cocycle(rc: RunConfig, ctx: RunContext) -> dict:
     """Composition law of the generator-seeded polynomial cocycles."""
     p = rc.surface
     rng = np.random.default_rng(rc.seed)
     m = 2 * rc.N - 1
+    cocycles = _canonical_cocycles(rc)
     worst = 0.0
     for _ in range(100):
         w1, w2 = _random_word_pair(rng, p.genus)
         a = int(rng.integers(1, p.genus + 1))
         k = int(rng.integers(m))
-        X = canonical_cocycle(p, rc.N, a, k)
+        X = cocycles[a, k]
         combined = cocycle_eval(X, tuple(w1) + tuple(w2))
         head = cocycle_eval(X, w1)
         for letter in w2:
@@ -403,6 +414,13 @@ def _suite_coboundary(rc: RunConfig, ctx: RunContext) -> dict:
     p = rc.surface
     m = 2 * rc.N - 1
     zs = np.array(default_probe_points(p, 3), dtype=np.complex128)
+    # each cocycle's value on each letter at the probes, evaluated once and
+    # point by point: numpy's array Horner step rounds unlike its scalar one
+    letter_vals = {
+        (a, b, l): np.array([cocycle_eval(X, (a,))(z) for z in zs])
+        for (b, l), X in _canonical_cocycles(rc).items()
+        for a in range(1, p.genus + 1)
+    }
     worst = 0.0
     for k in range(m):
         mono = [0.0] * m
@@ -414,10 +432,7 @@ def _suite_coboundary(rc: RunConfig, ctx: RunContext) -> dict:
             rebuilt_vals = np.zeros(len(zs), dtype=np.complex128)
             for b in range(1, p.genus + 1):
                 for l in range(m):
-                    X = canonical_cocycle(p, rc.N, b, l)
-                    rebuilt_vals += coeffs[b - 1, l] * np.array(
-                        [cocycle_eval(X, (a,))(z) for z in zs]
-                    )
+                    rebuilt_vals += coeffs[b - 1, l] * letter_vals[a, b, l]
             direct = np.array([delta(z) - P(z) for z in zs])
             scale = max(1.0, np.max(np.abs(direct)))  # judged on the values' own scale
             worst = fail_max(worst, np.max(np.abs(rebuilt_vals - direct)) / scale)
@@ -427,9 +442,9 @@ def _suite_coboundary(rc: RunConfig, ctx: RunContext) -> dict:
 def _suite_residue(rc: RunConfig, ctx: RunContext) -> dict:
     """Unit residue of the weight-N kernel at coinciding points."""
     psi, y = ctx.bers(), ctx.y0
-    c = CircleContour(y, 0.3 * _clearance(rc.surface, y), n_nodes=rc.nodes)
-    res = circle_integral_checked(lambda z: psi.value_grid(z, np.array([y]))[0], c, 1e-9)
-    return {"residue": abs(res / TWO_PI_I - 1.0)}
+    z, dz = contour_nodes(y, 0.3 * _clearance(rc.surface, y), rc.nodes)
+    res = handle_moments(psi.value_grid(z, np.array([y])), z, dz, y, [0], 1e-9)[0, 0]
+    return {"residue": abs(res - 1.0)}
 
 
 def _suite_quasiperiod(rc: RunConfig, ctx: RunContext) -> dict:
@@ -508,9 +523,9 @@ def _suite_nu_norm(rc: RunConfig, ctx: RunContext) -> dict:
     y = probes[1]
     resids = []
     for pole, want in ((y, 1.0), (0j, -1.0)):
-        c = CircleContour(pole, 0.3 * min(_clearance(p, pole), abs(y - 0j) / 2), n_nodes=rc.nodes)
-        res = circle_integral_checked(lambda z: tk.value_grid(z, np.array([y]))[0], c, 1e-9)
-        resids.append(abs(res / TWO_PI_I - want))
+        z, dz = contour_nodes(pole, 0.3 * min(_clearance(p, pole), abs(y - 0j) / 2), rc.nodes)
+        res = handle_moments(tk.value_grid(z, np.array([y])), z, dz, pole, [0], 1e-9)[0, 0]
+        resids.append(abs(res - want))
     return {
         "normalization": norm,
         "base_point": base_independence,

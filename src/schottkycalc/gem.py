@@ -12,9 +12,11 @@ selects a basis (column set J, row set R), a dual family, and the correction
 that cancels every J-indexed moment of the kernel, yielding its canonical
 form.
 
-The handle-circle moments come from `contour.handle_moments`. Both
-polynomial fits, the jumps in y (`SpanningTheta.table`) and the moment
-polynomials (`canonical_correction`), go through one `_fit_polynomial` on
+The handle-circle moments come from `contour.handle_moments` on the doubled
+grid of `contour.handle_nodes`; the odd-index half of the same grid gives
+the shifted matrix that cross-checks the duality. Both polynomial fits,
+the jumps in y (`SpanningTheta.table`) and the moment polynomials
+(`canonical_correction`), go through one `_fit_polynomial` on
 `_fit_nodes`: an exact inverse DFT on 2N-1 nodes of a circle, gated by two
 held-out nodes.
 """
@@ -303,11 +305,12 @@ def select_basis(
         cols = slice(ai * m, (ai + 1) * m)
         M[:, cols] = handle_moments(rows, z, dz, w_a, range(m), _STABILITY_TOL)
         # odd-index subset = n-node trapezoid on a rotated grid: an
-        # independent quadrature used for the duality cross-check
+        # independent quadrature used for the duality cross-check; each
+        # entry is divided by 2 pi i as a Python complex, as numpy's array
+        # division rounds some entries differently in the last bit
         for k in range(m):
-            wk = (z - w_a) ** k * dz
-            for r, row in enumerate(rows):
-                M_shift[r, ai * m + k] = complex(np.sum(row[1::2] * wk[1::2]) * 2.0) / TWO_PI_I
+            odd = np.sum(rows[:, 1::2] * ((z - w_a) ** k * dz)[1::2], axis=1) * 2.0
+            M_shift[:, ai * m + k] = [complex(s) / TWO_PI_I for s in odd]
 
     svals = np.linalg.svd(M, compute_uv=False)
     d = (g - 1) * m

@@ -77,7 +77,6 @@ __all__ = [
     "TruncationWarning",
     "default_probe_points",
     "limit_points",
-    "shell_report",
 ]
 
 _TILE_ELEMENTS = 1 << 14  # work-array budget of a tile (points x words, or rows)
@@ -731,29 +730,7 @@ class NuFamily(_ShellSeries):
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
-
-
-def shell_report(
-    p: SchottkyParams,
-    N: int,
-    x: complex,
-    y: complex,
-    config: SeriesConfig = SeriesConfig(),
-) -> list[dict]:
-    """Largest single weight-N term per word length at a probe pair (x, y),
-    each term y_w / ((a - cy)(x - p_y) prod_j lambda_j (x - p_j)) from the
-    series' carried limit-point factors (_PoleGroups)."""
-    bers = BersEvaluator(p, N, config=config)
-    shells, shared = bers.shells, bers._shared
-    y_weight = complex(np.prod(y - bers.points))
-    rows = []
-    for length in range(shells.max_len + 1):
-        lam, pole = _pull_back(*(m[length] for m in (shells.a, shells.b, shells.c, shells.d)), y)
-        limit = np.prod(shared.lam[length] * (x - shared.pole[length]), axis=0)
-        term = y_weight / (lam * (x - pole) * limit)
-        rows.append({"length": length, "count": len(lam), "max_term": float(np.max(np.abs(term)))})
-    return rows
+# probe points
 
 
 def default_probe_points(p: SchottkyParams, count: int = 2) -> list[complex]:

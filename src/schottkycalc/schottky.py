@@ -19,6 +19,7 @@ period matrix's gradient from the generator tangents alone.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -50,7 +51,6 @@ __all__ = [
     "invert_word",
     "letter_order",
     "reduce_to_fundamental",
-    "reduce_word",
     "require_valid",
     "surface_from_dict",
     "surface_to_dict",
@@ -82,7 +82,8 @@ class HandleParams:
     """One handle: attracting-side data (w_plus, w_minus, rho).
 
     Both isometric circles share radius sqrt|rho|; the handle is usable only
-    if its own two circles are disjoint, which is enforced at construction.
+    if its data are finite and its own two circles are disjoint, which is
+    enforced at construction.
     """
 
     w_plus: complex
@@ -90,6 +91,9 @@ class HandleParams:
     rho: complex
 
     def __post_init__(self):
+        for name in ("w_plus", "w_minus", "rho"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.rho == 0:
             raise ValueError("rho must be nonzero")
         r = math.sqrt(abs(self.rho))
@@ -179,10 +183,10 @@ def validate(p: SchottkyParams) -> list[dict]:
     """Report every violated pairwise disc-separation constraint.
 
     Returns a list of violation records {"letters": (u, v), "gap": float}
-    where gap <= 0 is the pair's disc_gaps entry. Empty iff the surface is
-    usable.
+    where gap, the pair's disc_gaps entry, is not positive (a NaN gap is a
+    violation). Empty iff the surface is usable.
     """
-    return [{"letters": uv, "gap": gap} for uv, gap in disc_gaps(p) if gap <= 0.0]
+    return [{"letters": uv, "gap": gap} for uv, gap in disc_gaps(p) if not (gap > 0.0)]
 
 
 def require_valid(p: SchottkyParams) -> None:
@@ -201,19 +205,6 @@ def in_domain(p: SchottkyParams, z: complex) -> bool:
 
 # ---------------------------------------------------------------------------
 # words
-
-
-def reduce_word(word: Sequence[int]) -> tuple[int, ...]:
-    """Free reduction: cancel adjacent inverse letters."""
-    out: list[int] = []
-    for letter in word:
-        if letter == 0:
-            raise ValueError("0 is not a letter")
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 def invert_word(word: Sequence[int]) -> tuple[int, ...]:

@@ -32,6 +32,7 @@ Moebius-invariant functions of the surface feel no difference.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -54,7 +55,6 @@ from .schottky import (
     in_domain,
     require_valid,
     to_classical,
-    word_map,
 )
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "rauch_check",
     "sl2_apply",
     "theta2_table",
-    "word_image",
 ]
 
 # Gauss-Legendre nodes per beta-path leg (doubled for the gate)
@@ -156,11 +155,6 @@ def _contract(coeffs: np.ndarray, grad: np.ndarray):
     for c, d in zip(cs[1:], ds[1:]):
         total = total + np.multiply.outer(c, d)
     return total
-
-
-def word_image(p: SchottkyParams, word: Sequence[int], z: complex) -> complex:
-    """The moduli-dependent orbit point: the word's map applied to z."""
-    return mob_apply(word_map(p, tuple(word)), z)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +382,6 @@ class PeriodMatrix:
     normalization_error: float
     paths: tuple[tuple[complex, ...], ...]
     nu: NuFamily  # the family whose periods omega holds
-    circles: tuple | None = None  # _handle_circle_nu as the certifying gate evaluated it
 
     @property
     def genus(self) -> int:
@@ -447,20 +440,34 @@ def _path_integral(leg_values: list[np.ndarray], weights: list[tuple]) -> np.nda
     return total2
 
 
+_NU_CIRCLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _handle_circle_nu(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256) -> tuple:
     """Per handle a: a, the doubled trapezoid nodes z of C_a, their weights
-    dz, the centre w_a and nu's values there, shape (g, 2 n_nodes)."""
-    nodes = [(a, *handle_nodes(p, a, n_nodes)) for a in range(1, p.genus + 1)]
-    return tuple((a, z, dz, w_a, nu.values(z)) for a, z, dz, w_a in nodes)
+    dz, the centre w_a and nu's values there, shape (g, 2 n_nodes).
+
+    Evaluated once per (family, surface, node count) while the family lives,
+    its arrays read-only as every caller shares them: the normalization gate
+    and the exact period gradient read the same values."""
+    per_family = _NU_CIRCLES.setdefault(nu, {})
+    if (p, n_nodes) not in per_family:
+        circles = []
+        for a in range(1, p.genus + 1):
+            z, dz, w_a = handle_nodes(p, a, n_nodes)
+            vals = nu.values(z)
+            for array in (z, dz, vals):
+                array.flags.writeable = False
+            circles.append((a, z, dz, w_a, vals))
+        per_family[p, n_nodes] = tuple(circles)
+    return per_family[p, n_nodes]
 
 
-def nu_normalization_error(
-    p: SchottkyParams, nu: NuFamily, n_nodes: int = 256, circles: tuple | None = None
-) -> float:
+def nu_normalization_error(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256) -> float:
     """Max |(1/2 pi i) * integral over C_a of nu_b - delta_ab| over a, b, from
-    nu on the handle circles: `circles` (_handle_circle_nu's) when given."""
+    nu on the handle circles (_handle_circle_nu)."""
     worst = 0.0
-    for a, z, dz, w_a, vals in circles or _handle_circle_nu(p, nu, n_nodes):
+    for a, z, dz, w_a, vals in _handle_circle_nu(p, nu, n_nodes):
         moments = handle_moments(vals, z, dz, w_a, [0], 1e-8)[:, 0]
         moments[a - 1] -= 1.0
         worst = fail_max(worst, np.max(np.abs(moments)))
@@ -487,8 +494,7 @@ def period_matrix(
         nu = NuFamily(p, config=config, y0=y0)
     elif nu.params != p:
         raise ValueError("the handle differentials nu belong to another surface")
-    circles = _handle_circle_nu(p, nu) if certify else None
-    norm_err = nu_normalization_error(p, nu, circles=circles) if certify else float("nan")
+    norm_err = nu_normalization_error(p, nu) if certify else float("nan")
     if certify and not (norm_err <= normalization_tol):
         raise NormalizationError(
             f"handle differentials fail delta normalization by {norm_err:.3e}"
@@ -511,7 +517,6 @@ def period_matrix(
         normalization_error=norm_err,
         paths=tuple(paths),
         nu=nu,
-        circles=circles,
     )
 
 
@@ -533,14 +538,15 @@ def exact_period_gradient(base: PeriodMatrix) -> np.ndarray:
 
     X_kl being the quadratic (weight -1) cocycle of the direction, so only
     the circle C_k enters direction (k, l). The moments take nu on the
-    handle circles from base's normalization gate (or evaluate it, uncertified)
-    behind the node-doubling gate _PATH_GATE.
+    handle circles at the normalization gate's 256 nodes (_handle_circle_nu,
+    shared with a certified base's gate) behind the node-doubling gate
+    _PATH_GATE.
     """
     nu = base.nu
     p = nu.params
     g = p.genus
     grad = np.empty((g, DIRECTIONS_PER_HANDLE, g, g), dtype=np.complex128)
-    for k, z, dz, w_k, vals in base.circles or _handle_circle_nu(p, nu):
+    for k, z, dz, w_k, vals in _handle_circle_nu(p, nu):
         m = generator(p, k)
         own = slice(DIRECTIONS_PER_HANDLE * (k - 1), DIRECTIONS_PER_HANDLE * k)
         da, db, dc, dd = generator_tangent(p, k)[:, own, None]  # (3, 1) each

@@ -15,7 +15,7 @@ import pytest
 import schottkycalc.variation as va
 from schottkycalc.cli import _random_word_pair
 from schottkycalc.cli import main as cli_main
-from schottkycalc.contour import CircleContour, circle_integral, contour_nodes
+from schottkycalc.contour import contour_nodes, handle_moments, handle_nodes
 from schottkycalc.eichler import (
     PolyForm,
     canonical_cocycle,
@@ -40,13 +40,10 @@ from schottkycalc.poincare import (
     NuFamily,
     SeriesConfig,
     ThirdKindEvaluator,
-    shell_report,
 )
 from schottkycalc.schottky import (
     HandleParams,
     SchottkyParams,
-    disc_center,
-    disc_radius,
     from_classical,
     generator,
     to_classical,
@@ -174,14 +171,12 @@ def test_03_bers_series_structure():
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     _check(failures, "x-periodicity as a weight-2 form", worst, 1e-6)
 
-    def f(z):
-        return bers.value_grid(z, np.array([y]))[0]
-
-    res = circle_integral(f, CircleContour(center=y, radius=0.12)) / TWO_PI_I
+    z, dz = contour_nodes(y, 0.12, 256)
+    res = handle_moments(bers.value_grid(z, np.array([y])), z, dz, y, [0], 1e-9)[0, 0]
     _check(failures, "unit residue at coincidence", abs(res - 1.0), 1e-8)
 
-    rows = shell_report(STAR, 2, x, y, config=FULL10)
-    mags = [r["max_term"] for r in rows]
+    bers.value(x, y)
+    mags = bers.last_shell_magnitudes  # each word length's largest shell total
     for l in range(2, len(mags) - 1):
         if not (mags[l + 1] < mags[l]):
             failures.append(
@@ -231,10 +226,9 @@ def test_05_duality_and_coboundary_annihilation(can10, theta10):
     got = np.empty((sel.dim, len(sel.J)), dtype=np.complex128)
     for j, flat in enumerate(sel.J):
         a, k = sel.label(flat)
-        c = CircleContour(disc_center(STAR, a), disc_radius(STAR, a), n_nodes=256)
-        z, dz = contour_nodes(c, doubled=True)
+        z, dz, w_a = handle_nodes(STAR, a, 256)
         vals = can10.dual.values(z)
-        got[:, j] = (vals * (z - disc_center(STAR, a)) ** k * dz).sum(axis=1) / TWO_PI_I
+        got[:, j] = (vals * (z - w_a) ** k * dz).sum(axis=1) / TWO_PI_I
     _check(
         failures,
         "dual-basis delta matrix",
@@ -248,8 +242,7 @@ def test_05_duality_and_coboundary_annihilation(can10, theta10):
     ]
     totals = np.zeros((len(cobs), 2, 3), dtype=np.complex128)
     for a in (1, 2):
-        c = CircleContour(disc_center(STAR, a), disc_radius(STAR, a), n_nodes=256)
-        z, dz = contour_nodes(c, doubled=True)
+        z, dz, _ = handle_nodes(STAR, a, 256)
         tab = theta10.table(z)  # evaluate every jump row once per contour
         for i, X in enumerate(cobs):
             pz = X.values[a - 1](z) * dz
@@ -308,13 +301,10 @@ def test_07_third_kind_and_handle_differentials():
     ev = ThirdKindEvaluator(STAR, config=FAST10)
     y = 0.9 + 0.4j
 
-    def f(z):
-        return ev.value_grid(z, np.array([y]))[0]
-
-    res_y = circle_integral(f, CircleContour(center=y, radius=0.15)) / TWO_PI_I
-    res_0 = circle_integral(f, CircleContour(center=0j, radius=0.15)) / TWO_PI_I
-    _check(failures, "residue +1 at the moving pole", abs(res_y - 1.0), 1e-8)
-    _check(failures, "residue -1 at the anchor pole", abs(res_0 + 1.0), 1e-8)
+    for pole, want, what in ((y, 1.0, "+1 at the moving"), (0j, -1.0, "-1 at the anchor")):
+        z, dz = contour_nodes(pole, 0.15, 256)
+        res = handle_moments(ev.value_grid(z, np.array([y])), z, dz, pole, [0], 1e-9)[0, 0]
+        _check(failures, f"residue {what} pole", abs(res - want), 1e-8)
 
     nu = NuFamily(STAR, config=FAST10)
     alt = NuFamily(STAR, config=FAST10, y0=0.8 + 0.3j)
@@ -436,16 +426,16 @@ def test_10_punctured_operator(can10):
         for a in (1, 2):
             for l in range(3):
                 lhs = va.direction_diff(
-                    STAR, a, l, lambda q: va.word_image(q, word, z), 1e-5
+                    STAR, a, l, lambda q: mob_apply(word_map(q, word), z), 1e-5
                 )
                 rhs = -cocycle_eval(canonical_cocycle(STAR, 2, a, l), word)(z) * dz
                 worst = max(worst, abs(lhs - rhs))
     _check(failures, "orbit-derivative identity", worst, 1e-6)
 
     x, y = 0.5 + 0.3j, 0.4 - 0.6j
-    f = lambda q, ys: va.word_image(q, (1,), ys[0])
+    f = lambda q, ys: mob_apply(word_map(q, (1,)), ys[0])
     lhs = va.nabla_punctured_apply(can10, (y,), f, x)
-    rhs = can10.value(x, va.word_image(STAR, (1,), y))
+    rhs = can10.value(x, mob_apply(word_map(STAR, (1,)), y))
     _check(failures, "puncture-motion covariance", abs(lhs - rhs), 1e-5)
 
     _verdict(10, "moduli derivatives with moving punctures", failures)

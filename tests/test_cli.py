@@ -196,6 +196,25 @@ def test_validate_reports_overlapping_discs(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: bad surface")
 
 
+@pytest.mark.parametrize(
+    "handle",
+    [
+        {"w_plus": [-6.0, 0.0], "w_minus": [-2.0, 0.0], "rho": float("nan")},
+        {"w_plus": [float("inf"), 0.0], "w_minus": [-2.0, 0.0], "rho": 0.09},
+        {"w_plus": "nan+0j", "w_minus": [-2.0, 0.0], "rho": 0.09},
+    ],
+    ids=["nan-rho", "inf-w_plus", "nan-string"],
+)
+def test_non_finite_handle_data_is_a_config_error(tmp_path, capsys, handle):
+    # json reads the literals NaN and Infinity; either passes every disc-gap
+    # comparison, so validate once called such a surface valid
+    surface = {"handles": [handle, STAR_SURFACE["handles"][1]]}
+    cfg = write_config(tmp_path, surface=surface)
+    for command in (["validate"], ["report", "--all"]):
+        assert main([*command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad surface")
+
+
 def test_load_config_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
+from contour_reference import TWO_PI_I, gated_sum, isometric_circle, pairing
 from schottkycalc.contour import (
-    CircleContour,
     QuadratureError,
-    circle_integral,
-    circle_integral_checked,
     contour_nodes,
     fail_max,
-    gated_sum,
-    handle_contour,
     handle_moments,
     handle_nodes,
-    pairing,
 )
 from schottkycalc.eichler import canonical_cocycle
 from schottkycalc.schottky import HandleParams, SchottkyParams, disc_radius, generator
@@ -28,42 +23,39 @@ def star():
     )
 
 
+def _moments(rows, center, radius, powers=(0,), n_nodes=256, tol=1e-10):
+    z, dz = contour_nodes(center, radius, n_nodes)
+    return handle_moments(np.array([f(z) for f in rows]), z, dz, center, powers, tol)
+
+
 def test_orientation_residue():
-    c = CircleContour(center=1.0 + 1.0j, radius=0.5)
-    val = circle_integral(lambda z: 1.0 / (z - (1.0 + 1.0j)), c)
-    assert abs(val - 2j * np.pi) < 1e-12
+    c = 1.0 + 1.0j
+    val = _moments([lambda z: 1.0 / (z - c)], c, 0.5)[0, 0]
+    assert abs(TWO_PI_I * val - 2j * np.pi) < 1e-12
 
 
 def test_monomials_integrate_to_zero():
-    c = CircleContour(center=0.3j, radius=1.2)
-    for k in (0, 1, 2, 3):
-        val = circle_integral(lambda z, k=k: (z - 0.3j) ** k, c)
-        assert abs(val) < 1e-12
-    val = circle_integral(lambda z: (z - 0.3j) ** (-2), c)
-    assert abs(val) < 1e-12
+    got = _moments([lambda z: np.ones_like(z)], 0.3j, 1.2, powers=(0, 1, 2, 3, -2))
+    assert np.max(np.abs(TWO_PI_I * got)) < 1e-12
 
 
 def test_cauchy_pole_inside_and_outside():
-    c = CircleContour(center=0.0, radius=1.0)
-    inside = circle_integral_checked(lambda z: 1.0 / (z - 0.2 - 0.1j), c)
-    outside = circle_integral_checked(lambda z: 1.0 / (z - 3.0), c)
-    assert abs(inside - 2j * np.pi) < 1e-12
-    assert abs(outside) < 1e-12
+    rows = [lambda z: 1.0 / (z - 0.2 - 0.1j), lambda z: 1.0 / (z - 3.0)]
+    inside, outside = _moments(rows, 0j, 1.0)[:, 0]
+    assert abs(TWO_PI_I * inside - 2j * np.pi) < 1e-12
+    assert abs(TWO_PI_I * outside) < 1e-12
 
 
 def test_gate_trips_on_near_pole():
-    c = CircleContour(center=0.0, radius=1.0, n_nodes=8)
     with pytest.raises(QuadratureError):
-        circle_integral_checked(lambda z: 1.0 / (z - 1.001), c, tol=1e-12)
+        _moments([lambda z: 1.0 / (z - 1.001)], 0j, 1.0, n_nodes=8, tol=1e-12)
 
 
 def test_nan_integrand_fails_the_gate():
-    c = CircleContour(center=0.0, radius=1.0, n_nodes=16)
     with pytest.raises(QuadratureError):
-        circle_integral_checked(lambda z: np.where(z.real > 0.99, np.nan, z), c)
-    z, dz = contour_nodes(c, doubled=True)
+        _moments([lambda z: np.where(z.real > 0.99, np.nan, z)], 0j, 1.0, n_nodes=16)
     with pytest.raises(QuadratureError):
-        gated_sum(np.full(len(z), np.nan + 0j), dz, 1e-10)
+        _moments([lambda z: z, lambda z: np.full_like(z, np.nan)], 0j, 1.0, n_nodes=16)
 
 
 def test_fail_max_keeps_nan():
@@ -73,17 +65,23 @@ def test_fail_max_keeps_nan():
 
 
 def test_doubled_nodes_are_superset():
-    c = CircleContour(center=1.0, radius=2.0, n_nodes=16)
-    z1, _ = contour_nodes(c)
-    z2, _ = contour_nodes(c, doubled=True)
+    z1, _ = contour_nodes(1.0, 2.0, 8)
+    z2, _ = contour_nodes(1.0, 2.0, 16)
+    assert len(z1) == 16 and len(z2) == 32
     assert np.allclose(z2[::2], z1)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), 0.0, -1.0])
+def test_contour_nodes_reject_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius"):
+        contour_nodes(0j, radius, 8)
+
+
 def test_handle_contour_recovers_circle(star):
-    m = generator(star, 1)
-    c = handle_contour(m)
-    assert abs(c.center - (-6.0)) < 1e-12
-    assert abs(c.radius - 0.3) < 1e-12
+    # the reference pairing's circle for generator 1 is the disc circle C_1
+    center, radius = isometric_circle(generator(star, 1))
+    assert abs(center - (-6.0)) < 1e-12
+    assert abs(radius - 0.3) < 1e-12
 
 
 def test_handle_moments_pick_out_the_matching_power(star):
@@ -101,6 +99,17 @@ def test_handle_moments_gate_trips_near_a_pole(star):
     pole = w + 1.01 * disc_radius(star, 1)
     with pytest.raises(QuadratureError):
         handle_moments(np.array([1.0 / (z - pole)]), z, dz, w, [0], 1e-10)
+
+
+def test_handle_moments_match_the_row_loop(star):
+    # the vectorised moments against one scalar gated sum per row and power:
+    # the same products and the same sums, so the same bits
+    z, dz, w = handle_nodes(star, 1, 64)
+    rng = np.random.default_rng(0)
+    vals = np.array([1.0 / (z - w) ** j + rng.normal() * z for j in range(4)])
+    got = handle_moments(vals, z, dz, w, range(3), 1e-10)
+    want = [[gated_sum(row, (z - w) ** k * dz, 1e-10) for k in range(3)] for row in vals]
+    assert np.array_equal(got, np.array(want) / TWO_PI_I)
 
 
 def test_pairing_extracts_moments(star):

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from schottkycalc import gem
-from schottkycalc.contour import CircleContour, contour_nodes, pairing
+from contour_reference import pairing
+from schottkycalc.contour import handle_nodes
 from schottkycalc.eichler import canonical_cocycle, cocycle_eval
 from schottkycalc.gem import (
     CanonicalGEM,
@@ -26,7 +27,6 @@ from schottkycalc.schottky import (
     HandleParams,
     SchottkyParams,
     disc_center,
-    disc_radius,
     generator,
 )
 
@@ -148,14 +148,9 @@ def test_dual_basis_moments_are_kronecker(theta, selection, dual):
     got = np.empty((selection.dim, len(selection.J)), dtype=complex)
     for j, flat in enumerate(selection.J):
         a, k = selection.label(flat)
-
-        def T(z, i=None):
-            return dual.values(z)
-
-        c = CircleContour(disc_center(STAR, a), disc_radius(STAR, a), n_nodes=128)
-        z, dz = contour_nodes(c, doubled=True)
+        z, dz, w_a = handle_nodes(STAR, a, 128)
         vals = dual.values(z)  # (d, 2n)
-        wk = (z - disc_center(STAR, a)) ** k * dz
+        wk = (z - w_a) ** k * dz
         got[:, j] = (vals * wk).sum(axis=1) / (2j * np.pi)
     assert np.max(np.abs(got - np.eye(selection.dim))) < 1e-8
 
@@ -164,10 +159,9 @@ def test_correction_polys_match_direct_moments(base, selection, canonical):
     y = 0.3 - 0.9j
     for pos, flat in enumerate(selection.J):
         b, l = selection.label(flat)
-        c = CircleContour(disc_center(STAR, b), disc_radius(STAR, b), n_nodes=128)
-        z, dz = contour_nodes(c, doubled=True)
+        z, dz, w_b = handle_nodes(STAR, b, 128)
         vals = base.value_grid(z, np.array([y]))[0]
-        direct = np.sum(vals * (z - disc_center(STAR, b)) ** l * dz) / (2j * np.pi)
+        direct = np.sum(vals * (z - w_b) ** l * dz) / (2j * np.pi)
         fitted = np.polynomial.polynomial.polyval(y, canonical.corrections[pos])
         assert abs(direct - fitted) < 1e-8 * max(1.0, abs(direct))
 
@@ -227,8 +221,7 @@ def test_contour_identity_recovers_folding_word(canonical, selection):
 
 def test_circle_nodes_served_from_the_selection_pass(base, theta, selection, canonical, monkeypatch):
     ys = np.array([0.4 - 0.6j, -0.3 + 0.8j])
-    c = CircleContour(disc_center(STAR, 2), disc_radius(STAR, 2), n_nodes=128)
-    z, _ = contour_nodes(c, doubled=True)
+    z = handle_nodes(STAR, 2, 128)[0]
     fresh_dual = DualBasis(SpanningTheta(base), selection).values(z)
     want = base.value_grid(z, ys) - np.einsum(
         "dt,dm->tm",

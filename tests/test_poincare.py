@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schottkycalc import gem, moebius, poincare
-from schottkycalc.contour import CircleContour, circle_integral, handle_nodes
+from schottkycalc.contour import contour_nodes, handle_moments, handle_nodes
 from schottkycalc.poincare import (
     BersEvaluator,
     EvaluationError,
@@ -26,14 +26,12 @@ from schottkycalc.poincare import (
     TruncationWarning,
     default_probe_points,
     limit_points,
-    shell_report,
 )
 from schottkycalc.schottky import (
     HandleParams,
     SchottkyParams,
     build_shells,
     disc_center,
-    disc_radius,
     generator,
     in_domain,
     word_map,
@@ -392,17 +390,11 @@ def test_series_config_rejects_bad_values(bad):
 def test_third_kind_residues(star):
     ev = ThirdKindEvaluator(star, config=CFG)
     y = 0.9 + 0.4j
-
-    def f(z):
-        return ev.value_grid(z, np.array([y]))[0]
-
-    around_y = CircleContour(center=y, radius=0.15)
-    around_0 = CircleContour(center=0j, radius=0.15)
-    around_nothing = CircleContour(center=-4.0 + 0.0j, radius=0.2)
-    two_pi_i = 2j * np.pi
-    assert abs(circle_integral(f, around_y) / two_pi_i - 1.0) < 1e-10
-    assert abs(circle_integral(f, around_0) / two_pi_i + 1.0) < 1e-10
-    assert abs(circle_integral(f, around_nothing)) < 1e-10
+    # +1 around the moving pole, -1 around the anchor, nothing elsewhere
+    for center, radius, want in ((y, 0.15, 1.0), (0j, 0.15, -1.0), (-4.0 + 0j, 0.2, 0.0)):
+        z, dz = contour_nodes(center, radius, 256)
+        res = handle_moments(ev.value_grid(z, np.array([y])), z, dz, center, [0], 1e-9)[0, 0]
+        assert abs(res - want) < 1e-11
 
 
 def test_third_kind_is_invariant_one_form(star):
@@ -416,19 +408,10 @@ def test_third_kind_is_invariant_one_form(star):
 
 
 def test_nu_normalization(star, nus):
-    two_pi_i = 2j * np.pi
     for b in (1, 2):
-        c = CircleContour(
-            center=disc_center(star, b), radius=disc_radius(star, b), n_nodes=256
-        )
-        for a in (1, 2):
-
-            def f(z, a=a):
-                return nus.values(z)[a - 1]
-
-            val = circle_integral(f, c) / two_pi_i
-            expected = 1.0 if a == b else 0.0
-            assert abs(val - expected) < 1e-8
+        z, dz, w_b = handle_nodes(star, b, 256)
+        vals = handle_moments(nus.values(z), z, dz, w_b, [0], 1e-8)[:, 0]
+        assert np.max(np.abs(vals - np.eye(2)[b - 1])) < 1e-8
 
 
 def test_nu_base_point_independence(star):
@@ -439,12 +422,9 @@ def test_nu_base_point_independence(star):
 
 
 def test_nu_holomorphic_in_domain(star, nus):
-    c = CircleContour(center=0.5 + 0.5j, radius=0.3)
-
-    def f(z):
-        return nus.values(z)[0]
-
-    assert abs(circle_integral(f, c)) < 1e-10
+    c = 0.5 + 0.5j
+    z, dz = contour_nodes(c, 0.3, 256)
+    assert abs(2j * np.pi * handle_moments(nus.values(z)[:1], z, dz, c, [0], 1e-9)[0, 0]) < 1e-10
 
 
 def test_nu_rejects_bad_base_point(star):
@@ -1098,9 +1078,10 @@ def test_series_match_30_digit_sums(star):
 
 
 def test_shell_report_counts_and_decay(star):
-    rows = shell_report(star, 2, 0.1 + 0.2j, 0.9 - 0.3j, config=CFG)
-    assert [r["count"] for r in rows] == [1, 4, 12, 36, 108, 324, 972]
-    maxima = [r["max_term"] for r in rows]
+    bers = BersEvaluator(star, 2, config=CFG)
+    bers.value(0.1 + 0.2j, 0.9 - 0.3j)
+    assert [len(a) for a in bers.shells.a] == [1, 4, 12, 36, 108, 324, 972]
+    maxima = bers.last_shell_magnitudes
     # geometric decay sets in immediately for this well-separated surface
     for prev, cur in zip(maxima[1:], maxima[2:]):
         assert cur < 0.05 * prev

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schottkycalc import moebius
+from schottkycalc import moebius, schottky
 from schottkycalc.schottky import (
     BoundaryAmbiguityError,
     CapacityError,
@@ -24,7 +24,6 @@ from schottkycalc.schottky import (
     invert_word,
     letter_order,
     reduce_to_fundamental,
-    reduce_word,
     surface_from_dict,
     surface_to_dict,
     to_classical,
@@ -45,9 +44,34 @@ def star():
     )
 
 
+def reduce_word(word) -> tuple[int, ...]:
+    """Free reduction: cancel adjacent inverse letters."""
+    out: list[int] = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
 def test_handle_requires_separated_circles():
     with pytest.raises(InvalidSurfaceError):
         HandleParams(0.0, 0.5, 0.09)  # 0.5 <= 2*0.3
+
+
+@pytest.mark.parametrize("name", ["w_plus", "w_minus", "rho"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_handle_rejects_non_finite_data(name, bad):
+    # a NaN or inf passes every comparison the overlap check makes
+    data = {"w_plus": -6.0, "w_minus": -2.0, "rho": 0.09, name: bad}
+    with pytest.raises(ValueError, match="finite"):
+        HandleParams(**data)
+
+
+def test_validate_counts_a_nan_gap_as_a_violation(star, monkeypatch):
+    monkeypatch.setattr(schottky, "disc_gaps", lambda p: [((1, -1), float("nan"))])
+    assert [v["letters"] for v in validate(star)] == [(1, -1)]
 
 
 def test_validate_reports_cross_pair_overlaps():

@@ -1,7 +1,6 @@
 """Tests for moduli tangent directions, the weight-2 variation field,
 beta-periods, and the quadratic-differential identity for period derivatives."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from schottkycalc.cli import load_config
 from schottkycalc.contour import QuadratureError
 from schottkycalc.eichler import PolyForm, canonical_cocycle, cocycle_eval, decompose_coboundary
 from schottkycalc.gem import CanonicalGEM, SpanningTheta, canonical_gem
-from schottkycalc.moebius import deriv, moebius
+from schottkycalc.moebius import apply as mob_apply, deriv, moebius
 from schottkycalc.poincare import BersEvaluator, NuFamily, SeriesConfig, default_probe_points
 from schottkycalc.schottky import (
     HandleParams,
@@ -123,7 +122,7 @@ def test_word_action_derivative_matches_cocycle():
         for a in (1, 2):
             for l in range(3):
                 lhs = va.direction_diff(
-                    STAR, a, l, lambda q: va.word_image(q, word, z), 1e-5
+                    STAR, a, l, lambda q: mob_apply(word_map(q, word), z), 1e-5
                 )
                 rhs = -cocycle_eval(canonical_cocycle(STAR, 2, a, l), word)(z) * dz
                 assert abs(lhs - rhs) < 1e-6
@@ -340,13 +339,21 @@ def test_exact_period_gradient_is_worker_independent(base_pm):
 
 
 def test_exact_period_gradient_reuses_the_gate_circles(base_pm, monkeypatch):
-    # an uncertified base keeps no circle values: the gradient evaluates them
-    fresh = va.exact_period_gradient(replace(base_pm, circles=None))
+    # the certifying gate evaluated nu on the handle circles; the gradient
+    # reads those values, shared read-only, and evaluates nu nowhere
     calls = []
     values = NuFamily.values
     monkeypatch.setattr(NuFamily, "values", lambda self, xs: calls.append(1) or values(self, xs))
-    assert np.array_equal(va.exact_period_gradient(base_pm), fresh)
+    got = va.exact_period_gradient(base_pm)
     assert calls == []
+    circles = va._handle_circle_nu(STAR, base_pm.nu)
+    assert circles is va._handle_circle_nu(STAR, base_pm.nu)
+    assert not any(a.flags.writeable for _, z, dz, _, vals in circles for a in (z, dz, vals))
+    monkeypatch.undo()
+    # an uncertified base's new family has no circles yet: the gradient
+    # evaluates them, to the same bits
+    fresh = va.exact_period_gradient(va.period_matrix(STAR, config=CFG, certify=False))
+    assert np.array_equal(got, fresh)
 
 
 def test_exact_period_gradient_gate_fails_closed(base_pm, monkeypatch):
@@ -490,9 +497,9 @@ def test_punctured_field_orbit_covariance(canonical):
     # the kernel itself evaluated at the moved point
     x, y = 0.5 + 0.3j, 0.4 - 0.6j
     for a in (1, 2):
-        f = lambda q, ys: va.word_image(q, (a,), ys[0])
+        f = lambda q, ys: mob_apply(word_map(q, (a,)), ys[0])
         lhs = va.nabla_punctured_apply(canonical, (y,), f, x)
-        rhs = canonical.value(x, va.word_image(STAR, (a,), y))
+        rhs = canonical.value(x, mob_apply(word_map(STAR, (a,)), y))
         assert abs(lhs - rhs) < 1e-5
 
 
