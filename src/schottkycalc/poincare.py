@@ -31,12 +31,15 @@ term, whose (cx + d) powers cancel. The limit points' factors a - cA_j and
 poles are carried down the word tree, exact along the powers of each A_j's
 own word, where the matrix entries cancel (_limit_factors). A deep shell's
 words are grouped by their last three letters (pole pairs) or two
-(weight N), whose nested disc holds the group's poles, centred on the mean
-pole of the points all rows share (the A_j, or a pole pair's shared y0 or
-0). A group far from x (its radius over all rows below half the distance;
-one test per group and point) adds a truncated Laurent expansion in
-1/(x - c), built once per point and contracted with every row's moments in
-one product per point, whose dropped tail is bounded a priori for any m.
+(weight N), whose nested disc holds the group's poles; every deep shell
+has the same keys, and centres each group on its key's mean pole, in
+shell 4, of the points all rows share (the A_j, or a pole pair's shared y0
+or 0). A group far from x (its radius over all rows below half the
+distance; one test per group and point) adds a truncated Laurent expansion
+in 1/(x - c), contracted with every row's moments in one product per point,
+whose dropped tail is bounded a priori for any m. The distances and powers
+of 1/(x - c) are built once per call, as every deep shell shares the
+centres (_FarField), and dropped when it returns.
 A near group, and each of the (2N - 1)(2g - 1) weight-N words per shell
 whose A_j pole leaves its group's disc, is summed term by term, pulled
 back. A shell's groups and centres are planned once per live set of
@@ -125,10 +128,9 @@ class SeriesConfig:
 
 
 class _Workspace:
-    """Scratch for the series kernels, owned by one evaluator (unlike the
-    tree, the shared points and the plans, which _live shares) and grown on
-    demand: the direct kernel's (points, words) tiles and the far field's
-    powers."""
+    """Scratch for the direct kernel's (points, words) tiles, owned by one
+    evaluator (unlike the tree, the shared points and the plans, which _live
+    shares) and grown on demand."""
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
@@ -339,6 +341,14 @@ class _DirectKernel:
 # series evaluators
 
 
+def _points(name: str, values) -> np.ndarray:
+    """values as a 1-D complex array, else ValueError naming the argument."""
+    out = np.asarray(values, dtype=np.complex128)
+    if out.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of points, got shape {out.shape}")
+    return out
+
+
 class _ShellSeries:
     """State and shell loop shared by the series evaluators.
 
@@ -374,7 +384,9 @@ class _ShellSeries:
         above shell_tol. Shells 0..3 go to _DirectKernel in tiles of points
         of half the budget (it keeps five such arrays): a point's terms sum
         along its own row, so tiles change speed and memory, never values.
-        Each deeper shell is its plan bound to the rows (_PoleGroups)."""
+        Each deeper shell is its plan bound to the rows (_PoleGroups),
+        summed on one _FarField, built at the first deep shell the call
+        reaches and dropped when it returns."""
         if not np.array_equal(targets, self._targets):
             self._targets, self._numerator = np.array(targets), np.array(numerator)
             self._rows: dict[int, _PoleGroups] = {}
@@ -384,6 +396,7 @@ class _ShellSeries:
         comp = np.zeros_like(totals)
         mags: list[float] = []
         stop, tol = self.config.stop_tol, self.config.shell_tol
+        field = None
         for length in range(shells.max_len + 1):
             if length < _DIRECT_SHELLS:
                 words = [w[length] for w in (shells.a, shells.b, shells.c, shells.d)]
@@ -392,11 +405,13 @@ class _ShellSeries:
                 for lo in range(0, m, step):
                     shell_total[:, lo : lo + step] += kernel(*words, xs[lo : lo + step])
             else:
-                if length not in plans:
-                    plans[length] = _GroupPlan(self, length)
+                if length not in plans:  # shell 4's plan lends the deeper ones its centres
+                    plans[length] = _GroupPlan(self, length, plans.get(_DIRECT_SHELLS))
                 if length not in self._rows:
                     self._rows[length] = _PoleGroups(plans[length], self._targets, self._numerator)
-                shell_total = self._rows[length].total(xs, self._ws)
+                if field is None:
+                    field = _FarField(xs, plans[length].centre)
+                shell_total = self._rows[length].total(field)
             if not np.all(np.isfinite(shell_total)):
                 raise EvaluationError(
                     "non-finite series terms (evaluation point at a pole of a group element?)"
@@ -446,8 +461,7 @@ class BersEvaluator(_ShellSeries):
 
     def value_grid(self, xs, ys) -> np.ndarray:
         """Array of values, shape (len(ys), len(xs)); x-batches share orbits."""
-        xs = np.asarray(xs, dtype=np.complex128)
-        ys = np.asarray(ys, dtype=np.complex128)
+        xs, ys = _points("xs", xs), _points("ys", ys)
         y_weights = np.array([np.prod(yv - self.points) for yv in ys])  # product of (y - A_j)
         # a y on a planted zero (some A_j) zeroes every term: its row is 0
         live = y_weights != 0
@@ -468,8 +482,7 @@ class ThirdKindEvaluator(_ShellSeries):
 
     def value_grid(self, xs, ys) -> np.ndarray:
         """Shape (len(ys), len(xs)); pole pair (y_i, 0) per row."""
-        xs = np.asarray(xs, dtype=np.complex128)
-        ys = np.asarray(ys, dtype=np.complex128)
+        xs, ys = _points("xs", xs), _points("ys", ys)
         return self._sum(xs, "third-kind series", ys, ys - 0j)
 
 
@@ -518,11 +531,16 @@ class _GroupPlan:
     limit point A_j does for the 2g - 1 words per shell whose first
     length - _depth + 1 letters run along W_j W_j ...; such an outside word,
     found by testing the ancestors' poles against their last disc, is
-    summed term by term at every point. A group's centre c is its words'
-    mean pole over the shared points.
+    summed term by term at every point.
+
+    A group's centre c is the mean pole, over the shared points, of its key's
+    words in the series' first deep shell: that shell's plan (base None)
+    computes it, and every deeper one takes base's centre array itself,
+    raising if its group keys differ, so one _FarField serves every deep
+    shell of a call.
     """
 
-    def __init__(self, series: _ShellSeries, length: int):
+    def __init__(self, series: _ShellSeries, length: int, base: _GroupPlan | None = None):
         p, shells, depth, shared = series.params, series.shells, series._depth, series._shared
         key, ancestor = _suffixes(shells, length, depth)
         self.guard, self.m = shared.guard, 1 + len(shared.points)
@@ -534,7 +552,7 @@ class _GroupPlan:
         inside = np.all(np.abs(shared.pole[back][:, ancestor] - disc_c) <= disc_r, axis=0)
         kept = np.flatnonzero(inside)
         order = kept[np.argsort(key[kept], kind="stable")]
-        _, self.starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+        self.keys, self.starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
         self.stops = self.starts + sizes
         self.group_of_word = np.repeat(np.arange(len(sizes)), sizes)
         # the kept words in group order, then the outside words
@@ -542,11 +560,52 @@ class _GroupPlan:
         self.outside = slice(len(kept), len(order))
         self.abcd = tuple(m[length][order] for m in (shells.a, shells.b, shells.c, shells.d))
         self.lam, self.pole = (s[length][:, None, order] for s in (shared.lam, shared.pole))
-        poles = functools.reduce(np.add, self.pole[:, :, : len(kept)])
-        self.centre = np.add.reduceat(poles, self.starts, axis=1)[0] / (len(shared.points) * sizes)
+        if base is None:
+            poles = functools.reduce(np.add, self.pole[:, :, : len(kept)])
+            sums = np.add.reduceat(poles, self.starts, axis=1)[0]
+            self.centre = sums / (len(shared.points) * sizes)
+        elif np.array_equal(self.keys, base.keys):
+            self.centre = base.centre
+        else:
+            raise ValueError(f"shell {length} groups other suffixes than its centres' plan")
         for array in [*self.abcd, *vars(self).values()]:  # shared, so read-only as in _live
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
+
+
+class _FarField:
+    """The point side of one _sum call's expansions, shared by all its deep
+    shells, whose plans share the centres c: the points x, the distances
+    |x - c|, shape (points, groups), and the inverse powers (x - c)^-(k+1),
+    shape (points, k, groups), grown to the most orders any shell needs.
+
+    Each power is the one before it times the first, over a point's groups
+    as one strided row, and never written over an input (numpy's in-place
+    complex multiply of a 1-element block rounds differently), so a point's
+    bits are its own, whatever the other points and however far it grew.
+    Both arrays are read-only, as every deep shell of the call reads them.
+    """
+
+    def __init__(self, xs: np.ndarray, centre: np.ndarray):
+        self.xs, self.centre = xs, centre
+        self.dist = np.abs(xs[:, None] - centre)
+        self.dist.flags.writeable = False
+        self._pw = np.empty((len(xs), 0, len(centre)), dtype=np.complex128)
+
+    def powers(self, count: int) -> np.ndarray:
+        """(x - c)^-(k+1) for k < count or more, shape (points, >= count, groups)."""
+        have = self._pw.shape[1]
+        if have < count:
+            pw = np.empty((len(self.xs), count, len(self.centre)), dtype=np.complex128)
+            pw[:, :have] = self._pw
+            with np.errstate(all="ignore"):  # a point at a centre: inf
+                if not have:
+                    np.divide(1.0, self.xs[:, None] - self.centre, out=pw[:, 0])
+                for k in range(max(1, have), count):
+                    np.multiply(pw[:, k - 1], pw[:, 0], out=pw[:, k])
+            pw.flags.writeable = False
+            self._pw = pw
+        return self._pw
 
 
 class _PoleGroups:
@@ -555,7 +614,8 @@ class _PoleGroups:
     row's pole from its centre c, and the expansions' moments.
 
     A group is far from x when r < _FAR_RATIO |x - c|, one test per
-    (group, point), and there it adds sum_{n>=0} mu_n (x - c)^-(m+n),
+    (group, point) on the call's _FarField, and there it adds
+    sum_{n>=0} mu_n (x - c)^-(m+n),
     mu_n = sum_w weight_w h_n(p_w - c), h_n the complete homogeneous
     polynomial of degree n in the m poles. As |h_n| <= C(n + m - 1, m - 1)
     r^n, stopping at K = _expansion_order(rho, m), rho the worst far
@@ -564,10 +624,11 @@ class _PoleGroups:
     (_near_sum) behind _pole_guard. The row targets are points of F or their
     images (y, g_a y0); one elsewhere only widens its groups.
 
-    Bits: a point's powers of 1/(x - c) come from that point alone and meet
-    all rows' moments in its own (1, K groups) @ (K groups, t) product, and
-    each near point's terms sum as one contiguous row, so a point's value
-    depends on the other points only through K, and never on tiles.
+    Bits: a point's powers of 1/(x - c) come from that point alone (the
+    field's) and meet all rows' moments in its own (1, K groups) @
+    (K groups, t) product, and each near point's terms sum as one contiguous
+    row, so a point's value depends on the other points only through K, and
+    never on tiles.
     """
 
     def __init__(self, plan: _GroupPlan, targets: np.ndarray, numerator: np.ndarray):
@@ -630,43 +691,31 @@ class _PoleGroups:
             self._mu = mu
         return self._mu[:K].reshape(-1, len(self.numerator))
 
-    def total(self, xs: np.ndarray, ws: _Workspace) -> np.ndarray:
-        """The shell's (t, len(xs)) sum, with the expansions' work arrays in ws."""
-        plan, centre = self.plan, self.plan.centre
-        t, groups, m = len(self.numerator), len(self.radius), len(xs)
-        out = np.zeros((t, m), dtype=np.complex128)
+    def total(self, field: _FarField) -> np.ndarray:
+        """The shell's (t, points) sum at the field's points."""
+        plan, xs = self.plan, field.xs
+        if field.centre is not plan.centre:
+            raise ValueError("the far field is centred on another plan's groups")
+        out = np.zeros((len(self.numerator), len(xs)), dtype=np.complex128)
         if not out.size:
             return out
-        width = max(1, _TILE_ELEMENTS // max(1, groups))
-        near = np.empty((m, groups), dtype=np.bool_)  # one test for every row
-        rho = 0.0
-        for lo in range(0, m, width):
-            dist = np.abs(xs[lo : lo + width, None] - centre)
-            # a far point lies more than r from every pole of its group
-            # (|x - c| > 2r), so the expansion needs no pole guard
-            far = self.radius < _FAR_RATIO * dist
-            near[lo : lo + width] = ~far
-            ratio = np.divide(self.radius, dist, out=np.zeros(far.shape), where=far)
-            rho = max(rho, float(ratio.max(initial=0.0)))
-        if not near.all():
-            K = _expansion_order(rho, plan.m)
+        # a far point lies more than r from every pole of its group
+        # (|x - c| > 2r), so the expansion needs no pole guard
+        far = self.radius < _FAR_RATIO * field.dist
+        near = ~far
+        if far.any():
+            with np.errstate(divide="ignore", invalid="ignore"):  # x at a centre: near
+                ratio = self.radius / field.dist
+            ratio[near] = 0.0
+            K = _expansion_order(float(ratio.max()), plan.m)
             mu = self._moments(K)
-            width = max(1, _TILE_ELEMENTS // (K * groups))
-            for lo in range(0, m, width):
-                x = xs[lo : lo + width]
-                # (x - c)^-(m+n), n < K, by repeated multiplication: each one
-                # runs a point's groups as one strided row and never writes
-                # over an input (numpy's in-place complex multiply of a
-                # 1-element block rounds differently), so a point's bits are
-                # its own, as is its (1, K groups) @ (K groups, t) product
-                pw = ws.take("powers", (len(x), plan.m + K - 1, groups))
-                with np.errstate(all="ignore"):
-                    np.divide(1.0, x[:, None] - centre, out=pw[:, 0])
-                    for k in range(1, pw.shape[1]):
-                        np.multiply(pw[:, k - 1], pw[:, 0], out=pw[:, k])
-                P = pw[:, plan.m - 1 :]
-                np.copyto(P, 0.0, where=near[lo : lo + width, None])  # which may overflow
-                out[:, lo : lo + width] = np.matmul(P.reshape(len(x), 1, -1), mu)[:, 0].T
+            pw = field.powers(plan.m + K - 1)[:, plan.m - 1 : plan.m + K - 1]
+            width = max(1, _TILE_ELEMENTS // (K * len(self.radius)))
+            for lo in range(0, len(xs), width):
+                P, tile_near = pw[lo : lo + width], near[lo : lo + width]
+                if tile_near.any():  # a copy with the near pairs (which may overflow) zeroed
+                    P = np.where(tile_near[:, None], 0.0, P)
+                out[:, lo : lo + width] = np.matmul(P.reshape(len(P), 1, -1), mu)[:, 0].T
         for j in np.flatnonzero(near.any(axis=0)):
             cols = np.flatnonzero(near[:, j])
             out[:, cols] += self._near_sum(slice(plan.starts[j], plan.stops[j]), xs[cols])
@@ -724,7 +773,7 @@ class NuFamily(_ShellSeries):
 
     def values(self, xs) -> np.ndarray:
         """All nu_a at once, shape (g, len(xs)); one orbit pass."""
-        xs = np.asarray(xs, dtype=np.complex128)
+        xs = _points("xs", xs)
         images = np.array(self.images, complex)
         return self._sum(xs, "nu series", images, self.y0 - images)
 

@@ -548,9 +548,18 @@ def _counting(monkeypatch, module, name, record):
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
-    kernels, matrices, depths, factors, plans = [], [], [], [], []
+    kernels, matrices, depths, factors, plans, fields = [], [], [], [], [], []
     _counting(monkeypatch, cli, "canonical_gem", kernels)
     _counting(monkeypatch, poincare._GroupPlan, "__init__", plans)
+    _counting(monkeypatch, poincare._FarField, "__init__", fields)
+    deep_sums, series_sum = [], poincare._ShellSeries._sum
+
+    def spy_sum(self, *args):
+        out = series_sum(self, *args)
+        deep_sums.append(len(self._last_shell_mags) > poincare._DIRECT_SHELLS)
+        return out
+
+    monkeypatch.setattr(poincare._ShellSeries, "_sum", spy_sum)
     for module in (cli, variation):
         _counting(monkeypatch, module, "period_matrix", matrices)
     # spies that keep no tree alive, over a registry no other test fills
@@ -571,6 +580,8 @@ def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
     # weight-2 limit points, y0 = 0 (nu and the third kind) and the second
     # nu's base point
     assert len(plans) == 3 * 2
+    # one far field for each series pass that reaches a deep shell
+    assert sum(deep_sums) > 0 and len(fields) == sum(deep_sums)
     # one certified base, shared by the rauch suite (which differentiates
     # it exactly) and the report's period_matrix entry
     assert len(matrices) == 1
@@ -592,12 +603,15 @@ def test_commands_do_not_share_a_kernel(tmp_path, monkeypatch, capsys):
     assert [h.rho for h in can_b.params.handles] == [0.08, 0.08]
 
 
-def test_quasiperiod_suite_builds_one_table_per_point(tmp_path, monkeypatch):
-    tables = []
+def test_quasiperiod_suite_builds_one_table(tmp_path, monkeypatch):
+    tables, passes = [], []
     _counting(monkeypatch, gem.SpanningTheta, "table", tables)
+    _counting(monkeypatch, poincare.BersEvaluator, "value_grid", passes)
     rep = run_suite(load_config(write_config(tmp_path)), "quasiperiod")
     assert rep["passed"], rep
-    assert len(tables) == 2  # one all-handle table at each of the 2 probe points
+    assert len(tables) == 1  # one all-handle table at both probe points
+    # the table's pass and one off-grid pass over every g_a y_a and y_a
+    assert len(passes) == 2
 
 
 class _KernelBuilt(ArithmeticError):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import weakref
 
 import mpmath as mp
@@ -531,12 +532,99 @@ def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
     groups = bers._rows[5]
     order, K = poincare._expansion_order, []
     monkeypatch.setattr(poincare, "_expansion_order", lambda *a: K.append(order(*a)) or K[0])
-    whole = groups.total(xs, bers._ws)
+    centre = groups.plan.centre
+    field = poincare._FarField(xs, centre)
+    whole = groups.total(field)
     # the batch takes the expansions and the outside words
     assert len(K) == 1 and groups.plan.outside.stop > groups.plan.outside.start
+    # which every shell of a call reads, so no shell may write into them
+    assert not field.dist.flags.writeable and not field.powers(1).flags.writeable
     for lo, hi in [(0, 1), (0, 2), (0, 3), (0, 7), (0, 65), (1, 2), (3, 10), (64, 129)]:
-        part = groups.total(xs[lo:hi], bers._ws)
+        part = groups.total(poincare._FarField(xs[lo:hi], centre))
         assert np.array_equal(part, whole[:, lo:hi]), (lo, hi)
+
+
+def _deep_series(p, cfg):
+    """A weight-2, a third-kind and a nu series on p, each summed once at
+    the far-case points, so that every deep shell has its plan and rows."""
+    xs = _far_case_points(p)
+    bers = BersEvaluator(p, 2, config=cfg)
+    third, nu = ThirdKindEvaluator(p, config=cfg), NuFamily(p, config=cfg)
+    bers.value_grid(xs, _bers_targets(p))
+    third.value_grid(xs, THIRD_KIND_YS)
+    nu.values(xs)
+    return xs, {"bers2": bers, "third_kind": third, "nu": nu}
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("name, max_len", [("star", 7), ("genus3-wide", 6)])
+def test_deep_plans_share_the_first_deep_shells_centres(star, monkeypatch, name, max_len):
+    """Every deep plan of a series holds shell 4's centre array itself,
+    read-only, and a plan whose groups differ from the one lending it its
+    centres is refused."""
+    monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
+    _, evs = _deep_series(_surface(name, star), SeriesConfig(max_len=max_len))
+    for kind, ev in evs.items():
+        plans = ev._shared.plans
+        first = plans[poincare._DIRECT_SHELLS]
+        assert sorted(plans) == list(range(poincare._DIRECT_SHELLS, max_len + 1)), kind
+        assert all(plans[L].centre is first.centre for L in plans), kind
+        assert not first.centre.flags.writeable, kind
+        with pytest.raises(ValueError, match="read-only"):
+            first.centre[0] = 0.0
+        other = types.SimpleNamespace(keys=first.keys[1:], centre=first.centre[1:])
+        with pytest.raises(ValueError, match="other suffixes"):
+            poincare._GroupPlan(ev, max_len, other)
+
+
+def _own_centre_total(series, length, xs):
+    """Deep shell `length` of a series summed at xs on its own words' mean-pole
+    centres, its plan built with no first deep shell to lend it centres: the
+    reference for the shared centres (rows bound to the series' last targets)."""
+    plan = poincare._GroupPlan(series, length)
+    groups = poincare._PoleGroups(plan, series._targets, series._numerator)
+    return groups.total(poincare._FarField(xs, plan.centre))
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("name, max_len", [("star", 10), ("genus3-wide", 7)])
+def test_shared_centres_match_each_shells_own_centres(star, name, max_len):
+    """Each deep shell summed on the shared centres agrees with the same shell
+    summed on its own mean-pole centres to 1e-15 of its largest value."""
+    xs, evs = _deep_series(_surface(name, star), SeriesConfig(max_len=max_len))
+    for kind, ev in evs.items():
+        field = poincare._FarField(xs, ev._shared.plans[poincare._DIRECT_SHELLS].centre)
+        for length in range(poincare._DIRECT_SHELLS, max_len + 1):
+            shared = ev._rows[length].total(field)
+            own = _own_centre_total(ev, length, xs)
+            scale = np.max(np.abs(own))
+            assert np.max(np.abs(shared - own)) <= 1e-15 * scale, (kind, length)
+
+
+@pytest.mark.parametrize("kind", ["bers", "third_kind", "nu"])
+def test_series_entry_points_reject_points_that_are_not_1d(star, kind):
+    """A scalar or 2-D xs or ys is a ValueError naming the argument and its
+    shape, at each series' grid entry point; the scalar value() stays."""
+    cfg = SeriesConfig(max_len=4, shell_tol=1.0)
+    x, y = 0.3 + 0.2j, 0.1j
+    if kind == "nu":
+        nu = NuFamily(star, config=cfg)
+        calls = {"xs": [lambda: nu.values(x), lambda: nu.values([[x, y]])]}
+        assert nu.value(1, x) == nu.values([x])[0, 0]
+    else:
+        if kind == "bers":
+            ev = BersEvaluator(star, 2, config=cfg)
+        else:
+            ev = ThirdKindEvaluator(star, config=cfg)
+        calls = {
+            "xs": [lambda: ev.value_grid(x, [y]), lambda: ev.value_grid([[x, y]], [y])],
+            "ys": [lambda: ev.value_grid([x], y), lambda: ev.value_grid([x], [[y], [0.2]])],
+        }
+        assert ev.value(x, y) == ev.value_grid([x], [y])[0, 0]
+    for name, fs in calls.items():
+        for f in fs:
+            with pytest.raises(ValueError, match=rf"^{name} must be a 1-D array .* shape \("):
+                f()
 
 
 def _spy_builds(monkeypatch) -> list:
