@@ -14,10 +14,11 @@ or a full run configuration
 
 Complex values are written as a number, an [re, im] pair or a string like
 "1+2j"; a missing or null key keeps its default, an unknown key is an
-error. No command reads "h" any more (the rauch check takes the exact
-period gradient); it stays a valid key so existing configs still load.
-Likewise "workers" and --workers are accepted (>= 1) and have no effect:
-every series runs in the calling thread. One
+error. "h", once the finite-difference step of the moduli derivatives, is
+read (a JSON number) and has no effect: they are gated Cauchy moments of
+functions holomorphic in the handle parameters, 16 evaluations per
+direction, and the rauch check takes the exact period gradient. Likewise "workers" and --workers are accepted
+(>= 1) and have no effect: every series runs in the calling thread. One
 base point y0 anchors the nu family, and period-matrix, rauch and report
 certify one period matrix at the config's "normalization" and "symmetry"
 tolerances. Reports are JSON with sorted keys; every residual is
@@ -67,6 +68,7 @@ from .schottky import (
     ReductionError,
     SchottkyParams,
     build_shells,
+    clearance,
     disc_center,
     disc_gaps,
     disc_radius,
@@ -119,7 +121,6 @@ class RunConfig:
     nodes: int = 256
     workers: int = 1
     seed: int = 0
-    h: float = 1e-5  # read by no command; kept so configs that set it load
     tolerances: Mapping[str, float] = field(default_factory=dict)
     J: tuple[int, ...] | None = None
 
@@ -127,8 +128,6 @@ class RunConfig:
         for name, least in (("N", 2), ("max_len", 1), ("nodes", 8), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not (self.h > 0):
-            raise ConfigError(f"h must be positive, got {self.h}")
         try:
             self.series()  # SeriesConfig checks shell_tol, stop_tol and workers
         except ValueError as exc:
@@ -258,9 +257,11 @@ def _tolerances(raw) -> dict[str, float]:
 # are RunConfig's
 _CONFIG_KEYS = {
     **dict.fromkeys(("N", "max_len", "nodes", "workers", "seed"), _integer),
-    **dict.fromkeys(("shell_tol", "stop_tol", "h"), _real),
+    **dict.fromkeys(("shell_tol", "stop_tol"), _real),
     "tolerances": _tolerances,
 }
+# read and checked like the keys above, with no effect (the module docstring)
+_INERT_KEYS = {"h": _real}
 
 
 def _read(key: str, read, value):
@@ -286,7 +287,7 @@ def load_config(
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - {"surface", "handles", "genus", "J", *_CONFIG_KEYS}
+    unknown = set(raw) - {"surface", "handles", "genus", "J", *_CONFIG_KEYS, *_INERT_KEYS}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
@@ -301,6 +302,9 @@ def load_config(
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad surface: {exc}") from exc
 
+    for key, read in _INERT_KEYS.items():
+        if raw.get(key) is not None:
+            _read(key, read, raw[key])
     overrides = {"max_len": max_len, "workers": workers, "seed": seed}
     fields = {}
     for key, read in _CONFIG_KEYS.items():
@@ -342,10 +346,6 @@ def emit(payload: dict, json_path: str | None, quiet: bool = False) -> None:
             fh.write(text + "\n")
     if not quiet:
         print(text)
-
-
-def _clearance(p: SchottkyParams, z: complex) -> float:
-    return min(abs(z - disc_center(p, l)) - disc_radius(p, l) for l in p.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def _suite_coboundary(rc: RunConfig, ctx: RunContext) -> dict:
 def _suite_residue(rc: RunConfig, ctx: RunContext) -> dict:
     """Unit residue of the weight-N kernel at coinciding points."""
     psi, y = ctx.bers(), ctx.y0
-    z, dz = contour_nodes(y, 0.3 * _clearance(rc.surface, y), rc.nodes)
+    z, dz = contour_nodes(y, 0.3 * clearance(rc.surface, y), rc.nodes)
     res = handle_moments(psi.value_grid(z, np.array([y])), z, dz, y, [0], 1e-9)[0, 0]
     return {"residue": abs(res - 1.0)}
 
@@ -521,7 +521,7 @@ def _suite_nu_norm(rc: RunConfig, ctx: RunContext) -> dict:
     y = probes[1]
     resids = []
     for pole, want in ((y, 1.0), (0j, -1.0)):
-        z, dz = contour_nodes(pole, 0.3 * min(_clearance(p, pole), abs(y - 0j) / 2), rc.nodes)
+        z, dz = contour_nodes(pole, 0.3 * min(clearance(p, pole), abs(y - 0j) / 2), rc.nodes)
         res = handle_moments(tk.value_grid(z, np.array([y])), z, dz, pole, [0], 1e-9)[0, 0]
         resids.append(abs(res - want))
     return {

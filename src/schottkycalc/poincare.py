@@ -380,7 +380,8 @@ class _ShellSeries:
     def _sum(self, xs, label: str, targets, numerator) -> np.ndarray:
         """Sum the term over the shells in order (Kahan), stop once two
         consecutive shells are below stop_tol, keep the shell magnitudes,
-        and warn (at the caller of the public method) if the last shell is
+        and warn (at the caller of the public method, which reaches _sum
+        through the evaluator's _grid on every path) if the last shell is
         above shell_tol. Shells 0..3 go to _DirectKernel in tiles of points
         of half the budget (it keeps five such arrays): a point's terms sum
         along its own row, so tiles change speed and memory, never values.
@@ -430,7 +431,7 @@ class _ShellSeries:
                 f"{label}: last shell still contributes {mags[-1]:.3e} "
                 f"(> shell_tol {tol:.1e}); deepen max_len",
                 TruncationWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         return totals
 
@@ -457,10 +458,13 @@ class BersEvaluator(_ShellSeries):
         self.points = self._shared.points
 
     def value(self, x: complex, y: complex) -> complex:
-        return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])
+        return complex(self._grid(np.array([x]), np.array([y]))[0, 0])
 
     def value_grid(self, xs, ys) -> np.ndarray:
         """Array of values, shape (len(ys), len(xs)); x-batches share orbits."""
+        return self._grid(xs, ys)
+
+    def _grid(self, xs, ys) -> np.ndarray:
         xs, ys = _points("xs", xs), _points("ys", ys)
         y_weights = np.array([np.prod(yv - self.points) for yv in ys])  # product of (y - A_j)
         # a y on a planted zero (some A_j) zeroes every term: its row is 0
@@ -478,10 +482,13 @@ class ThirdKindEvaluator(_ShellSeries):
         super().__init__(p, config, ("u", 0j), lambda shells: _pulled_back(shells, 0j))
 
     def value(self, x: complex, y: complex) -> complex:
-        return complex(self.value_grid(np.array([x]), np.array([y]))[0, 0])
+        return complex(self._grid(np.array([x]), np.array([y]))[0, 0])
 
     def value_grid(self, xs, ys) -> np.ndarray:
         """Shape (len(ys), len(xs)); pole pair (y_i, 0) per row."""
+        return self._grid(xs, ys)
+
+    def _grid(self, xs, ys) -> np.ndarray:
         xs, ys = _points("xs", xs), _points("ys", ys)
         return self._sum(xs, "third-kind series", ys, ys - 0j)
 
@@ -769,10 +776,13 @@ class NuFamily(_ShellSeries):
         super().__init__(p, config, ("u", self.y0), lambda shells: _pulled_back(shells, self.y0))
 
     def value(self, a: int, x: complex) -> complex:
-        return complex(self.values(np.array([x]))[a - 1, 0])
+        return complex(self._grid(np.array([x]))[a - 1, 0])
 
     def values(self, xs) -> np.ndarray:
         """All nu_a at once, shape (g, len(xs)); one orbit pass."""
+        return self._grid(xs)
+
+    def _grid(self, xs) -> np.ndarray:
         xs = _points("xs", xs)
         images = np.array(self.images, complex)
         return self._sum(xs, "nu series", images, self.y0 - images)

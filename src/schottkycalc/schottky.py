@@ -40,6 +40,7 @@ __all__ = [
     "SchottkyParams",
     "WordShells",
     "build_shells",
+    "clearance",
     "disc_center",
     "disc_gaps",
     "disc_radius",
@@ -193,6 +194,11 @@ def require_valid(p: SchottkyParams) -> None:
     bad = validate(p)
     if bad:
         raise InvalidSurfaceError(f"surface has {len(bad)} disc overlap(s): {bad}")
+
+
+def clearance(p: SchottkyParams, z: complex) -> float:
+    """Distance from z to the nearest disc, negative inside one."""
+    return min(abs(z - disc_center(p, l)) - disc_radius(p, l) for l in p.letters)
 
 
 def in_domain(p: SchottkyParams, z: complex) -> bool:

@@ -6,20 +6,23 @@ coboundary directions, beta-period matrices of the normalized handle
 differentials, their exact moduli gradient, and the verification of the
 variational formula 2 pi i * grad Omega_ab(x) = nu_a(x) nu_b(x).
 
-Every finite-difference moduli derivative goes through one engine:
-`_central` is the one central difference, `_gradient` stacks it along every
-tangent direction (a, l) into an array of shape (g, 3, ...), and `_contract`
-sums that array against a (g, 3) coefficient table. `nabla_apply`,
-`sl2_apply` and `rauch_check` are each one contraction. The gradient of the
-period matrix has two sources with the same shape. `exact_period_gradient`
-is Rauch's variational formula in Schottky coordinates,
+Every moduli derivative goes through one engine: `_cauchy` is the gated
+Cauchy moment (1/2 pi i) * integral of f(p + s e) s^-2 ds on a circle in the
+step s (16 evaluations of f, which must be holomorphic in the handle
+parameters), `_gradient` stacks it along every tangent direction (a, l)
+into an array of shape (g, 3, ...), and `_contract` sums that array
+against a (g, 3) coefficient table. `nabla_apply`, `sl2_apply`
+and `rauch_check` are each one contraction. The gradient of the period
+matrix has two sources with the same shape. `exact_period_gradient` is
+Rauch's variational formula in Schottky coordinates,
 
     dOmega_ij/d(k,l) = -(1/2 pi i)^2 integral over C_k of nu_i nu_j X_kl dz,
 
 with X_kl = dg_k / g_k' the quadratic cocycle of direction (k, l): one
 handle-circle moment of the certified matrix's own nu family, on the grid
-of the normalization gate. `period_gradient` takes central differences of
-whole period matrices, kept as the independent cross-check.
+of the normalization gate. `period_gradient`, the Cauchy derivative of
+whole period matrices (holomorphic in the moduli, as every beta arc turns
+clockwise), is kept as the independent cross-check.
 
 The delta-normalization of the handle differentials is checked with the
 handle-circle moments of `contour.handle_moments`; the jump coefficients
@@ -33,12 +36,12 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .contour import TWO_PI_I, QuadratureError, fail_max, handle_moments, handle_nodes
+from .contour import TWO_PI_I, QuadratureError, contour_nodes, fail_max, handle_moments, handle_nodes
 from .eichler import PolyForm, decompose_coboundary
 from .gem import SpanningTheta
 from .moebius import apply as mob_apply
@@ -47,14 +50,13 @@ from .schottky import (
     DIRECTIONS_PER_HANDLE,
     HandleParams,
     SchottkyParams,
+    clearance,
     disc_center,
     disc_radius,
-    from_classical,
     generator,
     generator_tangent,
     in_domain,
     require_valid,
-    to_classical,
 )
 
 __all__ = [
@@ -79,8 +81,10 @@ __all__ = [
 
 # Gauss-Legendre nodes per beta-path leg (doubled for the gate)
 _N_LEG = 64
-# node-doubling gate of the path quadrature and of the gradient's circle moments
+# node-doubling gate of the path quadrature and of every circle moment here
 _PATH_GATE = 1e-8
+# radius and nodes (doubled for the gate) of a moduli derivative's circle
+_CAUCHY_RADIUS, _CAUCHY_NODES = 0.1, 8
 
 
 class PathBlockedError(RuntimeError):
@@ -103,9 +107,10 @@ def perturbed_params(p: SchottkyParams, a: int, l: int, step: complex) -> Schott
     """Shift one handle parameter along tangent direction (a, l).
 
     l = 0 moves w_plus by step; l = 1 scales rho by (1 + step); l = 2 moves
-    w_minus by step * rho. Dividing differences by 2h then realizes the
-    rho-weighted basis fields exactly; they are the directions of
-    schottky.generator_tangent.
+    w_minus by step * rho. d/dstep at 0 realizes the rho-weighted basis
+    fields exactly; they are the directions of schottky.generator_tangent.
+    A complex step off the Schottky space raises, so a derivative whose
+    circle leaves it fails closed.
     """
     hs = list(p.handles)
     h = hs[a - 1]
@@ -122,21 +127,28 @@ def perturbed_params(p: SchottkyParams, a: int, l: int, step: complex) -> Schott
     return out
 
 
-def _central(f: Callable, moved: Callable, h: float):
-    """The one central difference: (f(moved(+h)) - f(moved(-h))) / 2h."""
-    return (f(moved(+h)) - f(moved(-h))) / (2.0 * h)
+def _cauchy(f: Callable, moved: Callable, radius: float):
+    """The one moduli derivative, d/ds f(moved(s)) at s = 0, as the gated
+    moment (1/2 pi i) * integral over |s| = radius of f(moved(s)) s^-2 ds on
+    16 nodes. f (each entry of an array f) must be holomorphic on the disc;
+    one that is not fails the gate with QuadratureError."""
+    s, ds = contour_nodes(0j, radius, _CAUCHY_NODES)
+    vals = np.array([f(moved(complex(t))) for t in s])
+    rows = vals.reshape(len(s), -1).T
+    return handle_moments(rows, s, ds, 0j, [-2], _PATH_GATE).reshape(vals.shape[1:])[()]
 
 
-def direction_diff(p: SchottkyParams, a: int, l: int, f: Callable, h: float):
-    """Central difference of f along tangent direction (a, l), step h."""
-    return _central(f, lambda step: perturbed_params(p, a, l, step), h)
+def direction_diff(p: SchottkyParams, a: int, l: int, f: Callable):
+    """Derivative of f, holomorphic in the handle parameters, along tangent
+    direction (a, l): _cauchy on the step of perturbed_params."""
+    return _cauchy(f, lambda step: perturbed_params(p, a, l, step), _CAUCHY_RADIUS)
 
 
-def _gradient(p: SchottkyParams, f: Callable, h: float) -> np.ndarray:
+def _gradient(p: SchottkyParams, f: Callable) -> np.ndarray:
     """direction_diff of f along every (a, l), shape (g, 3, *f's shape)."""
     return np.array(
         [
-            [direction_diff(p, a, l, f, h) for l in range(DIRECTIONS_PER_HANDLE)]
+            [direction_diff(p, a, l, f) for l in range(DIRECTIONS_PER_HANDLE)]
             for a in range(1, p.genus + 1)
         ]
     )
@@ -172,69 +184,36 @@ def theta2_table(psi, xs) -> np.ndarray:
     return -SpanningTheta(psi).table(xs)
 
 
-def nabla_apply(psi, f: Callable, x: complex, h: float = 1e-5):
+def nabla_apply(psi, f: Callable, x: complex):
     """The variation field at x applied to a function of the surface.
 
-    f maps SchottkyParams to a complex value (or ndarray); derivatives are
-    central differences along each tangent direction, weighted by the
-    kernel's coefficient table at x.
+    f maps SchottkyParams to a complex value (or ndarray), holomorphic in
+    the handle parameters; its direction_diff along each tangent direction
+    is weighted by the kernel's coefficient table at x.
     """
     tab = theta2_table(psi, np.array([x]))[:, :, 0]  # (g, 3)
-    return _contract(tab, _gradient(psi.params, f, h))
+    return _contract(tab, _gradient(psi.params, f))
 
 
-def sl2_apply(
-    p: SchottkyParams,
-    P: PolyForm,
-    f: Callable,
-    h: float = 1e-5,
-    form: str = "tangent",
-):
+def sl2_apply(p: SchottkyParams, P: PolyForm, f: Callable):
     """Action of the sl2 field attached to a quadratic polynomial P.
 
-    form="tangent" realizes -sum p_al d_{a,l} with p_al the coboundary
-    coefficients of P; form="fixed_point" moves each handle fixed point at
-    rate P(W) with the multiplier held. Both realize the conjugation flow
-    of the vector field P(z) d/dz.
+    Realizes -sum p_al d_{a,l} (direction_diff, f holomorphic) with p_al
+    the coboundary coefficients of P: the conjugation flow of P(z) d/dz.
     """
     if P.N != 2:
         raise ValueError("sl2 fields are attached to weight-2 polynomials")
-    if form == "tangent":
-        return _contract(-decompose_coboundary(p, P), _gradient(p, f, h))
-    if form == "fixed_point":
-        classical = [to_classical(hp) for hp in p.handles]
-        names = ("W_plus", "W_minus")
-
-        def moved(idx: int, name: str, step: complex) -> SchottkyParams:
-            c = classical[idx]
-            hs = list(p.handles)
-            hs[idx] = from_classical(replace(c, **{name: getattr(c, name) + step}))
-            out = SchottkyParams(handles=tuple(hs))
-            require_valid(out)
-            return out
-
-        rates = np.array([[P(getattr(c, name)) for name in names] for c in classical])
-        grad = np.array(
-            [
-                [_central(f, lambda step: moved(idx, name, step), h) for name in names]
-                for idx in range(p.genus)
-            ]
-        )
-        return _contract(rates, grad)
-    raise ValueError(f"unknown form {form!r}")
+    return _contract(-decompose_coboundary(p, P), _gradient(p, f))
 
 
-def nabla_punctured_apply(
-    psi,
-    punctures: Sequence[complex],
-    f: Callable,
-    x: complex,
-    h: float = 1e-5,
-):
+def nabla_punctured_apply(psi, punctures: Sequence[complex], f: Callable, x: complex):
     """Variation field extended by kernel-weighted puncture motion.
 
-    f maps (SchottkyParams, punctures tuple) to a value. Adds to the surface
-    variation the terms psi(x, y_k) * d/dy_k f.
+    f maps (SchottkyParams, punctures tuple) to a value, holomorphic in the
+    handle parameters and each puncture. Adds to the surface variation the
+    terms psi(x, y_k) * d/dy_k f, each _cauchy on a circle around y_k of
+    half its clearance from the discs and other punctures, at most
+    _CAUCHY_RADIUS.
     """
     p = psi.params
     ys = tuple(complex(y) for y in punctures)
@@ -245,12 +224,14 @@ def nabla_punctured_apply(
             if abs(y - z) < 1e-12:
                 raise ValueError("punctures must be distinct")
 
-    total = nabla_apply(psi, lambda q: f(q, ys), x, h=h)
+    total = nabla_apply(psi, lambda q: f(q, ys), x)
     for k, y in enumerate(ys):
         def moved(step: complex, k=k) -> tuple:
             return ys[:k] + (ys[k] + step,) + ys[k + 1 :]
 
-        total = total + psi.value(x, y) * _central(lambda q: f(p, q), moved, h)
+        radius = 0.5 * min([clearance(p, y)] + [abs(y - z) for z in ys if z != y])
+        radius = min(_CAUCHY_RADIUS, radius)
+        total = total + psi.value(x, y) * _cauchy(lambda q: f(p, q), moved, radius)
     return total
 
 
@@ -328,9 +309,15 @@ def beta_path(p: SchottkyParams, b: int) -> tuple[tuple, ...]:
     clears every disc; since the image typically lands on the far side of
     the companion, the fallback detours around that disc on a circular arc
     (radial approach, arc, radial arrival), keeping the whole route away
-    from every orbit-point cluster. The arc side is chosen deterministically
-    (shorter way, clockwise on a tie), which also fixes the homotopy class
-    and hence the integer lattice of the resulting periods.
+    from every orbit-point cluster. The arc always turns clockwise, which
+    fixes the homotopy class and hence the integer lattice of the periods.
+
+    The angle from z0 to z1 about the companion is pi + arg rho -
+    2 arg(w_minus - w_plus), a half turn for every real handle with
+    rho > 0, where "the shorter way" would let rounding pick the side and
+    Omega jump by a lattice vector. Turning clockwise moves that cut in the
+    moduli to where the sweep would reach a full turn, where the straight
+    chord takes over.
     """
     wm = disc_center(p, -b)
     rm = disc_radius(p, -b)
@@ -345,10 +332,7 @@ def beta_path(p: SchottkyParams, b: int) -> tuple[tuple, ...]:
     th_b_dir = (z1 - wm) / abs(z1 - wm)
     th_a = float(np.angle(th_a_dir))
     th_b = float(np.angle(th_b_dir))
-    # wrap into [-pi, pi): a diametrically opposite pair goes clockwise
-    dth = (th_b - th_a + np.pi) % (2.0 * np.pi) - np.pi
-    if dth >= np.pi - 1e-12:
-        dth -= 2.0 * np.pi
+    dth = -((th_a - th_b) % (2.0 * np.pi))  # always clockwise
 
     for kappa in _ARC_SCALES:
         R = kappa * rm
@@ -557,23 +541,19 @@ def exact_period_gradient(base: PeriodMatrix) -> np.ndarray:
     return grad
 
 
-def period_gradient(
-    p: SchottkyParams,
-    h: float = 1e-5,
-    config: SeriesConfig = SeriesConfig(),
-) -> np.ndarray:
-    """Central-difference derivative of the period matrix per coordinate.
+def period_gradient(p: SchottkyParams, config: SeriesConfig = SeriesConfig()) -> np.ndarray:
+    """direction_diff of whole (uncertified) period matrices.
 
     Returns dOmega/d(a,l) stacked at [a - 1, l], shape (g, 3, g, g), over
-    every handle a and its three real-coordinate directions. Expensive (two
-    period matrices per entry); exact_period_gradient gives the same array
-    exactly, and this one stays as its independent cross-check.
+    every handle a and its three directions. Expensive (16 period matrices
+    per direction); exact_period_gradient gives the same array from one,
+    and this one stays as its independent cross-check.
     """
 
     def omega_of(q: SchottkyParams) -> np.ndarray:
         return period_matrix(q, config=config, certify=False).omega
 
-    return _gradient(p, omega_of, h)
+    return _gradient(p, omega_of)
 
 
 def rauch_check(psi, xs, gradient: np.ndarray, base: PeriodMatrix) -> dict:
@@ -581,10 +561,10 @@ def rauch_check(psi, xs, gradient: np.ndarray, base: PeriodMatrix) -> dict:
 
     The identity is checked on the surface psi.params, for the weight-2
     kernel psi, with `gradient` from exact_period_gradient or
-    period_gradient (whose step sets the finite-difference error) and the
-    certified period matrix `base`, whose nu family gives the right-hand
-    side; that family's base point must stay off the orbits of the samples. Raises ValueError when base belongs to
-    another surface or gradient's shape does not fit its genus. Returns a
+    period_gradient and the certified period matrix `base`, whose nu family
+    gives the right-hand side; that family's base point must stay off the
+    orbits of the samples. Raises ValueError when base belongs to another
+    surface or gradient's shape does not fit its genus. Returns a
     report with each sample's error max|lhs - rhs| / max|rhs| over the
     (a, b) entries ("per_sample"; judged against the largest entry, it stays
     finite where some nu_a(x) vanishes) and their max ("max_rel_error"),

@@ -59,7 +59,7 @@ def test_load_config_full(tmp_path):
     rc = load_config(path)
     assert rc.surface.genus == 2
     assert rc.max_len == 7 and rc.nodes == 128 and rc.seed == 3
-    assert rc.h == 2e-5
+    assert "h" not in rc.echo()  # read, with no effect: no derivative takes a step
     assert rc.tol("rauch") == 5e-4
     assert rc.tol("cocycle") == 1e-10  # default untouched
     assert rc.J == (0, 2, 4)  # [handle, power] pairs flattened
@@ -75,7 +75,7 @@ def test_load_config_bare_surface(tmp_path):
 def test_load_config_null_keeps_the_default(tmp_path):
     path = write_config(tmp_path, N=None, max_len=None, h=None, tolerances=None, J=None)
     rc = load_config(path)
-    assert (rc.N, rc.max_len, rc.h, rc.J) == (2, 10, 1e-5, None)
+    assert (rc.N, rc.max_len, rc.J) == (2, 10, None)
     assert rc.tol("rauch") == 1e-4
 
 
@@ -131,7 +131,7 @@ WRONG_TYPES = [
         {"max_len": 0},
         {"nodes": 2},
         {"seed": -1},  # numpy's generator would refuse it only once a suite runs
-        {"h": -1.0},
+        {"workers": 0},
         {"shell_tol": 0.0},
         {"stop_tol": -1e-11},
         {"tolerances": {"rauch": -1.0}},

@@ -375,6 +375,21 @@ def test_truncation_warning_names_the_caller(kind):
     assert len(ev.last_shell_magnitudes) == cfg.max_len + 1  # one per summed shell
 
 
+@pytest.mark.parametrize("kind", ["bers", "third_kind", "nu"])
+def test_scalar_value_warning_names_the_caller(kind, star):
+    # the scalar value reaches the shared summation step by the same number
+    # of frames as the batch methods, so it blames its caller too
+    cfg = SeriesConfig(max_len=3)
+    with pytest.warns(TruncationWarning) as record:
+        if kind == "bers":
+            BersEvaluator(star, 2, config=cfg).value(0.3, 0.5j)
+        elif kind == "third_kind":
+            ThirdKindEvaluator(star, config=cfg).value(0.3, 0.5j)
+        else:
+            NuFamily(star, config=cfg).value(1, 0.3)
+    assert [w.filename for w in record if w.category is TruncationWarning] == [__file__]
+
+
 @pytest.mark.parametrize(
     "bad", [{"shell_tol": float("nan")}, {"shell_tol": 0.0}, {"shell_tol": -1.0}, {"cap": 0}]
 )

@@ -32,10 +32,12 @@ def test_all_lists_the_public_names(name):
 
 # public names that no code of the library loads, each kept for a reason
 UNCALLED = {
+    "from_classical": "handle data from fixed points and multiplier, the classical parametrization",
     "moment_identity": "one (cocycle, point) pair of moment_identities, the contour identity",
     "nabla_punctured_apply": "the variation operator with moving punctures, a paper result",
-    "period_gradient": "finite-difference cross-check of exact_period_gradient",
+    "period_gradient": "Cauchy-moment cross-check of exact_period_gradient",
     "sl2_apply": "the coboundary (sl2) directions of the variation field, a paper result",
+    "to_classical": "fixed points and multiplier of a handle, the inverse of from_classical",
     "transport": "conjugation of a surface, the Moebius covariance tests rest on",
 }
 
