@@ -19,7 +19,7 @@ kernel (_DirectKernel) in (points, words) work arrays, cut into tiles of
 points only, so a point's terms sum along one row of their own and its
 direct sums do not depend on the other points in its batch.
 
-Direct and far shells. Every series sums shells 0..3 in the gx form as
+Direct and deep shells. Every series sums shells 0..3 in the gx form as
 above, and every deeper shell as grouped multipole expansions. For a det-1
 word (a b; c d) and a point w, gx - w = (a - cw)(x - p_w)/(cx + d) with
 p_w = g^-1 w, so a word's term is weight / prod_k (x - p_k) over its m
@@ -29,28 +29,38 @@ coef / ((x - p_y) prod_j (x - p_{A_j})),
 coef = prod_j (y - A_j) / ((a - cy) prod_j (a - cA_j)), of the weight-N
 term, whose (cx + d) powers cancel. The limit points' factors a - cA_j and
 poles are carried down the word tree, exact along the powers of each A_j's
-own word, where the matrix entries cancel (_limit_factors). A deep shell's
-words are grouped by their last three letters (pole pairs) or two
-(weight N), whose nested disc holds the group's poles; every deep shell
-has the same keys, and centres each group on its key's mean pole, in
-shell 4, of the points all rows share (the A_j, or a pole pair's shared y0
-or 0). A group far from x (its radius over all rows below half the
-distance; one test per group and point) adds a truncated Laurent expansion
-in 1/(x - c), contracted with every row's moments in one product per point,
-whose dropped tail is bounded a priori for any m. The distances and powers
-of 1/(x - c) are built once per call, as every deep shell shares the
-centres (_FarField), and dropped when it returns.
-A near group, and each of the (2N - 1)(2g - 1) weight-N words per shell
-whose A_j pole leaves its group's disc, is summed term by term, pulled
-back. A shell's groups and centres are planned once per live set of
-shared points (_GroupPlan, in _Shared.plans); the rows' targets, radii and
-moments are bound to it (_PoleGroups) and kept while the targets stay, so
-nu, whose rows never change, binds them once. Every term-by-term sum,
-direct or near, runs behind one pulled-back pole guard (_pole_guard).
+own word, where the matrix entries cancel (_limit_factors, _snap).
+
+The word tree stops at shell 4. A deep word is grouped by its last three
+letters (pole pairs) or two (weight N) when the points all rows share (the
+A_j, or a pole pair's shared y0 or 0) pull back into that key's nested
+disc; each group is centred on its mean shared pole in shell 4. Shell 4's
+groups take moments from their words; shell L + 1's come from shell L's
+by one map per plan (_GroupPlan.transfer, the multipole translation of
+Greengard & Rokhlin): each of a group's 2g - 1 parent groups' expansions
+pulled back exactly by the group's last letter and shifted to its centre.
+Only the words whose shared pole leaves their group's disc (the
+(2N - 1)(2g - 1) weight-N words per shell along a limit point's word) are
+carried as words, with their exact factors, and their children that fall
+in a group add their own moments to it. A group's radius is an upper
+bound on its poles' distance from its centre over every deep shell and
+row (the parents' discs pulled back), and a group far from x (its radius
+below half the distance) adds a truncated Laurent expansion whose dropped
+tail, and that of the map, is bounded a priori. One pass per call
+contracts every deep shell's moments with each point's powers in one
+product per point, in tiles of points. A near (group, point) pair sums the
+group's words, built for it alone (_GroupPlan.group_words), and the
+outside words are summed at every point, term by term and pulled back.
+The plan is built once per live set of shared points (_GroupPlan, in
+_Shared.plan); the rows' radii and moments are bound to it (_PoleGroups)
+and kept while the targets stay, so nu, whose rows never change, binds
+them once. Every term-by-term sum, direct or near, runs behind one
+pulled-back pole guard (_pole_guard).
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 import weakref
@@ -61,6 +71,7 @@ import numpy as np
 from . import moebius
 from .moebius import Infinity, MoebiusMap
 from .schottky import (
+    CapacityError,
     SchottkyParams,
     WordShells,
     build_shells,
@@ -101,11 +112,14 @@ class EvaluationError(ArithmeticError):
 class SeriesConfig:
     """Truncation policy for all series evaluations.
 
+    max_len bounds the shells summed. cap bounds the words built: shells
+    0..4 and the tracked outside words of the deeper shells (CapacityError
+    past it), as every other deep word is carried in its group's moments.
     stop_tol, when set, skips the remaining shells once two consecutive
     shells each contribute less than stop_tol (a deterministic cutoff: the
     decision depends only on the sequentially reduced shell magnitudes).
-    Leave it None to always sum every enumerated shell. workers is accepted
-    (>= 1) and has no effect: every series runs in the calling thread.
+    Leave it None to always sum every shell. workers is accepted (>= 1) and
+    has no effect: every series runs in the calling thread.
     """
 
     max_len: int = 10
@@ -129,8 +143,9 @@ class SeriesConfig:
 
 class _Workspace:
     """Scratch for the direct kernel's (points, words) tiles, owned by one
-    evaluator (unlike the tree, the shared points and the plans, which _live
-    shares) and grown on demand."""
+    evaluator (unlike the tree, the shared points and the plan, which _live
+    shares) and grown on demand; the deep shells' far pass keeps one for
+    the length of a call."""
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
@@ -221,20 +236,26 @@ def _pull_back(a, b, c, d, w):
     return lam, (d * w - b) / lam
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Shared:
     """Points u_k that every row of a series shares, with lam[L][k] = a - c u_k
-    and pole[L][k] = g^-1 u_k over the words of shell L; guard, the points
+    and pole[L][k] = g^-1 u_k over the words of tree shell L; guard, the points
     _pole_guard covers after the rows' targets: all u_k if they may be orbit
-    points of x (a pole pair's shared member), none if limit points; plans,
-    each deep shell's _GroupPlan, built on first use by any evaluator that
-    holds these points (_live) and kept while one does."""
+    points of x (a pole pair's shared member), none if limit points; carried,
+    whether a longer word's factors come down its parent link (limit points)
+    or from its own matrix (a pole pair); words and base, each limit point's
+    word W_j and, once the tree reached W_j's length, lambda_j
+    (_limit_factors); plan, the deep shells' _GroupPlan, built on first use by
+    any evaluator that holds these points (_live) and kept while one does."""
 
     points: np.ndarray
     lam: list[np.ndarray]
     pole: list[np.ndarray]
     guard: np.ndarray
-    plans: dict = field(default_factory=dict)
+    carried: bool
+    words: tuple = ()
+    base: dict = field(default_factory=dict)
+    plan: _GroupPlan | None = None
 
 
 def _limit_factors(shells: WordShells, p: SchottkyParams, n: int) -> _Shared:
@@ -245,25 +266,39 @@ def _limit_factors(shells: WordShells, p: SchottkyParams, n: int) -> _Shared:
     the scan found it with, so along W_j^k the carried pole would drift off
     A_j (and a - c A_j from g's entries cancels): each W_j^k is snapped to
     pole A_j and factor lambda_j^k, lambda_j = 1/(c A_j + d) from W_j's
-    entries. The W_j^k are reduced words only when W_j is cyclically reduced."""
+    entries (_snap). The W_j^k are reduced words only when W_j is cyclically
+    reduced."""
     A, words = limit_points(p, n), _limit_words(p, n)[1]
     if any(w[0] == -w[-1] for w in words):
         raise ValueError(f"limit-point words {words} are not cyclically reduced")
     mats = (shells.a, shells.b, shells.c, shells.d)
     lam, pole = [np.ones((len(A), 1), dtype=np.complex128)], [A[:, None].astype(np.complex128)]
-    at, base = [0] * len(A), {}  # at[j]: the length-L prefix of W_j W_j ... in shell L
+    shared = _Shared(A, lam, pole, guard=A[:0], carried=True, words=words)
+    at = [0] * len(A)  # at[j]: the length-L prefix of W_j W_j ... in shell L
     for length in range(1, shells.max_len + 1):
         parent, last = shells.parent[length], shells.last_letter[length]
         step, p = _pull_back(*(m[1][_letter_code(last)] for m in mats), pole[-1][:, parent])
         lam.append(lam[-1][:, parent] * step)
         pole.append(p)
         for j, w in enumerate(words):
-            i = at[j] = np.flatnonzero((parent == at[j]) & (last == w[(length - 1) % len(w)]))[0]
-            if length == len(w):  # a - c A_j = 1/(c A_j + d) at W_j's fixed point, uncancelled
-                base[j] = 1.0 / (shells.c[length][i] * A[j] + shells.d[length][i])
-            if length % len(w) == 0:
-                lam[-1][j, i], pole[-1][j, i] = base[j] ** (length // len(w)), A[j]
-    return _Shared(A, lam, pole, guard=A[:0])
+            at[j] = np.flatnonzero((parent == at[j]) & (last == w[(length - 1) % len(w)]))[0]
+        _snap(shared, length, at, shells.c[length], shells.d[length], lam[-1], pole[-1])
+    return shared
+
+
+def _snap(shared: _Shared, length: int, at, c, d, lam, pole) -> None:
+    """Snap the words at[j] of one shell, each the length-`length` prefix of
+    W_j W_j ... (or None), to pole A_j and factor lambda_j^k where length =
+    k |W_j|, taking lambda_j = 1/(c A_j + d) from W_j's own entries c, d at
+    its length, where a - c A_j would cancel; lam and pole are the shell's."""
+    for j, (w, i) in enumerate(zip(shared.words, at)):
+        if i is None:
+            continue
+        A_j = shared.points[j]
+        if length == len(w):
+            shared.base[j] = 1.0 / (c[i] * A_j + d[i])
+        if length % len(w) == 0:
+            lam[j, i], pole[j, i] = shared.base[j] ** (length // len(w)), A_j
 
 
 def _pulled_back(shells: WordShells, u: complex) -> _Shared:
@@ -271,7 +306,7 @@ def _pulled_back(shells: WordShells, u: complex) -> _Shared:
     mats = zip(shells.a, shells.b, shells.c, shells.d)
     lam, pole = zip(*(_pull_back(*abcd, np.full((1, 1), u)) for abcd in mats))
     points = np.array([u], dtype=np.complex128)
-    return _Shared(points, list(lam), list(pole), guard=points)
+    return _Shared(points, list(lam), list(pole), guard=points, carried=False)
 
 
 def _pole_guard(x, c, d, lam, pole, points, discs) -> None:
@@ -359,9 +394,9 @@ class _ShellSeries:
     equal targets, and are bound anew when the targets change.
 
     Evaluators of one surface, max_len and cap share one read-only word
-    tree, and those of one tag its shared points and the deep shells'
-    plans, while any of them lives (_live); once none does, the next one
-    builds them anew.
+    tree (to shell 4), and those of one tag its shared points and the deep
+    shells' plan, while any of them lives (_live); once none does, the next
+    one builds them anew.
     """
 
     _depth = 3  # deep words are grouped by their last _depth letters
@@ -370,7 +405,8 @@ class _ShellSeries:
         self.params = p
         self.config = config
         key = (p, config.max_len, config.cap)
-        self.shells = _live(key, lambda: build_shells(p, config.max_len, cap=config.cap))
+        depth = min(config.max_len, _DIRECT_SHELLS)
+        self.shells = _live(key, lambda: build_shells(p, depth, cap=config.cap))
         self._shared = _live(key + tag, lambda: build(self.shells))
         self._last_shell_mags: list[float] = []
         self._targets = None  # the bound rows' targets
@@ -385,20 +421,20 @@ class _ShellSeries:
         above shell_tol. Shells 0..3 go to _DirectKernel in tiles of points
         of half the budget (it keeps five such arrays): a point's terms sum
         along its own row, so tiles change speed and memory, never values.
-        Each deeper shell is its plan bound to the rows (_PoleGroups),
-        summed on one _FarField, built at the first deep shell the call
-        reaches and dropped when it returns."""
+        The deep shells are the shared plan bound to the rows (_PoleGroups):
+        the first one the call reaches takes every deep shell's far sums in
+        one pass, and each shell then adds its near and outside words."""
         if not np.array_equal(targets, self._targets):
             self._targets, self._numerator = np.array(targets), np.array(numerator)
-            self._rows: dict[int, _PoleGroups] = {}
+            self._rows: _PoleGroups | None = None
         kernel = _DirectKernel(self._ws, self._targets, self._numerator, self._shared, self._discs)
-        shells, plans, m = self.shells, self._shared.plans, len(xs)
+        shells, m = self.shells, len(xs)
         totals = np.zeros((len(self._targets), m), dtype=np.complex128)
         comp = np.zeros_like(totals)
         mags: list[float] = []
         stop, tol = self.config.stop_tol, self.config.shell_tol
-        field = None
-        for length in range(shells.max_len + 1):
+        far = None
+        for length in range(self.config.max_len + 1):
             if length < _DIRECT_SHELLS:
                 words = [w[length] for w in (shells.a, shells.b, shells.c, shells.d)]
                 step = max(1, _TILE_ELEMENTS // (2 * len(words[0])))
@@ -406,13 +442,13 @@ class _ShellSeries:
                 for lo in range(0, m, step):
                     shell_total[:, lo : lo + step] += kernel(*words, xs[lo : lo + step])
             else:
-                if length not in plans:  # shell 4's plan lends the deeper ones its centres
-                    plans[length] = _GroupPlan(self, length, plans.get(_DIRECT_SHELLS))
-                if length not in self._rows:
-                    self._rows[length] = _PoleGroups(plans[length], self._targets, self._numerator)
-                if field is None:
-                    field = _FarField(xs, plans[length].centre)
-                shell_total = self._rows[length].total(field)
+                if far is None:
+                    if self._rows is None:
+                        if self._shared.plan is None:
+                            self._shared.plan = _GroupPlan(self)
+                        self._rows = _PoleGroups(self._shared.plan, self._targets, self._numerator)
+                    far = self._rows.far(xs)
+                shell_total = self._rows.total(length, xs, *far)
             if not np.all(np.isfinite(shell_total)):
                 raise EvaluationError(
                     "non-finite series terms (evaluation point at a pole of a group element?)"
@@ -494,9 +530,9 @@ class ThirdKindEvaluator(_ShellSeries):
 
 
 # ---------------------------------------------------------------------------
-# deep shells as grouped multipole expansions
+# deep shells: grouped multipole expansions carried from shell 4
 
-_DIRECT_SHELLS = 4  # shells 0..3 are summed by _DirectKernel, in _ShellSeries._sum
+_DIRECT_SHELLS = 4  # shells 0..3 are summed by _DirectKernel; the word tree stops at shell 4
 _FAR_RATIO = 0.5  # a group is far from x when its radius is below _FAR_RATIO |x - c|
 _TAIL_TOL = 1e-17  # dropped expansion tail, relative to sum |weight| / |x - c|^m
 
@@ -509,234 +545,415 @@ def _expansion_order(rho: float, m: int) -> int:
     return K
 
 
-def _suffixes(shells: WordShells, length: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each length-`length` word's last `depth` letters as one integer, and
-    the index of its ancestor of length `length - depth + 1`, the word that
-    ends in the first of those letters."""
-    letters = 2 * shells.genus
-    idx = np.arange(shells.shell_size(length))
-    key = np.zeros(len(idx), dtype=np.int64)
-    for back in range(length, length - depth, -1):
-        ancestor = idx
-        key = key * letters + _letter_code(shells.last_letter[back][idx])
-        idx = shells.parent[back][idx]
-    return key, ancestor
+def _image_disc(a, b, c, d, centre, radius):
+    """g(D) for the disc D = (centre, radius) and det-1 g = (a b; c d), c != 0,
+    as (centre, radius); the radius is inf where D holds g's pole -d/c, as
+    g = a/c - 1/(c^2 (z + d/c)) is an inversion there."""
+    z = centre + d / c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = np.abs(z) ** 2 - radius**2
+        image = a / c - np.conj(z) / (c * c * gap)
+        reach = radius / (np.abs(c) ** 2 * gap)
+    return image, np.where(gap > 0, reach, np.inf)
+
+
+@dataclass(frozen=True)
+class _Words:
+    """Words as their matrix entries abcd, each shape (n,), with the shared
+    points' factors lam = a - c u_k and poles g^-1 u_k, shape (points, n)."""
+
+    abcd: tuple
+    lam: np.ndarray
+    pole: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.abcd[0])
+
+    def take(self, index) -> _Words:
+        return _Words(tuple(m[index] for m in self.abcd), self.lam[:, index], self.pole[:, index])
+
+    @staticmethod
+    def join(parts: list[_Words]) -> _Words:
+        abcd = tuple(np.concatenate(m) for m in zip(*(w.abcd for w in parts)))
+        lam, pole = (np.concatenate(f, axis=1) for f in zip(*((w.lam, w.pole) for w in parts)))
+        return _Words(abcd, lam, pole)
+
+
+class _Shell:
+    """The words a deep shell builds: its groups' words, group j's at
+    [bounds[j], bounds[j + 1]) in the order given, then its outside words
+    (group -1)."""
+
+    def __init__(self, words: _Words, group: np.ndarray, groups: int):
+        inside = np.flatnonzero(group >= 0)
+        inside = inside[np.argsort(group[inside], kind="stable")]
+        self.order = np.r_[inside, np.flatnonzero(group < 0)]
+        self.words = words.take(self.order)
+        self.group = group[self.order[: len(inside)]]
+        self.bounds = np.searchsorted(self.group, np.arange(groups + 1))
+        self.outside = slice(len(inside), len(self.order))
 
 
 class _GroupPlan:
-    """A deep shell's words in groups, as every series that shares its points
-    uses them (kept in _Shared.plans; it holds no reference back to them).
+    """The deep shells' words, as every series that shares its points uses
+    them (kept in _Shared.plan; it holds no reference back to them).
 
     A word's term is weight / prod_k (x - p_k), p_k = g^-1 u_k, weight =
     numerator / prod_k (a - c u_k): u_0 a row's target, pulled back from the
-    word's matrix (_PoleGroups), then the points every row shares, from
-    `shared` (a limit point's carried and snapped by _limit_factors).
+    word's matrix (_PoleGroups), then the points every row shares.
 
-    The words are grouped by their last `_depth` letters, whose nested disc,
-    the image of the last disc of their length-(length - _depth + 1)
-    ancestor, holds their poles unless a point sits in the wrong disc. A
-    limit point A_j does for the 2g - 1 words per shell whose first
-    length - _depth + 1 letters run along W_j W_j ...; such an outside word,
-    found by testing the ancestors' poles against their last disc, is
-    summed term by term at every point.
+    Groups. Every reduced word k_1 .. k_d of `_depth` letters keys a group,
+    whose nested disc is D_{k_1} pulled back by k_2 .. k_d: a deep word whose
+    shared points' poles all lie in its last d letters' nested disc is in
+    that group, and every other one is an outside word (a limit point does
+    that for the 2g - 1 words per shell whose first letters run along
+    W_j W_j ...), summed term by term at every point. A group's centre c is
+    the mean pole, over the shared points, of its shell-4 words (the nested
+    disc's centre if it has none), and its scale R the nested disc's radius.
 
-    A group's centre c is the mean pole, over the shared points, of its key's
-    words in the series' first deep shell: that shell's plan (base None)
-    computes it, and every deeper one takes base's centre array itself,
-    raising if its group keys differ, so one _FarField serves every deep
-    shell of a call.
+    Past shell 4. A child of an inside word is inside, so the words of group
+    j at shell L + 1 are those of its 2g - 1 parent groups (keys
+    (k_0, k_1 .. k_{d-1})) at shell L times its last letter s = k_d, and the
+    children of shell L's outside words that fall in it. Only the outside
+    words and their children are built (shells[L], L > 4), from shell 4's
+    outside words with their exact factors (_snap): every other deep word
+    reaches the sums as its group's moments, carried by transfer(K), and is
+    built (group_words) only for the points near its group.
     """
 
-    def __init__(self, series: _ShellSeries, length: int, base: _GroupPlan | None = None):
-        p, shells, depth, shared = series.params, series.shells, series._depth, series._shared
-        key, ancestor = _suffixes(shells, length, depth)
-        self.guard, self.m = shared.guard, 1 + len(shared.points)
-        back = length - depth + 1
-        code = _letter_code(shells.last_letter[back][ancestor])
-        self.discs = series._discs
-        disc_c = self.discs[code]
-        disc_r = np.array([disc_radius(p, l) for l in p.letters])[code]
-        inside = np.all(np.abs(shared.pole[back][:, ancestor] - disc_c) <= disc_r, axis=0)
-        kept = np.flatnonzero(inside)
-        order = kept[np.argsort(key[kept], kind="stable")]
-        self.keys, self.starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
-        self.stops = self.starts + sizes
-        self.group_of_word = np.repeat(np.arange(len(sizes)), sizes)
-        # the kept words in group order, then the outside words
-        order = np.r_[order, np.flatnonzero(~inside)]
-        self.outside = slice(len(kept), len(order))
-        self.abcd = tuple(m[length][order] for m in (shells.a, shells.b, shells.c, shells.d))
-        self.lam, self.pole = (s[length][:, None, order] for s in (shared.lam, shared.pole))
-        if base is None:
-            poles = functools.reduce(np.add, self.pole[:, :, : len(kept)])
-            sums = np.add.reduceat(poles, self.starts, axis=1)[0]
-            self.centre = sums / (len(shared.points) * sizes)
-        elif np.array_equal(self.keys, base.keys):
-            self.centre = base.centre
-        else:
-            raise ValueError(f"shell {length} groups other suffixes than its centres' plan")
-        for array in [*self.abcd, *vars(self).values()]:  # shared, so read-only as in _live
-            if isinstance(array, np.ndarray):
+    def __init__(self, series: _ShellSeries):
+        p, tree, depth, shared = series.params, series.shells, series._depth, series._shared
+        self.m, self.guard, self.discs = 1 + len(shared.points), shared.guard, series._discs
+        self._points, self._carried = shared.points, shared.carried
+        self._gen = {l: (g.a, g.b, g.c, g.d) for l in p.letters for g in [generator(p, l)]}
+        keys = [k for k in itertools.product(p.letters, repeat=depth)
+                if all(b != -a for a, b in zip(k, k[1:]))]
+        index = {k: j for j, k in enumerate(keys)}
+        self.parent = np.array(
+            [[index[(l,) + k[:-1]] for l in p.letters if l != -k[0]] for k in keys]
+        )
+        self.letter = [k[-1] for k in keys]
+        self.nest, self.scale = map(np.array, zip(*(self._nested_disc(p, k) for k in keys)))
+        # shell 4 from the tree, each word's group by its last letters
+        letters = np.array(p.letters)[_suffix_codes(tree, _DIRECT_SHELLS, depth)]
+        group = np.array([index[tuple(k)] for k in letters.tolist()])
+        words = _Words(tuple(m[_DIRECT_SHELLS] for m in (tree.a, tree.b, tree.c, tree.d)),
+                       shared.lam[_DIRECT_SHELLS], shared.pole[_DIRECT_SHELLS])
+        first = _Shell(words, self._inside(words, group), len(keys))
+        self.shells = {_DIRECT_SHELLS: first}
+        sizes = np.diff(first.bounds)
+        full = np.flatnonzero(sizes)
+        poles = functools.reduce(np.add, first.words.pole[:, : first.bounds[-1]])
+        self.centre = self.nest.copy()
+        sums = np.add.reduceat(poles, first.bounds[full])
+        self.centre[full] = sums / (len(shared.points) * sizes[full])
+        # the outside words' descendants, shell by shell, spelled out to find
+        # the limit points' own words W_j^k among them
+        words = first.words.take(first.outside)
+        spelled = [tree.word(_DIRECT_SHELLS, i) for i in first.order[first.outside]]
+        built = tree.total_words()
+        for length in range(_DIRECT_SHELLS + 1, series.config.max_len + 1):
+            kids, names = [], []
+            for letter in p.letters:
+                keep = [i for i, w in enumerate(spelled) if w[-1] != -letter]
+                kids.append(self._times(words.take(keep), letter))
+                names += [spelled[i] + (letter,) for i in keep]
+            words = _Words.join(kids)
+            built += len(words)
+            if built > series.config.cap:
+                raise CapacityError(f"the deep shells' outside words would take {built} words "
+                                    f"(cap {series.config.cap}); lower max_len or raise the cap")
+            chains = [tuple(w[i % len(w)] for i in range(length)) for w in shared.words]
+            _snap(shared, length, [names.index(c) if c in names else None for c in chains],
+                  words.abcd[2], words.abcd[3], words.lam, words.pole)
+            group = np.array([index[w[-depth:]] for w in names], dtype=np.int64)
+            shell = self.shells[length] = _Shell(words, self._inside(words, group), len(keys))
+            words = shell.words.take(shell.outside)
+            spelled = [names[i] for i in shell.order[shell.outside]]
+        inverse = [self._gen[-l] for l in self.letter]
+        self._inverse = tuple(np.array(e)[:, None] for e in zip(*inverse))
+        self._letter_pole = np.array([[a / c] for a, _, c, _ in map(self._gen.get, self.letter)])
+        self._T = np.empty((len(keys), 0, len(p.letters) - 1, 0), dtype=np.complex128)
+        for shell in self.shells.values():  # shared, so read-only as in _live
+            for array in (*shell.words.abcd, shell.words.lam, shell.words.pole):
                 array.flags.writeable = False
+        for array in (self.parent, self.nest, self.scale, self.centre):
+            array.flags.writeable = False
+
+    def _nested_disc(self, p: SchottkyParams, key: tuple) -> tuple[complex, float]:
+        """D_{k_1} pulled back by k_2 .. k_d, as (centre, radius)."""
+        c, r = disc_center(p, key[0]), disc_radius(p, key[0])
+        for letter in key[1:]:
+            c, r = _image_disc(*self._gen[-letter], c, r)
+        return complex(c), float(r)
+
+    def _inside(self, words: _Words, group: np.ndarray) -> np.ndarray:
+        """group where every shared point's pole lies in the group's nested disc, else -1."""
+        inside = np.all(np.abs(words.pole - self.nest[group]) <= self.scale[group], axis=0)
+        return np.where(inside, group, -1)
+
+    def _times(self, words: _Words, letter: int) -> _Words:
+        """The words times one letter: their entries as build_shells forms
+        them, and the shared factors carried down the link (limit points) or
+        from the new matrices (a pole pair), as _limit_factors and
+        _pulled_back form them."""
+        ga, gb, gc, gd = self._gen[letter]
+        a, b, c, d = words.abcd
+        abcd = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
+        if self._carried:
+            step, pole = _pull_back(ga, gb, gc, gd, words.pole)
+            return _Words(abcd, words.lam * step, pole)
+        return _Words(abcd, *_pull_back(*abcd, self._points[:, None]))
+
+    def group_words(self, j: int, length: int) -> _Words:
+        """Every word of group j at a deep shell: built by _times from its
+        parents' down to shell 4, with each shell's own words in the group."""
+        shell = self.shells[length]
+        own = shell.words.take(slice(shell.bounds[j], shell.bounds[j + 1]))
+        if length == _DIRECT_SHELLS:
+            return own
+        s = self.letter[j]
+        kids = [self._times(self.group_words(i, length - 1), s) for i in self.parent[j]]
+        return _Words.join(kids + [own])
+
+    def carry_radius(self, radius: np.ndarray) -> tuple[np.ndarray, float]:
+        """Each group's bound on the poles it takes from its parents one shell
+        deeper, given their radii: the parents' discs pulled back by its last
+        letter s, inf where a parent's radius reaches _FAR_RATIO of its
+        centre's distance from s's pole s(inf); and the largest such ratio
+        below it, the moments' transfer ratio (transfer)."""
+        centre, reach = self.centre[self.parent], radius[self.parent]
+        image, size = _image_disc(*self._inverse, centre, reach)
+        with np.errstate(invalid="ignore"):
+            ratio = reach / np.abs(centre - self._letter_pole)
+            bound = np.abs(image - self.centre[:, None]) + size
+        carried = ratio < _FAR_RATIO
+        return np.where(carried, bound, np.inf).max(axis=1), float(ratio[carried].max(initial=0.0))
+
+    def transfer(self, K: int) -> np.ndarray:
+        """The map T from a shell's scaled moments to the next shell's, shape
+        (groups, K, (2g - 1) K): group j's nu_n' = sum T[j, n', i K + n] nu_n
+        of its parents i, for the moments nu_n = mu_n / R^(m + n) of the
+        expansion sum_n nu_n (R / (x - c))^(m + n) (_PoleGroups).
+
+        A parent term (sx - c_P)^-k s'(x)^(m/2), s = (a b; c d) the letter,
+        is lam^-k (x - q)^-k (cx + d)^(k - m) with lam = a - c c_P,
+        q = s^-1 c_P and cx + d = c (x - q) + 1/lam, a finite sum of
+        (x - q)^-j, j >= m; each is then shifted from q to the group's centre.
+        Built once for the most orders asked for and sliced: each entry is a
+        sum in a fixed order of terms that do not depend on K, so its bits do
+        not either. A parent moment past K is dropped, its share bounded like
+        the expansion's tail with the transfer ratio (carry_radius)."""
+        if self._T.shape[1] < K:
+            a, b, c, d = (np.array(e)[:, None] for e in zip(*map(self._gen.get, self.letter)))
+            centre, scale = self.centre[self.parent], self.scale[self.parent]
+            lam, q = _pull_back(a, b, c, d, centre)
+            to = self.scale[:, None]
+            e = np.arange(K)
+            ratios = (c * scale / lam, scale / (lam * lam * to), (q - self.centre[:, None]) / to)
+            alpha, beta, shift = (z[..., None] ** e for z in ratios)
+            comb = np.array([[math.comb(i, k) for k in range(K)] for i in range(self.m + K)], float)
+            T = np.zeros(self.parent.shape + (K, K), dtype=np.complex128)
+            for j in range(K):  # the power (x - q)^-(m + j) between the two steps
+                up = e[j:]
+                shifted, pulled = np.zeros((2,) + T.shape[:-1], dtype=np.complex128)
+                shifted[..., j:] = comb[self.m + up - 1, up - j] * shift[..., up - j]
+                pulled[..., j:] = comb[up, j] * alpha[..., up - j] * beta[..., j : j + 1]
+                T += shifted[..., :, None] * pulled[..., None, :]
+            T *= ((scale / (lam * to)) ** self.m)[..., None, None]
+            self._T = T.transpose(0, 2, 1, 3)
+        return self._T[:, :K, :, :K].reshape(len(self.letter), K, -1)
 
 
-class _FarField:
-    """The point side of one _sum call's expansions, shared by all its deep
-    shells, whose plans share the centres c: the points x, the distances
-    |x - c|, shape (points, groups), and the inverse powers (x - c)^-(k+1),
-    shape (points, k, groups), grown to the most orders any shell needs.
-
-    Each power is the one before it times the first, over a point's groups
-    as one strided row, and never written over an input (numpy's in-place
-    complex multiply of a 1-element block rounds differently), so a point's
-    bits are its own, whatever the other points and however far it grew.
-    Both arrays are read-only, as every deep shell of the call reads them.
-    """
-
-    def __init__(self, xs: np.ndarray, centre: np.ndarray):
-        self.xs, self.centre = xs, centre
-        self.dist = np.abs(xs[:, None] - centre)
-        self.dist.flags.writeable = False
-        self._pw = np.empty((len(xs), 0, len(centre)), dtype=np.complex128)
-
-    def powers(self, count: int) -> np.ndarray:
-        """(x - c)^-(k+1) for k < count or more, shape (points, >= count, groups)."""
-        have = self._pw.shape[1]
-        if have < count:
-            pw = np.empty((len(self.xs), count, len(self.centre)), dtype=np.complex128)
-            pw[:, :have] = self._pw
-            with np.errstate(all="ignore"):  # a point at a centre: inf
-                if not have:
-                    np.divide(1.0, self.xs[:, None] - self.centre, out=pw[:, 0])
-                for k in range(max(1, have), count):
-                    np.multiply(pw[:, k - 1], pw[:, 0], out=pw[:, k])
-            pw.flags.writeable = False
-            self._pw = pw
-        return self._pw
+def _suffix_codes(shells: WordShells, length: int, depth: int) -> np.ndarray:
+    """Each length-`length` word's last `depth` letters' codes, shape (words, depth)."""
+    idx = np.arange(shells.shell_size(length))
+    codes = []
+    for back in range(length, length - depth, -1):
+        codes.append(_letter_code(shells.last_letter[back][idx]))
+        idx = shells.parent[back][idx]
+    return np.stack(codes[::-1], axis=1)
 
 
 class _PoleGroups:
-    """A deep shell's plan bound to its series' rows, one target and one
-    numerator per row: each group's radius r, the largest distance of any
-    row's pole from its centre c, and the expansions' moments.
+    """The deep shells bound to a series' rows, one target and one numerator
+    per row: each group's radius r, a bound on its poles' distance from its
+    centre c over every deep shell and row, and the moment block.
 
-    A group is far from x when r < _FAR_RATIO |x - c|, one test per
-    (group, point) on the call's _FarField, and there it adds
-    sum_{n>=0} mu_n (x - c)^-(m+n),
-    mu_n = sum_w weight_w h_n(p_w - c), h_n the complete homogeneous
-    polynomial of degree n in the m poles. As |h_n| <= C(n + m - 1, m - 1)
-    r^n, stopping at K = _expansion_order(rho, m), rho the worst far
-    r / |x - c| of the call, drops at most _TAIL_TOL sum |weight| / |x - c|^m.
-    Near (group, point) pairs and the outside words are summed term by term
-    (_near_sum) behind _pole_guard. The row targets are points of F or their
-    images (y, g_a y0); one elsewhere only widens its groups.
+    Radii: exact over shell 4's words and each shell's built words, and past
+    shell 4 also the parents' discs pulled back (carry_radius). A group is
+    far from x when r < _FAR_RATIO |x - c|, one test per (group, point) for
+    all the deep shells, and there each shell adds
+    sum_{n>=0} nu_n b^(m+n), b = R / (x - c),
+    nu_n = sum_w weight_w h_n((p_w - c) / R) / R^m, h_n the complete
+    homogeneous polynomial of degree n in the m poles, R the group's scale.
+    As |h_n| <= C(n + m - 1, m - 1) (r/R)^n, stopping at
+    K = _expansion_order(rho, m), rho the worst far r / |x - c| of the call
+    or the transfer ratio, drops at most _TAIL_TOL sum |weight| / |x - c|^m.
+    Shell 4's moments and each shell's built words' come from the words;
+    the rest are carried from the shell before by the plan's transfer(K).
+    Near (group, point) pairs sum the group's words (group_words), and the
+    outside words every point, term by term (_near_sum) behind _pole_guard.
+    A group whose radius reaches twice its scale (a target's poles outside
+    its nested disc) is near every point, as its scaled moments could
+    overflow.
 
-    Bits: a point's powers of 1/(x - c) come from that point alone (the
-    field's) and meet all rows' moments in its own (1, K groups) @
-    (K groups, t) product, and each near point's terms sum as one contiguous
-    row, so a point's value depends on the other points only through K, and
-    never on tiles.
+    Bits: a point's powers of b come from that point alone and meet every
+    shell's and row's moments in its own (1, K groups) @ (K groups, t shells)
+    product, and each near point's terms sum as one contiguous row, so a
+    point's value depends on the other points only through K, and never on
+    tiles.
     """
 
     def __init__(self, plan: _GroupPlan, targets: np.ndarray, numerator: np.ndarray):
         self.plan, self.targets, self.numerator = plan, targets[:, None], numerator[:, None]
-        # words per (t, words) work array: a quarter tile
-        self._batch = max(1, _TILE_ELEMENTS // (4 * max(1, len(numerator))))
-        self.radius = np.zeros(len(plan.starts))
-        for g0, g1, sl in self._group_batches():
-            _, poles, _ = self._terms(sl)
-            cw = plan.centre[plan.group_of_word[sl]]
-            spread = [np.abs(p - cw).max(axis=0, initial=0.0) for p in poles]
-            starts = plan.starts[g0:g1] - sl.start
-            self.radius[g0:g1] = np.maximum.reduceat(functools.reduce(np.maximum, spread), starts)
-        self._mu = np.empty((0, len(plan.starts), len(numerator)), dtype=np.complex128)
+        radius, self.sigma = [], 0.0
+        for length in sorted(plan.shells):
+            r = self._spread(plan.shells[length])
+            if radius:
+                carried, sigma = plan.carry_radius(radius[-1])
+                r, self.sigma = np.maximum(r, carried), max(self.sigma, sigma)
+            radius.append(r)
+        self.radius = np.max(radius, axis=0)
+        self.radius[~(self.radius < 2 * plan.scale)] = np.inf
+        self._blocks: dict[int, np.ndarray] = {}
 
-    def _group_batches(self):
-        """Runs [g0, g1) of whole groups holding at most self._batch words
-        (or one group), with their words' slice of the group order."""
-        starts, stops = self.plan.starts, self.plan.stops
-        g0 = 0
-        for g1 in range(1, len(starts) + 1):
-            if g1 == len(starts) or stops[g1] - starts[g0] > self._batch:
-                yield g0, g1, slice(starts[g0], stops[g1 - 1])
-                g0 = g1
-
-    def _terms(self, sl: slice):
-        """(factors a - c u_k, poles, weights) of a slice of the words: per
-        point, the target's as (t, words) arrays, then each shared point's
-        as a (1, words) array; the weights (t, words). Recomputed when
-        needed, to the same bits, rather than kept."""
-        plan = self.plan
-        lam, pole = _pull_back(*(m[sl] for m in plan.abcd), self.targets)
-        lams, poles = (lam, *plan.lam[:, :, sl]), (pole, *plan.pole[:, :, sl])
+    def _terms(self, words: _Words):
+        """(factors a - c u_k, poles, weights) of the words: per point, the
+        target's as (t, words) arrays, then each shared point's as a
+        (1, words) array; the weights (t, words). Recomputed when needed, to
+        the same bits, rather than kept."""
+        lam, pole = _pull_back(*words.abcd, self.targets)
+        lams, poles = (lam, *words.lam[:, None]), (pole, *words.pole[:, None])
         return lams, poles, self.numerator / functools.reduce(np.multiply, lams)
 
-    def _moments(self, K: int) -> np.ndarray:
-        """mu_0 .. mu_{K-1} of every group and row, shape (K groups, t),
-        row n groups + g holding mu_n of group g, by the recurrence
-        H_{m-1} = q_{m-1}^n, H_k <- q_k H_k + H_{k+1}, h_n = H_0 (so the
-        shared points' H_k are shared by the rows). A call needing more
-        orders recomputes them all, to the same bits."""
-        if len(self._mu) < K:
-            mu, plan = np.empty((K,) + self._mu.shape[1:], dtype=np.complex128), self.plan
-            for g0, g1, sl in self._group_batches():
-                _, poles, weight = self._terms(sl)
-                starts = plan.starts[g0:g1] - sl.start
-                cw = plan.centre[plan.group_of_word[sl]]
-                q = [p - cw for p in poles]
-                del poles
-                H = [np.ones_like(q_k) for q_k in q]
-                term = np.empty_like(weight)
-                for n in range(K):
-                    if n:
-                        H[-1] *= q[-1]
-                        for k in range(len(q) - 2, -1, -1):
-                            H[k] *= q[k]
-                            H[k] += H[k + 1]
-                    np.multiply(weight, H[0], out=term)
-                    mu[n, g0:g1] = np.add.reduceat(term, starts, axis=1).T
-            self._mu = mu
-        return self._mu[:K].reshape(-1, len(self.numerator))
-
-    def total(self, field: _FarField) -> np.ndarray:
-        """The shell's (t, points) sum at the field's points."""
-        plan, xs = self.plan, field.xs
-        if field.centre is not plan.centre:
-            raise ValueError("the far field is centred on another plan's groups")
-        out = np.zeros((len(self.numerator), len(xs)), dtype=np.complex128)
-        if not out.size:
-            return out
-        # a far point lies more than r from every pole of its group
-        # (|x - c| > 2r), so the expansion needs no pole guard
-        far = self.radius < _FAR_RATIO * field.dist
-        near = ~far
-        if far.any():
-            with np.errstate(divide="ignore", invalid="ignore"):  # x at a centre: near
-                ratio = self.radius / field.dist
-            ratio[near] = 0.0
-            K = _expansion_order(float(ratio.max()), plan.m)
-            mu = self._moments(K)
-            pw = field.powers(plan.m + K - 1)[:, plan.m - 1 : plan.m + K - 1]
-            width = max(1, _TILE_ELEMENTS // (K * len(self.radius)))
-            for lo in range(0, len(xs), width):
-                P, tile_near = pw[lo : lo + width], near[lo : lo + width]
-                if tile_near.any():  # a copy with the near pairs (which may overflow) zeroed
-                    P = np.where(tile_near[:, None], 0.0, P)
-                out[:, lo : lo + width] = np.matmul(P.reshape(len(P), 1, -1), mu)[:, 0].T
-        for j in np.flatnonzero(near.any(axis=0)):
-            cols = np.flatnonzero(near[:, j])
-            out[:, cols] += self._near_sum(slice(plan.starts[j], plan.stops[j]), xs[cols])
-        if plan.outside.stop > plan.outside.start:
-            out += self._near_sum(plan.outside, xs)
+    def _spread(self, shell: _Shell) -> np.ndarray:
+        """Each group's largest distance of a pole of its words in the shell from its centre."""
+        out = np.zeros(len(self.plan.centre))
+        n = shell.bounds[-1]
+        if n:
+            _, poles, _ = self._terms(shell.words.take(slice(0, n)))
+            cw = self.plan.centre[shell.group]
+            spread = [np.abs(p - cw).max(axis=0, initial=0.0) for p in poles]
+            spread = functools.reduce(np.maximum, spread)
+            full = np.flatnonzero(np.diff(shell.bounds))
+            out[full] = np.maximum.reduceat(spread, shell.bounds[full])
         return out
 
-    def _near_sum(self, sl: slice, x: np.ndarray) -> np.ndarray:
-        """The words sl's terms, pulled back, summed for every row at the
-        points x, shape (t, len(x)), behind _pole_guard once per tile. The
-        shared points' factor is formed once per (point, word) and met by
-        each row in turn, whose terms at a point sum as one contiguous run."""
-        _, _, c, d = (m[sl] for m in self.plan.abcd)
-        lams, poles, weight = self._terms(sl)
+    def _moments(self, shell: _Shell, K: int) -> np.ndarray:
+        """nu_0 .. nu_{K-1} of the shell's own words, shape (K, groups, t),
+        by the recurrence H_{m-1} = q_{m-1}^n, H_k <- q_k H_k + H_{k+1},
+        h_n = H_0 in the scaled poles q_k = (p_k - c) / R (so the shared
+        points' H_k are shared by the rows)."""
+        plan, n = self.plan, shell.bounds[-1]
+        mu = np.zeros((K, len(plan.centre), len(self.numerator)), dtype=np.complex128)
+        if not n:
+            return mu
+        _, poles, weight = self._terms(shell.words.take(slice(0, n)))
+        cw, scale = plan.centre[shell.group], plan.scale[shell.group]
+        q = [(p - cw) / scale for p in poles]
+        del poles
+        weight = weight / scale**plan.m
+        full = np.flatnonzero(np.diff(shell.bounds))
+        H = [np.ones_like(q_k) for q_k in q]
+        term = np.empty_like(weight)
+        for k in range(K):
+            if k:
+                H[-1] *= q[-1]
+                for i in range(len(q) - 2, -1, -1):
+                    H[i] *= q[i]
+                    H[i] += H[i + 1]
+            np.multiply(weight, H[0], out=term)
+            mu[k, full] = np.add.reduceat(term, shell.bounds[full], axis=1).T
+        return mu
+
+    def block(self, K: int) -> np.ndarray:
+        """Every deep shell's moments, shape (K groups, t shells): row
+        n groups + j holds nu_n of group j, column s t + r row r of deep
+        shell s. Kept per K, as a carried moment depends on K; a group near
+        every point (radius inf) holds zeros."""
+        if K not in self._blocks:
+            plan, T = self.plan, self.plan.transfer(K)
+            groups, t = len(plan.centre), len(self.numerator)
+            columns, mu = [], None
+            for length in sorted(plan.shells):
+                own = self._moments(plan.shells[length], K)
+                if mu is not None:  # the parents' moments, (groups, (2g - 1) K, t)
+                    parents = mu[:, plan.parent].transpose(1, 2, 0, 3).reshape(groups, -1, t)
+                    own += np.matmul(T, parents).transpose(1, 0, 2)
+                mu = own
+                columns.append(np.where(np.isinf(self.radius)[:, None], 0.0, mu).reshape(-1, t))
+            self._blocks[K] = np.concatenate(columns, axis=1)
+        return self._blocks[K]
+
+    def far(self, xs: np.ndarray) -> tuple[np.ndarray, list]:
+        """The far groups' sums of every deep shell at xs, shape
+        (shells, t, points), and the near pairs as (group, point indices).
+
+        One K for the call, from a first pass over tiles of points; then each
+        tile's powers b^(m + n) meet the moment block point by point, as a
+        (points, 1, K groups) @ (K groups, t shells) product, zeroed at the
+        near pairs (which may overflow). A power is the one before it times
+        b, never written over an input (numpy's in-place complex multiply of
+        a 1-element block rounds differently), so a point's bits are its
+        own, whatever the tile. The tiles share work arrays for the call,
+        freed when it returns."""
+        plan, m, ws = self.plan, len(xs), _Workspace()
+        shells, t, groups = len(plan.shells), len(self.numerator), len(plan.centre)
+        out = np.zeros((shells, t, m), dtype=np.complex128)
+        rho, near, step = 0.0, [], max(1, _TILE_ELEMENTS // groups)
+        for lo in range(0, m, step):
+            d = ws.take("diff", (len(xs[lo : lo + step]), groups))
+            dist = np.abs(np.subtract(xs[lo : lo + step, None], plan.centre, out=d))
+            far = self.radius < _FAR_RATIO * dist
+            with np.errstate(divide="ignore", invalid="ignore"):  # a point at a centre is near
+                rho = max(rho, float(np.max(self.radius / dist, where=far, initial=0.0)))
+            point, j = np.nonzero(~far)
+            near.append((point + lo, j))
+        point, j = (np.concatenate(a) for a in zip(*near)) if near else (np.zeros(0, int),) * 2
+        if not t or len(j) == m * groups:
+            return out, [(g, point[j == g]) for g in np.unique(j)]
+        K = _expansion_order(max(rho, self.sigma), plan.m)
+        mu, n = self.block(K), plan.m + K - 1
+        width = max(1, _TILE_ELEMENTS // (n * groups))
+        for lo in range(0, m, width):
+            x = xs[lo : lo + width]
+            d, pw = ws.take("diff", (len(x), groups)), ws.take("far", (n, len(x), groups))
+            with np.errstate(all="ignore"):  # a point at a centre: inf
+                np.divide(plan.scale, np.subtract(x[:, None], plan.centre, out=d), out=pw[0])
+                for k in range(1, n):
+                    np.multiply(pw[k - 1], pw[0], out=pw[k])
+            P = ws.take("powers", (len(x), K, groups))
+            np.copyto(P, pw[plan.m - 1 :].transpose(1, 0, 2))
+            tile = (lo <= point) & (point < lo + len(x))
+            P[point[tile] - lo, :, j[tile]] = 0.0
+            sums = np.matmul(P.reshape(len(x), 1, -1), mu)[:, 0]
+            out[:, :, lo : lo + len(x)] = sums.reshape(len(x), shells, t).transpose(1, 2, 0)
+        return out, [(g, point[j == g]) for g in np.unique(j)]
+
+    def total(self, length: int, xs: np.ndarray, far: np.ndarray, near: list) -> np.ndarray:
+        """Deep shell `length`'s (t, points) sum: its far sums, its near
+        groups' words and its outside words."""
+        plan = self.plan
+        shell = plan.shells[length]
+        out = far[length - _DIRECT_SHELLS].copy()
+        if not out.size:
+            return out
+        for j, cols in near:
+            words = plan.group_words(j, length)
+            if len(words):
+                out[:, cols] += self._near_sum(words, xs[cols])
+        if shell.outside.stop > shell.outside.start:
+            out += self._near_sum(shell.words.take(shell.outside), xs)
+        return out
+
+    def _near_sum(self, words: _Words, x: np.ndarray) -> np.ndarray:
+        """The words' terms, pulled back, summed for every row at the points
+        x, shape (t, len(x)), behind _pole_guard once per tile. The shared
+        points' factor is formed once per (point, word) and met by each row
+        in turn, whose terms at a point sum as one contiguous run."""
+        _, _, c, d = words.abcd
+        lams, poles, weight = self._terms(words)
         guarded = np.concatenate([self.targets[:, 0], self.plan.guard])
         lam, pole = (np.concatenate(f)[: len(guarded)] for f in (lams, poles))
         out = np.empty((len(weight), len(x)), dtype=np.complex128)

@@ -202,7 +202,9 @@ def clearance(p: SchottkyParams, z: complex) -> float:
 
 
 def in_domain(p: SchottkyParams, z: complex) -> bool:
-    """True when z lies strictly outside every disc."""
+    """True when z is finite and lies strictly outside every disc."""
+    if not cmath.isfinite(z):
+        return False
     for letter in p.letters:
         if abs(z - disc_center(p, letter)) <= disc_radius(p, letter):
             return False
@@ -246,7 +248,8 @@ class WordShells:
         return len(self.a) - 1
 
     def shell_size(self, length: int) -> int:
-        return len(self.a[length])
+        """The number of reduced words of the given length, built or not."""
+        return 1 if length == 0 else 2 * self.genus * (2 * self.genus - 1) ** (length - 1)
 
     def total_words(self) -> int:
         return sum(len(x) for x in self.a)

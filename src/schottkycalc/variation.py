@@ -436,10 +436,10 @@ def _handle_circle_nu(p: SchottkyParams, nu: NuFamily, n_nodes: int = 256) -> tu
     and the exact period gradient read the same values."""
     per_family = _NU_CIRCLES.setdefault(nu, {})
     if (p, n_nodes) not in per_family:
+        nodes = [handle_nodes(p, a, n_nodes) for a in range(1, p.genus + 1)]
+        values = np.split(nu.values(np.concatenate([z for z, _, _ in nodes])), p.genus, axis=1)
         circles = []
-        for a in range(1, p.genus + 1):
-            z, dz, w_a = handle_nodes(p, a, n_nodes)
-            vals = nu.values(z)
+        for a, (z, dz, w_a), vals in zip(range(1, p.genus + 1), nodes, values):
             for array in (z, dz, vals):
                 array.flags.writeable = False
             circles.append((a, z, dz, w_a, vals))
@@ -485,13 +485,16 @@ def period_matrix(
         )
     g = p.genus
     omega = np.empty((g, g), dtype=np.complex128)
-    paths = []
-    for b in range(1, g + 1):
-        legs = beta_path(p, b)
-        paths.append(legs)
+    paths = [beta_path(p, b) for b in range(1, g + 1)]
+    rules = [_path_rule(legs) for legs in paths]
+    # every leg's nodes in one nu pass, split back per leg
+    nodes = [z for leg_nodes, _ in rules for z in leg_nodes]
+    ends = np.cumsum([len(z) for z in nodes])[:-1]
+    values = iter(np.split(nu.values(np.concatenate(nodes)), ends, axis=1))
+    for b, (leg_nodes, weights) in enumerate(rules, 1):
         # legs run anchor -> image; the period traverses them image -> anchor
-        nodes, weights = _path_rule(legs)
-        omega[:, b - 1] = -_path_integral([nu.values(z) for z in nodes], weights) / TWO_PI_I
+        leg_values = [next(values) for _ in leg_nodes]
+        omega[:, b - 1] = -_path_integral(leg_values, weights) / TWO_PI_I
     sym_err = float(np.max(np.abs(omega - omega.T)))
     if certify and not (sym_err <= symmetry_tol):
         raise PeriodSymmetryError(f"period matrix asymmetric by {sym_err:.3e}")

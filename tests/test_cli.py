@@ -551,7 +551,7 @@ def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
     kernels, matrices, depths, factors, plans, fields = [], [], [], [], [], []
     _counting(monkeypatch, cli, "canonical_gem", kernels)
     _counting(monkeypatch, poincare._GroupPlan, "__init__", plans)
-    _counting(monkeypatch, poincare._FarField, "__init__", fields)
+    _counting(monkeypatch, poincare._PoleGroups, "far", fields)
     deep_sums, series_sum = [], poincare._ShellSeries._sum
 
     def spy_sum(self, *args):
@@ -573,14 +573,15 @@ def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
     out_path = tmp_path / "report.json"
     assert main(["report", "--config", cfg, "--all", "--json", str(out_path)]) == 0
     assert len(kernels) == 1
-    # one word tree at the config's depth and one set of weight-2 limit-point
-    # factors, shared by every evaluator the suites build
-    assert depths.count(5) == 1 and factors == [3]
-    # deep shells 4 and 5 planned once for each set of shared points: the
+    # one word tree, built to shell 4 for the config's depth 5, and one set of
+    # weight-2 limit-point factors, shared by every evaluator the suites build
+    assert depths.count(poincare._DIRECT_SHELLS) == 1 and max(depths) == poincare._DIRECT_SHELLS
+    assert factors == [3]
+    # the deep shells planned once for each set of shared points: the
     # weight-2 limit points, y0 = 0 (nu and the third kind) and the second
     # nu's base point
-    assert len(plans) == 3 * 2
-    # one far field for each series pass that reaches a deep shell
+    assert len(plans) == 3
+    # one far pass for each series pass that reaches a deep shell
     assert sum(deep_sums) > 0 and len(fields) == sum(deep_sums)
     # one certified base, shared by the rauch suite (which differentiates
     # it exactly) and the report's period_matrix entry
@@ -758,3 +759,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("name", ["surface_star", "asymmetric", "genus3_wide"])
+def test_report_builds_words_to_shell_4_on_the_shipped_configs(monkeypatch, name):
+    """Every evaluator of a full report builds its word tree to shell 4 at
+    most, whatever the config's max_len (10, 7 and 5); the deeper shells
+    come from shell 4's moments and the tracked outside words."""
+    depths, build = [], poincare.build_shells
+    monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
+    monkeypatch.setattr(
+        poincare, "build_shells", lambda p, n, **kw: depths.append(n) or build(p, n, **kw)
+    )
+    cfg = str(Path(__file__).parents[1] / "configs" / f"{name}.json")
+    assert main(["report", "--config", cfg, "--all"]) == 0
+    assert depths and max(depths) <= poincare._DIRECT_SHELLS

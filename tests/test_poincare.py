@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import threading
-import types
+import tracemalloc
 import weakref
 
 import mpmath as mp
@@ -286,6 +286,29 @@ def test_bers_deterministic_across_workers(star):
             assert np.array_equal(one[name](xs), four[name](xs)), (name, m)
 
 
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_far_pass_is_tiled_over_points(star, monkeypatch):
+    """nu at full depth 8 on 20,000 points of F peaks below 10 MB, as the
+    deep shells' far pass works in tiles of points, and gives the bits of
+    the same call in one tile (K is chosen once per call, before the
+    tiles)."""
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-9, 9, 60000) + 1j * rng.uniform(-3, 3, 60000)
+    xs = xs[[in_domain(star, x) for x in xs]][:20000]
+    assert len(xs) == 20000
+    nu = NuFamily(star, config=SeriesConfig(max_len=8))
+    nu.values(xs[:8])  # the plan, rows and workspace of a first call
+    tracemalloc.start()
+    try:
+        tiled = nu.values(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+    monkeypatch.setattr(poincare, "_TILE_ELEMENTS", 1 << 40)  # one tile per shell
+    assert np.array_equal(NuFamily(star, config=SeriesConfig(max_len=8)).values(xs), tiled)
+
+
 @pytest.mark.parametrize("m", TILE_CASE_POINTS)
 def test_column_tiles_do_not_change_bits(star, monkeypatch, m):
     xs = _probe_xs(m)
@@ -448,6 +471,14 @@ def test_nu_rejects_bad_base_point(star):
         NuFamily(star, config=CFG, y0=-6.0 + 0.1j)  # inside C_1
 
 
+@pytest.mark.parametrize("y0", [complex("nan"), complex("inf"), complex(0.3, float("nan"))])
+def test_nu_rejects_a_non_finite_base_point(star, y0):
+    """A NaN or infinite base point is no point of F: the family is refused
+    by name, rather than built to fail at its first values call."""
+    with pytest.raises(ValueError, match="base point .* must lie in the fundamental domain"):
+        NuFamily(star, config=CFG, y0=y0)
+
+
 def test_nu_and_third_kind_pole_guards(star):
     # the identity word puts x on the pole itself
     y0 = 0.3 + 0.2j
@@ -488,15 +519,27 @@ def _far_case_points(p):
     pts = list(default_probe_points(p, 4)[1:])  # the first one is y0 = 0
     for a in range(1, p.genus + 1):
         pts.extend(handle_nodes(p, a, 8)[0][::3])
-    for letter in p.letters:
-        pts.append(moebius.apply(generator(p, letter), pts[0]))
-        pts.append(moebius.apply(word_map(p, (letter,) * 3), pts[0]))
+    pts.extend(moebius.apply(generator(p, letter), pts[0]) for letter in p.letters)
+    pts.extend(moebius.apply(word_map(p, (letter,) * 3), pts[0]) for letter in p.letters)
     return np.array(pts)
+
+
+def _inside_discs(p, xs, depth):
+    """Which of _far_case_points(p) sit inside a disc (depth 1, and 3) or
+    three discs deep (depth 3), where a deep group is near."""
+    return np.arange(len(xs)) >= len(xs) - len(p.letters) * (2 if depth == 1 else 1)
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 @pytest.mark.parametrize("name, max_len", FAR_CASES)
 def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
+    """Within one call the points take the expansions and the term-by-term
+    sums of a group's words within one shell, and the expansions give the
+    word sums' values (every group near every point) to 1e-14 of the value
+    in F and on the handle circles. Inside a disc a pole's last bit moves
+    the nearest terms by more: asymmetric's one-disc-deep points by 4e-14
+    of the value, and three discs deep by parts in 1e8
+    (test_carried_sums_match_40_digit_sums_three_discs_deep)."""
     p = _surface(name, star)
     cfg = SeriesConfig(max_len=max_len)
     xs = _far_case_points(p)
@@ -508,21 +551,64 @@ def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
         "bers3": lambda: BersEvaluator(p, 3, config=cfg).value_grid(xs, ys),
     }
     groups = poincare._PoleGroups
-    total, moments, near_sum = groups.total, groups._moments, groups._near_sum
+    total, far, near_sum = groups.total, groups.far, groups._near_sum
     paths = []  # per shell, the paths it took: "far" expansions, "near" sums
+    calls = []  # per call, the moment blocks of its far pass
+    monkeypatch.setattr(groups, "far", lambda *a: calls.append(far(*a)) or calls[-1])
     monkeypatch.setattr(groups, "total", lambda *a: paths.append(set()) or total(*a))
-    monkeypatch.setattr(groups, "_moments", lambda *a: paths[-1].add("far") or moments(*a))
     monkeypatch.setattr(groups, "_near_sum", lambda *a: paths[-1].add("near") or near_sum(*a))
-    far = {}
+    got = {}
     for kind, f in evaluate.items():
         paths.clear()
-        far[kind] = f()
-        # the points take the expansion and the term-by-term sum within one shell
-        assert {"far", "near"} in paths, kind
+        got[kind] = f()
+        # the far sums are nonzero at some point, and some point is near a group
+        assert np.any(calls[-1][0]) and any(len(cols) for _, cols in calls[-1][1]), kind
+        assert {"near"} in paths, kind
+    keep = ~_inside_discs(p, xs, 1)
     monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)  # every group is near every point
     for kind, f in evaluate.items():
-        near = f()
-        assert np.all(np.abs(far[kind] - near) <= 1e-14 * np.abs(near)), kind
+        near = f()[:, keep]
+        err = np.abs(got[kind][:, keep] - near)
+        assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(near))), kind
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+@pytest.mark.parametrize("name", ["star", "asymmetric"])
+def test_carried_sums_match_40_digit_sums_three_discs_deep(star, monkeypatch, name):
+    """Three discs deep a deep group's poles lie within about 1e-6 (STAR) or
+    1e-9 (asymmetric) of x, so the last bit of each pulled-back pole moves
+    nu's deep shells there by parts in 1e8 or more. There the carried
+    moments are at least as close as the word sums (every group near) to the
+    same words summed in 40-digit arithmetic from 40-digit matrices."""
+    p = _surface(name, star)
+    max_len = 6
+    xs = _far_case_points(p)
+    x = xs[_inside_discs(p, xs, 3)][:1]
+    deep = []
+    total = poincare._PoleGroups.total
+    monkeypatch.setattr(
+        poincare._PoleGroups, "total", lambda *a: deep.append(total(*a)) or deep[-1]
+    )
+    nu = NuFamily(p, config=SeriesConfig(max_len=max_len))
+    nu.values(x)
+    carried = sum(deep)
+    deep.clear()
+    monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)
+    NuFamily(p, config=SeriesConfig(max_len=max_len)).values(x)
+    words = sum(deep)
+    with mp.workdps(40):
+        _, mats = _mp_word_matrices(p, build_shells(p, max_len))
+        X, u = mp.mpc(complex(x[0])), mp.mpc(nu.y0)
+        want = []
+        for v in (mp.mpc(complex(v)) for v in nu.images):
+            terms = []
+            for a, b, c, d in itertools.chain(*mats[poincare._DIRECT_SHELLS :]):
+                den = c * X + d
+                gx = (a * X + b) / den
+                terms.append((1 / (gx - u) - 1 / (gx - v)) / den**2)
+            want.append(complex(mp.fsum(terms)))
+    want = np.array(want)
+    assert np.all(np.abs(carried[:, 0] - want) <= np.abs(words[:, 0] - want) + 1e-15 * np.abs(want))
 
 
 def _spy_far_totals(monkeypatch) -> list:
@@ -535,28 +621,29 @@ def _spy_far_totals(monkeypatch) -> list:
 
 
 def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
-    """A far shell's value at a point is that point's own (1, K groups) @
-    (K groups, t) product plus its near and outside-word sums, so with the
-    expansion order K fixed (the one thing a batch's points share) a prefix
-    or a shifted slice of a batch gives the batch's bits, where one
+    """A deep shell's value at a point is that point's own (1, K groups) @
+    (K groups, t shells) product plus its near and outside-word sums, so
+    with the expansion order K fixed (the one thing a batch's points share)
+    a prefix or a shifted slice of a batch gives the batch's bits, where one
     whole-block product would not."""
     xs = _probe_xs(130)
     ys = 0.99 * np.exp(2j * np.pi * np.arange(20) / 20)  # as many rows as a spanning table
-    bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=5))
+    bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=6))
     bers.value_grid(xs, ys)
-    groups = bers._rows[5]
+    rows = bers._rows
     order, K = poincare._expansion_order, []
     monkeypatch.setattr(poincare, "_expansion_order", lambda *a: K.append(order(*a)) or K[0])
-    centre = groups.plan.centre
-    field = poincare._FarField(xs, centre)
-    whole = groups.total(field)
-    # the batch takes the expansions and the outside words
-    assert len(K) == 1 and groups.plan.outside.stop > groups.plan.outside.start
-    # which every shell of a call reads, so no shell may write into them
-    assert not field.dist.flags.writeable and not field.powers(1).flags.writeable
+
+    def deep(points):
+        far = rows.far(points)
+        return [rows.total(L, points, *far) for L in range(poincare._DIRECT_SHELLS, 7)]
+
+    whole = deep(xs)
+    # one K for the call's three deep shells, which take the outside words
+    assert len(K) == 1 and all(s.outside.stop > s.outside.start for s in rows.plan.shells.values())
     for lo, hi in [(0, 1), (0, 2), (0, 3), (0, 7), (0, 65), (1, 2), (3, 10), (64, 129)]:
-        part = groups.total(poincare._FarField(xs[lo:hi], centre))
-        assert np.array_equal(part, whole[:, lo:hi]), (lo, hi)
+        for part, want in zip(deep(xs[lo:hi]), whole):
+            assert np.array_equal(part, want[:, lo:hi]), (lo, hi)
 
 
 def _deep_series(p, cfg):
@@ -574,46 +661,79 @@ def _deep_series(p, cfg):
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 @pytest.mark.parametrize("name, max_len", [("star", 7), ("genus3-wide", 6)])
 def test_deep_plans_share_the_first_deep_shells_centres(star, monkeypatch, name, max_len):
-    """Every deep plan of a series holds shell 4's centre array itself,
-    read-only, and a plan whose groups differ from the one lending it its
-    centres is refused."""
+    """Each series' word tree stops at shell 4, and one read-only plan holds
+    every deep shell, each on shell 4's centres: the built words of shells
+    5 and up are the outside words and their children alone."""
     monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
     _, evs = _deep_series(_surface(name, star), SeriesConfig(max_len=max_len))
     for kind, ev in evs.items():
-        plans = ev._shared.plans
-        first = plans[poincare._DIRECT_SHELLS]
-        assert sorted(plans) == list(range(poincare._DIRECT_SHELLS, max_len + 1)), kind
-        assert all(plans[L].centre is first.centre for L in plans), kind
-        assert not first.centre.flags.writeable, kind
+        plan = ev._shared.plan
+        assert ev.shells.max_len == poincare._DIRECT_SHELLS, kind
+        assert sorted(plan.shells) == list(range(poincare._DIRECT_SHELLS, max_len + 1)), kind
+        assert not plan.centre.flags.writeable, kind
         with pytest.raises(ValueError, match="read-only"):
-            first.centre[0] = 0.0
-        other = types.SimpleNamespace(keys=first.keys[1:], centre=first.centre[1:])
-        with pytest.raises(ValueError, match="other suffixes"):
-            poincare._GroupPlan(ev, max_len, other)
+            plan.centre[0] = 0.0
+        deep = [len(plan.shells[L].words) for L in range(poincare._DIRECT_SHELLS + 1, max_len + 1)]
+        # nu and the third kind have no outside word, so they build none
+        assert deep == [0] * len(deep) if kind != "bers2" else 0 < max(deep) < 200, (kind, deep)
 
 
-def _own_centre_total(series, length, xs):
-    """Deep shell `length` of a series summed at xs on its own words' mean-pole
-    centres, its plan built with no first deep shell to lend it centres: the
-    reference for the shared centres (rows bound to the series' last targets)."""
-    plan = poincare._GroupPlan(series, length)
-    groups = poincare._PoleGroups(plan, series._targets, series._numerator)
-    return groups.total(poincare._FarField(xs, plan.centre))
+def _word_sums(shared, shells, targets, numerator, xs, lengths):
+    """Each row's terms weight / prod_k (x - p_k) over every word of the given
+    shells of a full word tree, pulled back as the near sums pull them back:
+    the target's factor and pole from each word's matrix, the shared points'
+    from `shared` (_pulled_back, or _limit_factors with its snapped limit
+    words); shape (t, len(xs))."""
+    out = np.zeros((len(targets), len(xs)), dtype=np.complex128)
+    x = xs[:, None]
+    for length in lengths:
+        abcd = [m[length] for m in (shells.a, shells.b, shells.c, shells.d)]
+        lam, pole = poincare._pull_back(*abcd, targets[:, None])
+        weight = numerator[:, None] / (lam * np.prod(shared.lam[length], axis=0))
+        for lo in range(0, len(abcd[0]), 2048):
+            sl = slice(lo, lo + 2048)
+            common = np.prod([x - q[sl] for q in shared.pole[length]], axis=0)
+            for r in range(len(targets)):
+                out[r] += np.sum(weight[r, sl] / ((x - pole[r, sl]) * common), axis=1)
+    return out
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
-@pytest.mark.parametrize("name, max_len", [("star", 10), ("genus3-wide", 7)])
-def test_shared_centres_match_each_shells_own_centres(star, name, max_len):
-    """Each deep shell summed on the shared centres agrees with the same shell
-    summed on its own mean-pole centres to 1e-15 of its largest value."""
-    xs, evs = _deep_series(_surface(name, star), SeriesConfig(max_len=max_len))
-    for kind, ev in evs.items():
-        field = poincare._FarField(xs, ev._shared.plans[poincare._DIRECT_SHELLS].centre)
-        for length in range(poincare._DIRECT_SHELLS, max_len + 1):
-            shared = ev._rows[length].total(field)
-            own = _own_centre_total(ev, length, xs)
-            scale = np.max(np.abs(own))
-            assert np.max(np.abs(shared - own)) <= 1e-15 * scale, (kind, length)
+@pytest.mark.parametrize("name, max_len", [("star", 10), ("asymmetric", 8), ("genus3-wide", 7)])
+def test_carried_shells_match_word_sums(star, monkeypatch, name, max_len):
+    """nu, the third kind and the weight-2 and weight-3 series, their deep
+    shells carried from shell 4, agree entry by entry to 1e-14 max(1, |v|)
+    with the same deep shells summed word by word over a tree built to
+    max_len here, at points in F and on the handle circles."""
+    p = _surface(name, star)
+    cfg = SeriesConfig(max_len=max_len)
+    xs = _far_case_points(p)
+    xs = xs[~_inside_discs(p, xs, 1)]
+    ys = _bers_targets(p)
+    tree = build_shells(p, max_len)
+    deep = range(poincare._DIRECT_SHELLS, max_len + 1)
+    carried, total = [], poincare._PoleGroups.total
+    monkeypatch.setattr(
+        poincare._PoleGroups, "total", lambda *a: carried.append(total(*a)) or carried[-1]
+    )
+    nu, third = NuFamily(p, config=cfg), ThirdKindEvaluator(p, config=cfg)
+    images = np.array(nu.images)
+    cases = {
+        "nu": (nu.values, images, nu.y0 - images, poincare._pulled_back(tree, nu.y0)),
+        "third_kind": (lambda xs: third.value_grid(xs, THIRD_KIND_YS), THIRD_KIND_YS,
+                       THIRD_KIND_YS, poincare._pulled_back(tree, 0j)),
+    }
+    for N in (2, 3):
+        bers = BersEvaluator(p, N, config=cfg)
+        weights = np.array([np.prod(y - bers.points) for y in ys])
+        cases[f"bers{N}"] = (lambda xs, bers=bers: bers.value_grid(xs, ys), ys, weights,
+                             poincare._limit_factors(tree, p, 2 * N - 1))
+    for kind, (values, targets, numerator, shared) in cases.items():
+        carried.clear()
+        v = values(xs)
+        assert len(carried) == len(deep), kind
+        want = _word_sums(shared, tree, np.asarray(targets), np.asarray(numerator), xs, deep)
+        assert np.all(np.abs(sum(carried) - want) <= 1e-14 * np.maximum(1.0, np.abs(v))), kind
 
 
 @pytest.mark.parametrize("kind", ["bers", "third_kind", "nu"])
@@ -654,14 +774,14 @@ def _spy_builds(monkeypatch) -> list:
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 def test_deep_shell_plans_are_built_once_per_evaluator(star, monkeypatch):
-    """Each deep shell's plan is built once per evaluator and only its rows
+    """The deep shells' plan is built once per evaluator and only its rows
     are bound on each call with new targets, to the bits of a fresh
     evaluator; NuFamily, whose rows never change, binds them once. The
-    registry starts empty, so no module fixture lends its plans."""
+    registry starts empty, so no module fixture lends its plan."""
     monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
     built = _spy_builds(monkeypatch)
     cfg = SeriesConfig(max_len=6)
-    deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
+    deep = 1  # one plan, and one binding of its rows, holds every deep shell
     xs = _far_case_points(star)
     ysets = [THIRD_KIND_YS, THIRD_KIND_YS[:1], 0.5 * THIRD_KIND_YS]
     for make in (functools.partial(BersEvaluator, star, 2, config=cfg),
@@ -683,14 +803,14 @@ def test_deep_shell_plans_are_built_once_per_evaluator(star, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 def test_rows_are_kept_while_the_targets_stay(star, monkeypatch):
-    """Two spanning tables, whose probe targets never change, bind each deep
-    shell's rows once; a call with other targets binds them anew, and a call
+    """Two spanning tables, whose probe targets never change, bind the deep
+    shells' rows once; a call with other targets binds them anew, and a call
     with the first targets again binds them once more. Every value is a
     fresh evaluator's."""
     monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
     built = _spy_builds(monkeypatch)
     cfg = SeriesConfig(max_len=6)
-    deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
+    deep = 1  # one plan, and one binding of its rows, holds every deep shell
     xs = np.array(default_probe_points(star, 4)[1:])
     bers = BersEvaluator(star, 2, config=cfg)
     theta = gem.SpanningTheta(bers)
@@ -720,7 +840,7 @@ def test_rows_bind_copies_of_the_callers_targets(star, monkeypatch):
     monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)
     built = _spy_builds(monkeypatch)
     cfg = SeriesConfig(max_len=6)
-    deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
+    deep = 1  # one plan, and one binding of its rows, holds every deep shell
     xs = _far_case_points(star)
     tk = ThirdKindEvaluator(star, config=cfg)
     ys = THIRD_KIND_YS.copy()
@@ -737,12 +857,12 @@ def test_rows_bind_copies_of_the_callers_targets(star, monkeypatch):
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 def test_live_twins_build_each_deep_plan_once(star, monkeypatch):
     """Two live weight-2 evaluators, and nu with y0 = 0 beside the third
-    kind (both pole pairs share 0), build each deep shell's plan once and
-    bind their own rows; weight 3 has plans of its own."""
+    kind (both pole pairs share 0), build the deep shells' plan once and
+    bind their own rows; weight 3 has a plan of its own."""
     monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
     built = _spy_builds(monkeypatch)
     cfg = SeriesConfig(max_len=6)
-    deep = cfg.max_len + 1 - poincare._DIRECT_SHELLS
+    deep = 1  # one plan, and one binding of its rows, holds every deep shell
     xs = _far_case_points(star)
 
     def values(ev):
@@ -807,7 +927,7 @@ def test_evaluators_share_one_read_only_tree_while_any_lives(star, monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         twins["third_kind"]._shared.lam[3][0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        bers._shared.plans[4].lam[0, 0, 0] = 0.0  # a plan every weight-2 twin sums with
+        bers._shared.plan.shells[4].words.lam[0, 0] = 0.0  # a plan every weight-2 twin sums with
 
     refs = [weakref.ref(bers.shells), weakref.ref(bers._shared)]
     del twins, bers, ev, bers3, nu3
@@ -872,8 +992,12 @@ def test_direct_sums_do_not_depend_on_the_batch(star, name):
 
 @pytest.mark.parametrize("length", [1, 5])
 def test_nu_pole_guard_at_pulled_back_base_point(star, length):
+    """x at g^-1 y0, formed from the word's matrix as the word tree forms
+    it: at shell 5 the group holding g is near x, and its words, built from
+    shell 4 as build_shells builds them, pull y0 back to x itself."""
     nu = NuFamily(star, config=SeriesConfig(max_len=6))
-    poles = nu._shared.pole[length][0]  # g^-1 y0, the far field's own poles
+    tree = build_shells(star, length)
+    _, poles = poincare._pull_back(*(m[length] for m in (tree.a, tree.b, tree.c, tree.d)), nu.y0)
     with pytest.raises(PoleProximityError):
         nu.values([poles[len(poles) // 3]])
 
@@ -986,9 +1110,9 @@ def test_expansion_order_bounds_the_tail():
 @pytest.mark.parametrize("length", [4, 5])
 def test_bers_pole_guard_at_pulled_back_target(star, length):
     bers = BersEvaluator(star, 2, config=SeriesConfig(max_len=6))
-    shells = bers.shells
+    shells = build_shells(star, length)
     y = 0.9 - 0.3j
-    # g^-1 y from the word's matrix, the routine the far field forms a target's poles with
+    # g^-1 y from the word's matrix, the routine the near sums form a target's poles with
     words = (m[length] for m in (shells.a, shells.b, shells.c, shells.d))
     _, poles = poincare._pull_back(*words, y)
     with pytest.raises(PoleProximityError):
@@ -997,18 +1121,20 @@ def test_bers_pole_guard_at_pulled_back_target(star, length):
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 @pytest.mark.parametrize(
-    "name, N, max_len", [("star", 2, 6), ("star", 2, 8), ("star", 3, 6), ("genus3-wide", 2, 5)]
+    "name, N, max_len",
+    [("star", 2, 6), ("star", 2, 8), ("star", 3, 6), ("asymmetric", 2, 6), ("genus3-wide", 2, 5)],
 )
 def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
     """A word whose first L - 1 letters run along W_j W_j ..., W_j the word
     of the limit point A_j, pulls A_j back outside its group's nested disc:
     (2N - 1)(2g - 1) words per shell, as the last letter is free, and no
-    other word. Those are summed term by term at every point, x = 0
-    included; every other deep word sits in a group no wider than its disc,
-    and no word past shell 3 reaches the direct kernel."""
+    other word. Each is built, from its parent, itself an outside word, to
+    the bits of a word tree built to max_len, and summed term by term at
+    every point, x = 0 included; every other deep word sits in a group no
+    wider than its disc, and no word past shell 3 reaches the direct
+    kernel."""
     p = _surface(name, star)
     bers = BersEvaluator(p, N, config=SeriesConfig(max_len=max_len))
-    shells = bers.shells
     direct, call = {}, poincare._DirectKernel.__call__
 
     def spy_direct(kernel, a, *rest):
@@ -1019,22 +1145,30 @@ def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
     xs = np.r_[0j, _far_case_points(p)]
     ys = _bers_targets(p)
     far = bers.value_grid(xs, ys)
-    assert sum(direct.values()) == sum(map(shells.shell_size, range(poincare._DIRECT_SHELLS)))
+    tree = build_shells(p, max_len)
+    assert sum(direct.values()) == sum(map(tree.shell_size, range(poincare._DIRECT_SHELLS)))
     words = poincare._limit_words(p, 2 * N - 1)[1]
+    plan, outside = bers._shared.plan, {}
     for length in range(poincare._DIRECT_SHELLS, max_len + 1):
-        groups = bers._rows[length]
         want = []
         for w in words:
             i = 0
             for back in range(1, length):  # the length-(L - 1) prefix of W_j W_j ...
-                parent, last = shells.parent[back], shells.last_letter[back]
+                parent, last = tree.parent[back], tree.last_letter[back]
                 i = np.flatnonzero((parent == i) & (last == w[(back - 1) % len(w)]))[0]
-            want.extend(np.flatnonzero(shells.parent[length] == i))
+            want.extend(np.flatnonzero(tree.parent[length] == i))
         assert len(want) == (2 * N - 1) * (2 * p.genus - 1)
-        got = np.stack([m[groups.plan.outside] for m in groups.plan.abcd])
-        expected = np.stack([m[length][want] for m in (shells.a, shells.b, shells.c, shells.d)])
+        shell = plan.shells[length]
+        got = np.stack(shell.words.take(shell.outside).abcd)
+        expected = np.stack([m[length][want] for m in (tree.a, tree.b, tree.c, tree.d)])
         assert np.array_equal(got[:, np.lexsort(got)], expected[:, np.lexsort(expected)]), length
-        assert np.isfinite(groups.radius).all() and groups.radius.max() < 1e-3, length
+        outside[length] = set(want)
+        if length > poincare._DIRECT_SHELLS:  # every outside word's parent is an outside word
+            assert {int(tree.parent[length][i]) for i in want} <= outside[length - 1], length
+    # no group is wider than its nested disc's diameter (one would be near
+    # every point), and none on the surfaces with equal small discs is wider than 1e-3
+    radius = bers._rows.radius
+    assert np.all(radius < 2 * plan.scale) and (name == "asymmetric" or radius.max() < 1e-3)
     monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)
     near = bers.value_grid(xs, ys)
     assert np.all(np.isfinite(far))
@@ -1129,7 +1263,7 @@ def test_series_match_30_digit_sums(star):
             for abcd in zip(shells.a[k], shells.b[k], shells.c[k], shells.d[k])
         ]
 
-    words, deep_words = words_of(nu.shells), words_of(deep_nu.shells)
+    words, deep_words = words_of(nu.shells), words_of(build_shells(star, 5))
 
     def exact(x, parts, words=words):
         """(sum of terms, rounding scale); parts(gx, den) -> [(value, poles)]."""
@@ -1183,8 +1317,11 @@ def test_series_match_30_digit_sums(star):
 def test_shell_report_counts_and_decay(star):
     bers = BersEvaluator(star, 2, config=CFG)
     bers.value(0.1 + 0.2j, 0.9 - 0.3j)
-    assert [len(a) for a in bers.shells.a] == [1, 4, 12, 36, 108, 324, 972]
+    # the words are built to shell 4, and every shell to max_len is summed
+    assert [len(a) for a in bers.shells.a] == [1, 4, 12, 36, 108]
+    assert [bers.shells.shell_size(L) for L in range(7)] == [1, 4, 12, 36, 108, 324, 972]
     maxima = bers.last_shell_magnitudes
+    assert len(maxima) == CFG.max_len + 1
     # geometric decay sets in immediately for this well-separated surface
     for prev, cur in zip(maxima[1:], maxima[2:]):
         assert cur < 0.05 * prev

@@ -291,3 +291,12 @@ def test_generator_tangent_matches_central_differences():
                 assert np.max(np.abs(tan[:, 3 * (a - 1) + l] - fd)) < 1e-8
                 if a != abs(letter):
                     assert np.all(tan[:, 3 * (a - 1) + l] == 0)
+
+
+@pytest.mark.parametrize(
+    "z", [complex("nan"), complex("inf"), complex(0.0, float("nan")), complex("-inf")]
+)
+def test_in_domain_rejects_non_finite_points(z):
+    """A NaN compares False with every radius, so it once passed as outside every disc."""
+    p = SchottkyParams([HandleParams(-6.0, -2.0, 0.09), HandleParams(2.0, 6.0, 0.09)])
+    assert not in_domain(p, z)

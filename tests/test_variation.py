@@ -293,6 +293,22 @@ def test_period_matrix_certified(base_pm):
     assert abs(base_pm.omega[0, 0] - base_pm.omega[1, 1]) < 1e-9
 
 
+@pytest.mark.parametrize("name, max_len", [("surface_star", 8), ("asymmetric", 7), ("genus3_wide", 5)])
+def test_one_nu_pass_per_node_set_keeps_every_bit(name, max_len):
+    """period_matrix evaluates nu once on all the beta legs' nodes, and the
+    handle circles once on both circles: Omega and the circle values keep
+    the bits of one call per leg and per circle."""
+    p = load_config(str(CONFIGS / f"{name}.json")).surface
+    nu = NuFamily(p, config=SeriesConfig(max_len=max_len))
+    omega = va.period_matrix(p, nu=nu).omega
+    for b in range(1, p.genus + 1):
+        nodes, weights = va._path_rule(va.beta_path(p, b))
+        legs = [nu.values(z) for z in nodes]
+        assert np.array_equal(omega[:, b - 1], -va._path_integral(legs, weights) / va.TWO_PI_I)
+    for a, z, _, _, vals in va._handle_circle_nu(p, nu):
+        assert np.array_equal(vals, nu.values(z)), a
+
+
 def test_period_matrix_rejects_a_nu_from_another_surface(base_pm):
     # STAR's nu with a surface whose rho_1 is 0.05 would clear the normalization gate
     other = SchottkyParams([HandleParams(-6.0, -2.0, 0.05), STAR.handles[1]])
@@ -549,3 +565,11 @@ def test_punctured_field_validates_punctures(canonical):
         va.nabla_punctured_apply(canonical, (-6.0 + 0.05j,), f, 0.5)  # inside a disc
     with pytest.raises(ValueError):
         va.nabla_punctured_apply(canonical, (0.4j, 0.4j), f, 0.5)  # coincident
+
+
+@pytest.mark.parametrize("y", [complex("nan"), complex("inf")])
+def test_punctured_field_rejects_a_non_finite_puncture(canonical, y):
+    """A NaN or infinite puncture is no point of F: refused by name before
+    any kernel value or derivative is formed."""
+    with pytest.raises(ValueError, match=r"puncture .* is not in the fundamental domain"):
+        va.nabla_punctured_apply(canonical, (0.4j, y), lambda q, ys: ys[0], 0.5)
