@@ -113,8 +113,10 @@ class SeriesConfig:
     """Truncation policy for all series evaluations.
 
     max_len bounds the shells summed. cap bounds the words built: shells
-    0..4 and the tracked outside words of the deeper shells (CapacityError
-    past it), as every other deep word is carried in its group's moments.
+    0..4 and the tracked outside words of the deeper shells, as every other
+    deep word is carried in its group's moments, plus the words of one
+    deep group that a call rebuilds for the points near it, inside or close
+    to a disc (CapacityError past it).
     stop_tol, when set, skips the remaining shells once two consecutive
     shells each contribute less than stop_tol (a deterministic cutoff: the
     decision depends only on the sequentially reduced shell magnitudes).
@@ -670,6 +672,13 @@ class _GroupPlan:
             shell = self.shells[length] = _Shell(words, self._inside(words, group), len(keys))
             words = shell.words.take(shell.outside)
             spelled = [names[i] for i in shell.order[shell.outside]]
+        # each group's word count at each deep shell, the words group_words
+        # builds for it (float, as a deep shell's count can pass int64)
+        self.cap, self.built = series.config.cap, built
+        self.sizes = {_DIRECT_SHELLS: sizes.astype(float)}
+        for length in range(_DIRECT_SHELLS + 1, series.config.max_len + 1):
+            own = np.diff(self.shells[length].bounds)
+            self.sizes[length] = self.sizes[length - 1][self.parent].sum(axis=1) + own
         inverse = [self._gen[-l] for l in self.letter]
         self._inverse = tuple(np.array(e)[:, None] for e in zip(*inverse))
         self._letter_pole = np.array([[a / c] for a, _, c, _ in map(self._gen.get, self.letter)])
@@ -707,7 +716,14 @@ class _GroupPlan:
 
     def group_words(self, j: int, length: int) -> _Words:
         """Every word of group j at a deep shell: built by _times from its
-        parents' down to shell 4, with each shell's own words in the group."""
+        parents' down to shell 4, with each shell's own words in the group.
+        CapacityError if they and the words the plan holds would pass the
+        cap (a point inside or near a disc at a deep max_len)."""
+        if self.built + self.sizes[length][j] > self.cap:
+            raise CapacityError(
+                f"a group near an evaluation point would rebuild {self.sizes[length][j]:.0f} "
+                f"words of shell {length} ({self.built} words held, cap {self.cap}); "
+                "lower max_len or raise the cap")
         shell = self.shells[length]
         own = shell.words.take(slice(shell.bounds[j], shell.bounds[j + 1]))
         if length == _DIRECT_SHELLS:
@@ -816,7 +832,7 @@ class _PoleGroups:
             radius.append(r)
         self.radius = np.max(radius, axis=0)
         self.radius[~(self.radius < 2 * plan.scale)] = np.inf
-        self._blocks: dict[int, np.ndarray] = {}
+        self._block = (0, None)  # (K, block(K)) of the last K asked for
 
     def _terms(self, words: _Words):
         """(factors a - c u_k, poles, weights) of the words: per point, the
@@ -870,9 +886,9 @@ class _PoleGroups:
     def block(self, K: int) -> np.ndarray:
         """Every deep shell's moments, shape (K groups, t shells): row
         n groups + j holds nu_n of group j, column s t + r row r of deep
-        shell s. Kept per K, as a carried moment depends on K; a group near
-        every point (radius inf) holds zeros."""
-        if K not in self._blocks:
+        shell s. Kept for the last K asked for, as a carried moment depends
+        on K; a group near every point (radius inf) holds zeros."""
+        if self._block[0] != K:
             plan, T = self.plan, self.plan.transfer(K)
             groups, t = len(plan.centre), len(self.numerator)
             columns, mu = [], None
@@ -883,8 +899,8 @@ class _PoleGroups:
                     own += np.matmul(T, parents).transpose(1, 0, 2)
                 mu = own
                 columns.append(np.where(np.isinf(self.radius)[:, None], 0.0, mu).reshape(-1, t))
-            self._blocks[K] = np.concatenate(columns, axis=1)
-        return self._blocks[K]
+            self._block = (K, np.concatenate(columns, axis=1))
+        return self._block[1]
 
     def far(self, xs: np.ndarray) -> tuple[np.ndarray, list]:
         """The far groups' sums of every deep shell at xs, shape

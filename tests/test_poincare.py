@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +30,7 @@ from schottkycalc.poincare import (
     limit_points,
 )
 from schottkycalc.schottky import (
+    CapacityError,
     HandleParams,
     SchottkyParams,
     build_shells,
@@ -524,10 +526,98 @@ def _far_case_points(p):
     return np.array(pts)
 
 
-def _inside_discs(p, xs, depth):
-    """Which of _far_case_points(p) sit inside a disc (depth 1, and 3) or
-    three discs deep (depth 3), where a deep group is near."""
-    return np.arange(len(xs)) >= len(xs) - len(p.letters) * (2 if depth == 1 else 1)
+def _inside_discs(p, xs):
+    """Which of _far_case_points(p) sit inside a disc: one or three discs
+    deep, where a deep group is near and the word sums lose digits."""
+    return np.arange(len(xs)) >= len(xs) - 2 * len(p.letters)
+
+
+class _Dec:
+    """Complex numbers, or arrays of them, as real and imaginary parts in
+    Decimal (object arrays for arrays), at the precision of the current
+    decimal context: the same formulas as in mpmath, summed word by word
+    over whole shells at once many times faster."""
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(z):
+        """A complex, mpc or mpf, exactly (mp numbers to their printed digits)."""
+        if isinstance(z, (mp.mpc, mp.mpf)):
+            digits = mp.mp.dps + 5
+            z = mp.mpc(z)
+            return _Dec(Decimal(mp.nstr(z.real, digits)), Decimal(mp.nstr(z.imag, digits)))
+        z = complex(z)
+        return _Dec(Decimal(z.real), Decimal(z.imag))
+
+    @staticmethod
+    def join(parts):
+        """The parts, numbers or arrays, as one array."""
+        re, im = (np.hstack([getattr(z, f) for z in parts]).astype(object) for f in ("re", "im"))
+        return _Dec(re, im)
+
+    def __getitem__(self, index):
+        return _Dec(self.re[index], self.im[index])
+
+    def __add__(self, w):
+        return _Dec(self.re + w.re, self.im + w.im)
+
+    def __sub__(self, w):
+        return _Dec(self.re - w.re, self.im - w.im)
+
+    def __mul__(self, w):
+        return _Dec(self.re * w.re - self.im * w.im, self.re * w.im + self.im * w.re)
+
+    def __truediv__(self, w):
+        n = w.re * w.re + w.im * w.im
+        return _Dec((self.re * w.re + self.im * w.im) / n, (self.im * w.re - self.re * w.im) / n)
+
+    def sum(self) -> complex:
+        return complex(float(np.sum(self.re)), float(np.sum(self.im)))
+
+
+def _deep_40_digit_sums(p, max_len, xs, nu, ys):
+    """Shells 4..max_len of nu, the third kind (pole pairs (y, 0), y in
+    THIRD_KIND_YS) and the weight-2 and weight-3 series (targets ys) at xs,
+    each term summed in 40-digit arithmetic from 40-digit generator
+    matrices (products shell by shell, as build_shells forms them) and
+    40-digit limit points: {kind: (rows, len(xs))}."""
+    shells = build_shells(p, max_len)
+    product = functools.partial(functools.reduce, _Dec.__mul__)
+    with mp.workdps(40), localcontext(prec=40):
+        gens = _mp_generators(p)
+        A = [_Dec.of(a) for a in _mp_limit_points(p, gens, 5)]
+        letters = list(p.letters)
+        G = [_Dec.join([_Dec.of(gens[letter][e]) for letter in letters]) for e in range(4)]
+        m, deep = [_Dec.join([_Dec.of(z)]) for z in (1, 0, 0, 1)], []
+        for length in range(1, max_len + 1):
+            k = np.array([letters.index(letter) for letter in shells.last_letter[length]])
+            a, b, c, d = (e[shells.parent[length]] for e in m)
+            ga, gb, gc, gd = (g[k] for g in G)
+            m = [a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd]
+            if length >= poincare._DIRECT_SHELLS:
+                deep.append(m)
+        a, b, c, d = (_Dec.join([w[e] for w in deep]) for e in range(4))
+        pairs = {"nu": [(nu.y0, v) for v in nu.images],
+                 "third_kind": [(y, 0) for y in THIRD_KIND_YS]}
+        pairs = {kind: [tuple(map(_Dec.of, pair)) for pair in rows] for kind, rows in pairs.items()}
+        Y, one = [_Dec.of(y) for y in ys], _Dec.of(1)
+        weight = {N: [product(y - A_j for A_j in A[: 2 * N - 1]) for y in Y] for N in (2, 3)}
+        out = {kind: np.zeros((len(rows), len(xs)), dtype=complex) for kind, rows in pairs.items()}
+        out.update({f"bers{N}": np.zeros((len(ys), len(xs)), dtype=complex) for N in (2, 3)})
+        for col, x in enumerate(xs):
+            X = _Dec.of(x)
+            den = c * X + d
+            gx, d2 = (a * X + b) / den, den * den
+            for kind, rows in pairs.items():
+                for i, (u, v) in enumerate(rows):
+                    out[kind][i, col] = ((one / (gx - u) - one / (gx - v)) / d2).sum()
+            for N in (2, 3):
+                base = product([d2] * N + [gx - A_j for A_j in A[: 2 * N - 1]])
+                for i, y in enumerate(Y):
+                    out[f"bers{N}"][i, col] = (weight[N][i] / (base * (gx - y))).sum()
+    return out
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
@@ -536,14 +626,20 @@ def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
     """Within one call the points take the expansions and the term-by-term
     sums of a group's words within one shell, and the expansions give the
     word sums' values (every group near every point) to 1e-14 of the value
-    in F and on the handle circles. Inside a disc a pole's last bit moves
-    the nearest terms by more: asymmetric's one-disc-deep points by 4e-14
-    of the value, and three discs deep by parts in 1e8
-    (test_carried_sums_match_40_digit_sums_three_discs_deep)."""
+    in F and on the handle circles.
+
+    Inside a disc a word's pole can sit within 1e-6 of x, and the float word
+    matrices alone move the deep shells by more than 1e-14 of the value,
+    carried or summed word by word alike (by 3e-12 one disc deep on
+    genus3-wide, 4e-3 three discs deep). So there each kind's carried deep
+    shells are checked against their 40-digit sums at every point: no
+    further from them than 1.25 times the word sums are (1.1 times at most
+    on these cases), plus 1e-14 of the value."""
     p = _surface(name, star)
     cfg = SeriesConfig(max_len=max_len)
     xs = _far_case_points(p)
     ys = _bers_targets(p)
+    nu = NuFamily(p, config=cfg)
     evaluate = {
         "nu": lambda: NuFamily(p, config=cfg).values(xs),
         "third_kind": lambda: ThirdKindEvaluator(p, config=cfg).value_grid(xs, THIRD_KIND_YS),
@@ -553,62 +649,33 @@ def test_far_field_matches_direct_dipole_sums(star, monkeypatch, name, max_len):
     groups = poincare._PoleGroups
     total, far, near_sum = groups.total, groups.far, groups._near_sum
     paths = []  # per shell, the paths it took: "far" expansions, "near" sums
+    deep = []  # per shell, its total
     calls = []  # per call, the moment blocks of its far pass
     monkeypatch.setattr(groups, "far", lambda *a: calls.append(far(*a)) or calls[-1])
-    monkeypatch.setattr(groups, "total", lambda *a: paths.append(set()) or total(*a))
+    monkeypatch.setattr(
+        groups, "total", lambda *a: paths.append(set()) or deep.append(total(*a)) or deep[-1]
+    )
     monkeypatch.setattr(groups, "_near_sum", lambda *a: paths[-1].add("near") or near_sum(*a))
-    got = {}
-    for kind, f in evaluate.items():
+
+    def run(kind):
         paths.clear()
-        got[kind] = f()
+        deep.clear()
+        return evaluate[kind](), sum(deep)
+
+    got = {}
+    for kind in evaluate:
+        got[kind] = run(kind)
         # the far sums are nonzero at some point, and some point is near a group
         assert np.any(calls[-1][0]) and any(len(cols) for _, cols in calls[-1][1]), kind
         assert {"near"} in paths, kind
-    keep = ~_inside_discs(p, xs, 1)
+    inside = _inside_discs(p, xs)
+    want = _deep_40_digit_sums(p, max_len, xs[inside], nu, ys)
     monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)  # every group is near every point
-    for kind, f in evaluate.items():
-        near = f()[:, keep]
-        err = np.abs(got[kind][:, keep] - near)
-        assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(near))), kind
-
-
-@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
-@pytest.mark.parametrize("name", ["star", "asymmetric"])
-def test_carried_sums_match_40_digit_sums_three_discs_deep(star, monkeypatch, name):
-    """Three discs deep a deep group's poles lie within about 1e-6 (STAR) or
-    1e-9 (asymmetric) of x, so the last bit of each pulled-back pole moves
-    nu's deep shells there by parts in 1e8 or more. There the carried
-    moments are at least as close as the word sums (every group near) to the
-    same words summed in 40-digit arithmetic from 40-digit matrices."""
-    p = _surface(name, star)
-    max_len = 6
-    xs = _far_case_points(p)
-    x = xs[_inside_discs(p, xs, 3)][:1]
-    deep = []
-    total = poincare._PoleGroups.total
-    monkeypatch.setattr(
-        poincare._PoleGroups, "total", lambda *a: deep.append(total(*a)) or deep[-1]
-    )
-    nu = NuFamily(p, config=SeriesConfig(max_len=max_len))
-    nu.values(x)
-    carried = sum(deep)
-    deep.clear()
-    monkeypatch.setattr(poincare, "_FAR_RATIO", 0.0)
-    NuFamily(p, config=SeriesConfig(max_len=max_len)).values(x)
-    words = sum(deep)
-    with mp.workdps(40):
-        _, mats = _mp_word_matrices(p, build_shells(p, max_len))
-        X, u = mp.mpc(complex(x[0])), mp.mpc(nu.y0)
-        want = []
-        for v in (mp.mpc(complex(v)) for v in nu.images):
-            terms = []
-            for a, b, c, d in itertools.chain(*mats[poincare._DIRECT_SHELLS :]):
-                den = c * X + d
-                gx = (a * X + b) / den
-                terms.append((1 / (gx - u) - 1 / (gx - v)) / den**2)
-            want.append(complex(mp.fsum(terms)))
-    want = np.array(want)
-    assert np.all(np.abs(carried[:, 0] - want) <= np.abs(words[:, 0] - want) + 1e-15 * np.abs(want))
+    for kind in evaluate:
+        (value, carried), (near, words) = got[kind], run(kind)
+        assert np.all(np.abs(value - near)[:, ~inside] <= 1e-14 * np.abs(near[:, ~inside])), kind
+        err_carried, err_words = (np.abs(v[:, inside] - want[kind]) for v in (carried, words))
+        assert np.all(err_carried <= 1.25 * err_words + 1e-14 * np.abs(near[:, inside])), kind
 
 
 def _spy_far_totals(monkeypatch) -> list:
@@ -678,6 +745,23 @@ def test_deep_plans_share_the_first_deep_shells_centres(star, monkeypatch, name,
         assert deep == [0] * len(deep) if kind != "bers2" else 0 < max(deep) < 200, (kind, deep)
 
 
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_near_group_words_count_against_the_cap(star):
+    """A point three discs deep is near a deep group, whose words are
+    rebuilt for it shell by shell: the first shell whose group words would
+    pass the cap raises CapacityError before it builds them, where points
+    of F, near no group, sum every shell to max_len 20 within the same cap
+    of 2,000 words (161 of them the tree to shell 4)."""
+    xs = _far_case_points(star)
+    nu = NuFamily(star, config=SeriesConfig(max_len=20, cap=2000))
+    assert np.all(np.isfinite(nu.values(xs[:4])))
+    assert nu._shared.plan.built == 161
+    with pytest.raises(CapacityError, match="would rebuild 2187 words of shell 10 .*cap 2000"):
+        nu.values(xs[-1:])
+    nu = NuFamily(star, config=SeriesConfig(max_len=9, cap=2000))  # 729 words at shell 9
+    assert np.all(np.isfinite(nu.values(xs[-1:])))
+
+
 def _word_sums(shared, shells, targets, numerator, xs, lengths):
     """Each row's terms weight / prod_k (x - p_k) over every word of the given
     shells of a full word tree, pulled back as the near sums pull them back:
@@ -708,7 +792,7 @@ def test_carried_shells_match_word_sums(star, monkeypatch, name, max_len):
     p = _surface(name, star)
     cfg = SeriesConfig(max_len=max_len)
     xs = _far_case_points(p)
-    xs = xs[~_inside_discs(p, xs, 1)]
+    xs = xs[~_inside_discs(p, xs)]
     ys = _bers_targets(p)
     tree = build_shells(p, max_len)
     deep = range(poincare._DIRECT_SHELLS, max_len + 1)
@@ -1049,10 +1133,9 @@ def _mp_mul(m, g):
             m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3])
 
 
-def _mp_word_matrices(p, shells):
+def _mp_generators(p):
     """The generators by letter, built from the handles at the working mp
-    precision, and the shells' word matrices as their products, shell by
-    shell in the shells' order."""
+    precision."""
     gens = {}
     for letter in p.letters:
         h = p.handles[abs(letter) - 1]
@@ -1060,11 +1143,30 @@ def _mp_word_matrices(p, shells):
         s = 1 / mp.sqrt(-rho)
         a, b, c, d = wm * s, (rho - wp * wm) * s, s, -wp * s
         gens[letter] = (a, b, c, d) if letter > 0 else (d, -b, -c, a)
+    return gens
+
+
+def _mp_limit_points(p, gens, n):
+    """limit_points(p, n) at the working mp precision: the attracting fixed
+    point of each one's word, from the mp generators."""
+    A = []
+    for A_float, w in zip(*poincare._limit_words(p, n)):
+        a, b, c, d = functools.reduce(_mp_mul, (gens[letter] for letter in w))
+        root = mp.sqrt((d - a) ** 2 + 4 * b * c)
+        A.append(min([(a - d + root) / (2 * c), (a - d - root) / (2 * c)],
+                     key=lambda z: abs(z - A_float)))
+    return A
+
+
+def _mp_word_matrices(p, shells):
+    """The shells' word matrices as products of the mp generators
+    (_mp_generators), shell by shell in the shells' order."""
+    gens = _mp_generators(p)
     mats = [[(mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1))]]
     for length in range(1, shells.max_len + 1):
         parents, letters = shells.parent[length], shells.last_letter[length]
         mats.append([_mp_mul(mats[-1][i], gens[letter]) for i, letter in zip(parents, letters)])
-    return gens, mats
+    return mats
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
@@ -1084,7 +1186,7 @@ def test_shallow_series_match_40_digit_sums(star):
     pairs = [(nu.y0, v) for v in nu.images] + [(y, 0j) for y in THIRD_KIND_YS]
     want = np.empty_like(got)
     with mp.workdps(40):
-        _, mats = _mp_word_matrices(star, nu.shells)
+        mats = _mp_word_matrices(star, nu.shells)
         pairs = [(mp.mpc(complex(u)), mp.mpc(complex(v))) for u, v in pairs]
         for k, x in enumerate(xs):
             X = mp.mpc(complex(x))
@@ -1192,34 +1294,10 @@ def test_deep_bers_shells_match_40_digit_sums(star, monkeypatch):
         totals.clear()
         BersEvaluator(star, N, config=SeriesConfig(max_len=max_len)).value_grid(xs, ys)
         got[N] = sum(totals)
-    shells = build_shells(star, max_len)
-    with mp.workdps(40):
-        gens, mats = _mp_word_matrices(star, shells)
-        A = []
-        for A_float, w in zip(*poincare._limit_words(star, 5)):
-            a, b, c, d = functools.reduce(_mp_mul, (gens[letter] for letter in w))
-            root = mp.sqrt((d - a) ** 2 + 4 * b * c)
-            A.append(min([(a - d + root) / (2 * c), (a - d - root) / (2 * c)],
-                         key=lambda z: abs(z - A_float)))
-        Y = [mp.mpc(complex(y)) for y in ys]
-        weight = {N: [mp.fprod(y - A_j for A_j in A[: 2 * N - 1]) for y in Y] for N in (2, 3)}
-        want = {N: np.zeros((len(ys), len(xs)), dtype=complex) for N in (2, 3)}
-        for k, x in enumerate(xs):
-            X = mp.mpc(complex(x))
-            sums = {N: [mp.mpc(0)] * len(ys) for N in (2, 3)}
-            for a, b, c, d in itertools.chain(*mats[poincare._DIRECT_SHELLS :]):
-                den = c * X + d
-                gx = (a * X + b) / den
-                base2 = 1 / (den**4 * mp.fprod(gx - A_j for A_j in A[:3]))
-                base3 = base2 / (den**2 * (gx - A[3]) * (gx - A[4]))
-                for i, y in enumerate(Y):
-                    pole = 1 / (gx - y)
-                    sums[2][i] += base2 * pole * weight[2][i]
-                    sums[3][i] += base3 * pole * weight[3][i]
-            for N in (2, 3):
-                want[N][:, k] = [complex(v) for v in sums[N]]
+    nu = NuFamily(star, config=SeriesConfig(max_len=max_len))
+    want = _deep_40_digit_sums(star, max_len, xs, nu, ys)
     for N in (2, 3):
-        assert np.max(np.abs(got[N] - want[N])) <= 1e-15, N
+        assert np.max(np.abs(got[N] - want[f"bers{N}"])) <= 1e-15, N
 
 
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
