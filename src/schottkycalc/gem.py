@@ -33,6 +33,7 @@ from .moebius import apply as mob_apply, deriv as mob_deriv
 from .poincare import BersEvaluator, SeriesConfig
 from .schottky import (
     SchottkyParams,
+    clearance,
     disc_center,
     disc_radius,
     generator,
@@ -376,7 +377,7 @@ class DualBasis:
 
 
 def _fit_radius(p: SchottkyParams) -> float:
-    R0 = 0.5 * min(abs(disc_center(p, l)) - disc_radius(p, l) for l in p.letters)
+    R0 = 0.5 * clearance(p, 0j)
     if R0 <= 0:
         raise GeometryError("origin is not safely inside the fundamental domain")
     return R0

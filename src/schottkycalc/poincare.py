@@ -27,9 +27,12 @@ pulled-back poles: the dipole delta / ((x - p_u)(x - p_v)),
 delta = (u - v)/((a - cu)(a - cv)), of a pole pair, and the 2N-pole
 coef / ((x - p_y) prod_j (x - p_{A_j})),
 coef = prod_j (y - A_j) / ((a - cy) prod_j (a - cA_j)), of the weight-N
-term, whose (cx + d) powers cancel. The limit points' factors a - cA_j and
-poles are carried down the word tree, exact along the powers of each A_j's
-own word, where the matrix entries cancel (_limit_factors, _snap).
+term, whose (cx + d) powers cancel. Every word takes its matrix entries,
+the shared points' factors a - cu_k and poles (carried down the link for
+limit points, exact along the powers of each A_j's own word, where the
+matrix entries cancel; from its own matrix for a pole pair), its group key
+and its place on a limit point's chain from its parent by one step
+(_Shared.child), in the word tree and past it alike.
 
 The word tree stops at shell 4. A deep word is grouped by its last three
 letters (pole pairs) or two (weight N) when the points all rows share (the
@@ -51,11 +54,12 @@ contracts every deep shell's moments with each point's powers in one
 product per point, in tiles of points. A near (group, point) pair sums the
 group's words, built for it alone (_GroupPlan.group_words), and the
 outside words are summed at every point, term by term and pulled back.
-The plan is built once per live set of shared points (_GroupPlan, in
-_Shared.plan); the rows' radii and moments are bound to it (_PoleGroups)
+The plan is built once per live set of shared points (_GroupPlan, kept by
+_live); the rows' radii and moments are bound to it (_PoleGroups)
 and kept while the targets stay, so nu, whose rows never change, binds
-them once. Every term-by-term sum, direct or near, runs behind one
-pulled-back pole guard (_pole_guard).
+them once. The tree and one word per group of every deep shell count
+against SeriesConfig.cap before anything is built. Every term-by-term
+sum, direct or near, runs behind one pulled-back pole guard (_pole_guard).
 """
 from __future__ import annotations
 
@@ -64,7 +68,7 @@ import itertools
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +81,7 @@ from .schottky import (
     build_shells,
     disc_center,
     disc_radius,
+    expected_word_count,
     generator,
     in_domain,
 )
@@ -112,11 +117,14 @@ class EvaluationError(ArithmeticError):
 class SeriesConfig:
     """Truncation policy for all series evaluations.
 
-    max_len bounds the shells summed. cap bounds the words built: shells
-    0..4 and the tracked outside words of the deeper shells, as every other
-    deep word is carried in its group's moments, plus the words of one
-    deep group that a call rebuilds for the points near it, inside or close
-    to a disc (CapacityError past it).
+    max_len bounds the shells summed. cap bounds the words held: shells
+    0..4, one word for each group of each deep shell 4..max_len (whose
+    radius, word count and moments the plan keeps, as every deep word but
+    the tracked outside ones is carried in its group's moments), the
+    outside words, and the words of one deep group that a call rebuilds
+    for the points near it, inside or close to a disc. The tree and the
+    groups are counted before anything is built, so a max_len they cannot
+    afford raises CapacityError at once, whatever stop_tol.
     stop_tol, when set, skips the remaining shells once two consecutive
     shells each contribute less than stop_tol (a deterministic cutoff: the
     decision depends only on the sequentially reduced shell magnitudes).
@@ -143,23 +151,6 @@ class SeriesConfig:
             raise ValueError("stop_tol must be positive when set")
 
 
-class _Workspace:
-    """Scratch for the direct kernel's (points, words) tiles, owned by one
-    evaluator (unlike the tree, the shared points and the plan, which _live
-    shares) and grown on demand; the deep shells' far pass keeps one for
-    the length of a call."""
-
-    def __init__(self):
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size:
-            buf = self._bufs[name] = np.empty(size, dtype=np.complex128)
-        return buf[:size].reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # limit points and the shared points' pulled-back poles
 
@@ -167,10 +158,11 @@ _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _live(key, build):
-    """The word tree (key (p, max_len, cap)) or shared points (key
+    """The word tree (key (p, max_len, cap)), shared points (key
     (p, max_len, cap, "N", N) for the limit points of weight N, or
     (p, max_len, cap, "u", u) for a pole pair's shared member u; the tag
-    keeps N = 3 and u = 3 + 0j apart, which compare and hash alike) for key
+    keeps N = 3 and u = 3 + 0j apart, which compare and hash alike) or
+    their deep shells' plan (the shared points' key + ("plan",)) for key
     while any evaluator holds them, else build()'s, its arrays made
     read-only so no evaluator's write changes another's sums."""
     value = _LIVE.get(key)
@@ -238,77 +230,101 @@ def _pull_back(a, b, c, d, w):
     return lam, (d * w - b) / lam
 
 
-@dataclass
+@dataclass(frozen=True)
+class _Words:
+    """Reduced words of one length as their matrix entries abcd, each shape
+    (n,), with what each takes from its parent (_Shared.child): the shared
+    points' factors lam = a - c u_k and poles g^-1 u_k, shape (points, n);
+    key, the letter codes of its last _Shared.depth letters in base 2g, its
+    group's once it has that many; chain[j], whether it is the prefix of
+    W_j W_j ... of its length, shape (limit points, n); and base[j],
+    lambda_j once that prefix has passed W_j. Read-only."""
+
+    length: int
+    abcd: tuple
+    lam: np.ndarray
+    pole: np.ndarray
+    key: np.ndarray
+    chain: np.ndarray
+    base: np.ndarray
+
+    def __post_init__(self):
+        for array in (*self.abcd, self.lam, self.pole, self.key, self.chain, self.base):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def take(self, index) -> _Words:
+        abcd = tuple(m[index] for m in self.abcd)
+        return _Words(self.length, abcd, self.lam[:, index], self.pole[:, index],
+                      self.key[index], self.chain[:, index], self.base)
+
+    @staticmethod
+    def join(parts: list[_Words]) -> _Words:
+        abcd = tuple(np.concatenate(m) for m in zip(*(w.abcd for w in parts)))
+        lam, pole, chain = (np.concatenate(f, axis=1)
+                            for f in zip(*((w.lam, w.pole, w.chain) for w in parts)))
+        key = np.concatenate([w.key for w in parts])
+        return _Words(parts[0].length, abcd, lam, pole, key, chain, parts[0].base)
+
+
 class _Shared:
-    """Points u_k that every row of a series shares, with lam[L][k] = a - c u_k
-    and pole[L][k] = g^-1 u_k over the words of tree shell L; guard, the points
-    _pole_guard covers after the rows' targets: all u_k if they may be orbit
-    points of x (a pole pair's shared member), none if limit points; carried,
-    whether a longer word's factors come down its parent link (limit points)
-    or from its own matrix (a pole pair); words and base, each limit point's
-    word W_j and, once the tree reached W_j's length, lambda_j
-    (_limit_factors); plan, the deep shells' _GroupPlan, built on first use by
-    any evaluator that holds these points (_live) and kept while one does."""
+    """Points u_k that every row of a series shares, and how a word takes
+    their factors and poles from its parent (child): down the link for the
+    limit points, each A_j with the word W_j the scan found it with
+    (chains), or from its own matrix for a pole pair's shared member.
+    guard, the points _pole_guard covers after the rows' targets: the
+    shared member, which may be an orbit point of x, and no limit point;
+    depth, the letters of a group key (_GroupPlan); gen, the generators'
+    entries a, b, c, d by letter code, shape (4, 2g); tree, the word tree's
+    shells, each word taken from its parent by child."""
 
-    points: np.ndarray
-    lam: list[np.ndarray]
-    pole: list[np.ndarray]
-    guard: np.ndarray
-    carried: bool
-    words: tuple = ()
-    base: dict = field(default_factory=dict)
-    plan: _GroupPlan | None = None
+    def __init__(self, p: SchottkyParams, shells: WordShells, depth: int, points, chains=()):
+        if any(w[0] == -w[-1] for w in chains):
+            raise ValueError(f"limit-point words {chains} are not cyclically reduced")
+        self.points = np.array(points, dtype=np.complex128)
+        self.chains, self.depth = chains, depth
+        self.guard = self.points[:0] if chains else self.points
+        self.gen = np.array([[getattr(generator(p, l), e) for l in p.letters] for e in "abcd"])
+        one, zero = np.ones(1, dtype=np.complex128), np.zeros(1, dtype=np.complex128)
+        self.tree = [_Words(0, (one, zero, zero, one), np.ones_like(self.points[:, None]),
+                            self.points[:, None], np.zeros(1, dtype=np.int64),
+                            np.ones((len(chains), 1), dtype=bool), zero.repeat(len(chains)))]
+        for parent, letter in zip(shells.parent[1:], shells.last_letter[1:]):
+            self.tree.append(self.child(self.tree[-1], parent, letter))
 
-
-def _limit_factors(shells: WordShells, p: SchottkyParams, n: int) -> _Shared:
-    """The first n limit points A_j (limit_points) with their factors and
-    poles, carried down the parent links with no deep word's matrix entry:
-    for g = P s, a - c u = (a_P - c_P u)(a_s - c_s p)
-    and g^-1 u = s^-1 p, p = P^-1 u. A_j repels under W_j^-1, W_j the word
-    the scan found it with, so along W_j^k the carried pole would drift off
-    A_j (and a - c A_j from g's entries cancels): each W_j^k is snapped to
-    pole A_j and factor lambda_j^k, lambda_j = 1/(c A_j + d) from W_j's
-    entries (_snap). The W_j^k are reduced words only when W_j is cyclically
-    reduced."""
-    A, words = limit_points(p, n), _limit_words(p, n)[1]
-    if any(w[0] == -w[-1] for w in words):
-        raise ValueError(f"limit-point words {words} are not cyclically reduced")
-    mats = (shells.a, shells.b, shells.c, shells.d)
-    lam, pole = [np.ones((len(A), 1), dtype=np.complex128)], [A[:, None].astype(np.complex128)]
-    shared = _Shared(A, lam, pole, guard=A[:0], carried=True, words=words)
-    at = [0] * len(A)  # at[j]: the length-L prefix of W_j W_j ... in shell L
-    for length in range(1, shells.max_len + 1):
-        parent, last = shells.parent[length], shells.last_letter[length]
-        step, p = _pull_back(*(m[1][_letter_code(last)] for m in mats), pole[-1][:, parent])
-        lam.append(lam[-1][:, parent] * step)
-        pole.append(p)
-        for j, w in enumerate(words):
-            at[j] = np.flatnonzero((parent == at[j]) & (last == w[(length - 1) % len(w)]))[0]
-        _snap(shared, length, at, shells.c[length], shells.d[length], lam[-1], pole[-1])
-    return shared
-
-
-def _snap(shared: _Shared, length: int, at, c, d, lam, pole) -> None:
-    """Snap the words at[j] of one shell, each the length-`length` prefix of
-    W_j W_j ... (or None), to pole A_j and factor lambda_j^k where length =
-    k |W_j|, taking lambda_j = 1/(c A_j + d) from W_j's own entries c, d at
-    its length, where a - c A_j would cancel; lam and pole are the shell's."""
-    for j, (w, i) in enumerate(zip(shared.words, at)):
-        if i is None:
-            continue
-        A_j = shared.points[j]
-        if length == len(w):
-            shared.base[j] = 1.0 / (c[i] * A_j + d[i])
-        if length % len(w) == 0:
-            lam[j, i], pole[j, i] = shared.base[j] ** (length // len(w)), A_j
-
-
-def _pulled_back(shells: WordShells, u: complex) -> _Shared:
-    """A pole pair's shared member u, guarded, with its factor and pole over every word."""
-    mats = zip(shells.a, shells.b, shells.c, shells.d)
-    lam, pole = zip(*(_pull_back(*abcd, np.full((1, 1), u)) for abcd in mats))
-    points = np.array([u], dtype=np.complex128)
-    return _Shared(points, list(lam), list(pole), guard=points, carried=False)
+    def child(self, words: _Words, parent: np.ndarray, letter: np.ndarray) -> _Words:
+        """The words parent[i] times letter[i] (parent an index into words,
+        or a slice), as build_shells forms their entries. For g = P s, the
+        limit points' a - c u = (a_P - c_P u)(a_s - c_s p) and g^-1 u =
+        s^-1 p, p = P^-1 u, with no deep word's matrix entry; a pole pair's
+        come from g's own entries. A_j repels under W_j^-1, so along W_j^k
+        the carried pole would drift off A_j (and a - c A_j from g's entries
+        cancels): each W_j^k is snapped to pole A_j and factor lambda_j^k,
+        lambda_j = 1/(c A_j + d) from W_j's own entries. The W_j^k are
+        reduced words only when W_j is cyclically reduced."""
+        length, code = words.length + 1, _letter_code(letter)
+        ga, gb, gc, gd = self.gen[:, code]
+        a, b, c, d = (m[parent] for m in words.abcd)
+        abcd = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
+        if self.chains:
+            step, pole = _pull_back(ga, gb, gc, gd, words.pole[:, parent])
+            lam = words.lam[:, parent] * step
+        else:
+            lam, pole = _pull_back(*abcd, self.points[:, None])
+        along = np.array([w[(length - 1) % len(w)] for w in self.chains], dtype=np.int64)
+        chain = words.chain[:, parent] & (letter == along[:, None])
+        base = words.base.copy()
+        for j, i in zip(*np.nonzero(chain)):
+            w = self.chains[j]
+            if length == len(w):
+                base[j] = 1.0 / (abcd[2][i] * self.points[j] + abcd[3][i])
+            if length % len(w) == 0:
+                lam[j, i], pole[j, i] = base[j] ** (length // len(w)), self.points[j]
+        letters = self.gen.shape[1]
+        key = (words.key[parent] * letters + code) % letters**self.depth
+        return _Words(length, abcd, lam, pole, key, chain, base)
 
 
 def _pole_guard(x, c, d, lam, pole, points, discs) -> None:
@@ -338,22 +354,22 @@ class _DirectKernel:
     g'(x)(1/(gx - u) - 1/(gx - v)) with row target v, numerator u - v and
     shared u.
 
-    The work arrays are (points, words), in the evaluator's scratch, so a
+    The work arrays are (points, words), fresh for each tile, so a
     point's terms sum along one contiguous row of their own, and no complex
     product is formed in place (numpy's in-place complex multiply of a
     1-element array rounds differently): a point's bits never depend on the
     other points. _pole_guard covers the targets and shared.guard.
     """
 
-    def __init__(self, ws: _Workspace, targets, numerator, shared: _Shared, discs):
-        self.ws, self.targets, self.numerator, self.shared = ws, targets, numerator[:, None], shared
+    def __init__(self, targets, numerator, shared: _Shared, discs):
+        self.targets, self.numerator, self.shared = targets, numerator[:, None], shared
         self.guarded, self.discs = np.concatenate([targets, shared.guard]), discs
 
     def __call__(self, a, b, c, d, x) -> np.ndarray:
         lam, pole = _pull_back(a, b, c, d, self.guarded[:, None])
         _pole_guard(x, c, d, lam, pole, self.guarded, self.discs)
         m, n = len(x), len(a)
-        den, gx, prod, spare, q = self.ws.take("direct", (5, m, n))
+        den, gx, prod, spare, q = np.empty((5, m, n), dtype=np.complex128)
         np.multiply(x[:, None], c, out=den)
         den += d
         np.multiply(x[:, None], a, out=gx)
@@ -390,29 +406,38 @@ class _ShellSeries:
     """State and shell loop shared by the series evaluators.
 
     Each evaluator is one term summed over the same word shells; a subclass
-    names the points every row shares by their _live tag and build(shells),
-    and passes _sum its rows' targets and numerators. The rows stay bound,
-    to the evaluator's own copies of both, while successive calls bring
-    equal targets, and are bound anew when the targets change.
+    names the points every row shares by their _live tag and shared(), the
+    points and, for limit points, their words (_Shared), and passes _sum
+    its rows' targets and numerators. The rows stay bound, to the
+    evaluator's own copies of both, while successive calls bring equal
+    targets, and are bound anew when the targets change.
 
     Evaluators of one surface, max_len and cap share one read-only word
-    tree (to shell 4), and those of one tag its shared points and the deep
-    shells' plan, while any of them lives (_live); once none does, the next
-    one builds them anew.
+    tree (to shell 4), and those of one tag its shared points, while any of
+    them lives, and the deep shells' plan while any of them holds it
+    (_live); once none does, the next one builds them anew.
     """
 
     _depth = 3  # deep words are grouped by their last _depth letters
 
-    def __init__(self, p: SchottkyParams, config: SeriesConfig, tag: tuple, build):
+    def __init__(self, p: SchottkyParams, config: SeriesConfig, tag: tuple, shared):
         self.params = p
         self.config = config
-        key = (p, config.max_len, config.cap)
         depth = min(config.max_len, _DIRECT_SHELLS)
+        deep = max(0, config.max_len + 1 - _DIRECT_SHELLS)  # shells 4..max_len
+        groups = 2 * p.genus * (2 * p.genus - 1) ** (self._depth - 1)
+        self._held = expected_word_count(p.genus, depth) + deep * groups
+        if self._held > config.cap:
+            raise CapacityError(
+                f"the word tree and the {groups} groups of {deep} deep shells would take "
+                f"{self._held} words (cap {config.cap}); lower max_len or raise the cap")
+        key = (p, config.max_len, config.cap)
         self.shells = _live(key, lambda: build_shells(p, depth, cap=config.cap))
-        self._shared = _live(key + tag, lambda: build(self.shells))
+        self._key = key + tag
+        self._shared = _live(self._key, lambda: _Shared(p, self.shells, self._depth, *shared()))
+        self._plan: _GroupPlan | None = None
         self._last_shell_mags: list[float] = []
         self._targets = None  # the bound rows' targets
-        self._ws = _Workspace()
         self._discs = np.array([disc_center(p, l) for l in p.letters])
 
     def _sum(self, xs, label: str, targets, numerator) -> np.ndarray:
@@ -429,7 +454,7 @@ class _ShellSeries:
         if not np.array_equal(targets, self._targets):
             self._targets, self._numerator = np.array(targets), np.array(numerator)
             self._rows: _PoleGroups | None = None
-        kernel = _DirectKernel(self._ws, self._targets, self._numerator, self._shared, self._discs)
+        kernel = _DirectKernel(self._targets, self._numerator, self._shared, self._discs)
         shells, m = self.shells, len(xs)
         totals = np.zeros((len(self._targets), m), dtype=np.complex128)
         comp = np.zeros_like(totals)
@@ -446,9 +471,8 @@ class _ShellSeries:
             else:
                 if far is None:
                     if self._rows is None:
-                        if self._shared.plan is None:
-                            self._shared.plan = _GroupPlan(self)
-                        self._rows = _PoleGroups(self._shared.plan, self._targets, self._numerator)
+                        self._plan = _live(self._key + ("plan",), lambda: _GroupPlan(self))
+                        self._rows = _PoleGroups(self._plan, self._targets, self._numerator)
                     far = self._rows.far(xs)
                 shell_total = self._rows.total(length, xs, *far)
             if not np.all(np.isfinite(shell_total)):
@@ -492,7 +516,8 @@ class BersEvaluator(_ShellSeries):
         if N < 2:
             raise ValueError("weight parameter N must be >= 2")
         self.N = N
-        super().__init__(p, config, ("N", N), lambda shells: _limit_factors(shells, p, 2 * N - 1))
+        n = 2 * N - 1
+        super().__init__(p, config, ("N", N), lambda: (limit_points(p, n), _limit_words(p, n)[1]))
         self.points = self._shared.points
 
     def value(self, x: complex, y: complex) -> complex:
@@ -517,7 +542,7 @@ class ThirdKindEvaluator(_ShellSeries):
     """Differential with simple poles at y (residue +1) and 0 (residue -1)."""
 
     def __init__(self, p: SchottkyParams, config: SeriesConfig = SeriesConfig()):
-        super().__init__(p, config, ("u", 0j), lambda shells: _pulled_back(shells, 0j))
+        super().__init__(p, config, ("u", 0j), lambda: ([0j],))
 
     def value(self, x: complex, y: complex) -> complex:
         return complex(self._grid(np.array([x]), np.array([y]))[0, 0])
@@ -559,52 +584,31 @@ def _image_disc(a, b, c, d, centre, radius):
     return image, np.where(gap > 0, reach, np.inf)
 
 
-@dataclass(frozen=True)
-class _Words:
-    """Words as their matrix entries abcd, each shape (n,), with the shared
-    points' factors lam = a - c u_k and poles g^-1 u_k, shape (points, n)."""
-
-    abcd: tuple
-    lam: np.ndarray
-    pole: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.abcd[0])
-
-    def take(self, index) -> _Words:
-        return _Words(tuple(m[index] for m in self.abcd), self.lam[:, index], self.pole[:, index])
-
-    @staticmethod
-    def join(parts: list[_Words]) -> _Words:
-        abcd = tuple(np.concatenate(m) for m in zip(*(w.abcd for w in parts)))
-        lam, pole = (np.concatenate(f, axis=1) for f in zip(*((w.lam, w.pole) for w in parts)))
-        return _Words(abcd, lam, pole)
-
-
 class _Shell:
-    """The words a deep shell builds: its groups' words, group j's at
-    [bounds[j], bounds[j + 1]) in the order given, then its outside words
-    (group -1)."""
+    """The words a deep shell builds: words, each in its key's group where
+    every shared point's pole lies in the group's nested disc (_GroupPlan),
+    group j's at [bounds[j], bounds[j + 1]) in the order given; outside,
+    every other one."""
 
-    def __init__(self, words: _Words, group: np.ndarray, groups: int):
-        inside = np.flatnonzero(group >= 0)
-        inside = inside[np.argsort(group[inside], kind="stable")]
-        self.order = np.r_[inside, np.flatnonzero(group < 0)]
-        self.words = words.take(self.order)
-        self.group = group[self.order[: len(inside)]]
-        self.bounds = np.searchsorted(self.group, np.arange(groups + 1))
-        self.outside = slice(len(inside), len(self.order))
+    def __init__(self, plan: _GroupPlan, words: _Words):
+        group = plan.key_group[words.key]
+        inside = np.all(np.abs(words.pole - plan.nest[group]) <= plan.scale[group], axis=0)
+        order = np.flatnonzero(inside)[np.argsort(group[inside], kind="stable")]
+        self.words, self.outside = words.take(order), words.take(~inside)
+        self.group = group[order]
+        self.bounds = np.searchsorted(self.group, np.arange(len(plan.letter) + 1))
 
 
 class _GroupPlan:
     """The deep shells' words, as every series that shares its points uses
-    them (kept in _Shared.plan; it holds no reference back to them).
+    them (kept by _live while an evaluator holds it; the shared points it
+    builds its words with hold no reference back to it).
 
     A word's term is weight / prod_k (x - p_k), p_k = g^-1 u_k, weight =
     numerator / prod_k (a - c u_k): u_0 a row's target, pulled back from the
     word's matrix (_PoleGroups), then the points every row shares.
 
-    Groups. Every reduced word k_1 .. k_d of `_depth` letters keys a group,
+    Groups. Every reduced word k_1 .. k_d of _Shared.depth letters keys a group,
     whose nested disc is D_{k_1} pulled back by k_2 .. k_d: a deep word whose
     shared points' poles all lie in its last d letters' nested disc is in
     that group, and every other one is an outside word (a limit point does
@@ -618,17 +622,16 @@ class _GroupPlan:
     (k_0, k_1 .. k_{d-1})) at shell L times its last letter s = k_d, and the
     children of shell L's outside words that fall in it. Only the outside
     words and their children are built (shells[L], L > 4), from shell 4's
-    outside words with their exact factors (_snap): every other deep word
+    outside words with their exact factors (_Shared.child): every other deep word
     reaches the sums as its group's moments, carried by transfer(K), and is
     built (group_words) only for the points near its group.
     """
 
     def __init__(self, series: _ShellSeries):
-        p, tree, depth, shared = series.params, series.shells, series._depth, series._shared
+        p, shared = series.params, series._shared
         self.m, self.guard, self.discs = 1 + len(shared.points), shared.guard, series._discs
-        self._points, self._carried = shared.points, shared.carried
-        self._gen = {l: (g.a, g.b, g.c, g.d) for l in p.letters for g in [generator(p, l)]}
-        keys = [k for k in itertools.product(p.letters, repeat=depth)
+        self._shared = shared
+        keys = [k for k in itertools.product(p.letters, repeat=shared.depth)
                 if all(b != -a for a, b in zip(k, k[1:]))]
         index = {k: j for j, k in enumerate(keys)}
         self.parent = np.array(
@@ -636,101 +639,72 @@ class _GroupPlan:
         )
         self.letter = [k[-1] for k in keys]
         self.nest, self.scale = map(np.array, zip(*(self._nested_disc(p, k) for k in keys)))
-        # shell 4 from the tree, each word's group by its last letters
-        letters = np.array(p.letters)[_suffix_codes(tree, _DIRECT_SHELLS, depth)]
-        group = np.array([index[tuple(k)] for k in letters.tolist()])
-        words = _Words(tuple(m[_DIRECT_SHELLS] for m in (tree.a, tree.b, tree.c, tree.d)),
-                       shared.lam[_DIRECT_SHELLS], shared.pole[_DIRECT_SHELLS])
-        first = _Shell(words, self._inside(words, group), len(keys))
+        # each word key's group: j for the letter codes of keys[j] in base 2g
+        self.key_group = np.full(len(p.letters) ** shared.depth, -1)
+        self.key_group[[functools.reduce(lambda n, l: n * len(p.letters) + _letter_code(l), k, 0)
+                        for k in keys]] = np.arange(len(keys))
+        first = _Shell(self, shared.tree[_DIRECT_SHELLS])
         self.shells = {_DIRECT_SHELLS: first}
-        sizes = np.diff(first.bounds)
-        full = np.flatnonzero(sizes)
-        poles = functools.reduce(np.add, first.words.pole[:, : first.bounds[-1]])
+        # each group's word count at each deep shell, the words group_words
+        # builds for it (float, as a deep shell's count can pass int64)
+        self.sizes = {_DIRECT_SHELLS: np.diff(first.bounds).astype(float)}
+        full = np.flatnonzero(self.sizes[_DIRECT_SHELLS])
+        poles = functools.reduce(np.add, first.words.pole)
         self.centre = self.nest.copy()
         sums = np.add.reduceat(poles, first.bounds[full])
-        self.centre[full] = sums / (len(shared.points) * sizes[full])
-        # the outside words' descendants, shell by shell, spelled out to find
-        # the limit points' own words W_j^k among them
-        words = first.words.take(first.outside)
-        spelled = [tree.word(_DIRECT_SHELLS, i) for i in first.order[first.outside]]
-        built = tree.total_words()
+        self.centre[full] = sums / (len(shared.points) * self.sizes[_DIRECT_SHELLS][full])
+        # the outside words' children, shell by shell, each letter's in turn
+        words, built = first.outside, series._held
         for length in range(_DIRECT_SHELLS + 1, series.config.max_len + 1):
-            kids, names = [], []
-            for letter in p.letters:
-                keep = [i for i, w in enumerate(spelled) if w[-1] != -letter]
-                kids.append(self._times(words.take(keep), letter))
-                names += [spelled[i] + (letter,) for i in keep]
-            words = _Words.join(kids)
+            last = words.key % len(p.letters)
+            parent = [np.flatnonzero(last != _letter_code(-l)) for l in p.letters]
+            letter = np.repeat(p.letters, [len(i) for i in parent])
+            words = shared.child(words, np.concatenate(parent), letter)
             built += len(words)
             if built > series.config.cap:
                 raise CapacityError(f"the deep shells' outside words would take {built} words "
                                     f"(cap {series.config.cap}); lower max_len or raise the cap")
-            chains = [tuple(w[i % len(w)] for i in range(length)) for w in shared.words]
-            _snap(shared, length, [names.index(c) if c in names else None for c in chains],
-                  words.abcd[2], words.abcd[3], words.lam, words.pole)
-            group = np.array([index[w[-depth:]] for w in names], dtype=np.int64)
-            shell = self.shells[length] = _Shell(words, self._inside(words, group), len(keys))
-            words = shell.words.take(shell.outside)
-            spelled = [names[i] for i in shell.order[shell.outside]]
-        # each group's word count at each deep shell, the words group_words
-        # builds for it (float, as a deep shell's count can pass int64)
-        self.cap, self.built = series.config.cap, built
-        self.sizes = {_DIRECT_SHELLS: sizes.astype(float)}
-        for length in range(_DIRECT_SHELLS + 1, series.config.max_len + 1):
-            own = np.diff(self.shells[length].bounds)
+            shell = self.shells[length] = _Shell(self, words)
+            own = np.diff(shell.bounds)
             self.sizes[length] = self.sizes[length - 1][self.parent].sum(axis=1) + own
-        inverse = [self._gen[-l] for l in self.letter]
-        self._inverse = tuple(np.array(e)[:, None] for e in zip(*inverse))
-        self._letter_pole = np.array([[a / c] for a, _, c, _ in map(self._gen.get, self.letter)])
+            words = shell.outside
+        self.cap, self.built = series.config.cap, built
+        step = np.array(self.letter)
+        self._step, self._inverse = (shared.gen[:, _letter_code(s), None] for s in (step, -step))
+        self._letter_pole = self._step[0] / self._step[2]
         self._T = np.empty((len(keys), 0, len(p.letters) - 1, 0), dtype=np.complex128)
-        for shell in self.shells.values():  # shared, so read-only as in _live
-            for array in (*shell.words.abcd, shell.words.lam, shell.words.pole):
-                array.flags.writeable = False
-        for array in (self.parent, self.nest, self.scale, self.centre):
-            array.flags.writeable = False
 
     def _nested_disc(self, p: SchottkyParams, key: tuple) -> tuple[complex, float]:
         """D_{k_1} pulled back by k_2 .. k_d, as (centre, radius)."""
         c, r = disc_center(p, key[0]), disc_radius(p, key[0])
         for letter in key[1:]:
-            c, r = _image_disc(*self._gen[-letter], c, r)
+            c, r = _image_disc(*self._shared.gen[:, _letter_code(-letter)], c, r)
         return complex(c), float(r)
 
-    def _inside(self, words: _Words, group: np.ndarray) -> np.ndarray:
-        """group where every shared point's pole lies in the group's nested disc, else -1."""
-        inside = np.all(np.abs(words.pole - self.nest[group]) <= self.scale[group], axis=0)
-        return np.where(inside, group, -1)
-
-    def _times(self, words: _Words, letter: int) -> _Words:
-        """The words times one letter: their entries as build_shells forms
-        them, and the shared factors carried down the link (limit points) or
-        from the new matrices (a pole pair), as _limit_factors and
-        _pulled_back form them."""
-        ga, gb, gc, gd = self._gen[letter]
-        a, b, c, d = words.abcd
-        abcd = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
-        if self._carried:
-            step, pole = _pull_back(ga, gb, gc, gd, words.pole)
-            return _Words(abcd, words.lam * step, pole)
-        return _Words(abcd, *_pull_back(*abcd, self._points[:, None]))
-
     def group_words(self, j: int, length: int) -> _Words:
-        """Every word of group j at a deep shell: built by _times from its
-        parents' down to shell 4, with each shell's own words in the group.
-        CapacityError if they and the words the plan holds would pass the
-        cap (a point inside or near a disc at a deep max_len)."""
+        """Every word of group j at a deep shell: its parent groups' words one
+        shell up, each times the group's letter (_Shared.child), then its
+        own words in the shell. CapacityError if they and the words the plan
+        holds would pass the cap (a point inside or near a disc at a deep
+        max_len)."""
         if self.built + self.sizes[length][j] > self.cap:
             raise CapacityError(
                 f"a group near an evaluation point would rebuild {self.sizes[length][j]:.0f} "
                 f"words of shell {length} ({self.built} words held, cap {self.cap}); "
                 "lower max_len or raise the cap")
-        shell = self.shells[length]
-        own = shell.words.take(slice(shell.bounds[j], shell.bounds[j + 1]))
-        if length == _DIRECT_SHELLS:
-            return own
-        s = self.letter[j]
-        kids = [self._times(self.group_words(i, length - 1), s) for i in self.parent[j]]
-        return _Words.join(kids + [own])
+        nodes = [np.array([j])]  # the groups whose words reach j, from shell L down to 4
+        for _ in range(length, _DIRECT_SHELLS, -1):
+            nodes.append(self.parent[nodes[-1]].ravel())
+        words, owner = self.shells[_DIRECT_SHELLS].words.take(slice(0, 0)), np.zeros(0, int)
+        for shell, node in zip(self.shells.values(), nodes[::-1]):  # shells 4..L
+            start, n = shell.bounds[node], np.diff(shell.bounds)[node]
+            own = shell.words.take(np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum()))
+            mine = np.repeat(np.arange(len(node)), n)  # the node each own word is of
+            owner = owner // self.parent.shape[1]  # each last-shell word's node in this shell
+            kids = self._shared.child(words, slice(None), np.array(self.letter)[node][owner])
+            order = np.argsort(np.r_[2 * mine + 1, 2 * owner], kind="stable")
+            words, owner = _Words.join([own, kids]).take(order), np.r_[mine, owner][order]
+        return words
 
     def carry_radius(self, radius: np.ndarray) -> tuple[np.ndarray, float]:
         """Each group's bound on the poles it takes from its parents one shell
@@ -761,7 +735,7 @@ class _GroupPlan:
         not either. A parent moment past K is dropped, its share bounded like
         the expansion's tail with the transfer ratio (carry_radius)."""
         if self._T.shape[1] < K:
-            a, b, c, d = (np.array(e)[:, None] for e in zip(*map(self._gen.get, self.letter)))
+            a, b, c, d = self._step
             centre, scale = self.centre[self.parent], self.scale[self.parent]
             lam, q = _pull_back(a, b, c, d, centre)
             to = self.scale[:, None]
@@ -779,16 +753,6 @@ class _GroupPlan:
             T *= ((scale / (lam * to)) ** self.m)[..., None, None]
             self._T = T.transpose(0, 2, 1, 3)
         return self._T[:, :K, :, :K].reshape(len(self.letter), K, -1)
-
-
-def _suffix_codes(shells: WordShells, length: int, depth: int) -> np.ndarray:
-    """Each length-`length` word's last `depth` letters' codes, shape (words, depth)."""
-    idx = np.arange(shells.shell_size(length))
-    codes = []
-    for back in range(length, length - depth, -1):
-        codes.append(_letter_code(shells.last_letter[back][idx]))
-        idx = shells.parent[back][idx]
-    return np.stack(codes[::-1], axis=1)
 
 
 class _PoleGroups:
@@ -846,9 +810,8 @@ class _PoleGroups:
     def _spread(self, shell: _Shell) -> np.ndarray:
         """Each group's largest distance of a pole of its words in the shell from its centre."""
         out = np.zeros(len(self.plan.centre))
-        n = shell.bounds[-1]
-        if n:
-            _, poles, _ = self._terms(shell.words.take(slice(0, n)))
+        if len(shell.words):
+            _, poles, _ = self._terms(shell.words)
             cw = self.plan.centre[shell.group]
             spread = [np.abs(p - cw).max(axis=0, initial=0.0) for p in poles]
             spread = functools.reduce(np.maximum, spread)
@@ -861,11 +824,11 @@ class _PoleGroups:
         by the recurrence H_{m-1} = q_{m-1}^n, H_k <- q_k H_k + H_{k+1},
         h_n = H_0 in the scaled poles q_k = (p_k - c) / R (so the shared
         points' H_k are shared by the rows)."""
-        plan, n = self.plan, shell.bounds[-1]
+        plan = self.plan
         mu = np.zeros((K, len(plan.centre), len(self.numerator)), dtype=np.complex128)
-        if not n:
+        if not len(shell.words):
             return mu
-        _, poles, weight = self._terms(shell.words.take(slice(0, n)))
+        _, poles, weight = self._terms(shell.words)
         cw, scale = plan.centre[shell.group], plan.scale[shell.group]
         q = [(p - cw) / scale for p in poles]
         del poles
@@ -912,15 +875,13 @@ class _PoleGroups:
         near pairs (which may overflow). A power is the one before it times
         b, never written over an input (numpy's in-place complex multiply of
         a 1-element block rounds differently), so a point's bits are its
-        own, whatever the tile. The tiles share work arrays for the call,
-        freed when it returns."""
-        plan, m, ws = self.plan, len(xs), _Workspace()
+        own, whatever the tile. Each tile takes fresh work arrays."""
+        plan, m = self.plan, len(xs)
         shells, t, groups = len(plan.shells), len(self.numerator), len(plan.centre)
         out = np.zeros((shells, t, m), dtype=np.complex128)
         rho, near, step = 0.0, [], max(1, _TILE_ELEMENTS // groups)
         for lo in range(0, m, step):
-            d = ws.take("diff", (len(xs[lo : lo + step]), groups))
-            dist = np.abs(np.subtract(xs[lo : lo + step, None], plan.centre, out=d))
+            dist = np.abs(xs[lo : lo + step, None] - plan.centre)
             far = self.radius < _FAR_RATIO * dist
             with np.errstate(divide="ignore", invalid="ignore"):  # a point at a centre is near
                 rho = max(rho, float(np.max(self.radius / dist, where=far, initial=0.0)))
@@ -934,13 +895,12 @@ class _PoleGroups:
         width = max(1, _TILE_ELEMENTS // (n * groups))
         for lo in range(0, m, width):
             x = xs[lo : lo + width]
-            d, pw = ws.take("diff", (len(x), groups)), ws.take("far", (n, len(x), groups))
+            pw = np.empty((n, len(x), groups), dtype=np.complex128)
             with np.errstate(all="ignore"):  # a point at a centre: inf
-                np.divide(plan.scale, np.subtract(x[:, None], plan.centre, out=d), out=pw[0])
+                np.divide(plan.scale, x[:, None] - plan.centre, out=pw[0])
                 for k in range(1, n):
                     np.multiply(pw[k - 1], pw[0], out=pw[k])
-            P = ws.take("powers", (len(x), K, groups))
-            np.copyto(P, pw[plan.m - 1 :].transpose(1, 0, 2))
+            P = pw[plan.m - 1 :].transpose(1, 0, 2).copy()
             tile = (lo <= point) & (point < lo + len(x))
             P[point[tile] - lo, :, j[tile]] = 0.0
             sums = np.matmul(P.reshape(len(x), 1, -1), mu)[:, 0]
@@ -959,8 +919,8 @@ class _PoleGroups:
             words = plan.group_words(j, length)
             if len(words):
                 out[:, cols] += self._near_sum(words, xs[cols])
-        if shell.outside.stop > shell.outside.start:
-            out += self._near_sum(shell.words.take(shell.outside), xs)
+        if len(shell.outside):
+            out += self._near_sum(shell.outside, xs)
         return out
 
     def _near_sum(self, words: _Words, x: np.ndarray) -> np.ndarray:
@@ -1006,9 +966,11 @@ class NuFamily(_ShellSeries):
         ]
         if any(isinstance(t, Infinity) for t in self.images):
             raise ValueError("base point maps to infinity under a generator")
-        super().__init__(p, config, ("u", self.y0), lambda shells: _pulled_back(shells, self.y0))
+        super().__init__(p, config, ("u", self.y0), lambda: ([self.y0],))
 
     def value(self, a: int, x: complex) -> complex:
+        if not 1 <= a <= self.params.genus:
+            raise ValueError(f"handle index a must be in 1..{self.params.genus}, got {a}")
         return complex(self._grid(np.array([x]))[a - 1, 0])
 
     def values(self, xs) -> np.ndarray:

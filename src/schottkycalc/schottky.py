@@ -203,12 +203,7 @@ def clearance(p: SchottkyParams, z: complex) -> float:
 
 def in_domain(p: SchottkyParams, z: complex) -> bool:
     """True when z is finite and lies strictly outside every disc."""
-    if not cmath.isfinite(z):
-        return False
-    for letter in p.letters:
-        if abs(z - disc_center(p, letter)) <= disc_radius(p, letter):
-            return False
-    return True
+    return cmath.isfinite(z) and clearance(p, z) > 0
 
 
 # ---------------------------------------------------------------------------

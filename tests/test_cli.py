@@ -259,6 +259,15 @@ def test_word_cap_is_a_config_error(capsys):
     assert capsys.readouterr().err.startswith("config error: enumeration would produce")
 
 
+def test_a_max_len_the_deep_shells_cannot_afford_is_a_config_error(capsys):
+    # a million deep shells, each one word per group, are over the 2M cap:
+    # exit 2 before any series builds its tree
+    cfg = str(Path(__file__).parents[1] / "configs" / "surface_star.json")
+    assert main(["report", "--all", "--config", cfg, "--max-len", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the word tree and the 36 groups of 999997 deep shells" in err
+
+
 @pytest.mark.parametrize("exc", [variation.PathBlockedError, ReductionError])
 def test_runtime_failures_exit_one(tmp_path, monkeypatch, capsys, exc):
     def blocked(*args, **kwargs):
@@ -564,11 +573,11 @@ def test_report_builds_each_artifact_once(tmp_path, monkeypatch):
         _counting(monkeypatch, module, "period_matrix", matrices)
     # spies that keep no tree alive, over a registry no other test fills
     monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
-    build, carry = poincare.build_shells, poincare._limit_factors
+    build, scan = poincare.build_shells, poincare.limit_points
     monkeypatch.setattr(
         poincare, "build_shells", lambda p, n, **kw: depths.append(n) or build(p, n, **kw)
     )
-    monkeypatch.setattr(poincare, "_limit_factors", lambda *a: factors.append(a[2]) or carry(*a))
+    monkeypatch.setattr(poincare, "limit_points", lambda p, n: factors.append(n) or scan(p, n))
     cfg = write_config(tmp_path, max_len=5)
     out_path = tmp_path / "report.json"
     assert main(["report", "--config", cfg, "--all", "--json", str(out_path)]) == 0

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from decimal import Decimal, localcontext
@@ -481,6 +482,14 @@ def test_nu_rejects_a_non_finite_base_point(star, y0):
         NuFamily(star, config=CFG, y0=y0)
 
 
+@pytest.mark.parametrize("a", [0, -1, 3])
+def test_nu_value_rejects_a_handle_index_out_of_range(nus, a):
+    """a = 0 and a = -1 once indexed nu_g and nu_{g-1}, and a = g + 1 raised a
+    bare IndexError: each is a ValueError naming the range 1..g."""
+    with pytest.raises(ValueError, match=rf"handle index a must be in 1\.\.2, got {a}$"):
+        nus.value(a, 0.3 + 0.2j)
+
+
 def test_nu_and_third_kind_pole_guards(star):
     # the identity word puts x on the pole itself
     y0 = 0.3 + 0.2j
@@ -707,7 +716,7 @@ def test_far_shell_bits_depend_on_the_point_alone(star, monkeypatch):
 
     whole = deep(xs)
     # one K for the call's three deep shells, which take the outside words
-    assert len(K) == 1 and all(s.outside.stop > s.outside.start for s in rows.plan.shells.values())
+    assert len(K) == 1 and all(len(s.outside) for s in rows.plan.shells.values())
     for lo, hi in [(0, 1), (0, 2), (0, 3), (0, 7), (0, 65), (1, 2), (3, 10), (64, 129)]:
         for part, want in zip(deep(xs[lo:hi]), whole):
             assert np.array_equal(part, want[:, lo:hi]), (lo, hi)
@@ -734,13 +743,14 @@ def test_deep_plans_share_the_first_deep_shells_centres(star, monkeypatch, name,
     monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
     _, evs = _deep_series(_surface(name, star), SeriesConfig(max_len=max_len))
     for kind, ev in evs.items():
-        plan = ev._shared.plan
+        plan = ev._plan
         assert ev.shells.max_len == poincare._DIRECT_SHELLS, kind
         assert sorted(plan.shells) == list(range(poincare._DIRECT_SHELLS, max_len + 1)), kind
         assert not plan.centre.flags.writeable, kind
         with pytest.raises(ValueError, match="read-only"):
             plan.centre[0] = 0.0
-        deep = [len(plan.shells[L].words) for L in range(poincare._DIRECT_SHELLS + 1, max_len + 1)]
+        shells = [plan.shells[L] for L in range(poincare._DIRECT_SHELLS + 1, max_len + 1)]
+        deep = [len(s.words) + len(s.outside) for s in shells]
         # nu and the third kind have no outside word, so they build none
         assert deep == [0] * len(deep) if kind != "bers2" else 0 < max(deep) < 200, (kind, deep)
 
@@ -751,32 +761,87 @@ def test_near_group_words_count_against_the_cap(star):
     rebuilt for it shell by shell: the first shell whose group words would
     pass the cap raises CapacityError before it builds them, where points
     of F, near no group, sum every shell to max_len 20 within the same cap
-    of 2,000 words (161 of them the tree to shell 4)."""
+    of 2,000 words: 161 for the tree to shell 4 and 36 for each group of
+    its 17 deep shells, counted before anything is built."""
     xs = _far_case_points(star)
     nu = NuFamily(star, config=SeriesConfig(max_len=20, cap=2000))
     assert np.all(np.isfinite(nu.values(xs[:4])))
-    assert nu._shared.plan.built == 161
+    assert nu._plan.built == 161 + 17 * 36
     with pytest.raises(CapacityError, match="would rebuild 2187 words of shell 10 .*cap 2000"):
         nu.values(xs[-1:])
     nu = NuFamily(star, config=SeriesConfig(max_len=9, cap=2000))  # 729 words at shell 9
     assert np.all(np.isfinite(nu.values(xs[-1:])))
 
 
-def _word_sums(shared, shells, targets, numerator, xs, lengths):
+@pytest.mark.parametrize("kind, groups, last", [("bers", 12, 156), ("third_kind", 36, 54),
+                                                ("nu", 36, 54)])
+def test_deep_shells_count_against_the_cap_before_anything_is_built(
+    star, monkeypatch, kind, groups, last
+):
+    """The tree to shell 4 (161 words) and one word for each group of each
+    deep shell (shells 4..max_len; 12 groups of 2-letter keys for weight N,
+    36 of 3-letter keys for a pole pair) count against the cap before any
+    tree, limit point or plan is built: max_len 10**6 raises CapacityError
+    within a second, and a cap of 2,000 takes max_len `last`, not one more."""
+    make = {
+        "bers": lambda cfg: BersEvaluator(star, 2, config=cfg),
+        "third_kind": lambda cfg: ThirdKindEvaluator(star, config=cfg),
+        "nu": lambda cfg: NuFamily(star, config=cfg),
+    }[kind]
+    monkeypatch.setattr(poincare, "_LIVE", weakref.WeakValueDictionary())
+    built, build = [], poincare.build_shells
+    monkeypatch.setattr(
+        poincare, "build_shells", lambda *a, **kw: built.append(a) or build(*a, **kw)
+    )
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=rf"the {groups} groups of 999997 deep shells"):
+        make(SeriesConfig(max_len=10**6))
+    assert time.perf_counter() - start < 1.0 and not built
+    assert 161 + (last - 3) * groups <= 2000 < 161 + (last - 2) * groups
+    with pytest.raises(CapacityError, match=rf"would take {161 + (last - 2) * groups} words"):
+        make(SeriesConfig(max_len=last + 1, cap=2000))
+    assert not built
+    assert make(SeriesConfig(max_len=last, cap=2000)).shells.max_len == poincare._DIRECT_SHELLS
+
+
+@pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
+def test_stop_tol_sums_keep_their_bits_at_any_affordable_max_len(star):
+    """With stop_tol the sums stop before shell 10, so nu at max_len 200 and
+    weight 2 at max_len 40 return the max_len 10 values bit for bit."""
+    xs, ys = _far_case_points(star)[:8], _bers_targets(star)
+    for kind, deep in (("nu", 200), ("bers", 40)):
+        got = []
+        for max_len in (10, deep):
+            cfg = SeriesConfig(max_len=max_len, stop_tol=1e-11)
+            ev = NuFamily(star, config=cfg) if kind == "nu" else BersEvaluator(star, 2, config=cfg)
+            got.append(ev.values(xs) if kind == "nu" else ev.value_grid(xs, ys))
+            assert len(ev.last_shell_magnitudes) <= 10, kind
+        assert np.array_equal(*got), kind
+
+
+def _walked(ev, max_len):
+    """The evaluator's shared points over every word of a tree built to
+    max_len here, each word taken from its parent by the step the
+    evaluator's own tree and deep words take (_Shared.child)."""
+    shared = ev._shared
+    tree = build_shells(ev.params, max_len)
+    return poincare._Shared(ev.params, tree, shared.depth, shared.points, shared.chains).tree
+
+
+def _word_sums(tree, targets, numerator, xs, lengths):
     """Each row's terms weight / prod_k (x - p_k) over every word of the given
-    shells of a full word tree, pulled back as the near sums pull them back:
-    the target's factor and pole from each word's matrix, the shared points'
-    from `shared` (_pulled_back, or _limit_factors with its snapped limit
-    words); shape (t, len(xs))."""
+    shells of a walked word tree (_walked), pulled back as the near sums
+    pull them back: the target's factor and pole from each word's matrix,
+    the shared points' as the words carry them; shape (t, len(xs))."""
     out = np.zeros((len(targets), len(xs)), dtype=np.complex128)
     x = xs[:, None]
     for length in lengths:
-        abcd = [m[length] for m in (shells.a, shells.b, shells.c, shells.d)]
-        lam, pole = poincare._pull_back(*abcd, targets[:, None])
-        weight = numerator[:, None] / (lam * np.prod(shared.lam[length], axis=0))
-        for lo in range(0, len(abcd[0]), 2048):
+        words = tree[length]
+        lam, pole = poincare._pull_back(*words.abcd, targets[:, None])
+        weight = numerator[:, None] / (lam * np.prod(words.lam, axis=0))
+        for lo in range(0, len(words), 2048):
             sl = slice(lo, lo + 2048)
-            common = np.prod([x - q[sl] for q in shared.pole[length]], axis=0)
+            common = np.prod([x - q[sl] for q in words.pole], axis=0)
             for r in range(len(targets)):
                 out[r] += np.sum(weight[r, sl] / ((x - pole[r, sl]) * common), axis=1)
     return out
@@ -794,7 +859,6 @@ def test_carried_shells_match_word_sums(star, monkeypatch, name, max_len):
     xs = _far_case_points(p)
     xs = xs[~_inside_discs(p, xs)]
     ys = _bers_targets(p)
-    tree = build_shells(p, max_len)
     deep = range(poincare._DIRECT_SHELLS, max_len + 1)
     carried, total = [], poincare._PoleGroups.total
     monkeypatch.setattr(
@@ -803,20 +867,20 @@ def test_carried_shells_match_word_sums(star, monkeypatch, name, max_len):
     nu, third = NuFamily(p, config=cfg), ThirdKindEvaluator(p, config=cfg)
     images = np.array(nu.images)
     cases = {
-        "nu": (nu.values, images, nu.y0 - images, poincare._pulled_back(tree, nu.y0)),
+        "nu": (nu.values, images, nu.y0 - images, _walked(nu, max_len)),
         "third_kind": (lambda xs: third.value_grid(xs, THIRD_KIND_YS), THIRD_KIND_YS,
-                       THIRD_KIND_YS, poincare._pulled_back(tree, 0j)),
+                       THIRD_KIND_YS, _walked(third, max_len)),
     }
     for N in (2, 3):
         bers = BersEvaluator(p, N, config=cfg)
         weights = np.array([np.prod(y - bers.points) for y in ys])
         cases[f"bers{N}"] = (lambda xs, bers=bers: bers.value_grid(xs, ys), ys, weights,
-                             poincare._limit_factors(tree, p, 2 * N - 1))
-    for kind, (values, targets, numerator, shared) in cases.items():
+                             _walked(bers, max_len))
+    for kind, (values, targets, numerator, tree) in cases.items():
         carried.clear()
         v = values(xs)
         assert len(carried) == len(deep), kind
-        want = _word_sums(shared, tree, np.asarray(targets), np.asarray(numerator), xs, deep)
+        want = _word_sums(tree, np.asarray(targets), np.asarray(numerator), xs, deep)
         assert np.all(np.abs(sum(carried) - want) <= 1e-14 * np.maximum(1.0, np.abs(v))), kind
 
 
@@ -1007,11 +1071,12 @@ def test_evaluators_share_one_read_only_tree_while_any_lives(star, monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         bers.shells.a[3][0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        bers._shared.lam[3][0, 0] = 0.0
+        bers._shared.tree[3].lam[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        twins["third_kind"]._shared.lam[3][0, 0] = 0.0
+        twins["third_kind"]._shared.tree[3].lam[0, 0] = 0.0
+    values(bers)  # binds the deep shells' plan, which every live weight-2 twin shares
     with pytest.raises(ValueError, match="read-only"):
-        bers._shared.plan.shells[4].words.lam[0, 0] = 0.0  # a plan every weight-2 twin sums with
+        bers._plan.shells[4].words.lam[0, 0] = 0.0
 
     refs = [weakref.ref(bers.shells), weakref.ref(bers._shared)]
     del twins, bers, ev, bers3, nu3
@@ -1094,9 +1159,8 @@ def _pole_pair_kernel(series, pairs):
     u, v = (np.array(p, dtype=np.complex128) for p in zip(*pairs))
     shared, targets = (u, v) if len(set(u)) == 1 else (v, u)
     assert len(set(shared)) == 1
-    kernel_shared = poincare._pulled_back(series.shells, complex(shared[0]))
-    ws = poincare._Workspace()
-    return poincare._DirectKernel(ws, targets, u - v, kernel_shared, series._discs)
+    kernel_shared = poincare._Shared(series.params, series.shells, series._depth, shared[:1])
+    return poincare._DirectKernel(targets, u - v, kernel_shared, series._discs)
 
 
 def _direct_sums(shells, kernel, xs):
@@ -1224,17 +1288,18 @@ def test_bers_pole_guard_at_pulled_back_target(star, length):
 @pytest.mark.filterwarnings("ignore::schottkycalc.poincare.TruncationWarning")
 @pytest.mark.parametrize(
     "name, N, max_len",
-    [("star", 2, 6), ("star", 2, 8), ("star", 3, 6), ("asymmetric", 2, 6), ("genus3-wide", 2, 5)],
+    [("star", 2, 6), ("star", 2, 8), ("star", 3, 6), ("star", 2, 10), ("star", 3, 10),
+     ("asymmetric", 2, 6), ("genus3-wide", 2, 5)],
 )
 def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
     """A word whose first L - 1 letters run along W_j W_j ..., W_j the word
     of the limit point A_j, pulls A_j back outside its group's nested disc:
     (2N - 1)(2g - 1) words per shell, as the last letter is free, and no
     other word. Each is built, from its parent, itself an outside word, to
-    the bits of a word tree built to max_len, and summed term by term at
-    every point, x = 0 included; every other deep word sits in a group no
-    wider than its disc, and no word past shell 3 reaches the direct
-    kernel."""
+    the bits of a word tree built to max_len, its matrix entries, limit
+    points' factors and poles alike, and summed term by term at every
+    point, x = 0 included; every other deep word sits in a group no wider
+    than its disc, and no word past shell 3 reaches the direct kernel."""
     p = _surface(name, star)
     bers = BersEvaluator(p, N, config=SeriesConfig(max_len=max_len))
     direct, call = {}, poincare._DirectKernel.__call__
@@ -1250,7 +1315,7 @@ def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
     tree = build_shells(p, max_len)
     assert sum(direct.values()) == sum(map(tree.shell_size, range(poincare._DIRECT_SHELLS)))
     words = poincare._limit_words(p, 2 * N - 1)[1]
-    plan, outside = bers._shared.plan, {}
+    plan, outside, walked = bers._plan, {}, _walked(bers, max_len)
     for length in range(poincare._DIRECT_SHELLS, max_len + 1):
         want = []
         for w in words:
@@ -1260,10 +1325,15 @@ def test_bers_outside_words_per_shell(star, monkeypatch, name, N, max_len):
                 i = np.flatnonzero((parent == i) & (last == w[(back - 1) % len(w)]))[0]
             want.extend(np.flatnonzero(tree.parent[length] == i))
         assert len(want) == (2 * N - 1) * (2 * p.genus - 1)
-        shell = plan.shells[length]
-        got = np.stack(shell.words.take(shell.outside).abcd)
+        built, full = plan.shells[length].outside, walked[length]
+        got = np.stack(built.abcd)
         expected = np.stack([m[length][want] for m in (tree.a, tree.b, tree.c, tree.d)])
-        assert np.array_equal(got[:, np.lexsort(got)], expected[:, np.lexsort(expected)]), length
+        assert np.array_equal(np.stack(full.abcd)[:, want], expected), length
+        got_order, order = np.lexsort(got), np.lexsort(expected)
+        assert np.array_equal(got[:, got_order], expected[:, order]), length
+        for carried in ("lam", "pole"):
+            got_factors = getattr(built, carried)[:, got_order]
+            assert np.array_equal(got_factors, getattr(full, carried)[:, want][:, order]), length
         outside[length] = set(want)
         if length > poincare._DIRECT_SHELLS:  # every outside word's parent is an outside word
             assert {int(tree.parent[length][i]) for i in want} <= outside[length - 1], length
