@@ -45,6 +45,8 @@ import numpy as np
 from .contour import contour_nodes, fail_max, handle_moments
 from .eichler import PolyForm, canonical_cocycle, cocycle_eval, decompose_coboundary, poly_pullback
 from .gem import (
+    _checked_J,
+    _flat_index,
     CanonicalGEM,
     SpanningTheta,
     canonical_gem,
@@ -54,6 +56,7 @@ from .gem import (
 )
 from .moebius import apply as mob_apply, deriv as mob_deriv
 from .poincare import (
+    _words_held,
     BersEvaluator,
     NuFamily,
     SeriesConfig,
@@ -128,9 +131,9 @@ class RunConfig:
         for name, least in (("N", 2), ("max_len", 1), ("nodes", 8), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        try:
-            self.series()  # SeriesConfig checks shell_tol, stop_tol and workers
-        except ValueError as exc:
+        try:  # SeriesConfig checks shell_tol, stop_tol and workers, _words_held the cap
+            _words_held(self.surface.genus, self.series())
+        except (ValueError, CapacityError) as exc:
             raise ConfigError(str(exc)) from exc
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
@@ -215,22 +218,19 @@ class RunContext:
 
 
 def _parse_J(raw, N: int, genus: int) -> tuple[int, ...]:
-    m = 2 * N - 1
+    """J as flat indices or [handle, power] pairs, checked by gem's column-set rule."""
     flats = []
     for item in raw:
         if isinstance(item, (list, tuple)):
             if len(item) != 2:
                 raise ConfigError(f"J entries are flat indices or [handle, power]: {item!r}")
             a, k = _integer(item[0]), _integer(item[1])
-            if not (1 <= a <= genus and 0 <= k < m):
+            if not (1 <= a <= genus and 0 <= k < 2 * N - 1):
                 raise ConfigError(f"J entry {item!r} out of range for g={genus}, N={N}")
-            flats.append((a - 1) * m + k)
+            flats.append(_flat_index(a, k, N))
         else:
             flats.append(_integer(item))
-    d, n_tot = (genus - 1) * m, genus * m
-    if len(flats) != d or len(set(flats)) != d or not all(0 <= f < n_tot for f in flats):
-        raise ConfigError(f"J must pick {d} distinct flat indices in [0, {n_tot}), got {flats}")
-    return tuple(sorted(flats))
+    return _checked_J(flats, genus, N)
 
 
 def _integer(value) -> int:
@@ -871,8 +871,8 @@ _COMMANDS = {
 }
 
 
-# runtime failures: exit 1, or an "error" entry where a report records them
-_FAILURES = (ValueError, ArithmeticError, PathBlockedError, ReductionError, OSError)
+# runtime failures: exit 1 or a report's "error" entry; main exits 2 on a CapacityError
+_FAILURES = (ValueError, ArithmeticError, CapacityError, PathBlockedError, ReductionError, OSError)
 
 
 # options whose value may be a complex literal that starts with "-"

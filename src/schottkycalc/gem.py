@@ -14,9 +14,10 @@ form.
 
 The handle-circle moments come from `contour.handle_moments` on the doubled
 grid of `contour.handle_nodes`; the odd-index half of the same grid gives
-the shifted matrix that cross-checks the duality. Both polynomial fits,
-the jumps in y (`SpanningTheta.table`) and the moment polynomials
-(`canonical_correction`), go through one `_fit_polynomial` on
+the shifted matrix that cross-checks the duality; `_j_moments` takes the
+J-indexed ones, which the correction fits and the moment check reads. Both
+polynomial fits, the jumps in y (`SpanningTheta.table`) and the moment
+polynomials (`canonical_correction`), go through one `_fit_polynomial` on
 `_fit_nodes`: an exact inverse DFT on 2N-1 nodes of a circle, gated by two
 held-out nodes.
 """
@@ -263,6 +264,20 @@ class BasisSelection:
         return (flat // m + 1, flat % m)
 
 
+def _flat_index(a: int, k: int, N: int) -> int:
+    """Flat index of cocycle (handle a, power k), the inverse of BasisSelection.label."""
+    return (a - 1) * (2 * N - 1) + k
+
+
+def _checked_J(J: Sequence[int], genus: int, N: int) -> tuple[int, ...]:
+    """J sorted, if it is d = (g-1)(2N-1) distinct flat indices in [0, g(2N-1))."""
+    d, n_tot = (genus - 1) * (2 * N - 1), genus * (2 * N - 1)
+    J = tuple(sorted(int(j) for j in J))
+    if len(J) != d or len(set(J)) != d or not all(0 <= j < n_tot for j in J):
+        raise ValueError(f"J must pick {d} distinct flat indices in [0, {n_tot}), got {J}")
+    return J
+
+
 def _pivots(A: np.ndarray, d: int) -> list[int]:
     """First d column pivots of A by Householder QR with Businger-Golub
     column pivoting: each step takes the remaining column of largest norm,
@@ -326,14 +341,7 @@ def select_basis(
             f"{[f'{s:.3e}' for s in svals]}"
         )
 
-    if J is None:
-        J = tuple(sorted(_pivots(M, d)))
-    else:
-        J = tuple(sorted(int(i) for i in J))
-        if len(J) != d or len(set(J)) != d or not all(0 <= j < n_tot for j in J):
-            raise ValueError(
-                f"column override must pick {d} distinct indices in [0, {n_tot}), got {J}"
-            )
+    J = tuple(sorted(_pivots(M, d))) if J is None else _checked_J(J, g, N)
     rows = tuple(sorted(_pivots(M[:, J].T, d)))
 
     block = M[np.ix_(rows, J)]
@@ -383,31 +391,28 @@ def _fit_radius(p: SchottkyParams) -> float:
     return R0
 
 
-def canonical_correction(psi, selection: BasisSelection, n_nodes: int = 256) -> np.ndarray:
-    """Moment polynomials P_{bl}(y), one row per J entry, shape (dim, 2N-1).
-
-    P_{bl}(y) = (1/2 pi i) * contour moment over C_b of psi(., y) against
-    (x - w_b)^l. Each is exactly a polynomial of degree <= 2N-2 in y, fitted
-    by `_fit_polynomial` on a circle around the origin.
-    """
-    p = psi.params
-    R0 = _fit_radius(p)
-    ys = _fit_nodes(0j, R0, psi.N)
-
-    by_handle: dict[int, list[tuple[int, int]]] = {}
-    for pos, flat in enumerate(selection.J):
-        b, l = selection.label(flat)
-        by_handle.setdefault(b, []).append((pos, l))
-
-    out = np.zeros((selection.dim, 2 * psi.N - 1), dtype=np.complex128)
-    for b, entries in sorted(by_handle.items()):
-        z, dz, w_b = handle_nodes(p, b, n_nodes)
-        vals = psi.value_grid(z, ys)  # (m+2, 2n)
-        powers = [l for _, l in entries]
-        pvals = handle_moments(vals, z, dz, w_b, powers, _STABILITY_TOL)  # (m+2, len(entries))
-        coeffs, _ = _fit_polynomial(pvals, ys, 0j, R0, f"handle-{b} moment polynomial")
-        out[[pos for pos, _ in entries]] = coeffs.T
+def _j_moments(psi, selection: BasisSelection, ys, n_nodes: int, tol: float) -> np.ndarray:
+    """Row i: (1/2 pi i) * moment over C_b of psi(., y) against (x - w_b)^l at
+    each y, (b, l) the label of J[i]; one value_grid pass per handle J names,
+    every moment gated by node doubling at tol. Shape (dim, len(ys))."""
+    labels = [selection.label(flat) for flat in selection.J]
+    out = np.empty((len(labels), len(ys)), dtype=np.complex128)
+    for b in sorted({b for b, _ in labels}):
+        rows, powers = zip(*[(i, l) for i, (a, l) in enumerate(labels) if a == b])
+        z, dz, w_b = handle_nodes(psi.params, b, n_nodes)
+        out[list(rows)] = handle_moments(psi.value_grid(z, ys), z, dz, w_b, powers, tol).T
     return out
+
+
+def canonical_correction(psi, selection: BasisSelection, n_nodes: int = 256) -> np.ndarray:
+    """Moment polynomials P_J(y), one row per J entry, shape (dim, 2N-1): the
+    J-moments of psi(., y) (`_j_moments`), of degree <= 2N-2 in y, fitted by
+    `_fit_polynomial` on a circle around the origin, all J columns at once."""
+    R0 = _fit_radius(psi.params)
+    ys = _fit_nodes(0j, R0, psi.N)
+    moments = _j_moments(psi, selection, ys, n_nodes, _STABILITY_TOL)
+    coeffs, _ = _fit_polynomial(moments.T, ys, 0j, R0, "J-moment polynomial")
+    return coeffs.T
 
 
 class CanonicalGEM:
@@ -502,14 +507,4 @@ def expected_moment_identity(psi, X: Cocycle, y: complex) -> complex:
 
 def canonical_moment_residuals(can: CanonicalGEM, ys, n_nodes: int = 256) -> float:
     """Max |J-indexed moment| of the canonical kernel over probe y values."""
-    ys = np.asarray(ys, dtype=np.complex128)
-    worst = 0.0
-    by_handle: dict[int, list[int]] = {}
-    for flat in can.selection.J:
-        b, l = can.selection.label(flat)
-        by_handle.setdefault(b, []).append(l)
-    for b, powers in sorted(by_handle.items()):
-        z, dz, w_b = handle_nodes(can.params, b, n_nodes)
-        moments = handle_moments(can.value_grid(z, ys), z, dz, w_b, powers, _CHECK_TOL)
-        worst = fail_max(worst, np.max(np.abs(moments)))
-    return worst
+    return float(np.max(np.abs(_j_moments(can, can.selection, ys, n_nodes, _CHECK_TOL))))

@@ -118,13 +118,11 @@ class SeriesConfig:
     """Truncation policy for all series evaluations.
 
     max_len bounds the shells summed. cap bounds the words held: shells
-    0..4, one word for each group of each deep shell 4..max_len (whose
-    radius, word count and moments the plan keeps, as every deep word but
-    the tracked outside ones is carried in its group's moments), the
-    outside words, and the words of one deep group that a call rebuilds
-    for the points near it, inside or close to a disc. The tree and the
-    groups are counted before anything is built, so a max_len they cannot
-    afford raises CapacityError at once, whatever stop_tol.
+    0..4 and one word per group of each deep shell 4..max_len (its radius,
+    count and moments), counted before anything is built (_words_held), so
+    a max_len they cannot afford raises CapacityError at once, whatever
+    stop_tol; then the outside words, and the words of one deep group that
+    a call rebuilds for the points near it, inside or close to a disc.
     stop_tol, when set, skips the remaining shells once two consecutive
     shells each contribute less than stop_tol (a deterministic cutoff: the
     decision depends only on the sequentially reduced shell magnitudes).
@@ -423,15 +421,9 @@ class _ShellSeries:
     def __init__(self, p: SchottkyParams, config: SeriesConfig, tag: tuple, shared):
         self.params = p
         self.config = config
-        depth = min(config.max_len, _DIRECT_SHELLS)
-        deep = max(0, config.max_len + 1 - _DIRECT_SHELLS)  # shells 4..max_len
-        groups = 2 * p.genus * (2 * p.genus - 1) ** (self._depth - 1)
-        self._held = expected_word_count(p.genus, depth) + deep * groups
-        if self._held > config.cap:
-            raise CapacityError(
-                f"the word tree and the {groups} groups of {deep} deep shells would take "
-                f"{self._held} words (cap {config.cap}); lower max_len or raise the cap")
+        self._held = _words_held(p.genus, config, self._depth)
         key = (p, config.max_len, config.cap)
+        depth = min(config.max_len, _DIRECT_SHELLS)
         self.shells = _live(key, lambda: build_shells(p, depth, cap=config.cap))
         self._key = key + tag
         self._shared = _live(self._key, lambda: _Shared(p, self.shells, self._depth, *shared()))
@@ -562,6 +554,18 @@ class ThirdKindEvaluator(_ShellSeries):
 _DIRECT_SHELLS = 4  # shells 0..3 are summed by _DirectKernel; the word tree stops at shell 4
 _FAR_RATIO = 0.5  # a group is far from x when its radius is below _FAR_RATIO |x - c|
 _TAIL_TOL = 1e-17  # dropped expansion tail, relative to sum |weight| / |x - c|^m
+
+
+def _words_held(genus: int, config: SeriesConfig, depth: int = _ShellSeries._depth) -> int:
+    """The words a series of depth-letter group keys holds (SeriesConfig), or
+    CapacityError; the default depth, the pole pairs', holds the most."""
+    deep = max(0, config.max_len + 1 - _DIRECT_SHELLS)  # shells 4..max_len
+    groups = 2 * genus * (2 * genus - 1) ** (depth - 1)
+    held = expected_word_count(genus, min(config.max_len, _DIRECT_SHELLS)) + deep * groups
+    if held > config.cap:
+        raise CapacityError(f"the word tree and the {groups} groups of {deep} deep shells would "
+                            f"take {held} words (cap {config.cap}); lower max_len or raise the cap")
+    return held
 
 
 def _expansion_order(rho: float, m: int) -> int:

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface: config handling, exit
 codes, report shape, determinism, and the invariant suites."""
 
+import argparse
+import contextlib
 import csv
+import io
 import itertools
 import json
 import os
@@ -9,7 +12,10 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
+import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +30,14 @@ from schottkycalc.cli import (
     run_suite,
 )
 from schottkycalc.eichler import PolyForm
-from schottkycalc.schottky import HandleParams, ReductionError, to_classical
+from schottkycalc.schottky import (
+    HandleParams,
+    ReductionError,
+    SchottkyParams,
+    disc_gaps,
+    surface_to_dict,
+    to_classical,
+)
 
 STAR_SURFACE = {
     "handles": [
@@ -259,13 +272,45 @@ def test_word_cap_is_a_config_error(capsys):
     assert capsys.readouterr().err.startswith("config error: enumeration would produce")
 
 
-def test_a_max_len_the_deep_shells_cannot_afford_is_a_config_error(capsys):
-    # a million deep shells, each one word per group, are over the 2M cap:
-    # exit 2 before any series builds its tree
+def test_a_max_len_the_deep_shells_cannot_afford_is_a_config_error(tmp_path, capsys):
+    # a million deep shells, each one word per group of the pole-pair series,
+    # are over the 2M cap: the config is refused when it is read, so exit 2
+    # within a second, with no suite run and no report written
     cfg = str(Path(__file__).parents[1] / "configs" / "surface_star.json")
-    assert main(["report", "--all", "--config", cfg, "--max-len", "1000000"]) == 2
-    err = capsys.readouterr().err
-    assert "config error: the word tree and the 36 groups of 999997 deep shells" in err
+    with pytest.raises(ConfigError, match="the 36 groups of 999997 deep shells"):
+        load_config(cfg, max_len=1_000_000)
+    out = tmp_path / "report.json"
+    for command in (["report", "--all"], ["check", "--suite", "residue"]):
+        start = time.perf_counter()
+        assert main([*command, "--config", cfg, "--max-len", "1000000", "--json", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists(), command
+        assert captured.err.startswith(
+            "config error: the word tree and the 36 groups of 999997 deep shells"
+        ), command
+
+
+def test_a_capacity_error_in_a_suite_is_its_named_error(tmp_path, monkeypatch):
+    # a config that passed its check can still meet the cap in a series (a
+    # near group's words, the weight-N plan's outside words): each suite that
+    # builds one reports the CapacityError as its error, with no traceback,
+    # and so does the report's period matrix
+    rc = load_config(write_config(tmp_path))
+    series = RunConfig.series
+    monkeypatch.setattr(RunConfig, "series", lambda self: replace(series(self), cap=100))
+    report = run_suite(rc, "residue")
+    assert report["passed"] is False and "traceback" not in report
+    assert report["error"].startswith("CapacityError: the word tree and the 12 groups")
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cmd_report(rc, argparse.Namespace(all=True, json=str(out))) == 1
+    payload = json.loads(out.read_text())
+    failed = {name: s for name, s in payload["suites"].items() if not s["passed"]}
+    assert sorted(failed) == ["canonical", "gemcont", "nu-norm", "quasiperiod", "rauch", "residue"]
+    for name, s in failed.items():
+        assert s["error"].startswith("CapacityError:") and "traceback" not in s, name
+    assert payload["period_matrix"]["error"].startswith("CapacityError:")
 
 
 @pytest.mark.parametrize("exc", [variation.PathBlockedError, ReductionError])
@@ -365,6 +410,71 @@ def test_report_on_genus_one_says_the_series_needs_genus_two(tmp_path, capsys):
     assert {k for k, s in suites.items() if s["passed"]} == {"cocycle", "coboundary", "nu-norm"}
     for name in ("residue", "quasiperiod", "canonical", "gemcont", "rauch"):
         assert "needs genus >= 2" in suites[name]["error"]
+
+
+def _sweep_surface(seed: int, genus: int, draw: int) -> dict:
+    """Surface `draw` (0-based) of the pinned sweep over Schottky space: for
+    each handle in turn, w_plus and w_minus uniform in [-6, 6]^2, r uniform
+    in [0.2, 1.2] and theta in [0, 2 pi), rho = r^2 e^{i theta}; a draw is
+    rejected at the first handle whose own two discs overlap, or when the
+    smallest disc gap is below 0.3."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    while len(kept) <= draw:
+        handles = []
+        for _ in range(genus):
+            w_plus, w_minus = complex(*rng.uniform(-6, 6, 2)), complex(*rng.uniform(-6, 6, 2))
+            r, angle = rng.uniform(0.2, 1.2), rng.uniform(0, 2 * np.pi)
+            if abs(w_plus - w_minus) <= 2 * r:
+                break
+            handles.append(HandleParams(w_plus, w_minus, r * r * np.exp(1j * angle)))
+        else:
+            p = SchottkyParams(handles)
+            if min(gap for _, gap in disc_gaps(p)) >= 0.3:
+                kept.append(p)
+    return surface_to_dict(kept[draw])
+
+
+# today's outcome of each draw, so the fail-closed checks below meet real
+# failures: draw 0's period matrix is asymmetric by exactly 1 (ROADMAP item
+# 4) and draw 2's probe circle grazes its disc (item 5); mending either
+# changes its row here
+SWEEP_DRAWS = [
+    (0, 1, {"rauch": "PeriodSymmetryError"}),
+    (1, 0, {}),
+    (2, 1, {s: "GeometryError" for s in ("quasiperiod", "canonical", "gemcont", "rauch")}),
+]
+
+
+@pytest.mark.parametrize("draw, code, errors", SWEEP_DRAWS, ids=["draw0", "draw1", "draw2"])
+def test_report_fails_closed_on_random_surfaces(tmp_path, draw, code, errors):
+    """report --all on genus-2 surfaces of the pinned sweep (seed 11):
+    no NaN or inf in the JSON, no traceback, every failing suite names an
+    error or a failing check, the exit code follows the verdicts, and the
+    only warnings are TruncationWarnings, caught here."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "surface": _sweep_surface(11, 2, draw), "N": 2, "max_len": 10, "shell_tol": 1e-8,
+        "stop_tol": 1e-11, "nodes": 256, "seed": 0,
+    }))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        got = main(["report", "--all", "--config", str(cfg), "--json", str(out)])
+    assert all(issubclass(w.category, poincare.TruncationWarning) for w in caught)
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} in the report")
+
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    suites = payload["suites"]
+    for name, s in suites.items():
+        assert "traceback" not in s, name
+        assert s["passed"] or s.get("error") or not all(c["passed"] for c in s["checks"].values())
+    ok = all(s["passed"] for s in suites.values()) and "error" not in payload["period_matrix"]
+    assert got == (0 if ok else 1) == code
+    named = {name: s["error"].split(":")[0] for name, s in suites.items() if "error" in s}
+    assert named == errors
 
 
 def _readme_commands():

@@ -194,6 +194,23 @@ def test_canonical_moments_vanish(canonical):
     assert canonical_moment_residuals(canonical, ys, n_nodes=128) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "N, cfg", [(2, CFG), (3, SeriesConfig(max_len=5, shell_tol=1e-6))], ids=["N2", "N3"]
+)
+def test_canonical_j_moments_vanish_at_the_fit_nodes(N, cfg):
+    """The defining property at the nodes the correction fits on: the raw
+    kernel's J-moments there are the correction's polynomials, and the
+    canonical kernel's own J-moments there vanish."""
+    can = canonical_gem(STAR, N, config=cfg, n_nodes=128)
+    ys = gem._fit_nodes(0j, gem._fit_radius(STAR), N)
+    raw = gem._j_moments(can.base, can.selection, ys, 128, gem._CHECK_TOL)
+    fitted = np.array([np.polynomial.polynomial.polyval(ys, row) for row in can.corrections])
+    assert raw.shape == (can.selection.dim, 2 * N + 1) and np.max(np.abs(raw)) > 1e-3
+    assert np.max(np.abs(raw - fitted)) < 1e-9 * np.max(np.abs(raw))
+    moments = gem._j_moments(can, can.selection, ys, 128, gem._CHECK_TOL)
+    assert np.max(np.abs(moments)) < 1e-9
+
+
 def test_contour_identity_zero_in_domain(canonical, selection):
     y = 0.4 - 0.6j
     for flat in selection.J:
